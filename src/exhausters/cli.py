@@ -25,6 +25,7 @@ from .conditions import (
     regularity_check,
 )
 from .deriv import (
+    Expr,
     Leaf,
     directional_derivative_tree,
     eval_expr,
@@ -39,7 +40,7 @@ from .errors import (
     IterationCapError,
 )
 from .exhauster import Exhauster, eval_exhauster, exhauster_from_tree, reduce_exhauster
-from .geometry import TOL, as_vector, sample_unit_directions
+from .geometry import TOL, Vector, as_vector, sample_unit_directions
 from .report import AnalysisReport, render_report, render_svg
 
 EXIT_OK = 0
@@ -103,6 +104,31 @@ def _exit_code(conditions: dict[str, Verdict], oracle: dict[str, Verdict]) -> in
     return EXIT_OK
 
 
+def _parse_problem(problem) -> tuple[int, Vector, Expr, Optional[Expr]]:
+    """Dimension, point, objective and optional constraint of a problem
+    object; every defect is an InputError."""
+    if not isinstance(problem, dict):
+        raise InputError("problem file must hold a JSON object")
+    for key in ("dim", "objective", "point"):
+        if key not in problem:
+            raise InputError(f"problem is missing {key!r}")
+    try:
+        dim = int(problem["dim"])
+        point = as_vector(problem["point"])
+        f_expr = expr_from_json(problem["objective"])
+        u_expr = expr_from_json(problem["constraint"]) \
+            if problem.get("constraint") is not None else None
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed problem: {exc}") from exc
+    if len(point) != dim:
+        raise InputError(f"point has length {len(point)}, expected {dim}")
+    if expr_dim(f_expr) != dim:
+        raise InputError("objective dimension disagrees with problem dimension")
+    if u_expr is not None and expr_dim(u_expr) != dim:
+        raise InputError("constraint dimension disagrees with problem dimension")
+    return dim, point, f_expr, u_expr
+
+
 def analyze_problem(problem: dict, *, sense: Optional[str] = None,
                     condition_ids: Optional[list[ConditionID]] = None,
                     tol: float = TOL, oracle_tol: float = 1e-3,
@@ -110,42 +136,21 @@ def analyze_problem(problem: dict, *, sense: Optional[str] = None,
                     max_combinations: int = 1_000_000
                     ) -> tuple[AnalysisReport, int]:
     """Full pipeline on a parsed problem; returns the report and exit code."""
-    if not isinstance(problem, dict):
-        raise InputError("problem file must hold a JSON object")
-    for key in ("dim", "objective", "point"):
-        if key not in problem:
-            raise InputError(f"problem is missing {key!r}")
-    dim = int(problem["dim"])
-    point = as_vector(problem["point"])
-    if len(point) != dim:
-        raise InputError(f"point has length {len(point)}, expected {dim}")
+    dim, point, f_expr, u_expr = _parse_problem(problem)
+    if samples < 1:
+        raise InputError("need a positive sample count")
     sense = sense or problem.get("sense", "min")
     if sense not in ("min", "max", "both"):
         raise InputError(f"sense must be min, max or both, got {sense!r}")
-    try:
-        f_expr = expr_from_json(problem["objective"])
-        u_expr = expr_from_json(problem["constraint"]) if "constraint" in problem \
-            and problem["constraint"] is not None else None
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    if expr_dim(f_expr) != dim:
-        raise InputError("objective dimension disagrees with problem dimension")
-    if u_expr is not None and expr_dim(u_expr) != dim:
-        raise InputError("constraint dimension disagrees with problem dimension")
 
     f_tree = directional_derivative_tree(f_expr, point)
     u_tree = directional_derivative_tree(u_expr, point) if u_expr else None
+    trees = {"f": f_tree} if u_tree is None else {"f": f_tree, "u": u_tree}
     families = {
-        ("f", "upper"): reduce_exhauster(exhauster_from_tree(f_tree, "upper"),
-                                         samples, seed),
-        ("f", "lower"): reduce_exhauster(exhauster_from_tree(f_tree, "lower"),
-                                         samples, seed),
+        (func, kind): reduce_exhauster(exhauster_from_tree(tree, kind),
+                                       max_combinations=max_combinations)
+        for func, tree in trees.items() for kind in ("upper", "lower")
     }
-    if u_tree is not None:
-        families[("u", "upper")] = reduce_exhauster(
-            exhauster_from_tree(u_tree, "upper"), samples, seed)
-        families[("u", "lower")] = reduce_exhauster(
-            exhauster_from_tree(u_tree, "lower"), samples, seed)
 
     if condition_ids is None:
         table = _DEFAULT_CONSTRAINED if u_tree is not None else _DEFAULT_UNCONSTRAINED
@@ -301,21 +306,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         problem = _load_json(args.problem)
         if args.samples < 1:
             raise InputError("need a positive sample count")
-        if not isinstance(problem, dict):
-            raise InputError("problem file must hold a JSON object")
-        for key in ("dim", "objective", "point"):
-            if key not in problem:
-                raise InputError(f"problem is missing {key!r}")
-        dim = int(problem["dim"])
-        point = as_vector(problem["point"])
-        if len(point) != dim:
-            raise InputError(f"point has length {len(point)}, expected {dim}")
-        parts = [("objective", expr_from_json(problem["objective"]))]
-        if problem.get("constraint") is not None:
-            parts.append(("constraint", expr_from_json(problem["constraint"])))
-    except (InputError, ValueError) as exc:
+        dim, point, f_expr, u_expr = _parse_problem(problem)
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    parts = [("objective", f_expr)]
+    if u_expr is not None:
+        parts.append(("constraint", u_expr))
     directions = sample_unit_directions(dim, args.samples, args.seed)
     worst = 0.0
     for label, expr in parts:
@@ -334,16 +331,20 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=TOL,
                         help="sign-decision tolerance (default 1e-9)")
-    parser.add_argument("--oracle-tol", type=float, default=1e-3,
-                        help="acceptable finite-difference deviation")
-    parser.add_argument("--samples", type=int, default=720,
-                        help="sampled directions for oracle and reduction")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for all randomized sampling")
     parser.add_argument("--max-combinations", type=int, default=1_000_000,
                         help="vertex-selection enumeration cap")
     parser.add_argument("--format", choices=("json", "text"), default="json",
                         help="report format on stdout")
+
+
+def _add_sampling(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--oracle-tol", type=float, default=1e-3,
+                        help="acceptable finite-difference deviation")
+    parser.add_argument("--samples", type=int, default=720,
+                        help="sampled directions for the oracle and the "
+                             "regularity check")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed for all randomized sampling")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,6 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "applicable for the sense)")
     analyze.add_argument("--svg", help="write a figure of the families here")
     _add_common(analyze)
+    _add_sampling(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
     check = sub.add_parser("check", help="check conditions on given families")
@@ -377,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="compare finite differences with family "
                                  "evaluations")
     oracle.add_argument("problem", help="problem JSON file")
-    _add_common(oracle)
+    _add_sampling(oracle)
     oracle.set_defaults(func=cmd_oracle)
 
     return parser

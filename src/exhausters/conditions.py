@@ -6,7 +6,7 @@ lie inside the region where the objective's derivative has the sign an
 extremum requires. Regions are unions or intersections of four primitive
 vertex-sign predicates over the family members. Inclusions are decided
 exactly, either on the circle by angular-arc algebra (plane only) or in any
-dimension by enumerating vertex choices and certifying every branch with
+dimension by a pruned search over vertex choices, each system decided by
 the deterministic feasibility solver. A sampled oracle that works straight
 from the derivative trees cross-checks each verdict but never claims an
 exact "holds".
@@ -18,12 +18,11 @@ import math
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import product
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .deriv import MinMaxTree, eval_minmax, tree_dim, tree_leaves
 from .errors import DimensionMismatchError, ExhausterKindError
-from .exhauster import Exhauster
+from .exhauster import Exhauster, find_direction
 from .geometry import (
     ANGLE_TOL,
     DEFAULT_PIVOT_CAP,
@@ -329,37 +328,19 @@ def _atom_negation_options(atom: RegionAtom) -> list[list[LinearConstraint]]:
     return [[LinearConstraint(v, Sense.GE_ONE)] for v in verts]
 
 
-def _branch_options(expr: RegionExpr, negate: bool) -> tuple[list[list[list[LinearConstraint]]], bool]:
+def _choice_points(expr: RegionExpr, negate: bool) -> list[list[list[LinearConstraint]]]:
+    """Choice points whose systems' solution sets unite to the region (or
+    its complement): one per atom on a conjunctive side, a single one
+    holding every atom's options on a disjunctive side. Options keep
+    (set index, vertex index) order, so the first feasible system found is
+    deterministic."""
     options = [
         _atom_negation_options(a) if negate else _atom_member_options(a)
         for a in expr.atoms
     ]
-    conjunctive = (expr.combinator == "intersection") != negate
-    return options, conjunctive
-
-
-def _branch_count(expr: RegionExpr, negate: bool) -> int:
-    options, conjunctive = _branch_options(expr, negate)
-    if conjunctive:
-        total = 1
-        for opts in options:
-            total *= len(opts)
-        return total
-    return sum(len(opts) for opts in options)
-
-
-def _branches(expr: RegionExpr, negate: bool) -> Iterable[list[LinearConstraint]]:
-    """Constraint systems whose union of solution sets is the region (or
-    its complement). Enumeration is lexicographic over (set index, vertex
-    index), so the first feasible branch is deterministic."""
-    options, conjunctive = _branch_options(expr, negate)
-    if conjunctive:
-        for combo in product(*options):
-            yield [c for part in combo for c in part]
-    else:
-        for atom_options in options:
-            for part in atom_options:
-                yield list(part)
+    if (expr.combinator == "intersection") != negate:
+        return options
+    return [[opt for atom_options in options for opt in atom_options]]
 
 
 def inclusion_check(lhs: RegionExpr, rhs: RegionExpr, *, method: str = "auto",
@@ -369,8 +350,10 @@ def inclusion_check(lhs: RegionExpr, rhs: RegionExpr, *, method: str = "auto",
     """Decide whether every direction of ``lhs`` belongs to ``rhs``.
 
     exact2d intersects/unions the atoms' circle arcs and tests arc
-    coverage; lp_enumeration searches for a direction in lhs minus rhs by
-    enumerating vertex choices, each branch decided by the feasibility
+    coverage; lp_enumeration searches for a direction in lhs minus rhs with
+    ``find_direction``: the lhs membership choice points followed by the
+    rhs negation choice points, searched in lexicographic order with
+    infeasible prefixes pruned, each system decided by the feasibility
     solver. Both are exact; in the plane they must agree.
     """
     if lhs.dim != rhs.dim:
@@ -396,21 +379,19 @@ def inclusion_check(lhs: RegionExpr, rhs: RegionExpr, *, method: str = "auto",
             f"uncovered angle {angle:.12g} rad" + notes, "exact2d")
     if method != "lp_enumeration":
         raise ValueError(f"unknown method {method!r}")
-    count = _branch_count(lhs, False) * _branch_count(rhs, True)
+    choice_points = _choice_points(lhs, False) + _choice_points(rhs, True)
+    count = math.prod(len(point) for point in choice_points)
     if count > max_combinations:
         return Verdict(
             "inconclusive", None,
             f"enumeration needs {count} combinations, above the cap of {max_combinations}" + notes,
             "lp_enumeration")
-    for lhs_cons in _branches(lhs, False):
-        for rhs_cons in _branches(rhs, True):
-            result = linear_feasibility(lhs_cons + rhs_cons, lhs.dim,
-                                        max_pivots=max_pivots)
-            if result.feasible:
-                return Verdict(
-                    "violated", result.witness,
-                    "feasible vertex selection: witness lies in lhs with rhs "
-                    "violated at unit margin" + notes, "lp_enumeration")
+    result = find_direction(choice_points, lhs.dim, max_pivots=max_pivots)
+    if result is not None:
+        return Verdict(
+            "violated", result.witness,
+            "feasible vertex selection: witness lies in lhs with rhs "
+            "violated at unit margin" + notes, "lp_enumeration")
     return Verdict(
         "holds", None,
         f"all {count} vertex-selection systems infeasible" + notes,
@@ -429,7 +410,7 @@ def check_unconstrained(cid: ConditionID, family: Exhauster, *, tol: float = TOL
     The origin-membership form checks every set by convex-combination
     feasibility and, on failure, produces a strictly separating direction
     as the witness. The covering form searches for a direction outside
-    every set's cone by enumerating one vertex per set at unit margin.
+    every set's cone, choosing one vertex per set at unit margin.
     """
     built = build_condition(cid, family)
     cid = built.cid
@@ -452,26 +433,21 @@ def check_unconstrained(cid: ConditionID, family: Exhauster, *, tol: float = TOL
                        f"origin belongs to all {len(sets)} sets", "lp_enumeration")
     # Covering form: the family's cones must leave no direction behind.
     sense = Sense.LE_MINUS_ONE if cid is ConditionID.UNC_MIN_LOWER else Sense.GE_ONE
-    total = 1
-    for c in sets:
-        total *= len(c.vertices)
+    total = math.prod(len(c.vertices) for c in sets)
     if total > max_combinations:
         return Verdict(
             "inconclusive", None,
             f"enumeration needs {total} combinations, above the cap of {max_combinations}",
             "lp_enumeration")
-    for choice in product(*[range(len(c.vertices)) for c in sets]):
-        constraints = [
-            LinearConstraint(c.vertices[j], sense)
-            for c, j in zip(sets, choice)
-        ]
-        result = linear_feasibility(constraints, family.dim, max_pivots=max_pivots)
-        if result.feasible:
-            side = "negative" if sense is Sense.LE_MINUS_ONE else "positive"
-            return Verdict(
-                "violated", result.witness,
-                f"direction with a strictly {side} vertex in every set: "
-                "covering fails", "lp_enumeration")
+    choice_points = [[[LinearConstraint(v, sense)] for v in c.vertices]
+                     for c in sets]
+    result = find_direction(choice_points, family.dim, max_pivots=max_pivots)
+    if result is not None:
+        side = "negative" if sense is Sense.LE_MINUS_ONE else "positive"
+        return Verdict(
+            "violated", result.witness,
+            f"direction with a strictly {side} vertex in every set: "
+            "covering fails", "lp_enumeration")
     return Verdict("holds", None,
                    f"all {total} vertex selections infeasible: cones cover "
                    "every direction", "lp_enumeration")

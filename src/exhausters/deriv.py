@@ -11,6 +11,7 @@ construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -378,7 +379,7 @@ def _parse_expr(data) -> Expr:
         for term in spec["terms"]:
             if not isinstance(term, dict) or "c" not in term or "e" not in term:
                 raise ValueError("atom term needs 'c' and 'e'")
-            terms.append((float(term["c"]), tuple(int(e) for e in term["e"])))
+            terms.append((_finite(term["c"]), tuple(int(e) for e in term["e"])))
         if not terms:
             raise ValueError("atom needs at least one term")
         return AtomExpr(SmoothAtom(len(terms[0][1]), tuple(terms)))
@@ -386,7 +387,7 @@ def _parse_expr(data) -> Expr:
     if op == "scale":
         if "coef" not in data or "arg" not in data:
             raise ValueError("scale node needs 'coef' and 'arg'")
-        return Scale(float(data["coef"]), _parse_expr(data["arg"]))
+        return Scale(_finite(data["coef"]), _parse_expr(data["arg"]))
     if op in ("sum", "max", "min"):
         args = data.get("args")
         if not isinstance(args, list) or not args:
@@ -394,6 +395,13 @@ def _parse_expr(data) -> Expr:
         children = tuple(_parse_expr(a) for a in args)
         return {"sum": Sum, "max": Max, "min": Min}[op](children)
     raise ValueError(f"unknown expression node: {data!r}")
+
+
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"non-finite coefficient {number!r}")
+    return number
 
 
 def _walk_atoms(expr: Expr) -> Iterator[SmoothAtom]:

@@ -9,22 +9,22 @@ pointwise with the tree and with each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .deriv import Leaf, MaxNode, MinMaxTree, MinNode, tree_dim
 from .errors import CapExceededError, DimensionMismatchError
 from .geometry import (
     DEFAULT_PIVOT_CAP,
     TOL,
+    FeasibilityResult,
     LinearConstraint,
     Polytope,
     Sense,
     Vector,
     hull_contains,
     linear_feasibility,
-    sample_unit_directions,
     support_value,
 )
 
@@ -153,48 +153,66 @@ def polytope_families_equal(a: Iterable[Polytope], b: Iterable[Polytope],
     return not remaining
 
 
-def reduce_exhauster(family: Exhauster, samples: int | None = None, seed: int = 0, *,
+def find_direction(choice_points: Sequence[Sequence[Sequence[LinearConstraint]]],
+                   dim: int, *, max_pivots: int = DEFAULT_PIVOT_CAP
+                   ) -> Optional[FeasibilityResult]:
+    """Search a disjunction of linear systems for a feasible one.
+
+    A choice point is a list of options and an option a list of
+    constraints; choosing one option per choice point gives one system,
+    whose rows are the chosen options' rows in choice-point order. Returns
+    the solver's result on the first feasible system in lexicographic order
+    of the choices, or None when every system is infeasible.
+
+    Each full system is tried first, so a feasible first choice costs one
+    LP. Only when it fails are its prefixes tested, upward from the longest
+    one known feasible; the choice at the first infeasible prefix's last
+    position then advances, which skips the whole subtree behind it, since
+    adding rows never restores feasibility.
+    """
+    def solve(parts):
+        return linear_feasibility([c for part in parts for c in part], dim,
+                                  max_pivots=max_pivots)
+
+    depth = len(choice_points)
+    choice = [0] * depth
+    known = 0  # length of the longest prefix known to be feasible
+    while True:
+        parts = [point[j] for point, j in zip(choice_points, choice)]
+        result = solve(parts)
+        if result.feasible:
+            return result
+        bad = next((k for k in range(known + 1, depth)
+                    if not solve(parts[:k]).feasible), depth)
+        pos = bad - 1
+        while pos >= 0 and choice[pos] == len(choice_points[pos]) - 1:
+            pos -= 1
+        if pos < 0:
+            return None
+        choice[pos:] = [choice[pos] + 1] + [0] * (depth - pos - 1)
+        known = pos
+
+
+def reduce_exhauster(family: Exhauster, *,
                      max_combinations: int = 1_000_000,
                      max_pivots: int = DEFAULT_PIVOT_CAP) -> Exhauster:
     """Drop family members that never decide the min (resp. max) value.
 
-    Sampling proposes a candidate; a feasibility search must then certify
-    that no direction strictly prefers the candidate over every remaining
-    set. Only certified candidates are removed, so evaluation is preserved
-    pointwise, not just on the sample. Candidates whose certification would
-    need more than ``max_combinations`` vertex selections are kept.
+    Members are tried in order, each against the sets still kept. One is
+    removed only when a feasibility search certifies that no direction
+    strictly prefers it over every remaining set, so evaluation is
+    preserved pointwise. Candidates whose certification would need more
+    than ``max_combinations`` vertex selections are kept.
     """
-    if samples is None:
-        samples = 720 if family.dim == 2 else 10 * family.dim * family.dim
-    if samples < 1:
-        raise ValueError("need at least one sample direction")
-    directions = sample_unit_directions(family.dim, samples, seed)
     work = list(family.sets)
     pos = 0
     while len(work) > 1 and pos < len(work):
-        candidate = work[pos]
-        rest = work[:pos] + work[pos + 1:]
-        if _redundant_on_samples(candidate, rest, family.kind, directions) and \
-                _certified_redundant(candidate, rest, family.kind,
-                                     max_combinations, max_pivots):
+        if _certified_redundant(work[pos], work[:pos] + work[pos + 1:],
+                                family.kind, max_combinations, max_pivots):
             work.pop(pos)
         else:
             pos += 1
     return Exhauster(family.kind, family.dim, tuple(work))
-
-
-def _redundant_on_samples(candidate: Polytope, rest: list[Polytope], kind: str,
-                          directions: list[Vector]) -> bool:
-    for g in directions:
-        if kind == "upper":
-            if min(support_value(s, g, "max") for s in rest) > \
-                    support_value(candidate, g, "max") + TOL:
-                return False
-        else:
-            if max(support_value(s, g, "min") for s in rest) < \
-                    support_value(candidate, g, "min") - TOL:
-                return False
-    return True
 
 
 def _certified_redundant(candidate: Polytope, rest: list[Polytope], kind: str,
@@ -204,26 +222,17 @@ def _certified_redundant(candidate: Polytope, rest: list[Polytope], kind: str,
     For an upper family the candidate matters somewhere only if a direction
     makes every remaining set's max-support strictly larger than the
     candidate's, i.e. some vertex choice w per remaining set satisfies
-    ``<w - v, g> > 0`` for all candidate vertices v. Enumerate the vertex
-    choices and feed each system to the deterministic solver; if every one
-    is infeasible the candidate is redundant. Lower families are the
-    mirrored statement.
+    ``<w - v, g> > 0`` for all candidate vertices v. Each remaining set is
+    one choice point of ``find_direction``; if no system is feasible the
+    candidate is redundant. Lower families are the mirrored statement.
     """
-    total = 1
-    for s in rest:
-        total *= len(s.vertices)
-        if total > max_combinations:
-            return False
+    if math.prod(len(s.vertices) for s in rest) > max_combinations:
+        return False
     sense = Sense.GE_ONE if kind == "upper" else Sense.LE_MINUS_ONE
-    ranges = [range(len(s.vertices)) for s in rest]
-    for choice in product(*ranges):
-        constraints = []
-        for s, j in zip(rest, choice):
-            w = s.vertices[j]
-            for v in candidate.vertices:
-                normal = tuple(wi - vi for wi, vi in zip(w, v))
-                constraints.append(LinearConstraint(normal, sense))
-        if linear_feasibility(constraints, candidate.dim,
-                              max_pivots=max_pivots).feasible:
-            return False
-    return True
+    choice_points = [
+        [[LinearConstraint(tuple(wi - vi for wi, vi in zip(w, v)), sense)
+          for v in candidate.vertices]
+         for w in s.vertices]
+        for s in rest]
+    return find_direction(choice_points, candidate.dim,
+                          max_pivots=max_pivots) is None

@@ -4,6 +4,7 @@ generators."""
 
 import math
 import random
+from itertools import product
 
 from exhausters.deriv import (
     AtomExpr,
@@ -15,7 +16,7 @@ from exhausters.deriv import (
     directional_derivative_tree,
 )
 from exhausters.exhauster import Exhauster
-from exhausters.geometry import Polytope
+from exhausters.geometry import Polytope, linear_feasibility
 
 # The four segment polytopes of the reference example.
 C1 = Polytope.from_vertices([(1, 1), (-1, 1)])
@@ -125,3 +126,13 @@ def problem_dict(sense="min"):
         "point": [0, 0],
         "sense": sense,
     }
+
+
+def brute_force_direction(choice_points, dim):
+    """Unpruned reference for ``find_direction``: one LP per full choice,
+    in ``itertools.product`` order."""
+    for combo in product(*choice_points):
+        result = linear_feasibility([c for option in combo for c in option], dim)
+        if result.feasible:
+            return result
+    return None

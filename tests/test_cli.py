@@ -65,6 +65,25 @@ class TestAnalyze:
     def test_unknown_condition_rejected(self, problem_file):
         assert main(["analyze", problem_file, "--conditions", "BOGUS"]) == 2
 
+    def test_zero_samples_is_input_error(self, problem_file, capsys):
+        assert main(["analyze", problem_file, "--samples", "0"]) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_non_integer_dim_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "dim.json"
+        path.write_text(json.dumps(dict(problem_dict(), dim="two")))
+        assert main(["analyze", str(path)]) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_nan_coefficient_is_input_error(self, tmp_path, capsys):
+        spec = problem_dict()
+        spec["objective"]["args"][0]["args"][0]["atom"]["terms"][0]["c"] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(spec))
+        assert "NaN" in path.read_text()
+        assert main(["analyze", str(path)]) == 2
+        assert "error" in capsys.readouterr().err
+
     def test_unconstrained_defaults(self, tmp_path, capsys):
         spec = problem_dict()
         del spec["constraint"]
@@ -152,6 +171,14 @@ class TestCheck:
         assert main(["check", "--f-exhauster", f_path,
                      "--conditions", "MIN_UPPER_LOWER"]) == 2
 
+    def test_sampling_options_not_offered(self, family_files, capsys):
+        f_path, _ = family_files
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--f-exhauster", f_path,
+                  "--conditions", "UNC_MIN_UPPER", "--samples", "5"])
+        assert exc.value.code == 2
+        assert "--samples" in capsys.readouterr().err
+
 
 class TestOracleCommand:
     def test_reference_problem_within_tolerance(self, problem_file, capsys):
@@ -177,6 +204,12 @@ class TestOracleCommand:
 
     def test_zero_samples_is_input_error(self, problem_file):
         assert main(["oracle", problem_file, "--samples", "0"]) == 2
+
+    def test_condition_options_not_offered(self, problem_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", problem_file, "--max-combinations", "1"])
+        assert exc.value.code == 2
+        assert "--max-combinations" in capsys.readouterr().err
 
 
 class TestShippedFixture:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from exhausters.conditions import (
+    _choice_points,
     AtomKind,
     ConditionID,
     RegionAtom,
@@ -21,7 +22,14 @@ from exhausters.conditions import (
 from exhausters.deriv import Leaf, MaxNode, MinNode, eval_minmax
 from exhausters.errors import ExhausterKindError
 from exhausters.exhauster import Exhauster, exhauster_from_tree, reduce_exhauster
-from exhausters.geometry import ArcSet, Polytope, arcset_subset, cone_arcs
+from exhausters.geometry import (
+    ArcSet,
+    LinearConstraint,
+    Polytope,
+    Sense,
+    arcset_subset,
+    cone_arcs,
+)
 
 from helpers import (
     C1,
@@ -32,6 +40,7 @@ from helpers import (
     F_UPPER,
     U_LOWER,
     U_UPPER,
+    brute_force_direction,
     constraint_tree,
     objective_tree,
     random_family,
@@ -310,6 +319,63 @@ class TestEnumerationBeyondThePlane:
                         assert region_membership(built.rhs, g, tol=1e-7), \
                             f"sampled counterexample {g} on trial {trial}"
         assert violated > 5
+
+    def test_pruned_search_matches_brute_force_on_inclusions(self):
+        # lhs membership choice points, then rhs negation choice points;
+        # a union side is one choice point over all of its atoms' options.
+        # Both families draw vertices from one small pool whose hull holds
+        # the origin, so that inclusions hold often enough to be tested.
+        rng = random.Random(404)
+
+        def pooled_family(kind, pool, dim):
+            return Exhauster(kind, dim, tuple(
+                Polytope.from_vertices(rng.sample(pool, rng.randint(1, 3)))
+                for _ in range(rng.randint(1, 3))))
+
+        outcomes = set()
+        for trial in range(48):
+            dim = 3 + trial % 2
+            cid = ALL_CONSTRAINED[trial % len(ALL_CONSTRAINED)]
+            parts = cid.value.split("_")
+            pool = [tuple(float(rng.randint(-2, 2)) for _ in range(dim)) for _ in range(4)]
+            pool.append(tuple(-sum(c) for c in zip(*pool)))
+            ef = pooled_family(parts[1].lower(), pool, dim)
+            eu = pooled_family(parts[2].lower(), pool, dim)
+            built = build_condition(cid, ef, eu)
+            points = _choice_points(built.lhs, False) + _choice_points(built.rhs, True)
+            reference = brute_force_direction(points, dim)
+            verdict = inclusion_check(built.lhs, built.rhs)
+            assert verdict.status == ("holds" if reference is None else "violated")
+            if reference is not None:
+                assert verdict.witness == reference.witness
+            outcomes.add(verdict.status)
+        assert outcomes == {"holds", "violated"}
+
+    def test_pruned_search_matches_brute_force_on_coverings(self):
+        # One choice point per set, one single-row option per vertex. Sets
+        # of signed unit vectors make the cones cover often enough for both
+        # outcomes to occur.
+        rng = random.Random(405)
+        outcomes = set()
+        for trial in range(40):
+            dim = 3 + trial % 2
+            cid, kind, sense = rng.choice((
+                (ConditionID.UNC_MIN_LOWER, "lower", Sense.LE_MINUS_ONE),
+                (ConditionID.UNC_MAX_UPPER, "upper", Sense.GE_ONE)))
+            axes = [tuple(float(sign * (j == i)) for j in range(dim))
+                    for i in range(dim) for sign in (1, -1)]
+            family = Exhauster(kind, dim, tuple(
+                Polytope.from_vertices(rng.sample(axes, rng.randint(1, 2)))
+                for _ in range(rng.randint(3, 5))))
+            points = [[[LinearConstraint(v, sense)] for v in c.vertices]
+                      for c in family.sets]
+            reference = brute_force_direction(points, dim)
+            verdict = check_unconstrained(cid, family)
+            assert verdict.status == ("holds" if reference is None else "violated")
+            if reference is not None:
+                assert verdict.witness == reference.witness
+            outcomes.add(verdict.status)
+        assert outcomes == {"holds", "violated"}
 
 
 class TestOracleConsistency:

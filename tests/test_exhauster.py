@@ -8,29 +8,38 @@ from exhausters.deriv import (
     MinNode,
     directional_derivative_tree,
     eval_minmax,
+    expr_from_json,
 )
 from exhausters.errors import CapExceededError, DimensionMismatchError
 from exhausters.exhauster import (
     Exhauster,
     eval_exhauster,
     exhauster_from_tree,
+    find_direction,
     normalize,
     polytope_families_equal,
     polytopes_equal,
     reduce_exhauster,
 )
-from exhausters.geometry import Polytope, sample_unit_directions
+from exhausters.geometry import (
+    LinearConstraint,
+    Polytope,
+    Sense,
+    sample_unit_directions,
+)
 
 from helpers import (
     C1,
     C2,
     C3,
     C4,
+    brute_force_direction,
     circle_directions,
     constraint_tree,
     objective_tree,
     random_expr,
     random_point,
+    random_polytope,
 )
 
 L1, L2, L3, L4 = Leaf((1.0, 1.0)), Leaf((1.0, -1.0)), Leaf((-1.0, 1.0)), Leaf((-1.0, -1.0))
@@ -161,10 +170,90 @@ class TestReduction:
             tree = directional_derivative_tree(expr, x)
             for kind in ("upper", "lower"):
                 family = exhauster_from_tree(tree, kind)
-                reduced = reduce_exhauster(family, samples=240, seed=1)
+                reduced = reduce_exhauster(family)
                 for g in sample_unit_directions(2, 97, seed=99):
                     assert eval_exhauster(reduced, g) == pytest.approx(
                         eval_exhauster(family, g), abs=1e-9)
+
+
+
+def count_lps(monkeypatch):
+    """Count the solver calls made through the exhauster module."""
+    import exhausters.exhauster as module
+
+    calls = []
+    solve = module.linear_feasibility
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(module, "linear_feasibility", counted)
+    return calls
+
+
+def abs_sum_objective():
+    """|x1| + min(x2, -x2) + min(x3, -x3) at the origin of R^3."""
+    def term(i, op):
+        coords = [{"atom": {"terms": [{"c": c, "e": [int(j == i) for j in range(3)]}]}}
+                  for c in (1, -1)]
+        return {"op": op, "args": coords}
+    return expr_from_json({"op": "sum", "args": [
+        term(0, "max"), term(1, "min"), term(2, "min")]})
+
+
+class TestFindDirection:
+    def test_matches_brute_force_on_reduction_systems(self):
+        # The shape reduction certifies: one choice point per remaining
+        # set, an option per vertex w holding <w - v, g> at unit margin for
+        # every candidate vertex v. Remaining sets sit near the candidate's
+        # vertices, so that about half of the searches come out infeasible.
+        rng = random.Random(41)
+
+        def nearby_set(candidate, count):
+            return Polytope.from_vertices([
+                tuple(c + rng.choice((-1, 0, 0, 0)) for c in rng.choice(candidate.vertices))
+                for _ in range(count)])
+
+        outcomes = set()
+        for trial in range(60):
+            dim = 3 + trial % 2
+            candidate = random_polytope(rng, dim, 4)
+            rest = [nearby_set(candidate, rng.randint(2, 3)) for _ in range(rng.randint(3, 5))]
+            sense = rng.choice((Sense.GE_ONE, Sense.LE_MINUS_ONE))
+            points = [[[LinearConstraint(tuple(wi - vi for wi, vi in zip(w, v)), sense)
+                        for v in candidate.vertices]
+                       for w in s.vertices]
+                      for s in rest]
+            found = find_direction(points, dim)
+            reference = brute_force_direction(points, dim)
+            assert (found is None) == (reference is None)
+            if reference is not None:
+                assert found.witness == reference.witness
+            outcomes.add(found is None)
+        assert outcomes == {True, False}
+
+    def test_feasible_first_choice_costs_one_lp(self, monkeypatch):
+        calls = count_lps(monkeypatch)
+        e1, e2 = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
+        points = [[[LinearConstraint(e1, Sense.GE_ONE)], [LinearConstraint(e1, Sense.LE_MINUS_ONE)]],
+                  [[LinearConstraint(e2, Sense.GE_ONE)], [LinearConstraint(e2, Sense.LE_MINUS_ONE)]]]
+        assert find_direction(points, 3).feasible
+        assert len(calls) == 1
+
+    def test_abs_sum_upper_family_reduces_within_budget(self, monkeypatch):
+        # 16 two-vertex sets; certifying each without pruning needs up to
+        # 2**15 systems.
+        tree = directional_derivative_tree(abs_sum_objective(), (0.0, 0.0, 0.0))
+        family = exhauster_from_tree(tree, "upper")
+        assert len(family.sets) == 16
+        calls = count_lps(monkeypatch)
+        reduced = reduce_exhauster(family)
+        assert len(reduced.sets) == 4
+        assert len(calls) < 1000
+        for g in sample_unit_directions(3, 50, seed=5):
+            assert eval_exhauster(reduced, g) == pytest.approx(
+                eval_minmax(tree, g), abs=1e-9)
 
 
 class TestRepresentationFidelity:
