@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from typing import Optional, Sequence
@@ -27,6 +28,7 @@ from .conditions import (
 from .deriv import (
     Expr,
     Leaf,
+    MinMaxTree,
     directional_derivative_tree,
     eval_expr,
     expr_dim,
@@ -40,7 +42,7 @@ from .errors import (
     IterationCapError,
 )
 from .exhauster import Exhauster, eval_exhauster, exhauster_from_tree, reduce_exhauster
-from .geometry import TOL, Vector, as_vector, sample_unit_directions
+from .geometry import TOL, Vector, as_int, as_vector, sample_unit_directions
 from .report import AnalysisReport, render_report, render_svg
 
 EXIT_OK = 0
@@ -113,7 +115,7 @@ def _parse_problem(problem) -> tuple[int, Vector, Expr, Optional[Expr]]:
         if key not in problem:
             raise InputError(f"problem is missing {key!r}")
     try:
-        dim = int(problem["dim"])
+        dim = as_int(problem["dim"])
         point = as_vector(problem["point"])
         f_expr = expr_from_json(problem["objective"])
         u_expr = expr_from_json(problem["constraint"]) \
@@ -127,6 +129,19 @@ def _parse_problem(problem) -> tuple[int, Vector, Expr, Optional[Expr]]:
     if u_expr is not None and expr_dim(u_expr) != dim:
         raise InputError("constraint dimension disagrees with problem dimension")
     return dim, point, f_expr, u_expr
+
+
+def _at_point(label: str, expr: Expr, point: Vector) -> tuple[float, MinMaxTree]:
+    """Value and derivative tree of ``expr`` at the point; a value or a
+    gradient beyond the float range is an InputError."""
+    try:
+        value = eval_expr(expr, point)
+        if math.isfinite(value):
+            return value, directional_derivative_tree(expr, point)
+        reason = f"value {value}"
+    except (OverflowError, ValueError) as exc:
+        reason = str(exc)
+    raise InputError(f"{label} overflows the floats at the point: {reason}")
 
 
 def analyze_problem(problem: dict, *, sense: Optional[str] = None,
@@ -143,8 +158,11 @@ def analyze_problem(problem: dict, *, sense: Optional[str] = None,
     if sense not in ("min", "max", "both"):
         raise InputError(f"sense must be min, max or both, got {sense!r}")
 
-    f_tree = directional_derivative_tree(f_expr, point)
-    u_tree = directional_derivative_tree(u_expr, point) if u_expr else None
+    f_value, f_tree = _at_point("objective", f_expr, point)
+    values = {"f": f_value}
+    u_tree = None
+    if u_expr is not None:
+        values["u"], u_tree = _at_point("constraint", u_expr, point)
     trees = {"f": f_tree} if u_tree is None else {"f": f_tree, "u": u_tree}
     families = {
         (func, kind): reduce_exhauster(exhauster_from_tree(tree, kind),
@@ -160,7 +178,7 @@ def analyze_problem(problem: dict, *, sense: Optional[str] = None,
         parts = cid.value.split("_")
         if parts[0] == "UNC":
             ef = families[("f", parts[2].lower())]
-            verdict = evaluate_condition(cid, ef, tol=tol,
+            verdict = evaluate_condition(cid, ef,
                                          max_combinations=max_combinations)
         else:
             if u_tree is None:
@@ -168,7 +186,7 @@ def analyze_problem(problem: dict, *, sense: Optional[str] = None,
                     f"{cid.value} needs a constraint, none was given")
             ef = families[("f", parts[1].lower())]
             eu = families[("u", parts[2].lower())]
-            verdict = evaluate_condition(cid, ef, eu, tol=tol,
+            verdict = evaluate_condition(cid, ef, eu,
                                          max_combinations=max_combinations)
         verdicts[cid.value] = verdict
 
@@ -185,11 +203,9 @@ def analyze_problem(problem: dict, *, sense: Optional[str] = None,
         for s in _senses(sense)
     }
 
-    values = {"f": eval_expr(f_expr, point)}
     warnings = []
     if u_expr is not None:
-        u_value = eval_expr(u_expr, point)
-        values["u"] = u_value
+        u_value = values["u"]
         if u_value < -tol:
             warnings.append(
                 "constraint is inactive at the point (value below zero): the "
@@ -265,21 +281,27 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return code
 
 
+def _load_family(path: str) -> Exhauster:
+    try:
+        return Exhauster.from_json(_load_json(path))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed family in {path}: {exc}") from exc
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     try:
         condition_ids = _parse_condition_ids(args.conditions)
         if not condition_ids:
             raise InputError("check needs --conditions")
-        ef = Exhauster.from_json(_load_json(args.f_exhauster))
-        eu = Exhauster.from_json(_load_json(args.u_exhauster)) \
-            if args.u_exhauster else None
+        ef = _load_family(args.f_exhauster)
+        eu = _load_family(args.u_exhauster) if args.u_exhauster else None
         verdicts: dict[str, Verdict] = {}
         for cid in condition_ids:
             if cid in CONSTRAINED_IDS and eu is None:
                 raise InputError(f"{cid.value} needs --u-exhauster")
             verdicts[cid.value] = evaluate_condition(
                 cid, ef, eu if cid in CONSTRAINED_IDS else None,
-                tol=args.tol, max_combinations=args.max_combinations)
+                max_combinations=args.max_combinations)
     except (InputError, ValueError, DimensionMismatchError,
             ExhausterKindError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -292,10 +314,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     report = AnalysisReport(
         problem=problem_echo,
         conditions=verdicts,
-        metadata={
-            "tol": args.tol,
-            "max_combinations": args.max_combinations,
-        },
+        metadata={"max_combinations": args.max_combinations},
     )
     sys.stdout.write(render_report(report, args.format).decode("utf-8"))
     return _exit_code(verdicts, {})
@@ -307,16 +326,16 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         if args.samples < 1:
             raise InputError("need a positive sample count")
         dim, point, f_expr, u_expr = _parse_problem(problem)
+        parts = [("objective", f_expr)]
+        if u_expr is not None:
+            parts.append(("constraint", u_expr))
+        trees = [_at_point(label, expr, point)[1] for label, expr in parts]
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    parts = [("objective", f_expr)]
-    if u_expr is not None:
-        parts.append(("constraint", u_expr))
     directions = sample_unit_directions(dim, args.samples, args.seed)
     worst = 0.0
-    for label, expr in parts:
-        tree = directional_derivative_tree(expr, point)
+    for (label, expr), tree in zip(parts, trees):
         family = exhauster_from_tree(tree, "upper")
         deviation = max(
             abs(fd_directional_derivative(expr, point, g)
@@ -329,8 +348,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=TOL,
-                        help="sign-decision tolerance (default 1e-9)")
     parser.add_argument("--max-combinations", type=int, default=1_000_000,
                         help="vertex-selection enumeration cap")
     parser.add_argument("--format", choices=("json", "text"), default="json",
@@ -362,6 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated condition ids (default: all "
                               "applicable for the sense)")
     analyze.add_argument("--svg", help="write a figure of the families here")
+    analyze.add_argument("--tol", type=float, default=TOL,
+                         help="sign tolerance of the regularity check, the "
+                              "sampled cross-check and the value warnings "
+                              "(default 1e-9)")
     _add_common(analyze)
     _add_sampling(analyze)
     analyze.set_defaults(func=cmd_analyze)

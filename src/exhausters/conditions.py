@@ -3,11 +3,12 @@
 Each constrained condition is an inclusion between two cone regions: the
 region where the constraint's directional derivative is nonpositive must
 lie inside the region where the objective's derivative has the sign an
-extremum requires. Regions are unions or intersections of four primitive
-vertex-sign predicates over the family members. Inclusions are decided
-exactly, either on the circle by angular-arc algebra (plane only) or in any
-dimension by a pruned search over vertex choices, each system decided by
-the deterministic feasibility solver. A sampled oracle that works straight
+extremum requires. An unconstrained condition is the same inclusion with
+every direction on the left. Regions are unions or intersections of four
+primitive vertex-sign predicates over the family members. Inclusions are
+decided exactly, either on the circle by angular-arc algebra (constrained
+plane conditions) or in any dimension by a pruned search over vertex
+choices, each system decided by the deterministic feasibility solver. A sampled oracle that works straight
 from the derivative trees cross-checks each verdict but never claims an
 exact "holds".
 """
@@ -23,9 +24,11 @@ from typing import Optional, Sequence, Union
 from .deriv import MinMaxTree, eval_minmax, tree_dim, tree_leaves
 from .errors import DimensionMismatchError, ExhausterKindError
 from .exhauster import Exhauster, find_direction
+# The benchmark's tracer (perfbench/spans.py) wraps linear_feasibility and
+# contains_origin by name in this module and stops if either is missing, so
+# linear_feasibility stays imported although nothing here calls it.
 from .geometry import (
     ANGLE_TOL,
-    DEFAULT_PIVOT_CAP,
     TOL,
     TWO_PI,
     ArcSet,
@@ -173,8 +176,12 @@ class ConstrainedCondition:
 
 @dataclass(frozen=True)
 class UnconstrainedCondition:
+    """``rhs`` is the region the extremum forces on the objective's
+    derivative; the condition holds when it covers every direction."""
+
     cid: ConditionID
     family: Exhauster
+    rhs: RegionExpr
 
 
 # ---------------------------------------------------------------------------
@@ -233,46 +240,59 @@ def region_arcs(expr: RegionExpr) -> ArcSet:
 # Condition catalog
 # ---------------------------------------------------------------------------
 
+def _region(combinator: str, kind: AtomKind, family: Exhauster) -> RegionExpr:
+    return RegionExpr(combinator, tuple(RegionAtom(kind, c) for c in family.sets))
+
+
 def _constrained_sides(sense: str, f_kind: str, u_kind: str,
                        ef: Exhauster, eu: Exhauster) -> tuple[RegionExpr, RegionExpr]:
     # Left side: operational form of "constraint derivative <= 0" in terms
     # of u's family. Right side: the sign region the extremum forces on the
     # objective derivative, in terms of f's family.
     if u_kind == "lower":
-        lhs = RegionExpr("intersection",
-                         tuple(RegionAtom(AtomKind.NOT_K_PLUS, c) for c in eu.sets))
+        lhs = _region("intersection", AtomKind.NOT_K_PLUS, eu)
     else:
-        lhs = RegionExpr("union",
-                         tuple(RegionAtom(AtomKind.NEG_K_PLUS, c) for c in eu.sets))
+        lhs = _region("union", AtomKind.NEG_K_PLUS, eu)
     if sense == "min" and f_kind == "upper":
-        rhs = RegionExpr("intersection",
-                         tuple(RegionAtom(AtomKind.NOT_NEG_K_PLUS, c) for c in ef.sets))
+        rhs = _region("intersection", AtomKind.NOT_NEG_K_PLUS, ef)
     elif sense == "min":
-        rhs = RegionExpr("union",
-                         tuple(RegionAtom(AtomKind.K_PLUS, c) for c in ef.sets))
+        rhs = _region("union", AtomKind.K_PLUS, ef)
     elif f_kind == "lower":
-        rhs = RegionExpr("intersection",
-                         tuple(RegionAtom(AtomKind.NOT_K_PLUS, c) for c in ef.sets))
+        rhs = _region("intersection", AtomKind.NOT_K_PLUS, ef)
     else:
-        rhs = RegionExpr("union",
-                         tuple(RegionAtom(AtomKind.NEG_K_PLUS, c) for c in ef.sets))
+        rhs = _region("union", AtomKind.NEG_K_PLUS, ef)
     return lhs, rhs
+
+
+# The region each unconstrained condition requires to cover every
+# direction. The origin forms both read "some <v, g> <= 0 in every set",
+# which covers every direction exactly when the origin lies in every set;
+# for UNC_MIN_UPPER this mirrors the constrained NOT_NEG_K_PLUS side
+# (g -> -g), so its witness is a direction separating a set from the
+# origin rather than a descent direction.
+_UNCONSTRAINED_SIDES = {
+    ConditionID.UNC_MIN_UPPER: ("intersection", AtomKind.NOT_K_PLUS),
+    ConditionID.UNC_MAX_LOWER: ("intersection", AtomKind.NOT_K_PLUS),
+    ConditionID.UNC_MIN_LOWER: ("union", AtomKind.K_PLUS),
+    ConditionID.UNC_MAX_UPPER: ("union", AtomKind.NEG_K_PLUS),
+}
 
 
 def build_condition(cid: ConditionID, ef: Exhauster,
                     eu: Optional[Exhauster] = None
                     ) -> Union[ConstrainedCondition, UnconstrainedCondition]:
-    """Materialize the two region expressions (or the unconstrained
-    descriptor) for one condition id, validating family kinds."""
+    """Materialize the region expressions of one condition id, validating
+    family kinds: both sides of a constrained condition, or the objective
+    side of an unconstrained one, whose constraint side is every
+    direction."""
     cid = ConditionID(cid)
     parts = cid.value.split("_")
     if parts[0] == "UNC":
-        _, sense, f_kind = parts
-        required = f_kind.lower()
+        required = parts[2].lower()
         if ef.kind != required:
             raise ExhausterKindError(
                 f"{cid.value} needs an {required} family for the objective, got {ef.kind}")
-        return UnconstrainedCondition(cid, ef)
+        return UnconstrainedCondition(cid, ef, _region(*_UNCONSTRAINED_SIDES[cid], ef))
     sense, f_kind, u_kind = parts[0].lower(), parts[1].lower(), parts[2].lower()
     if eu is None:
         raise ExhausterKindError(f"{cid.value} needs a constraint family")
@@ -343,10 +363,28 @@ def _choice_points(expr: RegionExpr, negate: bool) -> list[list[list[LinearConst
     return [[opt for atom_options in options for opt in atom_options]]
 
 
+def _search(choice_points: list[list[list[LinearConstraint]]], dim: int,
+            max_combinations: int, violated: str, holds: str,
+            notes: str = "") -> Verdict:
+    """The lp_enumeration verdict on a disjunction of linear systems, one
+    per choice of an option at every choice point: the first feasible
+    system in lexicographic order gives the violation witness, none means
+    the condition holds, and more than ``max_combinations`` systems leave
+    it inconclusive. ``holds`` may name the system count as ``{count}``."""
+    count = math.prod(len(point) for point in choice_points)
+    if count > max_combinations:
+        return Verdict(
+            "inconclusive", None,
+            f"enumeration needs {count} combinations, above the cap of {max_combinations}" + notes,
+            "lp_enumeration")
+    result = find_direction(choice_points, dim)
+    if result is not None:
+        return Verdict("violated", result.witness, violated + notes, "lp_enumeration")
+    return Verdict("holds", None, holds.format(count=count) + notes, "lp_enumeration")
+
+
 def inclusion_check(lhs: RegionExpr, rhs: RegionExpr, *, method: str = "auto",
-                    tol: float = TOL,
-                    max_combinations: int = DEFAULT_COMBINATION_CAP,
-                    max_pivots: int = DEFAULT_PIVOT_CAP) -> Verdict:
+                    max_combinations: int = DEFAULT_COMBINATION_CAP) -> Verdict:
     """Decide whether every direction of ``lhs`` belongs to ``rhs``.
 
     exact2d intersects/unions the atoms' circle arcs and tests arc
@@ -379,95 +417,57 @@ def inclusion_check(lhs: RegionExpr, rhs: RegionExpr, *, method: str = "auto",
             f"uncovered angle {angle:.12g} rad" + notes, "exact2d")
     if method != "lp_enumeration":
         raise ValueError(f"unknown method {method!r}")
-    choice_points = _choice_points(lhs, False) + _choice_points(rhs, True)
-    count = math.prod(len(point) for point in choice_points)
-    if count > max_combinations:
-        return Verdict(
-            "inconclusive", None,
-            f"enumeration needs {count} combinations, above the cap of {max_combinations}" + notes,
-            "lp_enumeration")
-    result = find_direction(choice_points, lhs.dim, max_pivots=max_pivots)
-    if result is not None:
-        return Verdict(
-            "violated", result.witness,
-            "feasible vertex selection: witness lies in lhs with rhs "
-            "violated at unit margin" + notes, "lp_enumeration")
-    return Verdict(
-        "holds", None,
-        f"all {count} vertex-selection systems infeasible" + notes,
-        "lp_enumeration")
+    return _search(
+        _choice_points(lhs, False) + _choice_points(rhs, True), lhs.dim,
+        max_combinations,
+        "feasible vertex selection: witness lies in lhs with rhs violated at "
+        "unit margin", "all {count} vertex-selection systems infeasible", notes)
 
 
 # ---------------------------------------------------------------------------
 # Unconstrained conditions
 # ---------------------------------------------------------------------------
 
-def check_unconstrained(cid: ConditionID, family: Exhauster, *, tol: float = TOL,
-                        max_combinations: int = DEFAULT_COMBINATION_CAP,
-                        max_pivots: int = DEFAULT_PIVOT_CAP) -> Verdict:
+def check_unconstrained(cid: ConditionID, family: Exhauster, *,
+                        max_combinations: int = DEFAULT_COMBINATION_CAP) -> Verdict:
     """Decide one of the four unconstrained conditions exactly.
 
-    The origin-membership form checks every set by convex-combination
-    feasibility and, on failure, produces a strictly separating direction
-    as the witness. The covering form searches for a direction outside
-    every set's cone, choosing one vertex per set at unit margin.
+    Each is a constrained condition with every direction admissible: the
+    objective side ``rhs`` of ``build_condition`` must cover every
+    direction. ``inclusion_check``'s search looks for a direction outside
+    it. In the origin form the complement's systems are one per set, each
+    asking for unit margin on all of the set's vertices; by Gordan's
+    alternative one is feasible exactly when the origin lies outside that
+    set, and its solution strictly separates the two. In the covering form
+    they choose one vertex per set at unit margin. Both forms are decided
+    by lp_enumeration in every dimension, the plane included.
     """
     built = build_condition(cid, family)
-    cid = built.cid
-    sets = family.sets
-    if cid in (ConditionID.UNC_MIN_UPPER, ConditionID.UNC_MAX_LOWER):
-        for i, c in enumerate(sets):
-            if not contains_origin(c, tol=tol):
-                sep = linear_feasibility(
-                    [LinearConstraint(v, Sense.GE_ONE) for v in c.vertices],
-                    family.dim, max_pivots=max_pivots)
-                if not sep.feasible:  # hull separation must produce a direction
-                    raise ArithmeticError(
-                        "origin reported outside the hull but no separating "
-                        "direction was found")
-                return Verdict(
-                    "violated", sep.witness,
-                    f"origin lies outside set {i}; witness is a strictly "
-                    "separating direction", "lp_enumeration")
-        return Verdict("holds", None,
-                       f"origin belongs to all {len(sets)} sets", "lp_enumeration")
-    # Covering form: the family's cones must leave no direction behind.
-    sense = Sense.LE_MINUS_ONE if cid is ConditionID.UNC_MIN_LOWER else Sense.GE_ONE
-    total = math.prod(len(c.vertices) for c in sets)
-    if total > max_combinations:
-        return Verdict(
-            "inconclusive", None,
-            f"enumeration needs {total} combinations, above the cap of {max_combinations}",
-            "lp_enumeration")
-    choice_points = [[[LinearConstraint(v, sense)] for v in c.vertices]
-                     for c in sets]
-    result = find_direction(choice_points, family.dim, max_pivots=max_pivots)
-    if result is not None:
-        side = "negative" if sense is Sense.LE_MINUS_ONE else "positive"
-        return Verdict(
-            "violated", result.witness,
-            f"direction with a strictly {side} vertex in every set: "
-            "covering fails", "lp_enumeration")
-    return Verdict("holds", None,
-                   f"all {total} vertex selections infeasible: cones cover "
-                   "every direction", "lp_enumeration")
+    if built.rhs.combinator == "intersection":
+        violated = ("origin lies outside a set; witness is a strictly "
+                    "separating direction")
+        holds = "origin belongs to all {count} sets"
+    else:
+        side = "negative" if built.cid is ConditionID.UNC_MIN_LOWER else "positive"
+        violated = (f"direction with a strictly {side} vertex in every set: "
+                    "covering fails")
+        holds = ("all {count} vertex selections infeasible: cones cover "
+                 "every direction")
+    return _search(_choice_points(built.rhs, True), family.dim,
+                   max_combinations, violated, holds)
 
 
 def evaluate_condition(cid: ConditionID, ef: Exhauster,
                        eu: Optional[Exhauster] = None, *, method: str = "auto",
-                       tol: float = TOL,
-                       max_combinations: int = DEFAULT_COMBINATION_CAP,
-                       max_pivots: int = DEFAULT_PIVOT_CAP) -> Verdict:
+                       max_combinations: int = DEFAULT_COMBINATION_CAP) -> Verdict:
     """Build and run one condition, labelling the verdict with its id."""
     built = build_condition(cid, ef, eu)
     if isinstance(built, ConstrainedCondition):
-        verdict = inclusion_check(built.lhs, built.rhs, method=method, tol=tol,
-                                  max_combinations=max_combinations,
-                                  max_pivots=max_pivots)
+        verdict = inclusion_check(built.lhs, built.rhs, method=method,
+                                  max_combinations=max_combinations)
     else:
-        verdict = check_unconstrained(built.cid, built.family, tol=tol,
-                                      max_combinations=max_combinations,
-                                      max_pivots=max_pivots)
+        verdict = check_unconstrained(built.cid, built.family,
+                                      max_combinations=max_combinations)
     return replace(verdict, condition=ConditionID(cid).value)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import CapExceededError, DimensionMismatchError
-from .geometry import Vector, as_vector, dot
+from .geometry import Vector, as_int, as_vector, dot
 
 ACTIVITY_RTOL = 1e-9
 DEFAULT_LEAF_CAP = 1_000_000
@@ -43,7 +43,7 @@ class SmoothAtom:
             raise ValueError("dimension must be positive")
         cleaned = []
         for coef, exps in self.terms:
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(as_int(e) for e in exps)
             if len(exps) != self.dim:
                 raise DimensionMismatchError(
                     f"exponent multi-index {exps} does not have length {self.dim}")
@@ -379,7 +379,7 @@ def _parse_expr(data) -> Expr:
         for term in spec["terms"]:
             if not isinstance(term, dict) or "c" not in term or "e" not in term:
                 raise ValueError("atom term needs 'c' and 'e'")
-            terms.append((_finite(term["c"]), tuple(int(e) for e in term["e"])))
+            terms.append((_finite(term["c"]), tuple(term["e"])))
         if not terms:
             raise ValueError("atom needs at least one term")
         return AtomExpr(SmoothAtom(len(terms[0][1]), tuple(terms)))

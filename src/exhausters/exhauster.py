@@ -16,13 +16,12 @@ from typing import Iterable, Optional, Sequence
 from .deriv import Leaf, MaxNode, MinMaxTree, MinNode, tree_dim
 from .errors import CapExceededError, DimensionMismatchError
 from .geometry import (
-    DEFAULT_PIVOT_CAP,
-    TOL,
     FeasibilityResult,
     LinearConstraint,
     Polytope,
     Sense,
     Vector,
+    as_int,
     hull_contains,
     linear_feasibility,
     support_value,
@@ -60,7 +59,7 @@ class Exhauster:
             if key not in data:
                 raise ValueError(f"family is missing {key!r}")
         sets = tuple(Polytope.from_json(s) for s in data["sets"])
-        return cls(str(data["kind"]), int(data["dim"]), sets)
+        return cls(str(data["kind"]), as_int(data["dim"]), sets)
 
     def to_json(self) -> dict:
         return {
@@ -130,22 +129,21 @@ def eval_exhauster(family: Exhauster, g: Sequence[float]) -> float:
     return max(support_value(s, g, "min") for s in family.sets)
 
 
-def polytopes_equal(a: Polytope, b: Polytope, tol: float = TOL) -> bool:
+def polytopes_equal(a: Polytope, b: Polytope) -> bool:
     """Hull equality: every vertex of each polytope lies in the hull of the
     other."""
     if a.dim != b.dim:
         return False
-    return all(hull_contains(b, v, tol=tol) for v in a.vertices) and \
-        all(hull_contains(a, v, tol=tol) for v in b.vertices)
+    return all(hull_contains(b, v) for v in a.vertices) and \
+        all(hull_contains(a, v) for v in b.vertices)
 
 
-def polytope_families_equal(a: Iterable[Polytope], b: Iterable[Polytope],
-                            tol: float = TOL) -> bool:
+def polytope_families_equal(a: Iterable[Polytope], b: Iterable[Polytope]) -> bool:
     """Multiset equality of two polytope families under hull equality."""
     remaining = list(b)
     for pa in a:
         for i, pb in enumerate(remaining):
-            if polytopes_equal(pa, pb, tol):
+            if polytopes_equal(pa, pb):
                 remaining.pop(i)
                 break
         else:
@@ -154,8 +152,7 @@ def polytope_families_equal(a: Iterable[Polytope], b: Iterable[Polytope],
 
 
 def find_direction(choice_points: Sequence[Sequence[Sequence[LinearConstraint]]],
-                   dim: int, *, max_pivots: int = DEFAULT_PIVOT_CAP
-                   ) -> Optional[FeasibilityResult]:
+                   dim: int) -> Optional[FeasibilityResult]:
     """Search a disjunction of linear systems for a feasible one.
 
     A choice point is a list of options and an option a list of
@@ -171,8 +168,7 @@ def find_direction(choice_points: Sequence[Sequence[Sequence[LinearConstraint]]]
     adding rows never restores feasibility.
     """
     def solve(parts):
-        return linear_feasibility([c for part in parts for c in part], dim,
-                                  max_pivots=max_pivots)
+        return linear_feasibility([c for part in parts for c in part], dim)
 
     depth = len(choice_points)
     choice = [0] * depth
@@ -194,8 +190,7 @@ def find_direction(choice_points: Sequence[Sequence[Sequence[LinearConstraint]]]
 
 
 def reduce_exhauster(family: Exhauster, *,
-                     max_combinations: int = 1_000_000,
-                     max_pivots: int = DEFAULT_PIVOT_CAP) -> Exhauster:
+                     max_combinations: int = 1_000_000) -> Exhauster:
     """Drop family members that never decide the min (resp. max) value.
 
     Members are tried in order, each against the sets still kept. One is
@@ -208,7 +203,7 @@ def reduce_exhauster(family: Exhauster, *,
     pos = 0
     while len(work) > 1 and pos < len(work):
         if _certified_redundant(work[pos], work[:pos] + work[pos + 1:],
-                                family.kind, max_combinations, max_pivots):
+                                family.kind, max_combinations):
             work.pop(pos)
         else:
             pos += 1
@@ -216,7 +211,7 @@ def reduce_exhauster(family: Exhauster, *,
 
 
 def _certified_redundant(candidate: Polytope, rest: list[Polytope], kind: str,
-                         max_combinations: int, max_pivots: int) -> bool:
+                         max_combinations: int) -> bool:
     """Certify that no direction strictly prefers the candidate.
 
     For an upper family the candidate matters somewhere only if a direction
@@ -234,5 +229,4 @@ def _certified_redundant(candidate: Polytope, rest: list[Polytope], kind: str,
           for v in candidate.vertices]
          for w in s.vertices]
         for s in rest]
-    return find_direction(choice_points, candidate.dim,
-                          max_pivots=max_pivots) is None
+    return find_direction(choice_points, candidate.dim) is None

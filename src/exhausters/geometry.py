@@ -25,7 +25,7 @@ Vector = tuple[float, ...]
 TOL = 1e-9
 ANGLE_TOL = 1e-9
 TWO_PI = 2.0 * math.pi
-DEFAULT_PIVOT_CAP = 20_000
+PIVOT_CAP = 20_000  # simplex pivots per phase; read at every call
 
 _RC_EPS = 1e-9      # reduced-cost threshold for simplex optimality
 _PIVOT_EPS = 1e-9   # smallest acceptable pivot magnitude
@@ -39,6 +39,14 @@ def as_vector(coords: Iterable[float]) -> Vector:
         if not math.isfinite(c):
             raise ValueError(f"non-finite coordinate {c!r}")
     return vec
+
+
+def as_int(value) -> int:
+    """Coerce to int, rejecting a number with a fractional part (or a
+    non-finite one) instead of truncating it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"non-integral number {value!r}")
+    return int(value)
 
 
 def dot(a: Sequence[float], b: Sequence[float]) -> float:
@@ -132,8 +140,7 @@ def conjugate_membership(polytope: Polytope, g: Sequence[float], tol: float = TO
     return support_value(polytope, g, "min") >= -tol
 
 
-def hull_contains(polytope: Polytope, point: Sequence[float], *,
-                  tol: float = TOL, max_pivots: int = DEFAULT_PIVOT_CAP) -> bool:
+def hull_contains(polytope: Polytope, point: Sequence[float]) -> bool:
     """Convex-combination feasibility: does the hull contain ``point``."""
     target = as_vector(point)
     if len(target) != polytope.dim:
@@ -145,11 +152,11 @@ def hull_contains(polytope: Polytope, point: Sequence[float], *,
         rows[: polytope.dim, j] = v
     rows[polytope.dim, :] = 1.0
     rhs = np.array(list(target) + [1.0])
-    return _solve_nonneg(rows, rhs, None, max_pivots) is not None
+    return _solve_nonneg(rows, rhs, None) is not None
 
 
-def contains_origin(polytope: Polytope, *, tol: float = TOL) -> bool:
-    return hull_contains(polytope, (0.0,) * polytope.dim, tol=tol)
+def contains_origin(polytope: Polytope) -> bool:
+    return hull_contains(polytope, (0.0,) * polytope.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +222,13 @@ def _pivot(tableau: np.ndarray, rhs: np.ndarray, basis: list[int],
 
 
 def _minimize(tableau: np.ndarray, rhs: np.ndarray, basis: list[int],
-              cost: np.ndarray, enterable: np.ndarray, max_pivots: int) -> None:
+              cost: np.ndarray, enterable: np.ndarray) -> None:
     """Bland-rule simplex sweep, in place.
 
     The lowest-index rule on entering and leaving variables makes the walk,
     and therefore the final basic solution, deterministic; it also rules
-    out cycling. ``enterable`` masks columns allowed into the basis.
+    out cycling. ``enterable`` masks columns allowed into the basis. More
+    than ``PIVOT_CAP`` pivots raise IterationCapError.
     """
     m = tableau.shape[0]
     pivots = 0
@@ -250,12 +258,12 @@ def _minimize(tableau: np.ndarray, rhs: np.ndarray, basis: list[int],
             return  # no finite step remains; keep the current point
         _pivot(tableau, rhs, basis, leave, enter)
         pivots += 1
-        if pivots > max_pivots:
-            raise IterationCapError(f"simplex exceeded {max_pivots} pivots")
+        if pivots > PIVOT_CAP:
+            raise IterationCapError(f"simplex exceeded {PIVOT_CAP} pivots")
 
 
 def _solve_nonneg(eq_lhs: np.ndarray, eq_rhs: np.ndarray,
-                  objective: Optional[np.ndarray], max_pivots: int) -> Optional[np.ndarray]:
+                  objective: Optional[np.ndarray]) -> Optional[np.ndarray]:
     """Find x >= 0 with ``eq_lhs @ x = eq_rhs``, or None if infeasible.
 
     Phase one drives one artificial variable per row to zero. When an
@@ -273,7 +281,7 @@ def _solve_nonneg(eq_lhs: np.ndarray, eq_rhs: np.ndarray,
     basis = list(range(n, n + m))
     phase1 = np.concatenate([np.zeros(n), np.ones(m)])
     every = np.ones(n + m, dtype=bool)
-    _minimize(tableau, rhs, basis, phase1, every, max_pivots)
+    _minimize(tableau, rhs, basis, phase1, every)
     if phase1[basis] @ rhs > 1e-9 * (1.0 + float(np.sum(rhs))):
         return None
     # Pivot zero-level artificials out so phase two cannot reactivate them.
@@ -287,7 +295,7 @@ def _solve_nonneg(eq_lhs: np.ndarray, eq_rhs: np.ndarray,
     if objective is not None:
         cost = np.concatenate([np.asarray(objective, dtype=float), np.zeros(m)])
         real = np.concatenate([np.ones(n, dtype=bool), np.zeros(m, dtype=bool)])
-        _minimize(tableau, rhs, basis, cost, real, max_pivots)
+        _minimize(tableau, rhs, basis, cost, real)
     x = np.zeros(n)
     for i, col in enumerate(basis):
         if col < n:
@@ -295,8 +303,8 @@ def _solve_nonneg(eq_lhs: np.ndarray, eq_rhs: np.ndarray,
     return x
 
 
-def linear_feasibility(constraints: Iterable[LinearConstraint], dim: int, *,
-                       max_pivots: int = DEFAULT_PIVOT_CAP) -> FeasibilityResult:
+def linear_feasibility(constraints: Iterable[LinearConstraint],
+                       dim: int) -> FeasibilityResult:
     """Decide a system of homogeneous linear constraints on a free vector.
 
     Among feasible points, a second simplex phase minimizes the total
@@ -332,7 +340,7 @@ def linear_feasibility(constraints: Iterable[LinearConstraint], dim: int, *,
     objective = None
     if has_strict:
         objective = np.concatenate([strict_weight, -strict_weight, np.zeros(m)])
-    x = _solve_nonneg(eq, b, objective, max_pivots)
+    x = _solve_nonneg(eq, b, objective)
     if x is None:
         return FeasibilityResult(
             False, None,
@@ -340,7 +348,7 @@ def linear_feasibility(constraints: Iterable[LinearConstraint], dim: int, *,
     g = tuple(float(x[j] - x[dim + j]) for j in range(dim))
     if not all(c.satisfied_by(g) for c in cons):
         # Margin polishing went numerically astray; fall back to phase one.
-        x = _solve_nonneg(eq, b, None, max_pivots)
+        x = _solve_nonneg(eq, b, None)
         g = tuple(float(x[j] - x[dim + j]) for j in range(dim))
         if not all(c.satisfied_by(g) for c in cons):
             raise ArithmeticError("feasibility witness failed verification")

@@ -70,10 +70,40 @@ class TestAnalyze:
         assert "error" in capsys.readouterr().err
 
     def test_non_integer_dim_is_input_error(self, tmp_path, capsys):
-        path = tmp_path / "dim.json"
-        path.write_text(json.dumps(dict(problem_dict(), dim="two")))
+        # A fractional dimension is rejected, not truncated to 2.
+        for dim in ("two", 2.5):
+            path = tmp_path / "dim.json"
+            path.write_text(json.dumps(dict(problem_dict(), dim=dim)))
+            assert main(["analyze", str(path)]) == 2
+            assert "error" in capsys.readouterr().err
+
+    def test_fractional_exponent_is_input_error(self, tmp_path, capsys):
+        spec = problem_dict()
+        spec["objective"]["args"][0]["args"][0]["atom"]["terms"][0]["e"] = [1.5, 0]
+        path = tmp_path / "exponent.json"
+        path.write_text(json.dumps(spec))
         assert main(["analyze", str(path)]) == 2
-        assert "error" in capsys.readouterr().err
+        assert "non-integral" in capsys.readouterr().err
+
+    def test_overflow_at_the_point_is_input_error(self, tmp_path, capsys):
+        # x1^400 overflows the power itself, 1e300*x1^2 the value, and
+        # 1e308*x1^2 at x1 = 1.2 only the gradient.
+        cases = [({"c": 1, "e": [400, 0]}, 1e10), ({"c": 1e300, "e": [2, 0]}, 1e10),
+                 ({"c": 1e308, "e": [2, 0]}, 1.2)]
+        for term, x1 in cases:
+            path = tmp_path / "overflow.json"
+            path.write_text(json.dumps({
+                "dim": 2, "objective": {"atom": {"terms": [term]}},
+                "point": [x1, 0]}))
+            for command in ("analyze", "oracle"):
+                assert main([command, str(path)]) == 2
+                assert "overflows the floats" in capsys.readouterr().err
+
+    def test_pivot_cap_gives_inconclusive_exit(self, problem_file, capsys,
+                                               monkeypatch):
+        monkeypatch.setattr("exhausters.geometry.PIVOT_CAP", 0)
+        assert main(["analyze", problem_file]) == 3
+        assert "cap exceeded" in capsys.readouterr().err
 
     def test_nan_coefficient_is_input_error(self, tmp_path, capsys):
         spec = problem_dict()
@@ -170,6 +200,23 @@ class TestCheck:
         f_path, _ = family_files
         assert main(["check", "--f-exhauster", f_path,
                      "--conditions", "MIN_UPPER_LOWER"]) == 2
+
+    def test_fractional_dim_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        for dim in (2.7, None):
+            path.write_text(json.dumps({
+                "kind": "upper", "dim": dim, "sets": [[[1, 1], [-1, 1]]]}))
+            assert main(["check", "--f-exhauster", str(path),
+                         "--conditions", "UNC_MIN_UPPER"]) == 2
+            assert "error" in capsys.readouterr().err
+
+    def test_tolerance_not_offered(self, family_files, capsys):
+        f_path, _ = family_files
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--f-exhauster", f_path,
+                  "--conditions", "UNC_MIN_UPPER", "--tol", "1e-9"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
 
     def test_sampling_options_not_offered(self, family_files, capsys):
         f_path, _ = family_files

@@ -106,6 +106,11 @@ class TestBuildCondition:
         built = build_condition(ConditionID.UNC_MIN_UPPER, F_UPPER)
         assert built.cid is ConditionID.UNC_MIN_UPPER
         assert built.family is F_UPPER
+        assert built.rhs.combinator == "intersection"
+        assert [a.kind for a in built.rhs.atoms] == [AtomKind.NOT_K_PLUS] * 2
+        covering = build_condition(ConditionID.UNC_MIN_LOWER, F_LOWER)
+        assert covering.rhs.combinator == "union"
+        assert [a.kind for a in covering.rhs.atoms] == [AtomKind.K_PLUS] * 2
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ExhausterKindError):
@@ -352,30 +357,42 @@ class TestEnumerationBeyondThePlane:
         assert outcomes == {"holds", "violated"}
 
     def test_pruned_search_matches_brute_force_on_coverings(self):
-        # One choice point per set, one single-row option per vertex. Sets
-        # of signed unit vectors make the cones cover often enough for both
-        # outcomes to occur.
+        # Covering form: one choice point per set, one single-row option
+        # per vertex. Origin form: a single choice point, one option per
+        # set holding that set's rows. Sets of signed unit vectors make the
+        # cones cover, and the origin lie in every set, often enough for
+        # both outcomes to occur in both forms.
         rng = random.Random(405)
         outcomes = set()
-        for trial in range(40):
+        for trial in range(60):
             dim = 3 + trial % 2
             cid, kind, sense = rng.choice((
                 (ConditionID.UNC_MIN_LOWER, "lower", Sense.LE_MINUS_ONE),
-                (ConditionID.UNC_MAX_UPPER, "upper", Sense.GE_ONE)))
+                (ConditionID.UNC_MAX_UPPER, "upper", Sense.GE_ONE),
+                (ConditionID.UNC_MIN_UPPER, "upper", None),
+                (ConditionID.UNC_MAX_LOWER, "lower", None)))
             axes = [tuple(float(sign * (j == i)) for j in range(dim))
                     for i in range(dim) for sign in (1, -1)]
-            family = Exhauster(kind, dim, tuple(
-                Polytope.from_vertices(rng.sample(axes, rng.randint(1, 2)))
-                for _ in range(rng.randint(3, 5))))
-            points = [[[LinearConstraint(v, sense)] for v in c.vertices]
-                      for c in family.sets]
+            if sense is None:
+                family = Exhauster(kind, dim, tuple(
+                    Polytope.from_vertices(rng.sample(axes, rng.randint(1, 2 * dim)))
+                    for _ in range(rng.randint(1, 3))))
+                points = [[[LinearConstraint(v, Sense.GE_ONE) for v in c.vertices]
+                           for c in family.sets]]
+            else:
+                family = Exhauster(kind, dim, tuple(
+                    Polytope.from_vertices(rng.sample(axes, rng.randint(1, 2)))
+                    for _ in range(rng.randint(3, 5))))
+                points = [[[LinearConstraint(v, sense)] for v in c.vertices]
+                          for c in family.sets]
             reference = brute_force_direction(points, dim)
             verdict = check_unconstrained(cid, family)
             assert verdict.status == ("holds" if reference is None else "violated")
             if reference is not None:
                 assert verdict.witness == reference.witness
-            outcomes.add(verdict.status)
-        assert outcomes == {"holds", "violated"}
+            outcomes.add((sense is None, verdict.status))
+        assert outcomes == {(form, status) for form in (False, True)
+                            for status in ("holds", "violated")}
 
 
 class TestOracleConsistency:
