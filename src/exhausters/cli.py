@@ -41,7 +41,8 @@ from .errors import (
     ExhausterKindError,
     IterationCapError,
 )
-from .exhauster import Exhauster, eval_exhauster, exhauster_from_tree, reduce_exhauster
+from .exhauster import (DEFAULT_COMBINATION_CAP, Exhauster, eval_exhauster,
+                        exhauster_from_tree, reduce_exhauster)
 from .geometry import TOL, Vector, as_int, as_vector, sample_unit_directions
 from .report import AnalysisReport, render_report, render_svg
 
@@ -148,7 +149,7 @@ def analyze_problem(problem: dict, *, sense: Optional[str] = None,
                     condition_ids: Optional[list[ConditionID]] = None,
                     tol: float = TOL, oracle_tol: float = 1e-3,
                     samples: int = 720, seed: int = 0,
-                    max_combinations: int = 1_000_000
+                    max_combinations: int = DEFAULT_COMBINATION_CAP
                     ) -> tuple[AnalysisReport, int]:
     """Full pipeline on a parsed problem; returns the report and exit code."""
     dim, point, f_expr, u_expr = _parse_problem(problem)
@@ -348,7 +349,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-combinations", type=int, default=1_000_000,
+    parser.add_argument("--max-combinations", type=int, default=DEFAULT_COMBINATION_CAP,
                         help="vertex-selection enumeration cap")
     parser.add_argument("--format", choices=("json", "text"), default="json",
                         help="report format on stdout")

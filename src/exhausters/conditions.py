@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 from .deriv import MinMaxTree, eval_minmax, tree_dim, tree_leaves
 from .errors import DimensionMismatchError, ExhausterKindError
-from .exhauster import Exhauster, find_direction
+from .exhauster import DEFAULT_COMBINATION_CAP, Exhauster, find_direction
 # The benchmark's tracer (perfbench/spans.py) wraps linear_feasibility and
 # contains_origin by name in this module and stops if either is missing, so
 # linear_feasibility stays imported although nothing here calls it.
@@ -46,7 +46,6 @@ from .geometry import (
     unit_direction,
 )
 
-DEFAULT_COMBINATION_CAP = 1_000_000
 ORACLE_MARGIN = 1e-6
 
 

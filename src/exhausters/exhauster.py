@@ -28,6 +28,7 @@ from .geometry import (
 )
 
 DEFAULT_CLAUSE_CAP = 10_000
+DEFAULT_COMBINATION_CAP = 1_000_000  # vertex selections per search
 KINDS = ("upper", "lower")
 
 
@@ -190,7 +191,7 @@ def find_direction(choice_points: Sequence[Sequence[Sequence[LinearConstraint]]]
 
 
 def reduce_exhauster(family: Exhauster, *,
-                     max_combinations: int = 1_000_000) -> Exhauster:
+                     max_combinations: int = DEFAULT_COMBINATION_CAP) -> Exhauster:
     """Drop family members that never decide the min (resp. max) value.
 
     Members are tried in order, each against the sets still kept. One is

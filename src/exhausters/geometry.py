@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .errors import DimensionMismatchError, IterationCapError
 
 Vector = tuple[float, ...]
@@ -146,12 +144,9 @@ def hull_contains(polytope: Polytope, point: Sequence[float]) -> bool:
     if len(target) != polytope.dim:
         raise DimensionMismatchError(
             f"point of length {len(target)} against dimension {polytope.dim}")
-    k = len(polytope.vertices)
-    rows = np.zeros((polytope.dim + 1, k))
-    for j, v in enumerate(polytope.vertices):
-        rows[: polytope.dim, j] = v
-    rows[polytope.dim, :] = 1.0
-    rhs = np.array(list(target) + [1.0])
+    rows = [[v[r] for v in polytope.vertices] for r in range(polytope.dim)]
+    rows.append([1.0] * len(polytope.vertices))
+    rhs = list(target) + [1.0]
     return _solve_nonneg(rows, rhs, None) is not None
 
 
@@ -206,46 +201,53 @@ class FeasibilityResult:
     certificate: str
 
 
-def _pivot(tableau: np.ndarray, rhs: np.ndarray, basis: list[int],
+def _pivot(tableau: list[list[float]], rhs: list[float], basis: list[int],
            row: int, col: int) -> None:
-    piv = tableau[row, col]
-    tableau[row] /= piv
+    """Pivot on ``tableau[row][col]``. Other rows change only where the
+    pivot row is nonzero: elsewhere the update subtracts a zero product."""
+    pivot_row = tableau[row]
+    piv = pivot_row[col]
+    pivot_row[:] = [v / piv for v in pivot_row]
     rhs[row] /= piv
-    for i in range(tableau.shape[0]):
-        if i == row:
+    support = [(j, v) for j, v in enumerate(pivot_row) if v != 0.0]
+    for i, other in enumerate(tableau):
+        factor = other[col]
+        if i == row or factor == 0.0:
             continue
-        factor = tableau[i, col]
-        if factor != 0.0:
-            tableau[i] -= factor * tableau[row]
-            rhs[i] -= factor * rhs[row]
+        for j, v in support:
+            other[j] -= factor * v
+        rhs[i] -= factor * rhs[row]
     basis[row] = col
 
 
-def _minimize(tableau: np.ndarray, rhs: np.ndarray, basis: list[int],
-              cost: np.ndarray, enterable: np.ndarray) -> None:
+def _minimize(tableau: list[list[float]], rhs: list[float], basis: list[int],
+              cost: list[float], enterable: int) -> None:
     """Bland-rule simplex sweep, in place.
 
     The lowest-index rule on entering and leaving variables makes the walk,
     and therefore the final basic solution, deterministic; it also rules
-    out cycling. ``enterable`` masks columns allowed into the basis. More
-    than ``PIVOT_CAP`` pivots raise IterationCapError.
+    out cycling. Only the first ``enterable`` columns may enter the basis.
+    The reduced-cost row is priced out once, then rides along as one more
+    tableau row that every pivot updates; its right-hand entry goes unread.
+    More than ``PIVOT_CAP`` pivots raise IterationCapError.
     """
-    m = tableau.shape[0]
+    m = len(basis)
+    reduced = list(cost)
+    for i, col in enumerate(basis):
+        c = cost[col]
+        if c != 0.0:
+            reduced = [r - c * t for r, t in zip(reduced, tableau[i])]
+    tableau.append(reduced)
+    rhs.append(0.0)
     pivots = 0
     while True:
-        y = cost[basis] @ tableau
-        reduced = cost - y
-        enter = -1
-        for j in range(tableau.shape[1]):
-            if enterable[j] and reduced[j] < -_RC_EPS:
-                enter = j
-                break
+        enter = next((j for j in range(enterable) if reduced[j] < -_RC_EPS), -1)
         if enter < 0:
-            return
+            break
         leave = -1
         best = math.inf
         for i in range(m):
-            coef = tableau[i, enter]
+            coef = tableau[i][enter]
             if coef > _PIVOT_EPS:
                 ratio = rhs[i] / coef
                 if ratio < best - _RATIO_TIE or (
@@ -255,15 +257,17 @@ def _minimize(tableau: np.ndarray, rhs: np.ndarray, basis: list[int],
                     best = ratio
                     leave = i
         if leave < 0:
-            return  # no finite step remains; keep the current point
+            break  # no finite step remains; keep the current point
         _pivot(tableau, rhs, basis, leave, enter)
         pivots += 1
         if pivots > PIVOT_CAP:
             raise IterationCapError(f"simplex exceeded {PIVOT_CAP} pivots")
+    tableau.pop()
+    rhs.pop()
 
 
-def _solve_nonneg(eq_lhs: np.ndarray, eq_rhs: np.ndarray,
-                  objective: Optional[np.ndarray]) -> Optional[np.ndarray]:
+def _solve_nonneg(eq_lhs: Sequence[Sequence[float]], eq_rhs: Sequence[float],
+                  objective: Optional[Sequence[float]]) -> Optional[list[float]]:
     """Find x >= 0 with ``eq_lhs @ x = eq_rhs``, or None if infeasible.
 
     Phase one drives one artificial variable per row to zero. When an
@@ -271,32 +275,28 @@ def _solve_nonneg(eq_lhs: np.ndarray, eq_rhs: np.ndarray,
     columns locked out, so the returned basic solution is pinned by rule
     rather than by accident of phase one.
     """
-    lhs = np.array(eq_lhs, dtype=float)
-    rhs = np.array(eq_rhs, dtype=float)
-    m, n = lhs.shape
-    neg = rhs < 0
-    lhs[neg] *= -1.0
-    rhs = np.abs(rhs)
-    tableau = np.hstack([lhs, np.eye(m)])
+    m, n = len(eq_lhs), len(eq_lhs[0])
+    tableau = [[-v for v in row] if b < 0 else list(row)
+               for row, b in zip(eq_lhs, eq_rhs)]
+    for i, row in enumerate(tableau):
+        row.extend(1.0 if k == i else 0.0 for k in range(m))
+    rhs = [abs(b) for b in eq_rhs]
     basis = list(range(n, n + m))
-    phase1 = np.concatenate([np.zeros(n), np.ones(m)])
-    every = np.ones(n + m, dtype=bool)
-    _minimize(tableau, rhs, basis, phase1, every)
-    if phase1[basis] @ rhs > 1e-9 * (1.0 + float(np.sum(rhs))):
+    _minimize(tableau, rhs, basis, [0.0] * n + [1.0] * m, n + m)
+    residual = sum(rhs[i] for i, col in enumerate(basis) if col >= n)
+    if residual > 1e-9 * (1.0 + sum(rhs)):
         return None
     # Pivot zero-level artificials out so phase two cannot reactivate them.
     for i in range(m):
         if basis[i] >= n:
             for j in range(n):
-                if abs(tableau[i, j]) > _PIVOT_EPS:
+                if abs(tableau[i][j]) > _PIVOT_EPS:
                     _pivot(tableau, rhs, basis, i, j)
                     break
-    np.clip(rhs, 0.0, None, out=rhs)
+    rhs = [v if v > 0.0 else 0.0 for v in rhs]
     if objective is not None:
-        cost = np.concatenate([np.asarray(objective, dtype=float), np.zeros(m)])
-        real = np.concatenate([np.ones(n, dtype=bool), np.zeros(m, dtype=bool)])
-        _minimize(tableau, rhs, basis, cost, real)
-    x = np.zeros(n)
+        _minimize(tableau, rhs, basis, list(objective) + [0.0] * m, n)
+    x = [0.0] * n
     for i, col in enumerate(basis):
         if col < n:
             x[col] = rhs[i]
@@ -320,36 +320,33 @@ def linear_feasibility(constraints: Iterable[LinearConstraint],
     if not cons:
         return FeasibilityResult(True, (0.0,) * dim, "empty system")
     m = len(cons)
-    normals = np.array([c.normal for c in cons], dtype=float)
-    le_senses = (Sense.LE_ZERO, Sense.LE_MINUS_ONE)
-    flip = np.array([1.0 if c.sense in le_senses else -1.0 for c in cons])
-    rows = normals * flip[:, None]  # rows @ g <= b
-    b = np.array([0.0 if c.sense in (Sense.LE_ZERO, Sense.GE_ZERO) else -1.0
-                  for c in cons])
-    # Split the free vector as g = p - q with p, q >= 0, then add slacks.
-    eq = np.hstack([rows, -rows, np.eye(m)])
-    strict_weight = np.zeros(dim)
+    eq: list[list[float]] = []
+    b: list[float] = []
+    strict_weight = [0.0] * dim
     has_strict = False
-    for c in cons:
-        if c.sense is Sense.LE_MINUS_ONE:
-            strict_weight -= np.array(c.normal)
-            has_strict = True
-        elif c.sense is Sense.GE_ONE:
-            strict_weight += np.array(c.normal)
+    for i, c in enumerate(cons):
+        flip = 1.0 if c.sense in (Sense.LE_ZERO, Sense.LE_MINUS_ONE) else -1.0
+        row = [v * flip for v in c.normal]  # row @ g <= b[i]
+        # Split the free vector as g = p - q with p, q >= 0, then add a slack.
+        eq.append(row + [-v for v in row] + [1.0 if k == i else 0.0 for k in range(m)])
+        strict = c.sense in (Sense.LE_MINUS_ONE, Sense.GE_ONE)
+        b.append(-1.0 if strict else 0.0)
+        if strict:
+            strict_weight = [w - v for w, v in zip(strict_weight, row)]
             has_strict = True
     objective = None
     if has_strict:
-        objective = np.concatenate([strict_weight, -strict_weight, np.zeros(m)])
+        objective = strict_weight + [-w for w in strict_weight] + [0.0] * m
     x = _solve_nonneg(eq, b, objective)
     if x is None:
         return FeasibilityResult(
             False, None,
             f"infeasible: phase-one optimum stays positive over {m} rows")
-    g = tuple(float(x[j] - x[dim + j]) for j in range(dim))
+    g = tuple(x[j] - x[dim + j] for j in range(dim))
     if not all(c.satisfied_by(g) for c in cons):
         # Margin polishing went numerically astray; fall back to phase one.
         x = _solve_nonneg(eq, b, None)
-        g = tuple(float(x[j] - x[dim + j]) for j in range(dim))
+        g = tuple(x[j] - x[dim + j] for j in range(dim))
         if not all(c.satisfied_by(g) for c in cons):
             raise ArithmeticError("feasibility witness failed verification")
     return FeasibilityResult(

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -263,3 +267,13 @@ class TestShippedFixture:
     def test_fixture_runs_green(self, capsys):
         assert main(["analyze", FIXTURE]) == 0
         capsys.readouterr()
+
+
+def test_cli_import_leaves_numpy_out():
+    # Every CLI call pays the import; the library needs no numpy.
+    code = "import sys, exhausters.cli; print('numpy' in sys.modules)"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,8 +1,10 @@
+import hashlib
 import math
 import random
 
 import pytest
 
+from exhausters import geometry
 from exhausters.errors import DimensionMismatchError
 from exhausters.geometry import (
     ANGLE_TOL,
@@ -116,18 +118,35 @@ class TestLinearFeasibility:
         assert linear_feasibility([], 3).feasible
 
     def test_witnesses_resubstitute_on_random_systems(self):
+        # Every second system is planted: each row's sense holds at some
+        # multiple of g, so wide systems reach phase two too. The digest
+        # pins each outcome and witness bit for bit.
         rng = random.Random(11)
         senses = list(Sense)
-        for _ in range(300):
-            dim = rng.choice([2, 3])
-            cons = [
-                LinearConstraint(
-                    tuple(float(rng.randint(-3, 3)) for _ in range(dim)),
-                    rng.choice(senses))
-                for _ in range(rng.randint(1, 5))
-            ]
+        digest = hashlib.sha256()
+        feasible = 0
+        for k in range(300):
+            dim = rng.choice([2, 3, 4])
+            normals = [tuple(float(rng.randint(-3, 3)) for _ in range(dim))
+                       for _ in range(rng.randint(1, 32))]
+            if k % 2:
+                cons = [LinearConstraint(n, rng.choice(senses)) for n in normals]
+            else:
+                g = tuple(float(rng.randint(-2, 2)) for _ in range(dim))
+                cons = []
+                for n in normals:
+                    v = sum(a * b for a, b in zip(n, g))
+                    if v < 0:
+                        options = [Sense.LE_ZERO, Sense.LE_MINUS_ONE]
+                    elif v > 0:
+                        options = [Sense.GE_ZERO, Sense.GE_ONE]
+                    else:
+                        options = [Sense.LE_ZERO, Sense.GE_ZERO]
+                    cons.append(LinearConstraint(n, rng.choice(options)))
             res = linear_feasibility(cons, dim)
+            digest.update(repr((res.feasible, res.witness)).encode())
             if res.feasible:
+                feasible += 1
                 for c in cons:
                     assert c.satisfied_by(res.witness, TOL)
                     # strict rows carry a near-unit margin
@@ -135,6 +154,35 @@ class TestLinearFeasibility:
                         assert c.value(res.witness) <= -1.0 + TOL
                     if c.sense is Sense.GE_ONE:
                         assert c.value(res.witness) >= 1.0 - TOL
+        assert feasible == 178
+        assert digest.hexdigest() == \
+            "f1ed79d61a86390d6ee2ff612fb2e1c236b5bfbd4c07719453089c0c24ee622e"
+
+    def test_phase_one_fallback(self, monkeypatch):
+        # No known input makes the margin-polishing phase fail verification,
+        # so corrupt its point and expect the phase-one witness instead.
+        solve = geometry._solve_nonneg
+
+        def corrupt(polished_only):
+            def patched(eq_lhs, eq_rhs, objective):
+                x = solve(eq_lhs, eq_rhs, objective)
+                if objective is not None or not polished_only:
+                    x = [0.0] * len(x)
+                return x
+            return patched
+
+        cons = [
+            LinearConstraint((1, 0), Sense.LE_MINUS_ONE),
+            LinearConstraint((1, 1), Sense.GE_ZERO),
+            LinearConstraint((0, 1), Sense.GE_ONE),
+        ]
+        monkeypatch.setattr(geometry, "_solve_nonneg", corrupt(True))
+        res = linear_feasibility(cons, 2)
+        assert res.feasible
+        assert all(c.satisfied_by(res.witness) for c in cons)
+        monkeypatch.setattr(geometry, "_solve_nonneg", corrupt(False))
+        with pytest.raises(ArithmeticError):
+            linear_feasibility(cons, 2)
 
     def test_deterministic_repeat(self):
         cons = [
