@@ -53,9 +53,7 @@ from .geometry import (
     FeasibilityResult,
     LinearConstraint,
     Polytope,
-    Sense,
     arcset_subset,
-    conjugate_membership,
     contains_origin,
     hull_contains,
     linear_feasibility,

@@ -338,10 +338,15 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     worst = 0.0
     for (label, expr), tree in zip(parts, trees):
         family = exhauster_from_tree(tree, "upper")
-        deviation = max(
-            abs(fd_directional_derivative(expr, point, g)
-                - eval_exhauster(family, g))
-            for g in directions)
+        try:
+            deviation = max(
+                abs(fd_directional_derivative(expr, point, g)
+                    - eval_exhauster(family, g))
+                for g in directions)
+        except OverflowError as exc:
+            print(f"error: {label} overflows the floats at a finite-difference "
+                  f"step: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         worst = max(worst, deviation)
         print(f"{label}: max deviation {deviation:.3e} over "
               f"{len(directions)} directions (tolerance {args.oracle_tol:g})")

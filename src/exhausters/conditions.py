@@ -34,15 +34,14 @@ from .geometry import (
     ArcSet,
     LinearConstraint,
     Polytope,
-    Sense,
     Vector,
     arcset_subset,
     as_vector,
-    cone_arcs,
     contains_origin,
+    dot,
+    halfcircle,
     linear_feasibility,
     sample_unit_directions,
-    support_value,
     unit_direction,
 )
 
@@ -50,14 +49,10 @@ ORACLE_MARGIN = 1e-6
 
 
 class AtomKind(str, Enum):
-    """Primitive direction predicates over one polytope C.
-
-    The operational semantics, on a direction g and the vertices v of C:
-
-    ``K_PLUS``          every <v, g> >= 0   (the dual cone of cone{C})
-    ``NEG_K_PLUS``      every <v, g> <= 0   (its negative)
-    ``NOT_K_PLUS``      some  <v, g> <= 0   (closed complement of the dual)
-    ``NOT_NEG_K_PLUS``  some  <v, g> >= 0
+    """Primitive direction predicates over one polytope C: the dual cone of
+    cone{C} (``K_PLUS``), its negative (``NEG_K_PLUS``), and their closed
+    complements (``NOT_K_PLUS``, ``NOT_NEG_K_PLUS``). ``_PREDICATE`` gives
+    each one's operational semantics on a direction g.
 
     When C contains the origin the two complement-style predicates hold for
     every direction while the closed set-complement they normally encode
@@ -69,6 +64,17 @@ class AtomKind(str, Enum):
     NEG_K_PLUS = "neg_kplus"
     NOT_K_PLUS = "not_kplus"
     NOT_NEG_K_PLUS = "not_neg_kplus"
+
+
+# kind -> (every, sign): the atom holds at g when sign * <v, g> >= 0 at
+# every vertex v of C (every=True) or at some vertex (every=False). This is
+# the only place that tells the four kinds apart.
+_PREDICATE = {
+    AtomKind.K_PLUS: (True, 1.0),
+    AtomKind.NEG_K_PLUS: (True, -1.0),
+    AtomKind.NOT_K_PLUS: (False, -1.0),
+    AtomKind.NOT_NEG_K_PLUS: (False, 1.0),
+}
 
 
 @dataclass(frozen=True)
@@ -193,13 +199,9 @@ def atom_membership(atom: RegionAtom, g: Sequence[float], tol: float = TOL) -> b
     ``tol`` loosens the comparison; pass a negative value to demand the
     predicate with a strict margin instead.
     """
-    if atom.kind is AtomKind.NOT_K_PLUS:
-        return support_value(atom.polytope, g, "min") <= tol
-    if atom.kind is AtomKind.NOT_NEG_K_PLUS:
-        return support_value(atom.polytope, g, "max") >= -tol
-    if atom.kind is AtomKind.K_PLUS:
-        return support_value(atom.polytope, g, "min") >= -tol
-    return support_value(atom.polytope, g, "max") <= tol
+    every, sign = _PREDICATE[atom.kind]
+    quantifier = all if every else any
+    return quantifier(sign * dot(v, g) >= -tol for v in atom.polytope.vertices)
 
 
 def region_membership(expr: RegionExpr, g: Sequence[float], tol: float = TOL) -> bool:
@@ -208,17 +210,20 @@ def region_membership(expr: RegionExpr, g: Sequence[float], tol: float = TOL) ->
     return any(atom_membership(a, g, tol) for a in expr.atoms)
 
 
-_ARC_MODE = {
-    AtomKind.K_PLUS: "all_geq",
-    AtomKind.NEG_K_PLUS: "all_leq",
-    AtomKind.NOT_K_PLUS: "any_leq",
-    AtomKind.NOT_NEG_K_PLUS: "any_geq",
-}
-
-
 def arcs_from_atom(atom: RegionAtom) -> ArcSet:
-    """Exact trace of the atom's predicate on the unit circle (plane only)."""
-    return cone_arcs(atom.polytope, _ARC_MODE[atom.kind])
+    """Exact trace of the atom's predicate on the unit circle (plane only):
+    the intersection (every) or union (some) of one closed half-circle per
+    vertex. Boundary angles are the roots of the vertex inner products,
+    obtained in closed form, so the result is exact up to the angle
+    tolerance."""
+    if atom.polytope.dim != 2:
+        raise DimensionMismatchError("arc algebra is available in the plane only")
+    every, sign = _PREDICATE[atom.kind]
+    acc = ArcSet.full() if every else ArcSet.empty()
+    for v in atom.polytope.vertices:
+        half = halfcircle(v, nonnegative=sign > 0)
+        acc = acc.intersect(half) if every else acc.union(half)
+    return acc
 
 
 def region_arcs(expr: RegionExpr) -> ArcSet:
@@ -316,35 +321,27 @@ def _degeneracy_notes(lhs: RegionExpr, rhs: RegionExpr) -> str:
     notes = []
     for label, expr in (("lhs", lhs), ("rhs", rhs)):
         for i, atom in enumerate(expr.atoms):
-            if atom.kind in (AtomKind.NOT_K_PLUS, AtomKind.NOT_NEG_K_PLUS) \
-                    and contains_origin(atom.polytope):
+            some_vertex = not _PREDICATE[atom.kind][0]
+            if some_vertex and contains_origin(atom.polytope):
                 notes.append(
                     f"degenerate {label} atom {i}: set contains the origin, "
                     "predicate covers every direction")
     return ("; " + "; ".join(notes)) if notes else ""
 
 
-def _atom_member_options(atom: RegionAtom) -> list[list[LinearConstraint]]:
-    verts = atom.polytope.vertices
-    if atom.kind is AtomKind.NOT_K_PLUS:
-        return [[LinearConstraint(v, Sense.LE_ZERO)] for v in verts]
-    if atom.kind is AtomKind.NOT_NEG_K_PLUS:
-        return [[LinearConstraint(v, Sense.GE_ZERO)] for v in verts]
-    if atom.kind is AtomKind.K_PLUS:
-        return [[LinearConstraint(v, Sense.GE_ZERO) for v in verts]]
-    return [[LinearConstraint(v, Sense.LE_ZERO) for v in verts]]
+def _atom_options(atom: RegionAtom, negate: bool) -> list[list[LinearConstraint]]:
+    """The atom (or its complement) as a disjunction of linear systems.
 
-
-def _atom_negation_options(atom: RegionAtom) -> list[list[LinearConstraint]]:
-    # Complements are open; the unit margin realizes "strict" losslessly.
-    verts = atom.polytope.vertices
-    if atom.kind is AtomKind.NOT_K_PLUS:
-        return [[LinearConstraint(v, Sense.GE_ONE) for v in verts]]
-    if atom.kind is AtomKind.NOT_NEG_K_PLUS:
-        return [[LinearConstraint(v, Sense.LE_MINUS_ONE) for v in verts]]
-    if atom.kind is AtomKind.K_PLUS:
-        return [[LinearConstraint(v, Sense.LE_MINUS_ONE)] for v in verts]
-    return [[LinearConstraint(v, Sense.GE_ONE)] for v in verts]
+    The complement of "sign * <v, g> >= 0 at every (some) vertex" is
+    "-sign * <v, g> > 0 at some (every) vertex"; complements are open, and
+    the unit margin of strict rows realizes them losslessly.
+    """
+    every, sign = _PREDICATE[atom.kind]
+    if negate:
+        every, sign = not every, -sign
+    rows = [LinearConstraint(tuple(sign * c for c in v), strict=negate)
+            for v in atom.polytope.vertices]
+    return [rows] if every else [[row] for row in rows]
 
 
 def _choice_points(expr: RegionExpr, negate: bool) -> list[list[list[LinearConstraint]]]:
@@ -353,10 +350,7 @@ def _choice_points(expr: RegionExpr, negate: bool) -> list[list[list[LinearConst
     holding every atom's options on a disjunctive side. Options keep
     (set index, vertex index) order, so the first feasible system found is
     deterministic."""
-    options = [
-        _atom_negation_options(a) if negate else _atom_member_options(a)
-        for a in expr.atoms
-    ]
+    options = [_atom_options(a, negate) for a in expr.atoms]
     if (expr.combinator == "intersection") != negate:
         return options
     return [[opt for atom_options in options for opt in atom_options]]

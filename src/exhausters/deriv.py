@@ -19,7 +19,7 @@ from .errors import CapExceededError, DimensionMismatchError
 from .geometry import Vector, as_int, as_vector, dot
 
 ACTIVITY_RTOL = 1e-9
-DEFAULT_LEAF_CAP = 1_000_000
+DEFAULT_LEAF_CAP = 1_000_000  # leaves per summed tree; read at every call
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +243,7 @@ def scale_tree(tree: MinMaxTree, lam: float) -> MinMaxTree:
     return type(tree)(children)
 
 
-def tree_sum(a: MinMaxTree, b: MinMaxTree,
-             leaf_cap: int = DEFAULT_LEAF_CAP) -> MinMaxTree:
+def tree_sum(a: MinMaxTree, b: MinMaxTree) -> MinMaxTree:
     """Pointwise sum, materialized by distributing one tree over the other.
 
     ``max_i(u_i) + t == max_i(u_i + t)`` and likewise for min, so pushing
@@ -252,9 +251,9 @@ def tree_sum(a: MinMaxTree, b: MinMaxTree,
     of the other while preserving pointwise equality exactly. The result
     has ``leaves(a) * leaves(b)`` leaves, hence the cap.
     """
-    if leaf_count(a) * leaf_count(b) > leaf_cap:
+    if leaf_count(a) * leaf_count(b) > DEFAULT_LEAF_CAP:
         raise CapExceededError(
-            f"summed tree would exceed {leaf_cap} leaves")
+            f"summed tree would exceed {DEFAULT_LEAF_CAP} leaves")
     return _sum_trees(a, b)
 
 
@@ -266,8 +265,7 @@ def _sum_trees(a: MinMaxTree, b: MinMaxTree) -> MinMaxTree:
     return type(b)(tuple(_sum_trees(a, c) for c in b.children))
 
 
-def directional_derivative_tree(expr: Expr, x: Sequence[float], *,
-                                leaf_cap: int = DEFAULT_LEAF_CAP) -> MinMaxTree:
+def directional_derivative_tree(expr: Expr, x: Sequence[float]) -> MinMaxTree:
     """Directional derivative of ``expr`` at ``x`` as a min/max tree over
     linear forms (the gradients of the active atoms).
 
@@ -280,18 +278,18 @@ def directional_derivative_tree(expr: Expr, x: Sequence[float], *,
     if len(point) != expr_dim(expr):
         raise DimensionMismatchError(
             f"point of length {len(point)} against dimension {expr_dim(expr)}")
-    return _ddt(expr, point, leaf_cap)
+    return _ddt(expr, point)
 
 
-def _ddt(expr: Expr, x: Vector, leaf_cap: int) -> MinMaxTree:
+def _ddt(expr: Expr, x: Vector) -> MinMaxTree:
     if isinstance(expr, AtomExpr):
         return Leaf(expr.atom.gradient(x))
     if isinstance(expr, Scale):
-        return scale_tree(_ddt(expr.child, x, leaf_cap), expr.coef)
+        return scale_tree(_ddt(expr.child, x), expr.coef)
     if isinstance(expr, Sum):
-        acc = _ddt(expr.children[0], x, leaf_cap)
+        acc = _ddt(expr.children[0], x)
         for child in expr.children[1:]:
-            acc = tree_sum(acc, _ddt(child, x, leaf_cap), leaf_cap)
+            acc = tree_sum(acc, _ddt(child, x))
         return acc
     if isinstance(expr, (Max, Min)):
         values = [_eval(c, x) for c in expr.children]
@@ -300,7 +298,7 @@ def _ddt(expr: Expr, x: Vector, leaf_cap: int) -> MinMaxTree:
                   if abs(v - ref) <= ACTIVITY_RTOL * (1.0 + abs(ref))]
         if not active:
             raise RuntimeError("empty active set")  # unreachable with tol >= 0
-        subtrees = tuple(_ddt(expr.children[i], x, leaf_cap) for i in active)
+        subtrees = tuple(_ddt(expr.children[i], x) for i in active)
         if len(subtrees) == 1:
             return subtrees[0]
         return MaxNode(subtrees) if isinstance(expr, Max) else MinNode(subtrees)

@@ -19,7 +19,6 @@ from .geometry import (
     FeasibilityResult,
     LinearConstraint,
     Polytope,
-    Sense,
     Vector,
     as_int,
     hull_contains,
@@ -27,7 +26,7 @@ from .geometry import (
     support_value,
 )
 
-DEFAULT_CLAUSE_CAP = 10_000
+DEFAULT_CLAUSE_CAP = 10_000  # clauses per normal form; read at every call
 DEFAULT_COMBINATION_CAP = 1_000_000  # vertex selections per search
 KINDS = ("upper", "lower")
 
@@ -70,8 +69,7 @@ class Exhauster:
         }
 
 
-def normalize(tree: MinMaxTree, target: str, *,
-              clause_cap: int = DEFAULT_CLAUSE_CAP) -> list[tuple[Vector, ...]]:
+def normalize(tree: MinMaxTree, target: str) -> list[tuple[Vector, ...]]:
     """Flatten a min/max tree into clause form by lattice distributivity.
 
     target 'cnf': clauses are max-groups and the tree equals their minimum;
@@ -90,23 +88,22 @@ def normalize(tree: MinMaxTree, target: str, *,
             clauses: list[tuple[Vector, ...]] = []
             for child in node.children:
                 clauses.extend(flatten(child))
-                if len(clauses) > clause_cap:
+                if len(clauses) > DEFAULT_CLAUSE_CAP:
                     raise CapExceededError(
-                        f"clause count exceeded {clause_cap}")
+                        f"clause count exceeded {DEFAULT_CLAUSE_CAP}")
             return clauses
         acc: list[tuple[Vector, ...]] = [()]
         for child in node.children:
             child_clauses = flatten(child)
-            if len(acc) * len(child_clauses) > clause_cap:
-                raise CapExceededError(f"clause count exceeded {clause_cap}")
+            if len(acc) * len(child_clauses) > DEFAULT_CLAUSE_CAP:
+                raise CapExceededError(f"clause count exceeded {DEFAULT_CLAUSE_CAP}")
             acc = [a + c for a in acc for c in child_clauses]
         return acc
 
     return flatten(tree)
 
 
-def exhauster_from_tree(tree: MinMaxTree, kind: str, *,
-                        clause_cap: int = DEFAULT_CLAUSE_CAP) -> Exhauster:
+def exhauster_from_tree(tree: MinMaxTree, kind: str) -> Exhauster:
     """Build the family of the requested kind from a min/max tree.
 
     Each clause of the matching normal form becomes one polytope whose
@@ -115,7 +112,7 @@ def exhauster_from_tree(tree: MinMaxTree, kind: str, *,
     downstream).
     """
     target = "cnf" if kind == "upper" else "dnf"
-    clauses = normalize(tree, target, clause_cap=clause_cap)
+    clauses = normalize(tree, target)
     dim = tree_dim(tree)
     sets = tuple(Polytope(dim, clause) for clause in clauses)
     return Exhauster(kind, dim, sets)
@@ -220,13 +217,14 @@ def _certified_redundant(candidate: Polytope, rest: list[Polytope], kind: str,
     candidate's, i.e. some vertex choice w per remaining set satisfies
     ``<w - v, g> > 0`` for all candidate vertices v. Each remaining set is
     one choice point of ``find_direction``; if no system is feasible the
-    candidate is redundant. Lower families are the mirrored statement.
+    candidate is redundant. Lower families are the mirrored statement,
+    ``<v - w, g> > 0``.
     """
     if math.prod(len(s.vertices) for s in rest) > max_combinations:
         return False
-    sense = Sense.GE_ONE if kind == "upper" else Sense.LE_MINUS_ONE
+    sign = 1.0 if kind == "upper" else -1.0
     choice_points = [
-        [[LinearConstraint(tuple(wi - vi for wi, vi in zip(w, v)), sense)
+        [[LinearConstraint(tuple(sign * (wi - vi) for wi, vi in zip(w, v)), strict=True)
           for v in candidate.vertices]
          for w in s.vertices]
         for s in rest]

@@ -3,9 +3,9 @@ and exact angular-arc algebra in the plane.
 
 Every predicate the optimality checkers need reduces to signs of vertex dot
 products, so polytopes stay in vertex form and facets are never enumerated.
-Strict homogeneous inequalities are encoded with a unit margin: the
-predicates are positively homogeneous, so asking for ``<= -1`` instead of
-``< 0`` loses nothing and keeps every feasibility system closed.
+Every feasibility row reads ``<n, g> >= 0`` or, when strict, ``<n, g> >= 1``:
+the predicates are positively homogeneous, so asking for ``>= 1`` instead of
+``> 0`` loses nothing and keeps every feasibility system closed.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatchError, IterationCapError
@@ -132,12 +131,6 @@ def support_value(polytope: Polytope, g: Sequence[float], mode: str = "max") -> 
     raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
 
 
-def conjugate_membership(polytope: Polytope, g: Sequence[float], tol: float = TOL) -> bool:
-    """Is ``g`` in the cone dual to cone{polytope}: ``<v, g> >= 0`` for
-    every vertex."""
-    return support_value(polytope, g, "min") >= -tol
-
-
 def hull_contains(polytope: Polytope, point: Sequence[float]) -> bool:
     """Convex-combination feasibility: does the hull contain ``point``."""
     target = as_vector(point)
@@ -158,40 +151,24 @@ def contains_origin(polytope: Polytope) -> bool:
 # Linear feasibility
 # ---------------------------------------------------------------------------
 
-class Sense(str, Enum):
-    """Comparison applied to the inner product with the constraint normal.
-
-    The unit-margin senses stand for strict inequalities: positive
-    homogeneity lets ``< 0`` be replaced by ``<= -1`` without loss.
-    """
-
-    LE_ZERO = "<=0"
-    LE_MINUS_ONE = "<=-1"
-    GE_ZERO = ">=0"
-    GE_ONE = ">=1"
-
-
 @dataclass(frozen=True)
 class LinearConstraint:
+    """The homogeneous row ``<normal, g> >= 1`` if ``strict``, else
+    ``<normal, g> >= 0``. The unit margin stands for a strict inequality:
+    positive homogeneity lets ``> 0`` be replaced by ``>= 1`` without loss.
+    """
+
     normal: Vector
-    sense: Sense
+    strict: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "normal", as_vector(self.normal))
-        object.__setattr__(self, "sense", Sense(self.sense))
 
     def value(self, g: Sequence[float]) -> float:
         return dot(self.normal, g)
 
     def satisfied_by(self, g: Sequence[float], tol: float = TOL) -> bool:
-        v = self.value(g)
-        if self.sense is Sense.LE_ZERO:
-            return v <= tol
-        if self.sense is Sense.LE_MINUS_ONE:
-            return v <= -1.0 + tol
-        if self.sense is Sense.GE_ZERO:
-            return v >= -tol
-        return v >= 1.0 - tol
+        return self.value(g) >= (1.0 if self.strict else 0.0) - tol
 
 
 @dataclass(frozen=True)
@@ -325,13 +302,11 @@ def linear_feasibility(constraints: Iterable[LinearConstraint],
     strict_weight = [0.0] * dim
     has_strict = False
     for i, c in enumerate(cons):
-        flip = 1.0 if c.sense in (Sense.LE_ZERO, Sense.LE_MINUS_ONE) else -1.0
-        row = [v * flip for v in c.normal]  # row @ g <= b[i]
+        row = [-v for v in c.normal]  # row @ g <= b[i]
         # Split the free vector as g = p - q with p, q >= 0, then add a slack.
         eq.append(row + [-v for v in row] + [1.0 if k == i else 0.0 for k in range(m)])
-        strict = c.sense in (Sense.LE_MINUS_ONE, Sense.GE_ONE)
-        b.append(-1.0 if strict else 0.0)
-        if strict:
+        b.append(-1.0 if c.strict else 0.0)
+        if c.strict:
             strict_weight = [w - v for w, v in zip(strict_weight, row)]
             has_strict = True
     objective = None
@@ -502,29 +477,3 @@ def halfcircle(v: Sequence[float], *, nonnegative: bool) -> ArcSet:
     phi = math.atan2(v[1], v[0])
     center = phi if nonnegative else phi + math.pi
     return ArcSet.normalize([(center - 0.5 * math.pi, center + 0.5 * math.pi)])
-
-
-def cone_arcs(polytope: Polytope, mode: str) -> ArcSet:
-    """Exact circle trace of a vertex-sign predicate over a plane polytope.
-
-    mode 'all_geq': every vertex product >= 0 (the dual cone)
-         'all_leq': every vertex product <= 0 (negative of the dual cone)
-         'any_leq': some vertex product <= 0
-         'any_geq': some vertex product >= 0
-
-    Boundary angles are the roots of the vertex inner products, obtained in
-    closed form, so the result is exact up to the angle tolerance.
-    """
-    if polytope.dim != 2:
-        raise DimensionMismatchError("arc algebra is available in the plane only")
-    if mode in ("all_geq", "all_leq"):
-        acc = ArcSet.full()
-        for v in polytope.vertices:
-            acc = acc.intersect(halfcircle(v, nonnegative=(mode == "all_geq")))
-        return acc
-    if mode in ("any_leq", "any_geq"):
-        acc = ArcSet.empty()
-        for v in polytope.vertices:
-            acc = acc.union(halfcircle(v, nonnegative=(mode == "any_geq")))
-        return acc
-    raise ValueError(f"unknown mode {mode!r}")

@@ -196,8 +196,7 @@ def _vector_svg(vec: Sequence[float], color: str, to_px) -> str:
             f'{barb2[0]:.3f},{barb2[1]:.3f}" fill="{color}"/>')
 
 
-def render_svg(items: Sequence[DrawItem], styles: Optional[Sequence[dict]] = None,
-               canvas: Optional[Canvas] = None) -> str:
+def render_svg(items: Sequence[DrawItem], canvas: Optional[Canvas] = None) -> str:
     """Standalone SVG: polytopes as dots/segments/polygons, arc sets as
     shaded sectors about the origin, plain vectors as arrows. Every input
     item becomes exactly one <g> element."""
@@ -207,8 +206,7 @@ def render_svg(items: Sequence[DrawItem], styles: Optional[Sequence[dict]] = Non
     half = size / 2.0
     groups = []
     for idx, item in enumerate(items):
-        style = styles[idx] if styles and idx < len(styles) else {}
-        color = style.get("color", PALETTE[idx % len(PALETTE)])
+        color = PALETTE[idx % len(PALETTE)]
         if isinstance(item, Polytope):
             if item.dim != 2:
                 raise DimensionMismatchError("can only draw plane polytopes")

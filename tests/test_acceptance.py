@@ -13,7 +13,10 @@ import time
 import pytest
 
 from exhausters.conditions import (
+    AtomKind,
     ConditionID,
+    RegionAtom,
+    arcs_from_atom,
     build_condition,
     check_unconstrained,
     inclusion_check,
@@ -34,7 +37,7 @@ from exhausters.exhauster import (
     polytope_families_equal,
     reduce_exhauster,
 )
-from exhausters.geometry import Polytope, arcset_subset, cone_arcs
+from exhausters.geometry import Polytope, arcset_subset
 
 from helpers import (
     C1,
@@ -98,7 +101,8 @@ def test_criterion_1_reference_families_reproduced():
 def test_criterion_2_minimum_conditions_hold_both_methods():
     start = time.monotonic()
     families = reference_families()
-    expected = cone_arcs(C3, "all_geq").union(cone_arcs(C4, "all_geq"))
+    expected = arcs_from_atom(RegionAtom(AtomKind.K_PLUS, C3)).union(
+        arcs_from_atom(RegionAtom(AtomKind.K_PLUS, C4)))
     for cid in MIN_IDS:
         parts = cid.value.split("_")
         built = build_condition(cid, families[("f", parts[1].lower())],

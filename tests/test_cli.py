@@ -256,6 +256,17 @@ class TestOracleCommand:
     def test_zero_samples_is_input_error(self, problem_file):
         assert main(["oracle", problem_file, "--samples", "0"]) == 2
 
+    def test_overflow_at_a_difference_step_is_input_error(self, tmp_path, capsys):
+        # Value and gradient are finite at x1 = 5.82, but x1^400 overflows
+        # once a finite-difference step moves x1 past about 5.9.
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "dim": 2, "objective": {"atom": {"terms": [{"c": 1, "e": [400, 0]}]}},
+            "point": [5.82, 0]}))
+        assert main(["oracle", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite-difference step" in err
+
     def test_condition_options_not_offered(self, problem_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["oracle", problem_file, "--max-combinations", "1"])

@@ -4,11 +4,13 @@ import random
 import pytest
 
 from exhausters.conditions import (
+    _atom_options,
     _choice_points,
     AtomKind,
     ConditionID,
     RegionAtom,
     RegionExpr,
+    arcs_from_atom,
     atom_membership,
     build_condition,
     check_unconstrained,
@@ -26,9 +28,7 @@ from exhausters.geometry import (
     ArcSet,
     LinearConstraint,
     Polytope,
-    Sense,
     arcset_subset,
-    cone_arcs,
 )
 
 from helpers import (
@@ -84,6 +84,32 @@ class TestAtomMembership:
         assert atom_membership(atom, (1, 1), tol=1e-9)
         assert not atom_membership(atom, (1, 1), tol=-1e-6)
 
+    def test_options_match_membership(self):
+        # Each kind's member options hold at g exactly when the atom does,
+        # and a direction meeting a negation option lies outside the atom.
+        # Integer vertices and half-integer directions put many products
+        # exactly on 0 and 1, the thresholds of plain and strict rows.
+        rng = random.Random(52)
+        seen = set()
+        for trial in range(600):
+            dim = 2 + trial % 3
+            poly = Polytope.from_vertices([
+                tuple(float(rng.randint(-2, 2)) for _ in range(dim))
+                for _ in range(rng.randint(1, 4))])
+            g = tuple(rng.randint(-4, 4) / 2.0 for _ in range(dim))
+            for kind in AtomKind:
+                atom = RegionAtom(kind, poly)
+                member = atom_membership(atom, g)
+                assert member == any(all(c.satisfied_by(g) for c in option)
+                                     for option in _atom_options(atom, False))
+                negated = any(all(c.satisfied_by(g) for c in option)
+                              for option in _atom_options(atom, True))
+                assert not (member and negated)
+                seen.add((kind, member, negated))
+        assert seen == {(kind, member, negated) for kind in AtomKind
+                        for member, negated in ((True, False), (False, True),
+                                                (False, False))}
+
 
 class TestBuildCondition:
     def test_adjoint_pairing_sides(self):
@@ -128,7 +154,8 @@ class TestInclusionOnReference:
             assert inclusion_check(built.lhs, built.rhs, method=method).status == "holds"
             assert inclusion_check(built.rhs, built.lhs, method=method).status == "holds"
         # Both sides trace the two quarter cones around the x axis.
-        expected = cone_arcs(C3, "all_geq").union(cone_arcs(C4, "all_geq"))
+        expected = arcs_from_atom(RegionAtom(AtomKind.K_PLUS, C3)).union(
+            arcs_from_atom(RegionAtom(AtomKind.K_PLUS, C4)))
         for side in (built.lhs, built.rhs):
             arcs = region_arcs(side)
             assert arcset_subset(arcs, expected)[0]
@@ -367,8 +394,8 @@ class TestEnumerationBeyondThePlane:
         for trial in range(60):
             dim = 3 + trial % 2
             cid, kind, sense = rng.choice((
-                (ConditionID.UNC_MIN_LOWER, "lower", Sense.LE_MINUS_ONE),
-                (ConditionID.UNC_MAX_UPPER, "upper", Sense.GE_ONE),
+                (ConditionID.UNC_MIN_LOWER, "lower", -1.0),
+                (ConditionID.UNC_MAX_UPPER, "upper", 1.0),
                 (ConditionID.UNC_MIN_UPPER, "upper", None),
                 (ConditionID.UNC_MAX_LOWER, "lower", None)))
             axes = [tuple(float(sign * (j == i)) for j in range(dim))
@@ -377,13 +404,14 @@ class TestEnumerationBeyondThePlane:
                 family = Exhauster(kind, dim, tuple(
                     Polytope.from_vertices(rng.sample(axes, rng.randint(1, 2 * dim)))
                     for _ in range(rng.randint(1, 3))))
-                points = [[[LinearConstraint(v, Sense.GE_ONE) for v in c.vertices]
+                points = [[[LinearConstraint(v, True) for v in c.vertices]
                            for c in family.sets]]
             else:
                 family = Exhauster(kind, dim, tuple(
                     Polytope.from_vertices(rng.sample(axes, rng.randint(1, 2)))
                     for _ in range(rng.randint(3, 5))))
-                points = [[[LinearConstraint(v, sense)] for v in c.vertices]
+                points = [[[LinearConstraint(tuple(sense * x for x in v), True)]
+                           for v in c.vertices]
                           for c in family.sets]
             reference = brute_force_direction(points, dim)
             verdict = check_unconstrained(cid, family)

@@ -123,10 +123,11 @@ class TestDirectionalTree:
         for g in circle_directions(32):
             assert eval_minmax(tree, g) == pytest.approx(-abs(g[0]))
 
-    def test_leaf_cap(self):
+    def test_leaf_cap(self, monkeypatch):
+        monkeypatch.setattr("exhausters.deriv.DEFAULT_LEAF_CAP", 1000)
         children = tuple(Max((coord(2, 0), coord(2, 1))) for _ in range(25))
         with pytest.raises(CapExceededError):
-            directional_derivative_tree(Sum(children), (0.0, 0.0), leaf_cap=1000)
+            directional_derivative_tree(Sum(children), (0.0, 0.0))
 
 
 class TestEvalMinMax:

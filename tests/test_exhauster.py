@@ -24,7 +24,6 @@ from exhausters.exhauster import (
 from exhausters.geometry import (
     LinearConstraint,
     Polytope,
-    Sense,
     sample_unit_directions,
 )
 
@@ -73,10 +72,11 @@ class TestNormalize:
         assert normalize(Leaf((2.0, 0.0)), "cnf") == [((2.0, 0.0),)]
         assert normalize(Leaf((2.0, 0.0)), "dnf") == [((2.0, 0.0),)]
 
-    def test_clause_cap(self):
+    def test_clause_cap(self, monkeypatch):
+        monkeypatch.setattr("exhausters.exhauster.DEFAULT_CLAUSE_CAP", 100)
         wide = MaxNode(tuple(MinNode((L1, L2, L3)) for _ in range(10)))
         with pytest.raises(CapExceededError):
-            normalize(wide, "cnf", clause_cap=100)
+            normalize(wide, "cnf")
 
     def test_bad_target(self):
         with pytest.raises(ValueError):
@@ -220,8 +220,8 @@ class TestFindDirection:
             dim = 3 + trial % 2
             candidate = random_polytope(rng, dim, 4)
             rest = [nearby_set(candidate, rng.randint(2, 3)) for _ in range(rng.randint(3, 5))]
-            sense = rng.choice((Sense.GE_ONE, Sense.LE_MINUS_ONE))
-            points = [[[LinearConstraint(tuple(wi - vi for wi, vi in zip(w, v)), sense)
+            sign = rng.choice((1.0, -1.0))
+            points = [[[LinearConstraint(tuple(sign * (wi - vi) for wi, vi in zip(w, v)), True)
                         for v in candidate.vertices]
                        for w in s.vertices]
                       for s in rest]
@@ -236,8 +236,9 @@ class TestFindDirection:
     def test_feasible_first_choice_costs_one_lp(self, monkeypatch):
         calls = count_lps(monkeypatch)
         e1, e2 = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
-        points = [[[LinearConstraint(e1, Sense.GE_ONE)], [LinearConstraint(e1, Sense.LE_MINUS_ONE)]],
-                  [[LinearConstraint(e2, Sense.GE_ONE)], [LinearConstraint(e2, Sense.LE_MINUS_ONE)]]]
+        m1, m2 = (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)
+        points = [[[LinearConstraint(e1, True)], [LinearConstraint(m1, True)]],
+                  [[LinearConstraint(e2, True)], [LinearConstraint(m2, True)]]]
         assert find_direction(points, 3).feasible
         assert len(calls) == 1
 

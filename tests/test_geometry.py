@@ -5,6 +5,7 @@ import random
 import pytest
 
 from exhausters import geometry
+from exhausters.conditions import AtomKind, RegionAtom, arcs_from_atom, atom_membership
 from exhausters.errors import DimensionMismatchError
 from exhausters.geometry import (
     ANGLE_TOL,
@@ -13,10 +14,7 @@ from exhausters.geometry import (
     ArcSet,
     LinearConstraint,
     Polytope,
-    Sense,
     arcset_subset,
-    cone_arcs,
-    conjugate_membership,
     contains_origin,
     hull_contains,
     linear_feasibility,
@@ -72,13 +70,13 @@ class TestContainsOrigin:
 
 class TestConjugateMembership:
     def test_inside(self):
-        assert conjugate_membership(C3, (1, 0))
+        assert atom_membership(RegionAtom(AtomKind.K_PLUS, C3), (1, 0))
 
     def test_outside(self):
-        assert not conjugate_membership(C3, (-1, 0))
+        assert not atom_membership(RegionAtom(AtomKind.K_PLUS, C3), (-1, 0))
 
     def test_boundary_vertex(self):
-        assert conjugate_membership(C1, (0, 1))
+        assert atom_membership(RegionAtom(AtomKind.K_PLUS, C1), (0, 1))
 
     def test_matches_support_min(self):
         rng = random.Random(7)
@@ -86,28 +84,28 @@ class TestConjugateMembership:
             poly = random_polytope(rng)
             g = (rng.uniform(-2, 2), rng.uniform(-2, 2))
             expected = support_value(poly, g, "min") >= -TOL
-            assert conjugate_membership(poly, g) == expected
+            assert atom_membership(RegionAtom(AtomKind.K_PLUS, poly), g) == expected
 
 
 class TestLinearFeasibility:
     def test_single_strict(self):
-        res = linear_feasibility([LinearConstraint((1, 0), Sense.LE_MINUS_ONE)], 2)
+        res = linear_feasibility([LinearConstraint((-1, 0), True)], 2)
         assert res.feasible
         assert res.witness == (-1.0, 0.0)
 
     def test_contradictory_strict(self):
         res = linear_feasibility([
-            LinearConstraint((1, 0), Sense.LE_MINUS_ONE),
-            LinearConstraint((-1, 0), Sense.LE_MINUS_ONE),
+            LinearConstraint((-1, 0), True),
+            LinearConstraint((1, 0), True),
         ], 2)
         assert not res.feasible
         assert res.witness is None
 
     def test_mixed_system(self):
         cons = [
-            LinearConstraint((1, 1), Sense.LE_ZERO),
-            LinearConstraint((1, -1), Sense.LE_ZERO),
-            LinearConstraint((0, 1), Sense.GE_ONE),
+            LinearConstraint((-1, -1)),
+            LinearConstraint((-1, 1)),
+            LinearConstraint((0, 1), True),
         ]
         res = linear_feasibility(cons, 2)
         assert res.feasible
@@ -122,7 +120,9 @@ class TestLinearFeasibility:
         # multiple of g, so wide systems reach phase two too. The digest
         # pins each outcome and witness bit for bit.
         rng = random.Random(11)
-        senses = list(Sense)
+        # (sign, strict) per row, in the order of the four senses the
+        # digest was recorded with: <= 0, <= -1, >= 0, >= 1.
+        senses = [(-1.0, False), (-1.0, True), (1.0, False), (1.0, True)]
         digest = hashlib.sha256()
         feasible = 0
         for k in range(300):
@@ -130,19 +130,21 @@ class TestLinearFeasibility:
             normals = [tuple(float(rng.randint(-3, 3)) for _ in range(dim))
                        for _ in range(rng.randint(1, 32))]
             if k % 2:
-                cons = [LinearConstraint(n, rng.choice(senses)) for n in normals]
+                picks = [rng.choice(senses) for _ in normals]
             else:
                 g = tuple(float(rng.randint(-2, 2)) for _ in range(dim))
-                cons = []
+                picks = []
                 for n in normals:
                     v = sum(a * b for a, b in zip(n, g))
                     if v < 0:
-                        options = [Sense.LE_ZERO, Sense.LE_MINUS_ONE]
+                        options = senses[:2]
                     elif v > 0:
-                        options = [Sense.GE_ZERO, Sense.GE_ONE]
+                        options = senses[2:]
                     else:
-                        options = [Sense.LE_ZERO, Sense.GE_ZERO]
-                    cons.append(LinearConstraint(n, rng.choice(options)))
+                        options = [senses[0], senses[2]]
+                    picks.append(rng.choice(options))
+            cons = [LinearConstraint(tuple(sign * c for c in n), strict)
+                    for n, (sign, strict) in zip(normals, picks)]
             res = linear_feasibility(cons, dim)
             digest.update(repr((res.feasible, res.witness)).encode())
             if res.feasible:
@@ -150,9 +152,7 @@ class TestLinearFeasibility:
                 for c in cons:
                     assert c.satisfied_by(res.witness, TOL)
                     # strict rows carry a near-unit margin
-                    if c.sense is Sense.LE_MINUS_ONE:
-                        assert c.value(res.witness) <= -1.0 + TOL
-                    if c.sense is Sense.GE_ONE:
+                    if c.strict:
                         assert c.value(res.witness) >= 1.0 - TOL
         assert feasible == 178
         assert digest.hexdigest() == \
@@ -172,9 +172,9 @@ class TestLinearFeasibility:
             return patched
 
         cons = [
-            LinearConstraint((1, 0), Sense.LE_MINUS_ONE),
-            LinearConstraint((1, 1), Sense.GE_ZERO),
-            LinearConstraint((0, 1), Sense.GE_ONE),
+            LinearConstraint((-1, 0), True),
+            LinearConstraint((1, 1)),
+            LinearConstraint((0, 1), True),
         ]
         monkeypatch.setattr(geometry, "_solve_nonneg", corrupt(True))
         res = linear_feasibility(cons, 2)
@@ -186,8 +186,8 @@ class TestLinearFeasibility:
 
     def test_deterministic_repeat(self):
         cons = [
-            LinearConstraint((2, -1), Sense.GE_ZERO),
-            LinearConstraint((1, 3), Sense.GE_ONE),
+            LinearConstraint((2, -1)),
+            LinearConstraint((1, 3), True),
         ]
         first = linear_feasibility(cons, 2)
         second = linear_feasibility(cons, 2)
@@ -196,7 +196,7 @@ class TestLinearFeasibility:
 
 class TestArcs:
     def test_dual_cone_arc(self):
-        arcs = cone_arcs(C3, "all_geq")
+        arcs = arcs_from_atom(RegionAtom(AtomKind.K_PLUS, C3))
         assert arcs.measure() == pytest.approx(math.pi / 2, abs=1e-9)
         for theta in (0.0, math.pi / 4, -math.pi / 4):
             assert arcs.contains(theta)
@@ -204,14 +204,14 @@ class TestArcs:
             assert not arcs.contains(theta)
 
     def test_negative_dual_is_reflection(self):
-        pos = cone_arcs(C3, "all_geq")
-        neg = cone_arcs(C3, "all_leq")
+        pos = arcs_from_atom(RegionAtom(AtomKind.K_PLUS, C3))
+        neg = arcs_from_atom(RegionAtom(AtomKind.NEG_K_PLUS, C3))
         for k in range(360):
             theta = TWO_PI * k / 360
             assert pos.contains(theta) == neg.contains(theta + math.pi)
 
     def test_complement_predicate_arc(self):
-        arcs = cone_arcs(C1, "any_leq")
+        arcs = arcs_from_atom(RegionAtom(AtomKind.NOT_K_PLUS, C1))
         assert arcs.measure() == pytest.approx(3 * math.pi / 2, abs=1e-9)
         assert arcs.contains(math.pi / 4)      # boundary angle included
         assert not arcs.contains(math.pi / 2)  # interior of the open gap
@@ -223,14 +223,14 @@ class TestArcs:
         # evaluation on a dense random sample of angles.
         rng = random.Random(3)
         modes = {
-            "all_geq": lambda p, g: support_value(p, g, "min") >= -TOL,
-            "all_leq": lambda p, g: support_value(p, g, "max") <= TOL,
-            "any_leq": lambda p, g: support_value(p, g, "min") <= TOL,
-            "any_geq": lambda p, g: support_value(p, g, "max") >= -TOL,
+            AtomKind.K_PLUS: lambda p, g: support_value(p, g, "min") >= -TOL,
+            AtomKind.NEG_K_PLUS: lambda p, g: support_value(p, g, "max") <= TOL,
+            AtomKind.NOT_K_PLUS: lambda p, g: support_value(p, g, "min") <= TOL,
+            AtomKind.NOT_NEG_K_PLUS: lambda p, g: support_value(p, g, "max") >= -TOL,
         }
         for _ in range(25):
             poly = random_polytope(rng)
-            arcs = {mode: cone_arcs(poly, mode) for mode in modes}
+            arcs = {mode: arcs_from_atom(RegionAtom(mode, poly)) for mode in modes}
             for _ in range(40):
                 theta = rng.uniform(0.0, TWO_PI)
                 g = unit_direction(theta)
@@ -240,19 +240,19 @@ class TestArcs:
 
     def test_zero_vertex_means_no_restriction(self):
         poly = Polytope.from_vertices([(0, 0)])
-        for mode in ("all_geq", "all_leq", "any_leq", "any_geq"):
-            assert cone_arcs(poly, mode).measure() == pytest.approx(TWO_PI)
+        for mode in AtomKind:
+            assert arcs_from_atom(RegionAtom(mode, poly)).measure() == pytest.approx(TWO_PI)
 
     def test_point_arc_from_opposite_vertices(self):
         poly = Polytope.from_vertices([(1, 0), (-1, 0)])
-        arcs = cone_arcs(poly, "all_geq")
+        arcs = arcs_from_atom(RegionAtom(AtomKind.K_PLUS, poly))
         assert arcs.contains(math.pi / 2)
         assert arcs.contains(3 * math.pi / 2)
         assert arcs.measure() == pytest.approx(0.0, abs=1e-9)
 
     def test_requires_plane(self):
         with pytest.raises(DimensionMismatchError):
-            cone_arcs(Polytope.from_vertices([(1, 0, 0)]), "all_geq")
+            arcs_from_atom(RegionAtom(AtomKind.K_PLUS, Polytope.from_vertices([(1, 0, 0)])))
 
 
 class TestArcsetSubset:
