@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence, Union
 
-from .deriv import MinMaxTree, eval_minmax, tree_dim, tree_leaves
+from .deriv import MinMaxTree, eval_minmax, eval_minmax_many, tree_dim, tree_leaves
 from .errors import DimensionMismatchError, ExhausterKindError
 from .exhauster import DEFAULT_COMBINATION_CAP, Exhauster, find_direction
 # The benchmark's tracer (perfbench/spans.py) wraps linear_feasibility and
@@ -46,6 +46,10 @@ from .geometry import (
 )
 
 ORACLE_MARGIN = 1e-6
+# Directions the oracle evaluates per step. Above the plane the first
+# violation usually lies among the first few directions, so evaluating the
+# whole sample at once would waste most of the work.
+_ORACLE_BLOCK = 64
 
 
 class AtomKind(str, Enum):
@@ -583,8 +587,8 @@ def _regularity_sampled(u_tree: MinMaxTree, dim: int, tol: float,
                         samples: int, seed: int) -> Verdict:
     rng = random.Random(seed)
     directions = _axis_directions(dim) + sample_unit_directions(dim, samples, seed)
-    for g in directions:
-        if abs(eval_minmax(u_tree, g)) <= tol:
+    for g, value in zip(directions, eval_minmax_many(u_tree, directions)):
+        if abs(value) <= tol:
             if not _nearby_negative(u_tree, g, tol, rng):
                 return Verdict(
                     "violated", g,
@@ -628,10 +632,12 @@ def necessary_condition_oracle(f_tree: MinMaxTree, u_tree: MinMaxTree, sense: st
         if norm > 1e-12:
             directions.append(tuple(c / norm for c in vec))
     directions.extend(sample_unit_directions(dim, samples, seed))
-    for g in directions:
-        hu = eval_minmax(u_tree, g)
-        if hu <= tol:
-            hf = eval_minmax(f_tree, g)
+    for start in range(0, len(directions), _ORACLE_BLOCK):
+        block = directions[start:start + _ORACLE_BLOCK]
+        admissible = [(g, hu) for g, hu in zip(block, eval_minmax_many(u_tree, block))
+                      if hu <= tol]
+        hfs = eval_minmax_many(f_tree, [g for g, _ in admissible])
+        for (g, hu), hf in zip(admissible, hfs):
             if (sense == "min" and hf < -margin) or (sense == "max" and hf > margin):
                 return Verdict(
                     "violated", g,

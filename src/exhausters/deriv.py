@@ -12,6 +12,7 @@ construction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -210,6 +211,36 @@ def eval_minmax(tree: MinMaxTree, g: Sequence[float]) -> float:
         return dot(tree.form, g)
     values = [eval_minmax(c, g) for c in tree.children]
     return max(values) if isinstance(tree, MaxNode) else min(values)
+
+
+def eval_minmax_many(tree: MinMaxTree,
+                     directions: Sequence[Sequence[float]]) -> list[float]:
+    """``eval_minmax`` at every direction, in order, computed node by node
+    over the whole sample: one column of values per leaf, then an
+    elementwise max or min of the children's columns at each node.
+
+    The leaf sums start at integer 0 like ``dot``, so the values, signed
+    zeros included, are the ones ``eval_minmax`` returns.
+    """
+    dim = tree_dim(tree)
+    if any(len(g) != dim for g in directions):
+        raise DimensionMismatchError(
+            f"a direction's length differs from the tree's dimension {dim}")
+    return _columns(tree, directions)
+
+
+def _columns(tree: MinMaxTree, directions: Sequence[Sequence[float]]) -> list[float]:
+    if isinstance(tree, Leaf):
+        form = tree.form
+        if len(form) == 2:
+            a, b = form
+            return [0 + a * x + b * y for x, y in directions]
+        return [sum(map(operator.mul, form, g)) for g in directions]
+    if len(tree.children) == 1:
+        # map(max, column) would call max on a single float.
+        return _columns(tree.children[0], directions)
+    pick = max if isinstance(tree, MaxNode) else min
+    return list(map(pick, *(_columns(c, directions) for c in tree.children)))
 
 
 def leaf_count(tree: MinMaxTree) -> int:

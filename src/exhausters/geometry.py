@@ -10,6 +10,7 @@ the predicates are positively homogeneous, so asking for ``>= 1`` instead of
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -59,11 +60,17 @@ def unit_direction(theta: float) -> Vector:
 
 def sample_unit_directions(dim: int, count: int, seed: int = 0) -> list[Vector]:
     """Deterministic unit directions: evenly spaced on the circle in the
-    plane, seeded gaussians elsewhere."""
+    plane, seeded gaussians elsewhere. Each draw is made once and cached;
+    every call returns a fresh list."""
     if count < 1:
         raise ValueError("need at least one direction")
+    return list(_unit_directions(dim, count, seed))
+
+
+@functools.lru_cache(maxsize=8)
+def _unit_directions(dim: int, count: int, seed: int) -> tuple[Vector, ...]:
     if dim == 2:
-        return [unit_direction(TWO_PI * k / count) for k in range(count)]
+        return tuple(unit_direction(TWO_PI * k / count) for k in range(count))
     rng = random.Random(seed)
     dirs: list[Vector] = []
     while len(dirs) < count:
@@ -72,7 +79,7 @@ def sample_unit_directions(dim: int, count: int, seed: int = 0) -> list[Vector]:
         if norm < 1e-6:
             continue
         dirs.append(tuple(c / norm for c in raw))
-    return dirs
+    return tuple(dirs)
 
 
 @dataclass(frozen=True)

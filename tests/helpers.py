@@ -6,17 +6,23 @@ import math
 import random
 from itertools import product
 
+from exhausters.conditions import Verdict, _axis_directions, _nearby_negative
 from exhausters.deriv import (
     AtomExpr,
+    Leaf,
     Max,
+    MaxNode,
     Min,
+    MinNode,
     Scale,
     SmoothAtom,
     Sum,
     directional_derivative_tree,
+    eval_minmax,
+    tree_dim,
 )
 from exhausters.exhauster import Exhauster
-from exhausters.geometry import Polytope, linear_feasibility
+from exhausters.geometry import Polytope, linear_feasibility, sample_unit_directions
 
 # The four segment polytopes of the reference example.
 C1 = Polytope.from_vertices([(1, 1), (-1, 1)])
@@ -136,3 +142,57 @@ def brute_force_direction(choice_points, dim):
         if result.feasible:
             return result
     return None
+
+
+def random_minmax_tree(rng, dim, depth=3):
+    """Min/max tree over linear forms with single-child nodes and signed
+    zero coefficients among its draws."""
+    if depth == 0 or rng.random() < 0.3:
+        return Leaf(tuple(rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, rng.uniform(-3, 3)])
+                          for _ in range(dim)))
+    node = rng.choice([MaxNode, MinNode])
+    return node(tuple(random_minmax_tree(rng, dim, depth - 1)
+                      for _ in range(rng.randint(1, 3))))
+
+
+def oracle_reference(f_tree, u_tree, sense, samples=720, seed=0, *,
+                     tol=1e-9, margin=1e-6, extra_directions=()):
+    """Per-direction reference for ``necessary_condition_oracle``: one
+    ``eval_minmax`` of each tree per direction, in scan order."""
+    directions = []
+    for d in extra_directions:
+        norm = math.sqrt(sum(float(c) * float(c) for c in d))
+        if norm > 1e-12:
+            directions.append(tuple(float(c) / norm for c in d))
+    directions.extend(sample_unit_directions(tree_dim(f_tree), samples, seed))
+    for g in directions:
+        hu = eval_minmax(u_tree, g)
+        if hu <= tol:
+            hf = eval_minmax(f_tree, g)
+            if (sense == "min" and hf < -margin) or (sense == "max" and hf > margin):
+                return Verdict(
+                    "violated", g,
+                    f"admissible direction with objective derivative {hf:.6g} "
+                    f"(constraint derivative {hu:.6g})", "sampled")
+    return Verdict(
+        "inconclusive", None,
+        f"no violating direction among {len(directions)} samples", "sampled")
+
+
+def regularity_sampled_reference(u_tree, samples, seed, tol=1e-9):
+    """Per-direction reference for the sampled regularity check above the
+    plane: ``eval_minmax`` at each direction, in scan order."""
+    dim = tree_dim(u_tree)
+    rng = random.Random(seed)
+    directions = _axis_directions(dim) + sample_unit_directions(dim, samples, seed)
+    for g in directions:
+        if abs(eval_minmax(u_tree, g)) <= tol:
+            if not _nearby_negative(u_tree, g, tol, rng):
+                return Verdict(
+                    "violated", g,
+                    "zero direction with no strictly negative direction found "
+                    "nearby", "sampled")
+    return Verdict(
+        "inconclusive", None,
+        f"no defective zero direction among {len(directions)} samples",
+        "sampled")

@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from exhausters import cli
 from exhausters.cli import main
+from exhausters.exhauster import Exhauster
+from exhausters.geometry import Polytope
 
 from helpers import problem_dict
 
@@ -253,6 +256,31 @@ class TestOracleCommand:
         capsys.readouterr()
         assert code == 0
 
+    def test_tolerance_scales_with_the_derivative(self, tmp_path, capsys):
+        # f' reaches 3.6e304 here; the difference quotient errs by about
+        # 7e-8 of that, far above any absolute tolerance.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "dim": 2, "objective": {"atom": {"terms": [{"c": 1.79768e300, "e": [2, 0]}]}},
+            "point": [1e4, 0]}))
+        assert main(["oracle", str(path)]) == 0
+        assert "derivative scale 3.6e+304" in capsys.readouterr().out
+
+    def test_wrong_lower_family_is_violated(self, problem_file, monkeypatch, capsys):
+        real = cli.exhauster_from_tree
+
+        def shifted_lower(tree, kind):
+            family = real(tree, kind)
+            if kind == "upper":
+                return family
+            return Exhauster(kind, family.dim, tuple(
+                Polytope.from_vertices([tuple(c + 1.0 for c in v) for v in s.vertices])
+                for s in family.sets))
+
+        monkeypatch.setattr(cli, "exhauster_from_tree", shifted_lower)
+        assert main(["oracle", problem_file]) == 1
+        capsys.readouterr()
+
     def test_zero_samples_is_input_error(self, problem_file):
         assert main(["oracle", problem_file, "--samples", "0"]) == 2
 
@@ -266,6 +294,17 @@ class TestOracleCommand:
         assert main(["oracle", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite-difference step" in err
+
+    def test_non_finite_difference_quotient_is_input_error(self, tmp_path, capsys):
+        # The value is finite at the point, but within 5e-10 of the largest
+        # float: c * x1^2 overflows to inf at every step, without raising.
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({
+            "dim": 2, "objective": {"atom": {"terms": [{"c": 1.797693134e300, "e": [2, 0]}]}},
+            "point": [1e4, 0]}))
+        assert main(["oracle", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not finite" in err
 
     def test_condition_options_not_offered(self, problem_file, capsys):
         with pytest.raises(SystemExit) as exc:

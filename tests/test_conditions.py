@@ -29,6 +29,7 @@ from exhausters.geometry import (
     LinearConstraint,
     Polytope,
     arcset_subset,
+    sample_unit_directions,
 )
 
 from helpers import (
@@ -43,8 +44,11 @@ from helpers import (
     brute_force_direction,
     constraint_tree,
     objective_tree,
+    oracle_reference,
     random_family,
+    random_minmax_tree,
     random_polytope,
+    regularity_sampled_reference,
 )
 
 ALL_CONSTRAINED = [
@@ -267,6 +271,17 @@ class TestRegularity:
         assert verdict.status == "violated"
         assert abs(verdict.witness[0]) <= 1e-9
 
+    def test_sampled_matches_per_direction_scan(self):
+        rng = random.Random(17)
+        violated = 0
+        for trial in range(40):
+            dim = 3 + trial % 2
+            tree = random_minmax_tree(rng, dim)
+            verdict = regularity_check(tree, samples=100, seed=trial)
+            assert verdict == regularity_sampled_reference(tree, 100, trial)
+            violated += verdict.status == "violated"
+        assert 0 < violated < 40
+
 
 class TestOracle:
     def test_reference_minimum_clean(self):
@@ -299,6 +314,34 @@ class TestOracle:
         with pytest.raises(ValueError):
             necessary_condition_oracle(objective_tree(), constraint_tree(),
                                        "min", samples=0)
+
+    def test_matches_per_direction_scan(self):
+        rng = random.Random(91)
+        violated = 0
+        for trial in range(60):
+            dim = 2 + trial % 3
+            f_tree = random_minmax_tree(rng, dim)
+            u_tree = random_minmax_tree(rng, dim)
+            sense = rng.choice(["min", "max"])
+            seed = rng.randrange(5)
+            verdict = necessary_condition_oracle(f_tree, u_tree, sense, 200, seed)
+            assert verdict == oracle_reference(f_tree, u_tree, sense, 200, seed)
+            violated += verdict.status == "violated"
+        assert 10 < violated < 60
+
+    def test_first_violation_past_the_first_block(self):
+        # Admissible on the upper half circle; f' < 0 only past 90 degrees.
+        f_tree, u_tree = Leaf((1.0, 0.0)), Leaf((0.0, -1.0))
+        verdict = necessary_condition_oracle(f_tree, u_tree, "min")
+        assert verdict == oracle_reference(f_tree, u_tree, "min")
+        assert sample_unit_directions(2, 720).index(verdict.witness) > 64
+
+    def test_witness_from_extra_directions_matches_scan(self):
+        extra = [(0.0, 0.0), (0.0, 3.0), (2.0, 0.0)]
+        args = (objective_tree(), constraint_tree(), "max")
+        verdict = necessary_condition_oracle(*args, extra_directions=extra)
+        assert verdict == oracle_reference(*args, extra_directions=extra)
+        assert verdict.witness == (1.0, 0.0)
 
 
 class TestMethodAgreement:

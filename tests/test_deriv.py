@@ -16,6 +16,7 @@ from exhausters.deriv import (
     directional_derivative_tree,
     eval_expr,
     eval_minmax,
+    eval_minmax_many,
     expr_from_json,
     expr_to_json,
     fd_directional_derivative,
@@ -34,6 +35,7 @@ from helpers import (
     objective_expr,
     objective_tree,
     random_expr,
+    random_minmax_tree,
     random_point,
 )
 
@@ -151,6 +153,26 @@ class TestEvalMinMax:
                 scaled = eval_minmax(tree, tuple(lam * c for c in g))
                 assert scaled == pytest.approx(lam * eval_minmax(tree, g),
                                                rel=1e-9, abs=1e-9)
+
+    def test_many_matches_pointwise_bit_for_bit(self):
+        # repr tells -0.0 from 0.0, so signed zeros must match too.
+        rng = random.Random(66)
+        for dim in (2, 3, 4, 5):
+            for _ in range(40):
+                tree = random_minmax_tree(rng, dim)
+                directions = [tuple(rng.choice([0.0, -0.0, rng.gauss(0.0, 1.0)])
+                                    for _ in range(dim)) for _ in range(30)]
+                assert list(map(repr, eval_minmax_many(tree, directions))) == \
+                    [repr(eval_minmax(tree, g)) for g in directions]
+
+    def test_many_signed_zero_and_single_child(self):
+        tree = MinNode((MaxNode((Leaf((-0.0, 1.0)),)),))
+        assert repr(eval_minmax_many(tree, [(1.0, -0.0)])[0]) == "0.0"
+        assert repr(eval_minmax_many(Leaf((-0.0, 1.0, 2.0)), [(1.0, -0.0, 0.0)])[0]) == "0.0"
+
+    def test_many_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            eval_minmax_many(Leaf((1.0, 2.0)), [(1.0, 0.0), (1.0, 0.0, 0.0)])
 
 
 class TestTreeAlgebra:

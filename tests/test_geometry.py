@@ -354,3 +354,13 @@ class TestInvariants:
             sample_unit_directions(3, 50, seed=4)
         for g in sample_unit_directions(3, 50, seed=4):
             assert math.hypot(*g) == pytest.approx(1.0)
+
+    def test_sample_unit_directions_returns_fresh_lists(self):
+        for dim in (2, 3):
+            first = sample_unit_directions(dim, 50, seed=4)
+            second = sample_unit_directions(dim, 50, seed=4)
+            assert first == second and first is not second
+            first[0] = (9.0,) * dim
+            first.pop()
+            assert sample_unit_directions(dim, 50, seed=4) == second
+            assert len(second) == 50
