@@ -147,8 +147,7 @@ def _at_point(label: str, expr: Expr, point: Vector) -> tuple[float, MinMaxTree]
 
 def analyze_problem(problem: dict, *, sense: Optional[str] = None,
                     condition_ids: Optional[list[ConditionID]] = None,
-                    tol: float = TOL, oracle_tol: float = 1e-3,
-                    samples: int = 720, seed: int = 0,
+                    tol: float = TOL, samples: int = 720, seed: int = 0,
                     max_combinations: int = DEFAULT_COMBINATION_CAP
                     ) -> tuple[AnalysisReport, int]:
     """Full pipeline on a parsed problem; returns the report and exit code."""
@@ -194,7 +193,8 @@ def analyze_problem(problem: dict, *, sense: Optional[str] = None,
     regularity = None
     if u_tree is not None:
         regularity = replace(
-            regularity_check(u_tree, tol=tol, samples=samples, seed=seed),
+            regularity_check(families[("u", "upper")],
+                             max_combinations=max_combinations),
             condition="REGULARITY")
     gate_tree = u_tree if u_tree is not None else Leaf((0.0,) * dim)
     oracle = {
@@ -237,7 +237,6 @@ def analyze_problem(problem: dict, *, sense: Optional[str] = None,
         warnings=tuple(warnings),
         metadata={
             "tol": tol,
-            "oracle_tol": oracle_tol,
             "samples": samples,
             "seed": seed,
             "max_combinations": max_combinations,
@@ -266,8 +265,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         condition_ids = _parse_condition_ids(args.conditions)
         report, code = analyze_problem(
             problem, sense=args.sense, condition_ids=condition_ids,
-            tol=args.tol, oracle_tol=args.oracle_tol, samples=args.samples,
-            seed=args.seed, max_combinations=args.max_combinations)
+            tol=args.tol, samples=args.samples, seed=args.seed,
+            max_combinations=args.max_combinations)
     except (InputError, DimensionMismatchError, ExhausterKindError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -369,13 +368,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_sampling(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--oracle-tol", type=float, default=1e-3,
-                        help="acceptable finite-difference deviation, relative "
-                             "to max(1, largest |derivative|) over the sampled "
-                             "directions")
     parser.add_argument("--samples", type=int, default=720,
-                        help="sampled directions for the oracle and the "
-                             "regularity check")
+                        help="sampled directions of the oracle")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for all randomized sampling")
 
@@ -396,9 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "applicable for the sense)")
     analyze.add_argument("--svg", help="write a figure of the families here")
     analyze.add_argument("--tol", type=float, default=TOL,
-                         help="sign tolerance of the regularity check, the "
-                              "sampled cross-check and the value warnings "
-                              "(default 1e-9)")
+                         help="sign tolerance of the sampled cross-check "
+                              "and the value warnings (default 1e-9)")
     _add_common(analyze)
     _add_sampling(analyze)
     analyze.set_defaults(func=cmd_analyze)
@@ -416,6 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
                             help="compare finite differences with family "
                                  "evaluations")
     oracle.add_argument("problem", help="problem JSON file")
+    oracle.add_argument("--oracle-tol", type=float, default=1e-3,
+                        help="acceptable finite-difference deviation, relative "
+                             "to max(1, largest |derivative|) over the sampled "
+                             "directions")
     _add_sampling(oracle)
     oracle.set_defaults(func=cmd_oracle)
 

@@ -8,29 +8,29 @@ every direction on the left. Regions are unions or intersections of four
 primitive vertex-sign predicates over the family members. Inclusions are
 decided exactly, either on the circle by angular-arc algebra (constrained
 plane conditions) or in any dimension by a pruned search over vertex
-choices, each system decided by the deterministic feasibility solver. A sampled oracle that works straight
-from the derivative trees cross-checks each verdict but never claims an
-exact "holds".
+choices, each system decided by the deterministic feasibility solver.
+Regularity of the constraint is one more inclusion of the same kind. A
+sampled oracle that works straight from the derivative trees cross-checks
+each verdict but never claims an exact "holds".
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence, Union
 
-from .deriv import MinMaxTree, eval_minmax, eval_minmax_many, tree_dim, tree_leaves
+# The benchmark's tracer (perfbench/spans.py) wraps linear_feasibility,
+# contains_origin and eval_minmax by name in this module and stops if one is
+# missing, so linear_feasibility and eval_minmax stay imported although
+# nothing here calls them.
+from .deriv import MinMaxTree, eval_minmax, eval_minmax_many, tree_dim
 from .errors import DimensionMismatchError, ExhausterKindError
 from .exhauster import DEFAULT_COMBINATION_CAP, Exhauster, find_direction
-# The benchmark's tracer (perfbench/spans.py) wraps linear_feasibility and
-# contains_origin by name in this module and stops if either is missing, so
-# linear_feasibility stays imported although nothing here calls it.
 from .geometry import (
     ANGLE_TOL,
     TOL,
-    TWO_PI,
     ArcSet,
     LinearConstraint,
     Polytope,
@@ -472,132 +472,51 @@ def evaluate_condition(cid: ConditionID, ef: Exhauster,
 # Regularity of the constraint at the point
 # ---------------------------------------------------------------------------
 
-def regularity_check(u_tree: MinMaxTree, *, tol: float = TOL,
-                     samples: int = 1000, seed: int = 0) -> Verdict:
-    """Does the strict-descent cone of the constraint close up to its
-    nonpositive cone?
+def regularity_check(family: Exhauster, *,
+                     max_combinations: int = DEFAULT_COMBINATION_CAP) -> Verdict:
+    """Is every zero direction of the constraint's derivative a limit of
+    strictly negative directions?
 
-    In the plane this is decided exactly on the circle: the derivative's
-    zero directions must all be limits of strictly negative directions. The
-    circle is cut at the roots of every leaf form; on each open sector the
-    derivative keeps one sign (or vanishes identically), so sector midpoints
-    and cut angles carry the whole decision. Higher dimensions fall back to
-    a sampled search that never claims an exact "holds".
+    ``family`` is an upper family {D_j} of the constraint, so that
+    u'(g) = min_j max_{w in D_j} <w, g>. With P_j = {g : <w, g> <= 0 for
+    all w in D_j}, the region {u' <= 0} is the union of all P_j. By
+    Gordan's alternative, {max_{w in D_k} <w, g> < 0} is nonempty exactly
+    when the origin lies outside D_k (an open set), and its closure is
+    then P_k; a set holding the origin (a closed set) has no strictly
+    negative direction. The closure of {u' < 0} is thus the union of the
+    open sets' P_k, and regularity is the inclusion of the closed sets'
+    P_j in it, decided by ``inclusion_check``: exact2d arcs in the plane,
+    lp_enumeration above it. With no open set the right side is the cone
+    {0}, the P of the cross-polytope. A violation witness is a unit zero
+    direction outside every open set's P_k.
     """
-    leaves = list(tree_leaves(u_tree))
-    dim = len(leaves[0])
-    if dim == 2:
-        return _regularity_exact_2d(u_tree, leaves, tol)
-    return _regularity_sampled(u_tree, dim, tol, samples, seed)
-
-
-def _regularity_exact_2d(u_tree: MinMaxTree, leaves: list[Vector],
-                         tol: float) -> Verdict:
-    cuts: set[float] = set()
-    for form in leaves:
-        if abs(form[0]) <= tol and abs(form[1]) <= tol:
-            continue
-        phi = math.atan2(form[1], form[0])
-        for theta in (phi + 0.5 * math.pi, phi - 0.5 * math.pi):
-            t = math.fmod(theta, TWO_PI)
-            cuts.add(t + TWO_PI if t < 0 else t)
-    if not cuts:
+    if family.kind != "upper":
+        raise ExhausterKindError(f"regularity needs an upper family, got {family.kind}")
+    closed: list[Polytope] = []
+    opened: list[Polytope] = []
+    for c in family.sets:
+        (closed if contains_origin(c) else opened).append(c)
+    if not closed:
         return Verdict(
-            "violated", (1.0, 0.0),
-            "derivative vanishes identically: zero directions are nowhere "
-            "limits of strictly negative ones", "exact2d")
-    angles = sorted(cuts)
-    merged = [angles[0]]
-    for t in angles[1:]:
-        if t - merged[-1] > ANGLE_TOL:
-            merged.append(t)
-    if len(merged) > 1 and merged[0] + TWO_PI - merged[-1] <= ANGLE_TOL:
-        merged.pop()
-    r = len(merged)
-    sector_sign = []
-    for i in range(r):
-        a = merged[i]
-        b = merged[(i + 1) % r] + (TWO_PI if i == r - 1 else 0.0)
-        value = eval_minmax(u_tree, unit_direction(0.5 * (a + b)))
-        sector_sign.append(-1 if value < -tol else (1 if value > tol else 0))
-    for i in range(r):
-        if sector_sign[i] == 0:
-            a = merged[i]
-            b = merged[(i + 1) % r] + (TWO_PI if i == r - 1 else 0.0)
-            witness = unit_direction(0.5 * (a + b))
-            return Verdict(
-                "violated", witness,
-                "a whole sector of zero directions has no strictly negative "
-                "neighbours", "exact2d")
-    for i, theta in enumerate(merged):
-        if abs(eval_minmax(u_tree, unit_direction(theta))) <= tol:
-            if sector_sign[i - 1] != -1 and sector_sign[i] != -1:
-                return Verdict(
-                    "violated", unit_direction(theta),
-                    f"zero direction at angle {theta:.12g} rad borders no "
-                    "negative sector", "exact2d")
-    return Verdict(
-        "holds", None,
-        f"every zero direction borders a negative sector ({r} cut angles)",
-        "exact2d")
-
-
-def _axis_directions(dim: int) -> list[Vector]:
-    dirs = []
-    for i in range(dim):
-        for sign in (1.0, -1.0):
-            dirs.append(tuple(sign if j == i else 0.0 for j in range(dim)))
-    return dirs
-
-
-def _nearby_negative(u_tree: MinMaxTree, g: Vector, tol: float,
-                     rng: random.Random) -> bool:
-    dim = len(g)
-    basis = []
-    for i in range(dim):
-        t = [1.0 if j == i else 0.0 for j in range(dim)]
-        proj = sum(t[j] * g[j] for j in range(dim))
-        t = [t[j] - proj * g[j] for j in range(dim)]
-        norm = math.sqrt(sum(c * c for c in t))
-        if norm > 1e-9:
-            basis.append(tuple(c / norm for c in t))
-    for k in range(1, 7):
-        radius = 10.0 ** (-k)
-        candidates = []
-        for t in basis:
-            for sign in (1.0, -1.0):
-                candidates.append(tuple(gi + sign * radius * ti
-                                        for gi, ti in zip(g, t)))
-        for _ in range(4):
-            mix = [rng.gauss(0.0, 1.0) for _ in basis]
-            candidates.append(tuple(
-                gi + radius * sum(m * t[j] for m, t in zip(mix, basis))
-                for j, gi in enumerate(g)))
-        for cand in candidates:
-            norm = math.sqrt(sum(c * c for c in cand))
-            if norm < 1e-9:
-                continue
-            unit = tuple(c / norm for c in cand)
-            if eval_minmax(u_tree, unit) < -tol:
-                return True
-    return False
-
-
-def _regularity_sampled(u_tree: MinMaxTree, dim: int, tol: float,
-                        samples: int, seed: int) -> Verdict:
-    rng = random.Random(seed)
-    directions = _axis_directions(dim) + sample_unit_directions(dim, samples, seed)
-    for g, value in zip(directions, eval_minmax_many(u_tree, directions)):
-        if abs(value) <= tol:
-            if not _nearby_negative(u_tree, g, tol, rng):
-                return Verdict(
-                    "violated", g,
-                    "zero direction with no strictly negative direction found "
-                    "nearby", "sampled")
-    return Verdict(
-        "inconclusive", None,
-        f"no defective zero direction among {len(directions)} samples",
-        "sampled")
+            "holds", None,
+            f"none of the {len(family.sets)} sets contains the origin: every "
+            "zero direction is a limit of strictly negative ones",
+            "exact2d" if family.dim == 2 else "lp_enumeration")
+    if not opened:
+        axes = [tuple(s if j == i else 0.0 for j in range(family.dim))
+                for i in range(family.dim) for s in (1.0, -1.0)]
+        opened = [Polytope(family.dim, tuple(axes))]
+    verdict = inclusion_check(
+        RegionExpr("union", tuple(RegionAtom(AtomKind.NEG_K_PLUS, c) for c in closed)),
+        RegionExpr("union", tuple(RegionAtom(AtomKind.NEG_K_PLUS, c) for c in opened)),
+        max_combinations=max_combinations)
+    witness = verdict.witness
+    if witness is not None:
+        norm = math.sqrt(sum(x * x for x in witness))
+        witness = tuple(x / norm for x in witness)
+    return replace(verdict, witness=witness, certificate=(
+        f"{len(closed)} of {len(family.sets)} sets contain the origin; "
+        + verdict.certificate))
 
 
 # ---------------------------------------------------------------------------

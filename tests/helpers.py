@@ -3,10 +3,9 @@
 generators."""
 
 import math
-import random
 from itertools import product
 
-from exhausters.conditions import Verdict, _axis_directions, _nearby_negative
+from exhausters.conditions import Verdict
 from exhausters.deriv import (
     AtomExpr,
     Leaf,
@@ -178,21 +177,3 @@ def oracle_reference(f_tree, u_tree, sense, samples=720, seed=0, *,
         "inconclusive", None,
         f"no violating direction among {len(directions)} samples", "sampled")
 
-
-def regularity_sampled_reference(u_tree, samples, seed, tol=1e-9):
-    """Per-direction reference for the sampled regularity check above the
-    plane: ``eval_minmax`` at each direction, in scan order."""
-    dim = tree_dim(u_tree)
-    rng = random.Random(seed)
-    directions = _axis_directions(dim) + sample_unit_directions(dim, samples, seed)
-    for g in directions:
-        if abs(eval_minmax(u_tree, g)) <= tol:
-            if not _nearby_negative(u_tree, g, tol, rng):
-                return Verdict(
-                    "violated", g,
-                    "zero direction with no strictly negative direction found "
-                    "nearby", "sampled")
-    return Verdict(
-        "inconclusive", None,
-        f"no defective zero direction among {len(directions)} samples",
-        "sampled")

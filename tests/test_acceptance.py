@@ -126,7 +126,7 @@ def test_criterion_2_minimum_conditions_hold_both_methods():
 
 def test_criterion_3_regularity_exact():
     _, u_tree = reference_trees()
-    verdict = regularity_check(u_tree)
+    verdict = regularity_check(exhauster_from_tree(u_tree, "upper"))
     assert verdict.status == "holds"
     assert verdict.method == "exact2d"
     _report("3 regularity holds exactly")

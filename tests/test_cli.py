@@ -158,6 +158,13 @@ class TestAnalyze:
         assert any(v["status"] == "inconclusive"
                    for v in out["conditions"].values())
 
+    def test_oracle_tolerance_not_offered(self, problem_file, capsys):
+        # No verdict of analyze reads a finite-difference tolerance.
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", problem_file, "--oracle-tol", "1e-3"])
+        assert exc.value.code == 2
+        assert "--oracle-tol" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, problem_file, capsys):
         main(["analyze", problem_file, "--seed", "3"])
         first = capsys.readouterr().out

@@ -29,6 +29,8 @@ from exhausters.geometry import (
     LinearConstraint,
     Polytope,
     arcset_subset,
+    contains_origin,
+    linear_feasibility,
     sample_unit_directions,
 )
 
@@ -48,7 +50,6 @@ from helpers import (
     random_family,
     random_minmax_tree,
     random_polytope,
-    regularity_sampled_reference,
 )
 
 ALL_CONSTRAINED = [
@@ -235,52 +236,101 @@ class TestUnconstrained:
             check_unconstrained(ConditionID.UNC_MIN_LOWER, F_UPPER)
 
 
+def _upper(tree):
+    return exhauster_from_tree(tree, "upper")
+
+
 class TestRegularity:
     def test_reference_constraint_holds(self):
-        verdict = regularity_check(constraint_tree())
+        verdict = regularity_check(_upper(constraint_tree()))
         assert verdict.status == "holds"
         assert verdict.method == "exact2d"
 
     def test_identically_zero_violated(self):
-        verdict = regularity_check(Leaf((0.0, 0.0)))
+        verdict = regularity_check(_upper(Leaf((0.0, 0.0))))
         assert verdict.status == "violated"
+        assert verdict.method == "exact2d"
 
     def test_absolute_value_violated(self):
         tree = MaxNode((Leaf((1.0, 0.0)), Leaf((-1.0, 0.0))))
-        verdict = regularity_check(tree)
+        verdict = regularity_check(_upper(tree))
         assert verdict.status == "violated"
         assert abs(verdict.witness[0]) <= 1e-9  # zero directions are the y axis
 
     def test_zero_sector_violated(self):
         tree = MinNode((Leaf((0.0, 0.0)), Leaf((1.0, 0.0))))
         # min(0, g1) vanishes on the whole right half circle
-        verdict = regularity_check(tree)
+        verdict = regularity_check(_upper(tree))
         assert verdict.status == "violated"
         assert eval_minmax(tree, verdict.witness) == pytest.approx(0.0, abs=1e-9)
 
     def test_smooth_leaf_holds(self):
-        assert regularity_check(Leaf((1.0, -2.0))).status == "holds"
+        verdict = regularity_check(_upper(Leaf((1.0, -2.0))))
+        assert verdict.status == "holds"
+        assert verdict.method == "exact2d"
 
-    def test_sampled_dimension_three(self):
-        smooth = Leaf((1.0, 0.0, 0.0))
-        verdict = regularity_check(smooth, samples=200)
-        assert verdict.method == "sampled"
-        assert verdict.status == "inconclusive"
+    def test_dimension_three(self):
+        verdict = regularity_check(_upper(Leaf((1.0, 0.0, 0.0))))
+        assert verdict.method == "lp_enumeration"
+        assert verdict.status == "holds"
         cone = MaxNode((Leaf((1.0, 0.0, 0.0)), Leaf((-1.0, 0.0, 0.0))))
-        verdict = regularity_check(cone, samples=200)
+        verdict = regularity_check(_upper(cone))
+        assert verdict.method == "lp_enumeration"
         assert verdict.status == "violated"
         assert abs(verdict.witness[0]) <= 1e-9
+        assert math.hypot(*verdict.witness) == pytest.approx(1.0)
 
-    def test_sampled_matches_per_direction_scan(self):
-        rng = random.Random(17)
-        violated = 0
-        for trial in range(40):
-            dim = 3 + trial % 2
+    def test_convex_with_a_negative_direction_holds(self):
+        # (1, 0, 0, 0) is a zero direction whose strictly negative
+        # neighbours fill only a thin wedge; a local search around it
+        # found none and reported a false violation.
+        forms = [(-1.0, -0.97, 0.28, 0.0), (0.0, 0.0, -0.52, -1.0),
+                 (0.0, 0.5, 0.0, 2.3), (0.0, -2.84, 0.0, 1.0)]
+        tree = MaxNode(tuple(Leaf(f) for f in forms))
+        assert eval_minmax(tree, (1.0, 0.0, 0.0, 0.0)) == 0.0
+        descent = [LinearConstraint(tuple(-c for c in f), strict=True) for f in forms]
+        assert linear_feasibility(descent, 4).feasible
+        verdict = regularity_check(_upper(tree))
+        assert verdict.status == "holds"
+        assert verdict.method == "lp_enumeration"
+
+    def test_needs_an_upper_family(self):
+        with pytest.raises(ExhausterKindError):
+            regularity_check(exhauster_from_tree(Leaf((1.0, 0.0)), "lower"))
+
+    def test_verdicts_agree_with_the_tree(self):
+        # Violated: a unit zero direction outside the closure of every
+        # nonempty strict-descent cone. Holds: every sampled zero direction
+        # lies in such a closure.
+        rng = random.Random(23)
+        seen = set()
+        zeros = 0
+        for trial in range(150):
+            dim = 2 + trial % 3
             tree = random_minmax_tree(rng, dim)
-            verdict = regularity_check(tree, samples=100, seed=trial)
-            assert verdict == regularity_sampled_reference(tree, 100, trial)
-            violated += verdict.status == "violated"
-        assert 0 < violated < 40
+            family = _upper(tree)
+            verdict = regularity_check(family)
+            seen.add(verdict.status)
+            opened = [c for c in family.sets if not contains_origin(c)]
+            if verdict.status == "violated":
+                w = verdict.witness
+                assert math.hypot(*w) == pytest.approx(1.0)
+                assert abs(eval_minmax(tree, w)) <= 1e-9
+                for c in opened:
+                    assert max(sum(a * b for a, b in zip(v, w))
+                               for v in c.vertices) > 0
+            elif verdict.status == "holds":
+                axes = [tuple(s if j == i else 0.0 for j in range(dim))
+                        for i in range(dim) for s in (1.0, -1.0)]
+                for g in axes + sample_unit_directions(dim, 200, trial):
+                    if abs(eval_minmax(tree, g)) <= 1e-9:
+                        zeros += 1
+                        assert any(
+                            max(sum(a * b for a, b in zip(v, g))
+                                for v in c.vertices) <= 1e-9
+                            for c in opened)
+        assert {"holds", "violated"} <= seen
+        assert zeros > 0
 
 
 class TestOracle:
