@@ -37,7 +37,6 @@ from .errors import (
     CapExceededError,
     DimensionMismatchError,
     ExhausterKindError,
-    IterationCapError,
 )
 from .exhauster import (
     Exhauster,

@@ -5,7 +5,8 @@ all derivable families at the point, and decides the requested optimality
 conditions. ``check`` runs selected conditions against user-supplied
 families. ``oracle`` compares finite-difference estimates with family
 evaluations. Exit codes: 0 all requested conditions hold, 1 a condition is
-violated, 2 input error, 3 a cap left a verdict inconclusive.
+violated, 2 input error, 3 a cap left a verdict inconclusive or stopped
+the work. ``main`` alone maps exceptions to the codes 2 and 3.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 from .conditions import (
-    CONSTRAINED_IDS,
     ConditionID,
     Verdict,
     evaluate_condition,
@@ -35,12 +35,7 @@ from .deriv import (
     expr_from_json,
     fd_directional_derivative,
 )
-from .errors import (
-    CapExceededError,
-    DimensionMismatchError,
-    ExhausterKindError,
-    IterationCapError,
-)
+from .errors import CapExceededError
 from .exhauster import (DEFAULT_COMBINATION_CAP, Exhauster, eval_exhauster,
                         exhauster_from_tree, reduce_exhauster)
 from .geometry import TOL, Vector, as_int, as_vector, sample_unit_directions
@@ -51,19 +46,8 @@ EXIT_VIOLATED = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
 
-_DEFAULT_CONSTRAINED = {
-    "min": [ConditionID.MIN_UPPER_LOWER, ConditionID.MIN_UPPER_UPPER,
-            ConditionID.MIN_LOWER_LOWER, ConditionID.MIN_LOWER_UPPER],
-    "max": [ConditionID.MAX_LOWER_LOWER, ConditionID.MAX_LOWER_UPPER,
-            ConditionID.MAX_UPPER_LOWER, ConditionID.MAX_UPPER_UPPER],
-}
-_DEFAULT_UNCONSTRAINED = {
-    "min": [ConditionID.UNC_MIN_UPPER, ConditionID.UNC_MIN_LOWER],
-    "max": [ConditionID.UNC_MAX_LOWER, ConditionID.UNC_MAX_UPPER],
-}
 
-
-class InputError(Exception):
+class InputError(ValueError):
     """Bad file, JSON, or option combination; maps to exit code 2."""
 
 
@@ -121,7 +105,7 @@ def _parse_problem(problem) -> tuple[int, Vector, Expr, Optional[Expr]]:
         f_expr = expr_from_json(problem["objective"])
         u_expr = expr_from_json(problem["constraint"]) \
             if problem.get("constraint") is not None else None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed problem: {exc}") from exc
     if len(point) != dim:
         raise InputError(f"point has length {len(point)}, expected {dim}")
@@ -171,24 +155,16 @@ def analyze_problem(problem: dict, *, sense: Optional[str] = None,
     }
 
     if condition_ids is None:
-        table = _DEFAULT_CONSTRAINED if u_tree is not None else _DEFAULT_UNCONSTRAINED
-        condition_ids = [cid for s in _senses(sense) for cid in table[s]]
+        condition_ids = [cid for s in _senses(sense) for cid in ConditionID
+                         if cid.sense == s
+                         and (cid.u_kind is None) == (u_tree is None)]
     verdicts: dict[str, Verdict] = {}
     for cid in condition_ids:
-        parts = cid.value.split("_")
-        if parts[0] == "UNC":
-            ef = families[("f", parts[2].lower())]
-            verdict = evaluate_condition(cid, ef,
-                                         max_combinations=max_combinations)
-        else:
-            if u_tree is None:
-                raise InputError(
-                    f"{cid.value} needs a constraint, none was given")
-            ef = families[("f", parts[1].lower())]
-            eu = families[("u", parts[2].lower())]
-            verdict = evaluate_condition(cid, ef, eu,
-                                         max_combinations=max_combinations)
-        verdicts[cid.value] = verdict
+        if cid.u_kind is not None and u_tree is None:
+            raise InputError(f"{cid.value} needs a constraint, none was given")
+        verdicts[cid.value] = evaluate_condition(
+            cid, families[("f", cid.f_kind)], families.get(("u", cid.u_kind)),
+            max_combinations=max_combinations)
 
     regularity = None
     if u_tree is not None:
@@ -246,69 +222,46 @@ def analyze_problem(problem: dict, *, sense: Optional[str] = None,
 
 
 def _families_for_svg(report: AnalysisReport):
-    from .geometry import Polytope
-
-    items = []
-    for func in sorted(report.exhausters):
-        for kind in ("upper", "lower"):
-            data = report.exhausters[func].get(kind)
-            if not data:
-                continue
-            for vertices in data["sets"]:
-                items.append(Polytope.from_vertices(vertices))
-    return items
+    return [c for func in sorted(report.exhausters)
+            for kind in ("upper", "lower")
+            for c in Exhauster.from_json(report.exhausters[func][kind]).sets]
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        problem = _load_json(args.problem)
-        condition_ids = _parse_condition_ids(args.conditions)
-        report, code = analyze_problem(
-            problem, sense=args.sense, condition_ids=condition_ids,
-            tol=args.tol, samples=args.samples, seed=args.seed,
-            max_combinations=args.max_combinations)
-    except (InputError, DimensionMismatchError, ExhausterKindError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (CapExceededError, IterationCapError) as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    sys.stdout.write(render_report(report, args.format).decode("utf-8"))
+    report, code = analyze_problem(
+        _load_json(args.problem), sense=args.sense,
+        condition_ids=_parse_condition_ids(args.conditions), tol=args.tol,
+        samples=args.samples, seed=args.seed,
+        max_combinations=args.max_combinations)
+    # The figure comes first, so a figure that fails leaves no report.
     if args.svg:
-        items = _families_for_svg(report)
+        figure = render_svg(_families_for_svg(report))
         with open(args.svg, "w", encoding="utf-8") as handle:
-            handle.write(render_svg(items))
+            handle.write(figure)
+    sys.stdout.write(render_report(report, args.format).decode("utf-8"))
     return code
 
 
 def _load_family(path: str) -> Exhauster:
+    data = _load_json(path)
     try:
-        return Exhauster.from_json(_load_json(path))
-    except (TypeError, ValueError) as exc:
+        return Exhauster.from_json(data)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed family in {path}: {exc}") from exc
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        condition_ids = _parse_condition_ids(args.conditions)
-        if not condition_ids:
-            raise InputError("check needs --conditions")
-        ef = _load_family(args.f_exhauster)
-        eu = _load_family(args.u_exhauster) if args.u_exhauster else None
-        verdicts: dict[str, Verdict] = {}
-        for cid in condition_ids:
-            if cid in CONSTRAINED_IDS and eu is None:
-                raise InputError(f"{cid.value} needs --u-exhauster")
-            verdicts[cid.value] = evaluate_condition(
-                cid, ef, eu if cid in CONSTRAINED_IDS else None,
-                max_combinations=args.max_combinations)
-    except (InputError, ValueError, DimensionMismatchError,
-            ExhausterKindError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (CapExceededError, IterationCapError) as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+    condition_ids = _parse_condition_ids(args.conditions)
+    if not condition_ids:
+        raise InputError("check needs --conditions")
+    ef = _load_family(args.f_exhauster)
+    eu = _load_family(args.u_exhauster) if args.u_exhauster else None
+    verdicts: dict[str, Verdict] = {}
+    for cid in condition_ids:
+        if cid.u_kind is not None and eu is None:
+            raise InputError(f"{cid.value} needs --u-exhauster")
+        verdicts[cid.value] = evaluate_condition(
+            cid, ef, eu, max_combinations=args.max_combinations)
     problem_echo = {"f_exhauster": args.f_exhauster,
                     "u_exhauster": args.u_exhauster}
     report = AnalysisReport(
@@ -321,20 +274,17 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        problem = _load_json(args.problem)
-        if args.samples < 1:
-            raise InputError("need a positive sample count")
-        dim, point, f_expr, u_expr = _parse_problem(problem)
-        parts = [("objective", f_expr)]
-        if u_expr is not None:
-            parts.append(("constraint", u_expr))
-        trees = [_at_point(label, expr, point)[1] for label, expr in parts]
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    problem = _load_json(args.problem)
+    if args.samples < 1:
+        raise InputError("need a positive sample count")
+    dim, point, f_expr, u_expr = _parse_problem(problem)
+    parts = [("objective", f_expr)]
+    if u_expr is not None:
+        parts.append(("constraint", u_expr))
+    trees = [_at_point(label, expr, point)[1] for label, expr in parts]
     directions = sample_unit_directions(dim, args.samples, args.seed)
     code = EXIT_OK
+    lines = []  # printed once every part is through, so a failure prints none
     for (label, expr), tree in zip(parts, trees):
         try:
             estimates = [fd_directional_derivative(expr, point, g) for g in directions]
@@ -343,20 +293,21 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         except OverflowError as exc:
             reason = str(exc)
         if reason is not None:
-            print(f"error: {label} overflows the floats at a finite-difference "
-                  f"step: {reason}", file=sys.stderr)
-            return EXIT_INPUT
+            raise InputError(f"{label} overflows the floats at a "
+                             f"finite-difference step: {reason}")
         families = [exhauster_from_tree(tree, kind) for kind in ("upper", "lower")]
         deviation = max(abs(estimate - eval_exhauster(family, g))
                         for family in families
                         for g, estimate in zip(directions, estimates))
         # The difference quotient errs in proportion to the derivative.
         scale = max(1.0, max(map(abs, estimates)))
-        print(f"{label}: max deviation {deviation:.3e} of the upper and lower "
-              f"families over {len(directions)} directions (tolerance "
-              f"{args.oracle_tol:g} x derivative scale {scale:.3g})")
+        lines.append(f"{label}: max deviation {deviation:.3e} of the upper and "
+                     f"lower families over {len(directions)} directions "
+                     f"(tolerance {args.oracle_tol:g} x derivative scale "
+                     f"{scale:.3g})")
         if deviation > args.oracle_tol * scale:
             code = EXIT_VIOLATED
+    print("\n".join(lines))
     return code
 
 
@@ -420,8 +371,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand. Its exceptions end here: a cap gives exit 3, bad
+    input exit 2 (a ValueError, InputError included, a file that cannot be
+    read or written, or input nested past the recursion limit), each with
+    one line on stderr."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CapExceededError as exc:
+        print(f"cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
+        return EXIT_INPUT
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 def entrypoint() -> None:

@@ -115,7 +115,9 @@ class RegionExpr:
 class ConditionID(str, Enum):
     """Constrained ids read SENSE_FKIND_UKIND: which family of the
     objective f and of the constraint u the condition is phrased in.
-    Unconstrained ids read UNC_SENSE_FKIND."""
+    Unconstrained ids read UNC_SENSE_FKIND. ``sense``, ``f_kind`` and
+    ``u_kind`` name these parts in lower case; ``u_kind`` is None for an
+    unconstrained id."""
 
     MIN_UPPER_LOWER = "MIN_UPPER_LOWER"
     MIN_UPPER_UPPER = "MIN_UPPER_UPPER"
@@ -130,9 +132,12 @@ class ConditionID(str, Enum):
     UNC_MAX_LOWER = "UNC_MAX_LOWER"
     UNC_MAX_UPPER = "UNC_MAX_UPPER"
 
+    def __init__(self, value: str) -> None:
+        parts = value.lower().split("_")
+        if parts[0] == "unc":
+            parts = parts[1:] + [None]
+        self.sense, self.f_kind, self.u_kind = parts
 
-CONSTRAINED_IDS = tuple(cid for cid in ConditionID if not cid.value.startswith("UNC"))
-UNCONSTRAINED_IDS = tuple(cid for cid in ConditionID if cid.value.startswith("UNC"))
 
 CONDITION_READINGS = {
     ConditionID.MIN_UPPER_LOWER: "minimum: objective's upper family (proper) with constraint's lower family",
@@ -252,20 +257,20 @@ def _region(combinator: str, kind: AtomKind, family: Exhauster) -> RegionExpr:
     return RegionExpr(combinator, tuple(RegionAtom(kind, c) for c in family.sets))
 
 
-def _constrained_sides(sense: str, f_kind: str, u_kind: str,
-                       ef: Exhauster, eu: Exhauster) -> tuple[RegionExpr, RegionExpr]:
+def _constrained_sides(cid: ConditionID, ef: Exhauster,
+                       eu: Exhauster) -> tuple[RegionExpr, RegionExpr]:
     # Left side: operational form of "constraint derivative <= 0" in terms
     # of u's family. Right side: the sign region the extremum forces on the
     # objective derivative, in terms of f's family.
-    if u_kind == "lower":
+    if cid.u_kind == "lower":
         lhs = _region("intersection", AtomKind.NOT_K_PLUS, eu)
     else:
         lhs = _region("union", AtomKind.NEG_K_PLUS, eu)
-    if sense == "min" and f_kind == "upper":
+    if cid.sense == "min" and cid.f_kind == "upper":
         rhs = _region("intersection", AtomKind.NOT_NEG_K_PLUS, ef)
-    elif sense == "min":
+    elif cid.sense == "min":
         rhs = _region("union", AtomKind.K_PLUS, ef)
-    elif f_kind == "lower":
+    elif cid.f_kind == "lower":
         rhs = _region("intersection", AtomKind.NOT_K_PLUS, ef)
     else:
         rhs = _region("union", AtomKind.NEG_K_PLUS, ef)
@@ -294,26 +299,20 @@ def build_condition(cid: ConditionID, ef: Exhauster,
     side of an unconstrained one, whose constraint side is every
     direction."""
     cid = ConditionID(cid)
-    parts = cid.value.split("_")
-    if parts[0] == "UNC":
-        required = parts[2].lower()
-        if ef.kind != required:
-            raise ExhausterKindError(
-                f"{cid.value} needs an {required} family for the objective, got {ef.kind}")
-        return UnconstrainedCondition(cid, ef, _region(*_UNCONSTRAINED_SIDES[cid], ef))
-    sense, f_kind, u_kind = parts[0].lower(), parts[1].lower(), parts[2].lower()
-    if eu is None:
+    if cid.u_kind is not None and eu is None:
         raise ExhausterKindError(f"{cid.value} needs a constraint family")
-    if ef.kind != f_kind:
+    if ef.kind != cid.f_kind:
         raise ExhausterKindError(
-            f"{cid.value} needs an {f_kind} family for the objective, got {ef.kind}")
-    if eu.kind != u_kind:
+            f"{cid.value} needs an {cid.f_kind} family for the objective, got {ef.kind}")
+    if cid.u_kind is None:
+        return UnconstrainedCondition(cid, ef, _region(*_UNCONSTRAINED_SIDES[cid], ef))
+    if eu.kind != cid.u_kind:
         raise ExhausterKindError(
-            f"{cid.value} needs a {u_kind} family for the constraint, got {eu.kind}")
+            f"{cid.value} needs a {cid.u_kind} family for the constraint, got {eu.kind}")
     if ef.dim != eu.dim:
         raise DimensionMismatchError(
             f"objective family dimension {ef.dim} vs constraint {eu.dim}")
-    lhs, rhs = _constrained_sides(sense, f_kind, u_kind, ef, eu)
+    lhs, rhs = _constrained_sides(cid, ef, eu)
     return ConstrainedCondition(cid, lhs, rhs)
 
 
@@ -455,12 +454,12 @@ def check_unconstrained(cid: ConditionID, family: Exhauster, *,
 
 
 def evaluate_condition(cid: ConditionID, ef: Exhauster,
-                       eu: Optional[Exhauster] = None, *, method: str = "auto",
+                       eu: Optional[Exhauster] = None, *,
                        max_combinations: int = DEFAULT_COMBINATION_CAP) -> Verdict:
     """Build and run one condition, labelling the verdict with its id."""
     built = build_condition(cid, ef, eu)
     if isinstance(built, ConstrainedCondition):
-        verdict = inclusion_check(built.lhs, built.rhs, method=method,
+        verdict = inclusion_check(built.lhs, built.rhs,
                                   max_combinations=max_combinations)
     else:
         verdict = check_unconstrained(built.cid, built.family,
@@ -525,7 +524,7 @@ def regularity_check(family: Exhauster, *,
 
 def necessary_condition_oracle(f_tree: MinMaxTree, u_tree: MinMaxTree, sense: str,
                                samples: int = 720, seed: int = 0, *,
-                               tol: float = TOL, margin: float = ORACLE_MARGIN,
+                               tol: float = TOL,
                                extra_directions: Sequence[Sequence[float]] = ()
                                ) -> Verdict:
     """Search sampled directions for one that is admissible for the
@@ -557,7 +556,8 @@ def necessary_condition_oracle(f_tree: MinMaxTree, u_tree: MinMaxTree, sense: st
                       if hu <= tol]
         hfs = eval_minmax_many(f_tree, [g for g, _ in admissible])
         for (g, hu), hf in zip(admissible, hfs):
-            if (sense == "min" and hf < -margin) or (sense == "max" and hf > margin):
+            if (sense == "min" and hf < -ORACLE_MARGIN) or (
+                    sense == "max" and hf > ORACLE_MARGIN):
                 return Verdict(
                     "violated", g,
                     f"admissible direction with objective derivative {hf:.6g} "

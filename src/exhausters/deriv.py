@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import CapExceededError, DimensionMismatchError
 from .geometry import Vector, as_int, as_vector, dot
@@ -249,14 +249,6 @@ def leaf_count(tree: MinMaxTree) -> int:
     return sum(leaf_count(c) for c in tree.children)
 
 
-def tree_leaves(tree: MinMaxTree) -> Iterator[Vector]:
-    if isinstance(tree, Leaf):
-        yield tree.form
-    else:
-        for c in tree.children:
-            yield from tree_leaves(c)
-
-
 def tree_dim(tree: MinMaxTree) -> int:
     node = tree
     while not isinstance(node, Leaf):
@@ -340,12 +332,12 @@ def _ddt(expr: Expr, x: Vector) -> MinMaxTree:
 # Finite-difference estimator
 # ---------------------------------------------------------------------------
 
-def default_fd_steps(count: int = 13, first: float = 0.1) -> tuple[float, ...]:
-    return tuple(first * 0.5 ** k for k in range(count))
+# Difference-quotient steps, halving from 0.1.
+_FD_STEPS = tuple(0.1 * 0.5 ** k for k in range(13))
 
 
-def fd_directional_derivative(expr: Expr, x: Sequence[float], g: Sequence[float],
-                              steps: Iterable[float] | None = None) -> float:
+def fd_directional_derivative(expr: Expr, x: Sequence[float],
+                              g: Sequence[float]) -> float:
     """One-sided difference-quotient estimate of the directional derivative.
 
     Deliberately ignorant of the tree construction: only expression values
@@ -353,19 +345,14 @@ def fd_directional_derivative(expr: Expr, x: Sequence[float], g: Sequence[float]
     three quotients are extrapolated to step zero with a least-squares
     line, which removes the first-order error of smooth pieces.
     """
-    seq = list(default_fd_steps() if steps is None else (float(s) for s in steps))
-    if len(seq) < 3:
-        raise ValueError("need at least three steps")
-    if any(s <= 0.0 for s in seq) or any(b >= a for a, b in zip(seq, seq[1:])):
-        raise ValueError("steps must be positive and strictly decreasing")
     point = as_vector(x)
     direction = as_vector(g)
     base = eval_expr(expr, point)
     quotients = []
-    for s in seq:
+    for s in _FD_STEPS:
         shifted = tuple(xi + s * gi for xi, gi in zip(point, direction))
         quotients.append((eval_expr(expr, shifted) - base) / s)
-    aa = seq[-3:]
+    aa = _FD_STEPS[-3:]
     qq = quotients[-3:]
     am = sum(aa) / 3.0
     qm = sum(qq) / 3.0

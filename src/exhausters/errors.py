@@ -5,12 +5,9 @@ class DimensionMismatchError(ValueError):
     """Operands disagree on the ambient dimension."""
 
 
-class IterationCapError(RuntimeError):
-    """The feasibility solver ran past its pivot budget."""
-
-
 class CapExceededError(RuntimeError):
-    """A tree or clause expansion grew beyond its configured bound."""
+    """A work cap was reached: tree leaves, normal-form clauses or simplex
+    pivots."""
 
 
 class ExhausterKindError(ValueError):

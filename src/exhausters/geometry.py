@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionMismatchError, IterationCapError
+from .errors import CapExceededError, DimensionMismatchError
 
 Vector = tuple[float, ...]
 
@@ -213,7 +213,7 @@ def _minimize(tableau: list[list[float]], rhs: list[float], basis: list[int],
     out cycling. Only the first ``enterable`` columns may enter the basis.
     The reduced-cost row is priced out once, then rides along as one more
     tableau row that every pivot updates; its right-hand entry goes unread.
-    More than ``PIVOT_CAP`` pivots raise IterationCapError.
+    More than ``PIVOT_CAP`` pivots raise CapExceededError.
     """
     m = len(basis)
     reduced = list(cost)
@@ -245,7 +245,7 @@ def _minimize(tableau: list[list[float]], rhs: list[float], basis: list[int],
         _pivot(tableau, rhs, basis, leave, enter)
         pivots += 1
         if pivots > PIVOT_CAP:
-            raise IterationCapError(f"simplex exceeded {PIVOT_CAP} pivots")
+            raise CapExceededError(f"simplex exceeded {PIVOT_CAP} pivots")
     tableau.pop()
     rhs.pop()
 
@@ -392,9 +392,6 @@ class ArcSet:
     @staticmethod
     def empty() -> "ArcSet":
         return ArcSet(())
-
-    def is_empty(self) -> bool:
-        return not self.arcs
 
     def measure(self) -> float:
         return min(sum(e - s for s, e in self.arcs), TWO_PI)

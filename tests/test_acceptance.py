@@ -104,9 +104,8 @@ def test_criterion_2_minimum_conditions_hold_both_methods():
     expected = arcs_from_atom(RegionAtom(AtomKind.K_PLUS, C3)).union(
         arcs_from_atom(RegionAtom(AtomKind.K_PLUS, C4)))
     for cid in MIN_IDS:
-        parts = cid.value.split("_")
-        built = build_condition(cid, families[("f", parts[1].lower())],
-                                families[("u", parts[2].lower())])
+        built = build_condition(cid, families[("f", cid.f_kind)],
+                                families[("u", cid.u_kind)])
         for method in ("exact2d", "lp_enumeration"):
             forward = inclusion_check(built.lhs, built.rhs, method=method)
             backward = inclusion_check(built.rhs, built.lhs, method=method)
@@ -189,9 +188,8 @@ def test_criterion_6_method_equivalence_on_random_instances():
     violated = 0
     for trial in range(100):
         cid = ALL_CONSTRAINED[trial % len(ALL_CONSTRAINED)]
-        parts = cid.value.split("_")
-        ef = random_family(rng, parts[1].lower())
-        eu = random_family(rng, parts[2].lower())
+        ef = random_family(rng, cid.f_kind)
+        eu = random_family(rng, cid.u_kind)
         built = build_condition(cid, ef, eu)
         exact = inclusion_check(built.lhs, built.rhs, method="exact2d")
         lp = inclusion_check(built.lhs, built.rhs, method="lp_enumeration")
@@ -221,7 +219,7 @@ def test_criterion_7_vacuous_condition_families():
     }
     for ef in padded_families:
         for cid in (ConditionID.MIN_UPPER_LOWER, ConditionID.MIN_UPPER_UPPER):
-            for eu in constraint_families[cid.value.split("_")[2].lower()]:
+            for eu in constraint_families[cid.u_kind]:
                 built = build_condition(cid, ef, eu)
                 assert inclusion_check(built.lhs, built.rhs).status == "holds"
                 checks += 1
@@ -238,7 +236,7 @@ def test_criterion_7_vacuous_condition_families():
     dual_checks = 0
     for ef in covering_families:
         for cid in (ConditionID.MIN_LOWER_LOWER, ConditionID.MIN_LOWER_UPPER):
-            for eu in constraint_families[cid.value.split("_")[2].lower()]:
+            for eu in constraint_families[cid.u_kind]:
                 built = build_condition(cid, ef, eu)
                 assert inclusion_check(built.lhs, built.rhs).status == "holds"
                 dual_checks += 1

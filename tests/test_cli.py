@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -334,3 +335,133 @@ def test_cli_import_leaves_numpy_out():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+class TestExitBoundary:
+    """Every failure ends in exit 2 or 3 with one line on stderr; none is
+    a traceback that exits 1, which reads as a violated condition."""
+
+    def test_clause_cap_in_oracle_exits_3(self, tmp_path, capsys):
+        # |x_1| + ... + |x_14| at the origin has 2^14 clauses per family.
+        dim = 14
+        terms = [{"op": "max", "args": [
+            {"atom": {"terms": [{"c": c, "e": [int(j == i) for j in range(dim)]}]}}
+            for c in (1, -1)]} for i in range(dim)]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "dim": dim, "objective": {"op": "sum", "args": terms},
+            "point": [0] * dim}))
+        assert main(["oracle", str(path), "--samples", "4"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("cap exceeded: clause count")
+
+    def test_svg_of_a_space_problem_exits_2_without_a_report(self, tmp_path, capsys):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({
+            "dim": 3, "objective": {"op": "max", "args": [
+                {"atom": {"terms": [{"c": c, "e": [1, 0, 0]}]}} for c in (1, -1)]},
+            "point": [0, 0, 0]}))
+        code = main(["analyze", str(path), "--svg", str(tmp_path / "f.svg")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "plane" in err
+        assert not (tmp_path / "f.svg").exists()
+
+    def test_svg_into_a_missing_directory_exits_2(self, problem_file, tmp_path, capsys):
+        target = tmp_path / "missing" / "f.svg"
+        assert main(["analyze", problem_file, "--svg", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:")
+
+    def test_deeply_nested_problem_exits_2(self, tmp_path, capsys):
+        expr = '{"atom": {"terms": [{"c": 1, "e": [1, 0]}]}}'
+        for _ in range(3000):
+            expr = '{"op": "scale", "coef": 1, "arg": ' + expr + '}'
+        path = tmp_path / "deep.json"
+        path.write_text('{"dim": 2, "objective": ' + expr + ', "point": [0, 0]}')
+        for command in ("analyze", "oracle"):
+            assert main([command, str(path)]) == 2
+            assert capsys.readouterr().err.startswith("error:")
+
+    def test_deeply_nested_family_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"kind": "upper", "dim": 2, "sets": '
+                        + "[" * 3000 + "]" * 3000 + "}")
+        assert main(["check", "--f-exhauster", str(path),
+                     "--conditions", "UNC_MIN_UPPER"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+_JUNK = (None, True, -1, 0, 3, 2.5, 1e308, -1e308, 10 ** 400, "x", "", [],
+         {}, [[]], [1, 2, 3], {"op": "max"}, {"op": "sum", "args": []},
+         {"atom": {}}, {"atom": {"terms": []}}, {"c": 1, "e": [1]},
+         [1e308, 1e308], float("nan"), float("inf"))
+
+
+def _mutate(rng, doc):
+    """One random defect in a JSON document: a node replaced by junk or
+    dropped, or a list lengthened or cut."""
+    paths = []
+
+    def walk(node, path):
+        paths.append(path)
+        children = node.items() if isinstance(node, dict) else \
+            enumerate(node) if isinstance(node, list) else ()
+        for key, child in children:
+            walk(child, path + (key,))
+
+    walk(doc, ())
+    path = rng.choice(paths)
+    if not path:
+        return rng.choice(_JUNK)
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    move = rng.random()
+    if move < 0.6:
+        parent[path[-1]] = rng.choice(_JUNK)
+    elif move < 0.8 and isinstance(parent, dict):
+        del parent[path[-1]]
+    elif isinstance(parent, list) and rng.random() < 0.5:
+        del parent[path[-1]:]
+    elif isinstance(parent, list):
+        parent.append(parent[0])
+    else:
+        parent[path[-1]] = [parent[path[-1]]]
+    return doc
+
+
+def test_malformed_input_fuzz(tmp_path, capsys):
+    """Seeded defects in problem and family files, through all three
+    subcommands: each call ends in an exit code from 0 to 3, and exits 2
+    and 3 on an error print one line and no report."""
+    rng = random.Random(8)
+    family = {"kind": "upper", "dim": 2,
+              "sets": [[[1, 1], [-1, 1]], [[1, -1], [-1, -1]]]}
+    u_path = tmp_path / "u.json"
+    u_path.write_text(json.dumps(dict(family, kind="lower")))
+    path = tmp_path / "input.json"
+    text = json.dumps(problem_dict())
+    calls = []
+    for _ in range(40):
+        problem = json.dumps(_mutate(rng, problem_dict()))
+        calls.append((problem, ["analyze", str(path), "--samples", "16"]))
+        calls.append((problem, ["oracle", str(path), "--samples", "16"]))
+        calls.append((json.dumps(_mutate(rng, family)), [
+            "check", "--f-exhauster", str(path), "--u-exhauster", str(u_path),
+            "--conditions", "MIN_UPPER_LOWER,UNC_MIN_UPPER"]))
+    for _ in range(10):
+        calls.append((text[:rng.randrange(len(text))], ["analyze", str(path)]))
+    for document, argv in calls:
+        path.write_text(document)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert code in (0, 1, 2, 3), (argv[0], document)
+        if code == 2:
+            assert len(lines) == 1 and lines[0].startswith("error: "), document
+        if lines:
+            prefix = "error: " if code == 2 else "cap exceeded: "
+            assert len(lines) == 1 and lines[0].startswith(prefix), document
+            assert out == "", document

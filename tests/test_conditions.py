@@ -68,8 +68,7 @@ FAMILIES = {
 
 
 def families_for(cid):
-    parts = cid.value.split("_")
-    return FAMILIES[("f", parts[1].lower())], FAMILIES[("u", parts[2].lower())]
+    return FAMILIES[("f", cid.f_kind)], FAMILIES[("u", cid.u_kind)]
 
 
 class TestAtomMembership:
@@ -117,6 +116,16 @@ class TestAtomMembership:
 
 
 class TestBuildCondition:
+    def test_ids_name_their_parts(self):
+        assert (ConditionID.MAX_LOWER_UPPER.sense, ConditionID.MAX_LOWER_UPPER.f_kind,
+                ConditionID.MAX_LOWER_UPPER.u_kind) == ("max", "lower", "upper")
+        assert (ConditionID.UNC_MIN_LOWER.sense, ConditionID.UNC_MIN_LOWER.f_kind,
+                ConditionID.UNC_MIN_LOWER.u_kind) == ("min", "lower", None)
+        for cid in ConditionID:
+            parts = [cid.sense, cid.f_kind] + ([cid.u_kind] if cid.u_kind else [])
+            prefix = "UNC_" if cid.u_kind is None else ""
+            assert prefix + "_".join(parts).upper() == cid.value
+
     def test_adjoint_pairing_sides(self):
         built = build_condition(ConditionID.MIN_LOWER_UPPER, F_LOWER, U_UPPER)
         assert built.lhs.combinator == "union"
@@ -400,9 +409,8 @@ class TestMethodAgreement:
         violated_seen = 0
         for trial in range(100):
             cid = ALL_CONSTRAINED[trial % len(ALL_CONSTRAINED)]
-            parts = cid.value.split("_")
-            ef = random_family(rng, parts[1].lower())
-            eu = random_family(rng, parts[2].lower())
+            ef = random_family(rng, cid.f_kind)
+            eu = random_family(rng, cid.u_kind)
             built = build_condition(cid, ef, eu)
             exact = inclusion_check(built.lhs, built.rhs, method="exact2d")
             lp = inclusion_check(built.lhs, built.rhs, method="lp_enumeration")
@@ -427,9 +435,8 @@ class TestEnumerationBeyondThePlane:
         violated = 0
         for trial in range(40):
             cid = ALL_CONSTRAINED[trial % len(ALL_CONSTRAINED)]
-            parts = cid.value.split("_")
-            ef = random_family(rng, parts[1].lower(), dim=3)
-            eu = random_family(rng, parts[2].lower(), dim=3)
+            ef = random_family(rng, cid.f_kind, dim=3)
+            eu = random_family(rng, cid.u_kind, dim=3)
             built = build_condition(cid, ef, eu)
             verdict = inclusion_check(built.lhs, built.rhs)
             assert verdict.method == "lp_enumeration"
@@ -461,11 +468,10 @@ class TestEnumerationBeyondThePlane:
         for trial in range(48):
             dim = 3 + trial % 2
             cid = ALL_CONSTRAINED[trial % len(ALL_CONSTRAINED)]
-            parts = cid.value.split("_")
             pool = [tuple(float(rng.randint(-2, 2)) for _ in range(dim)) for _ in range(4)]
             pool.append(tuple(-sum(c) for c in zip(*pool)))
-            ef = pooled_family(parts[1].lower(), pool, dim)
-            eu = pooled_family(parts[2].lower(), pool, dim)
+            ef = pooled_family(cid.f_kind, pool, dim)
+            eu = pooled_family(cid.u_kind, pool, dim)
             built = build_condition(cid, ef, eu)
             points = _choice_points(built.lhs, False) + _choice_points(built.rhs, True)
             reference = brute_force_direction(points, dim)
@@ -537,13 +543,11 @@ class TestOracleConsistency:
                 for kind in ("upper", "lower")
             })
             for cid in ALL_CONSTRAINED:
-                parts = cid.value.split("_")
-                sense = parts[0].lower()
-                built = build_condition(cid, families[("f", parts[1].lower())],
-                                        families[("u", parts[2].lower())])
+                built = build_condition(cid, families[("f", cid.f_kind)],
+                                        families[("u", cid.u_kind)])
                 verdict = inclusion_check(built.lhs, built.rhs)
                 oracle = necessary_condition_oracle(
-                    f_tree, u_tree, sense, samples=10_000,
+                    f_tree, u_tree, cid.sense, samples=10_000,
                     extra_directions=[verdict.witness] if verdict.witness else ())
                 if verdict.status == "violated":
                     assert oracle.status == "violated"
@@ -561,7 +565,7 @@ class TestVacuousConditionFamilies:
             padded = Exhauster("upper", 2, tuple(
                 Polytope(2, c.vertices + ((0.0, 0.0),)) for c in base.sets))
             for cid in (ConditionID.MIN_UPPER_LOWER, ConditionID.MIN_UPPER_UPPER):
-                eu = random_family(rng, cid.value.split("_")[2].lower())
+                eu = random_family(rng, cid.u_kind)
                 built = build_condition(cid, padded, eu)
                 assert inclusion_check(built.lhs, built.rhs).status == "holds"
 
@@ -574,7 +578,7 @@ class TestVacuousConditionFamilies:
             assert check_unconstrained(ConditionID.UNC_MIN_LOWER,
                                        covering).status == "holds"
             for cid in (ConditionID.MIN_LOWER_LOWER, ConditionID.MIN_LOWER_UPPER):
-                eu = random_family(rng, cid.value.split("_")[2].lower())
+                eu = random_family(rng, cid.u_kind)
                 built = build_condition(cid, covering, eu)
                 assert inclusion_check(built.lhs, built.rhs).status == "holds"
 
@@ -588,9 +592,8 @@ class TestWitnessReproducibility:
             out = []
             for _ in range(20):
                 cid = ALL_CONSTRAINED[rng.randrange(len(ALL_CONSTRAINED))]
-                parts = cid.value.split("_")
-                ef = random_family(rng, parts[1].lower())
-                eu = random_family(rng, parts[2].lower())
+                ef = random_family(rng, cid.f_kind)
+                eu = random_family(rng, cid.u_kind)
                 out.append(evaluate_condition(cid, ef, eu))
             return out
 

@@ -220,12 +220,6 @@ class TestFiniteDifferences:
         value = fd_directional_derivative(disc_atom(-1, -1), (0, 0), (0, 1))
         assert value == pytest.approx(-1.0, abs=1e-6)
 
-    def test_step_validation(self):
-        with pytest.raises(ValueError):
-            fd_directional_derivative(objective_expr(), (0, 0), (1, 0), steps=[0.1, 0.2, 0.05])
-        with pytest.raises(ValueError):
-            fd_directional_derivative(objective_expr(), (0, 0), (1, 0), steps=[0.1, 0.05])
-
     def test_tree_agreement_on_reference_pair(self):
         for expr in (objective_expr(), constraint_expr()):
             tree = directional_derivative_tree(expr, (0.0, 0.0))
