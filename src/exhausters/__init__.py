@@ -2,12 +2,9 @@
 derivatives, with exact checkers for the induced optimality conditions."""
 
 from .conditions import (
-    AtomKind,
     ConditionID,
-    RegionAtom,
-    RegionExpr,
+    SignRegion,
     Verdict,
-    atom_membership,
     build_condition,
     check_unconstrained,
     evaluate_condition,

@@ -38,7 +38,8 @@ from .deriv import (
 from .errors import CapExceededError
 from .exhauster import (DEFAULT_COMBINATION_CAP, Exhauster, eval_exhauster,
                         exhauster_from_tree, reduce_exhauster)
-from .geometry import TOL, Vector, as_int, as_vector, sample_unit_directions
+from .geometry import (TOL, Vector, as_int, as_vector, json_numbers,
+                       sample_unit_directions)
 from .report import AnalysisReport, render_report, render_svg
 
 EXIT_OK = 0
@@ -101,7 +102,7 @@ def _parse_problem(problem) -> tuple[int, Vector, Expr, Optional[Expr]]:
             raise InputError(f"problem is missing {key!r}")
     try:
         dim = as_int(problem["dim"])
-        point = as_vector(problem["point"])
+        point = as_vector(json_numbers(problem["point"], "the point"))
         f_expr = expr_from_json(problem["objective"])
         u_expr = expr_from_json(problem["constraint"]) \
             if problem.get("constraint") is not None else None

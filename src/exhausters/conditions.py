@@ -1,17 +1,18 @@
 """Necessary optimality condition checkers.
 
-Each constrained condition is an inclusion between two cone regions: the
-region where the constraint's directional derivative is nonpositive must
-lie inside the region where the objective's derivative has the sign an
-extremum requires. An unconstrained condition is the same inclusion with
-every direction on the left. Regions are unions or intersections of four
-primitive vertex-sign predicates over the family members. Inclusions are
-decided exactly, either on the circle by angular-arc algebra (constrained
-plane conditions) or in any dimension by a pruned search over vertex
-choices, each system decided by the deterministic feasibility solver.
-Regularity of the constraint is one more inclusion of the same kind. A
-sampled oracle that works straight from the derivative trees cross-checks
-each verdict but never claims an exact "holds".
+Every condition side is a sign region {g : s * h(g) >= 0} of one family,
+where h is the family's function (min of max vertex products for an upper
+family, max of min products for a lower one) and s is +1 or -1. A
+constrained condition is an inclusion between two of them: the region
+{u' <= 0} of the constraint's family must lie inside the region where the
+objective family has the sign an extremum requires. An unconstrained
+condition is the same inclusion with every direction on the left.
+Inclusions are decided exactly, either on the circle by angular-arc
+algebra (constrained plane conditions) or in any dimension by a pruned
+search over vertex choices, each system decided by the deterministic
+feasibility solver. Regularity of the constraint is one more inclusion of
+the same kind. A sampled oracle that works straight from the derivative
+trees cross-checks each verdict but never claims an exact "holds".
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import reduce
 from typing import Optional, Sequence, Union
 
 # The benchmark's tracer (perfbench/spans.py) wraps linear_feasibility,
@@ -27,7 +29,7 @@ from typing import Optional, Sequence, Union
 # nothing here calls them.
 from .deriv import MinMaxTree, eval_minmax, eval_minmax_many, tree_dim
 from .errors import DimensionMismatchError, ExhausterKindError
-from .exhauster import DEFAULT_COMBINATION_CAP, Exhauster, find_direction
+from .exhauster import DEFAULT_COMBINATION_CAP, Exhauster, eval_exhauster, find_direction
 from .geometry import (
     ANGLE_TOL,
     TOL,
@@ -38,7 +40,6 @@ from .geometry import (
     arcset_subset,
     as_vector,
     contains_origin,
-    dot,
     halfcircle,
     linear_feasibility,
     sample_unit_directions,
@@ -52,64 +53,29 @@ ORACLE_MARGIN = 1e-6
 _ORACLE_BLOCK = 64
 
 
-class AtomKind(str, Enum):
-    """Primitive direction predicates over one polytope C: the dual cone of
-    cone{C} (``K_PLUS``), its negative (``NEG_K_PLUS``), and their closed
-    complements (``NOT_K_PLUS``, ``NOT_NEG_K_PLUS``). ``_PREDICATE`` gives
-    each one's operational semantics on a direction g.
+@dataclass(frozen=True)
+class SignRegion:
+    """The cone region {g : sign * h(g) >= 0}, where h is the function the
+    family represents: min over sets of the max vertex product for an upper
+    family, max over sets of the min product for a lower one.
 
-    When C contains the origin the two complement-style predicates hold for
-    every direction while the closed set-complement they normally encode
-    degenerates; the predicates stay the decidable ground truth and the
-    checkers emit a note naming such sets.
+    Spelled out per set C, the region asks sign * <v, g> >= 0 at every
+    vertex v of C and lets the sets unite (``every``), or asks it at some
+    vertex and intersects the sets. When a set of a some-vertex region
+    contains the origin, its predicate holds for every direction; the
+    checkers add a note naming such sets.
     """
 
-    K_PLUS = "kplus"
-    NEG_K_PLUS = "neg_kplus"
-    NOT_K_PLUS = "not_kplus"
-    NOT_NEG_K_PLUS = "not_neg_kplus"
-
-
-# kind -> (every, sign): the atom holds at g when sign * <v, g> >= 0 at
-# every vertex v of C (every=True) or at some vertex (every=False). This is
-# the only place that tells the four kinds apart.
-_PREDICATE = {
-    AtomKind.K_PLUS: (True, 1.0),
-    AtomKind.NEG_K_PLUS: (True, -1.0),
-    AtomKind.NOT_K_PLUS: (False, -1.0),
-    AtomKind.NOT_NEG_K_PLUS: (False, 1.0),
-}
-
-
-@dataclass(frozen=True)
-class RegionAtom:
-    kind: AtomKind
-    polytope: Polytope
+    family: Exhauster
+    sign: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", AtomKind(self.kind))
-
-
-@dataclass(frozen=True)
-class RegionExpr:
-    """Union or intersection of region atoms (one atom per family set)."""
-
-    combinator: str
-    atoms: tuple[RegionAtom, ...]
-
-    def __post_init__(self) -> None:
-        if self.combinator not in ("intersection", "union"):
-            raise ValueError(f"bad combinator {self.combinator!r}")
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        if not self.atoms:
-            raise ValueError("a region needs at least one atom")
-        dims = {a.polytope.dim for a in self.atoms}
-        if len(dims) != 1:
-            raise DimensionMismatchError(f"mixed dimensions {sorted(dims)}")
+        if self.sign not in (1.0, -1.0):
+            raise ValueError(f"sign must be 1 or -1, got {self.sign!r}")
 
     @property
-    def dim(self) -> int:
-        return self.atoms[0].polytope.dim
+    def every(self) -> bool:
+        return (self.family.kind == "lower") == (self.sign > 0)
 
 
 class ConditionID(str, Enum):
@@ -184,8 +150,8 @@ class Verdict:
 @dataclass(frozen=True)
 class ConstrainedCondition:
     cid: ConditionID
-    lhs: RegionExpr
-    rhs: RegionExpr
+    lhs: SignRegion
+    rhs: SignRegion
 
 
 @dataclass(frozen=True)
@@ -194,169 +160,103 @@ class UnconstrainedCondition:
     derivative; the condition holds when it covers every direction."""
 
     cid: ConditionID
-    family: Exhauster
-    rhs: RegionExpr
+    rhs: SignRegion
 
 
 # ---------------------------------------------------------------------------
-# Atom and region evaluation
+# Region evaluation
 # ---------------------------------------------------------------------------
 
-def atom_membership(atom: RegionAtom, g: Sequence[float], tol: float = TOL) -> bool:
-    """Evaluate the atom's vertex-sign predicate at a direction.
-
-    ``tol`` loosens the comparison; pass a negative value to demand the
-    predicate with a strict margin instead.
-    """
-    every, sign = _PREDICATE[atom.kind]
-    quantifier = all if every else any
-    return quantifier(sign * dot(v, g) >= -tol for v in atom.polytope.vertices)
+def region_membership(region: SignRegion, g: Sequence[float], tol: float = TOL) -> bool:
+    """Is ``sign * h(g) >= -tol``? ``tol`` loosens the comparison; pass a
+    negative value to demand the region with a strict margin instead."""
+    return region.sign * eval_exhauster(region.family, g) >= -tol
 
 
-def region_membership(expr: RegionExpr, g: Sequence[float], tol: float = TOL) -> bool:
-    if expr.combinator == "intersection":
-        return all(atom_membership(a, g, tol) for a in expr.atoms)
-    return any(atom_membership(a, g, tol) for a in expr.atoms)
-
-
-def arcs_from_atom(atom: RegionAtom) -> ArcSet:
-    """Exact trace of the atom's predicate on the unit circle (plane only):
-    the intersection (every) or union (some) of one closed half-circle per
-    vertex. Boundary angles are the roots of the vertex inner products,
-    obtained in closed form, so the result is exact up to the angle
-    tolerance."""
-    if atom.polytope.dim != 2:
+def region_arcs(region: SignRegion) -> ArcSet:
+    """Exact trace of the region on the unit circle (plane only): per set,
+    the intersection (every vertex) or union (some vertex) of one closed
+    half-circle per vertex, then the sets united or intersected. Boundary
+    angles are the roots of the vertex inner products, obtained in closed
+    form, so the result is exact up to the angle tolerance."""
+    if region.family.dim != 2:
         raise DimensionMismatchError("arc algebra is available in the plane only")
-    every, sign = _PREDICATE[atom.kind]
-    acc = ArcSet.full() if every else ArcSet.empty()
-    for v in atom.polytope.vertices:
-        half = halfcircle(v, nonnegative=sign > 0)
-        acc = acc.intersect(half) if every else acc.union(half)
-    return acc
-
-
-def region_arcs(expr: RegionExpr) -> ArcSet:
-    acc: Optional[ArcSet] = None
-    for atom in expr.atoms:
-        arcs = arcs_from_atom(atom)
-        if acc is None:
-            acc = arcs
-        elif expr.combinator == "intersection":
-            acc = acc.intersect(arcs)
-        else:
-            acc = acc.union(arcs)
-    assert acc is not None
-    return acc
+    every = region.every
+    inner, outer = (ArcSet.intersect, ArcSet.union) if every else (ArcSet.union, ArcSet.intersect)
+    start = ArcSet.full() if every else ArcSet.empty()
+    return reduce(outer, [
+        reduce(inner, [halfcircle(v, nonnegative=region.sign > 0) for v in c.vertices], start)
+        for c in region.family.sets])
 
 
 # ---------------------------------------------------------------------------
 # Condition catalog
 # ---------------------------------------------------------------------------
 
-def _region(combinator: str, kind: AtomKind, family: Exhauster) -> RegionExpr:
-    return RegionExpr(combinator, tuple(RegionAtom(kind, c) for c in family.sets))
-
-
-def _constrained_sides(cid: ConditionID, ef: Exhauster,
-                       eu: Exhauster) -> tuple[RegionExpr, RegionExpr]:
-    # Left side: operational form of "constraint derivative <= 0" in terms
-    # of u's family. Right side: the sign region the extremum forces on the
-    # objective derivative, in terms of f's family.
-    if cid.u_kind == "lower":
-        lhs = _region("intersection", AtomKind.NOT_K_PLUS, eu)
-    else:
-        lhs = _region("union", AtomKind.NEG_K_PLUS, eu)
-    if cid.sense == "min" and cid.f_kind == "upper":
-        rhs = _region("intersection", AtomKind.NOT_NEG_K_PLUS, ef)
-    elif cid.sense == "min":
-        rhs = _region("union", AtomKind.K_PLUS, ef)
-    elif cid.f_kind == "lower":
-        rhs = _region("intersection", AtomKind.NOT_K_PLUS, ef)
-    else:
-        rhs = _region("union", AtomKind.NEG_K_PLUS, ef)
-    return lhs, rhs
-
-
-# The region each unconstrained condition requires to cover every
-# direction. The origin forms both read "some <v, g> <= 0 in every set",
-# which covers every direction exactly when the origin lies in every set;
-# for UNC_MIN_UPPER this mirrors the constrained NOT_NEG_K_PLUS side
-# (g -> -g), so its witness is a direction separating a set from the
-# origin rather than a descent direction.
-_UNCONSTRAINED_SIDES = {
-    ConditionID.UNC_MIN_UPPER: ("intersection", AtomKind.NOT_K_PLUS),
-    ConditionID.UNC_MAX_LOWER: ("intersection", AtomKind.NOT_K_PLUS),
-    ConditionID.UNC_MIN_LOWER: ("union", AtomKind.K_PLUS),
-    ConditionID.UNC_MAX_UPPER: ("union", AtomKind.NEG_K_PLUS),
-}
-
-
 def build_condition(cid: ConditionID, ef: Exhauster,
                     eu: Optional[Exhauster] = None
                     ) -> Union[ConstrainedCondition, UnconstrainedCondition]:
-    """Materialize the region expressions of one condition id, validating
-    family kinds: both sides of a constrained condition, or the objective
-    side of an unconstrained one, whose constraint side is every
-    direction."""
+    """Materialize the regions of one condition id, validating family
+    kinds. The left side {u' <= 0} is the constraint family's region of
+    sign -1; the right side is the objective family's region of sign +1
+    for a minimum and -1 for a maximum. An unconstrained condition has no
+    left side: every direction is admissible."""
     cid = ConditionID(cid)
     if cid.u_kind is not None and eu is None:
         raise ExhausterKindError(f"{cid.value} needs a constraint family")
     if ef.kind != cid.f_kind:
         raise ExhausterKindError(
             f"{cid.value} needs an {cid.f_kind} family for the objective, got {ef.kind}")
+    rhs = SignRegion(ef, 1.0 if cid.sense == "min" else -1.0)
+    if cid is ConditionID.UNC_MIN_UPPER:
+        # The origin form "some <v, g> <= 0 in every set", like
+        # UNC_MAX_LOWER: it covers every direction exactly when the origin
+        # lies in every set, and its witness is a direction separating a
+        # set from the origin: the negative of a descent direction.
+        rhs = SignRegion(Exhauster("lower", ef.dim, ef.sets), -1.0)
     if cid.u_kind is None:
-        return UnconstrainedCondition(cid, ef, _region(*_UNCONSTRAINED_SIDES[cid], ef))
+        return UnconstrainedCondition(cid, rhs)
     if eu.kind != cid.u_kind:
         raise ExhausterKindError(
             f"{cid.value} needs a {cid.u_kind} family for the constraint, got {eu.kind}")
     if ef.dim != eu.dim:
         raise DimensionMismatchError(
             f"objective family dimension {ef.dim} vs constraint {eu.dim}")
-    lhs, rhs = _constrained_sides(cid, ef, eu)
-    return ConstrainedCondition(cid, lhs, rhs)
+    return ConstrainedCondition(cid, SignRegion(eu, -1.0), rhs)
 
 
 # ---------------------------------------------------------------------------
 # Inclusion decision
 # ---------------------------------------------------------------------------
 
-def _degeneracy_notes(lhs: RegionExpr, rhs: RegionExpr) -> str:
+def _degeneracy_notes(lhs: SignRegion, rhs: SignRegion) -> str:
     notes = []
-    for label, expr in (("lhs", lhs), ("rhs", rhs)):
-        for i, atom in enumerate(expr.atoms):
-            some_vertex = not _PREDICATE[atom.kind][0]
-            if some_vertex and contains_origin(atom.polytope):
+    for label, region in (("lhs", lhs), ("rhs", rhs)):
+        if region.every:
+            continue
+        for i, c in enumerate(region.family.sets):
+            if contains_origin(c):
                 notes.append(
                     f"degenerate {label} atom {i}: set contains the origin, "
                     "predicate covers every direction")
     return ("; " + "; ".join(notes)) if notes else ""
 
 
-def _atom_options(atom: RegionAtom, negate: bool) -> list[list[LinearConstraint]]:
-    """The atom (or its complement) as a disjunction of linear systems.
-
-    The complement of "sign * <v, g> >= 0 at every (some) vertex" is
-    "-sign * <v, g> > 0 at some (every) vertex"; complements are open, and
-    the unit margin of strict rows realizes them losslessly.
-    """
-    every, sign = _PREDICATE[atom.kind]
-    if negate:
-        every, sign = not every, -sign
-    rows = [LinearConstraint(tuple(sign * c for c in v), strict=negate)
-            for v in atom.polytope.vertices]
-    return [rows] if every else [[row] for row in rows]
-
-
-def _choice_points(expr: RegionExpr, negate: bool) -> list[list[list[LinearConstraint]]]:
+def _choice_points(region: SignRegion, negate: bool) -> list[list[list[LinearConstraint]]]:
     """Choice points whose systems' solution sets unite to the region (or
-    its complement): one per atom on a conjunctive side, a single one
-    holding every atom's options on a disjunctive side. Options keep
-    (set index, vertex index) order, so the first feasible system found is
-    deterministic."""
-    options = [_atom_options(a, negate) for a in expr.atoms]
-    if (expr.combinator == "intersection") != negate:
-        return options
-    return [[opt for atom_options in options for opt in atom_options]]
+    its complement, "-sign * <v, g> > 0" with the quantifiers swapped; it
+    is open, and the unit margin of strict rows realizes it losslessly).
+    Where each set needs every vertex, the sets unite: one choice point
+    with one option per set, holding all its rows. Where it needs some
+    vertex, the sets intersect: one choice point per set, with one
+    single-row option per vertex. Options keep (set index, vertex index)
+    order, so the first feasible system found is deterministic."""
+    sign = -region.sign if negate else region.sign
+    rows = [[LinearConstraint(tuple(sign * x for x in v), strict=negate) for v in c.vertices]
+            for c in region.family.sets]
+    if region.every != negate:
+        return [rows]
+    return [[[row] for row in set_rows] for set_rows in rows]
 
 
 def _search(choice_points: list[list[list[LinearConstraint]]], dim: int,
@@ -379,25 +279,26 @@ def _search(choice_points: list[list[list[LinearConstraint]]], dim: int,
     return Verdict("holds", None, holds.format(count=count) + notes, "lp_enumeration")
 
 
-def inclusion_check(lhs: RegionExpr, rhs: RegionExpr, *, method: str = "auto",
+def inclusion_check(lhs: SignRegion, rhs: SignRegion, *, method: str = "auto",
                     max_combinations: int = DEFAULT_COMBINATION_CAP) -> Verdict:
     """Decide whether every direction of ``lhs`` belongs to ``rhs``.
 
-    exact2d intersects/unions the atoms' circle arcs and tests arc
-    coverage; lp_enumeration searches for a direction in lhs minus rhs with
+    exact2d traces both regions as circle arcs and tests arc coverage;
+    lp_enumeration searches for a direction in lhs minus rhs with
     ``find_direction``: the lhs membership choice points followed by the
     rhs negation choice points, searched in lexicographic order with
     infeasible prefixes pruned, each system decided by the feasibility
     solver. Both are exact; in the plane they must agree.
     """
-    if lhs.dim != rhs.dim:
+    dim = lhs.family.dim
+    if rhs.family.dim != dim:
         raise DimensionMismatchError(
-            f"lhs dimension {lhs.dim} vs rhs dimension {rhs.dim}")
+            f"lhs dimension {dim} vs rhs dimension {rhs.family.dim}")
     if method == "auto":
-        method = "exact2d" if lhs.dim == 2 else "lp_enumeration"
+        method = "exact2d" if dim == 2 else "lp_enumeration"
     notes = _degeneracy_notes(lhs, rhs)
     if method == "exact2d":
-        if lhs.dim != 2:
+        if dim != 2:
             raise DimensionMismatchError("exact2d needs plane regions")
         left = region_arcs(lhs)
         right = region_arcs(rhs)
@@ -414,7 +315,7 @@ def inclusion_check(lhs: RegionExpr, rhs: RegionExpr, *, method: str = "auto",
     if method != "lp_enumeration":
         raise ValueError(f"unknown method {method!r}")
     return _search(
-        _choice_points(lhs, False) + _choice_points(rhs, True), lhs.dim,
+        _choice_points(lhs, False) + _choice_points(rhs, True), dim,
         max_combinations,
         "feasible vertex selection: witness lies in lhs with rhs violated at "
         "unit margin", "all {count} vertex-selection systems infeasible", notes)
@@ -431,25 +332,26 @@ def check_unconstrained(cid: ConditionID, family: Exhauster, *,
     Each is a constrained condition with every direction admissible: the
     objective side ``rhs`` of ``build_condition`` must cover every
     direction. ``inclusion_check``'s search looks for a direction outside
-    it. In the origin form the complement's systems are one per set, each
-    asking for unit margin on all of the set's vertices; by Gordan's
-    alternative one is feasible exactly when the origin lies outside that
-    set, and its solution strictly separates the two. In the covering form
-    they choose one vertex per set at unit margin. Both forms are decided
-    by lp_enumeration in every dimension, the plane included.
+    it. In the origin form (some vertex per set) the complement's systems
+    are one per set, each asking for unit margin on all of the set's
+    vertices; by Gordan's alternative one is feasible exactly when the
+    origin lies outside that set, and its solution strictly separates the
+    two. In the covering form (every vertex of some set) they choose one
+    vertex per set at unit margin. Both forms are decided by
+    lp_enumeration in every dimension, the plane included.
     """
-    built = build_condition(cid, family)
-    if built.rhs.combinator == "intersection":
+    rhs = build_condition(cid, family).rhs
+    if not rhs.every:
         violated = ("origin lies outside a set; witness is a strictly "
                     "separating direction")
         holds = "origin belongs to all {count} sets"
     else:
-        side = "negative" if built.cid is ConditionID.UNC_MIN_LOWER else "positive"
+        side = "negative" if rhs.sign > 0 else "positive"
         violated = (f"direction with a strictly {side} vertex in every set: "
                     "covering fails")
         holds = ("all {count} vertex selections infeasible: cones cover "
                  "every direction")
-    return _search(_choice_points(built.rhs, True), family.dim,
+    return _search(_choice_points(rhs, True), family.dim,
                    max_combinations, violated, holds)
 
 
@@ -457,14 +359,14 @@ def evaluate_condition(cid: ConditionID, ef: Exhauster,
                        eu: Optional[Exhauster] = None, *,
                        max_combinations: int = DEFAULT_COMBINATION_CAP) -> Verdict:
     """Build and run one condition, labelling the verdict with its id."""
-    built = build_condition(cid, ef, eu)
-    if isinstance(built, ConstrainedCondition):
+    cid = ConditionID(cid)
+    if cid.u_kind is None:
+        verdict = check_unconstrained(cid, ef, max_combinations=max_combinations)
+    else:
+        built = build_condition(cid, ef, eu)
         verdict = inclusion_check(built.lhs, built.rhs,
                                   max_combinations=max_combinations)
-    else:
-        verdict = check_unconstrained(built.cid, built.family,
-                                      max_combinations=max_combinations)
-    return replace(verdict, condition=ConditionID(cid).value)
+    return replace(verdict, condition=cid.value)
 
 
 # ---------------------------------------------------------------------------
@@ -484,13 +386,15 @@ def regularity_check(family: Exhauster, *,
     then P_k; a set holding the origin (a closed set) has no strictly
     negative direction. The closure of {u' < 0} is thus the union of the
     open sets' P_k, and regularity is the inclusion of the closed sets'
-    P_j in it, decided by ``inclusion_check``: exact2d arcs in the plane,
-    lp_enumeration above it. With no open set the right side is the cone
-    {0}, the P of the cross-polytope. A violation witness is a unit zero
-    direction outside every open set's P_k.
+    P_j in it, each side the sign -1 region of an upper family, decided by
+    ``inclusion_check``: exact2d arcs in the plane, lp_enumeration above
+    it. With no open set the right side is the cone {0}, the P of the
+    cross-polytope. A violation witness is a unit zero direction outside
+    every open set's P_k.
     """
     if family.kind != "upper":
         raise ExhausterKindError(f"regularity needs an upper family, got {family.kind}")
+    dim = family.dim
     closed: list[Polytope] = []
     opened: list[Polytope] = []
     for c in family.sets:
@@ -500,14 +404,14 @@ def regularity_check(family: Exhauster, *,
             "holds", None,
             f"none of the {len(family.sets)} sets contains the origin: every "
             "zero direction is a limit of strictly negative ones",
-            "exact2d" if family.dim == 2 else "lp_enumeration")
+            "exact2d" if dim == 2 else "lp_enumeration")
     if not opened:
-        axes = [tuple(s if j == i else 0.0 for j in range(family.dim))
-                for i in range(family.dim) for s in (1.0, -1.0)]
-        opened = [Polytope(family.dim, tuple(axes))]
+        axes = [tuple(s if j == i else 0.0 for j in range(dim))
+                for i in range(dim) for s in (1.0, -1.0)]
+        opened = [Polytope(dim, tuple(axes))]
     verdict = inclusion_check(
-        RegionExpr("union", tuple(RegionAtom(AtomKind.NEG_K_PLUS, c) for c in closed)),
-        RegionExpr("union", tuple(RegionAtom(AtomKind.NEG_K_PLUS, c) for c in opened)),
+        SignRegion(Exhauster("upper", dim, closed), -1.0),
+        SignRegion(Exhauster("upper", dim, opened), -1.0),
         max_combinations=max_combinations)
     witness = verdict.witness
     if witness is not None:

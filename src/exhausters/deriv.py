@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 from .errors import CapExceededError, DimensionMismatchError
-from .geometry import Vector, as_int, as_vector, dot
+from .geometry import Vector, as_int, as_vector, dot, json_numbers
 
 ACTIVITY_RTOL = 1e-9
 DEFAULT_LEAF_CAP = 1_000_000  # leaves per summed tree; read at every call
@@ -395,7 +395,8 @@ def _parse_expr(data) -> Expr:
         for term in spec["terms"]:
             if not isinstance(term, dict) or "c" not in term or "e" not in term:
                 raise ValueError("atom term needs 'c' and 'e'")
-            terms.append((_finite(term["c"]), tuple(term["e"])))
+            exps = json_numbers(term["e"], "an exponent list")
+            terms.append((_finite(term["c"]), tuple(exps)))
         if not terms:
             raise ValueError("atom needs at least one term")
         return AtomExpr(SmoothAtom(len(terms[0][1]), tuple(terms)))

@@ -39,6 +39,16 @@ def as_vector(coords: Iterable[float]) -> Vector:
     return vec
 
 
+def json_numbers(data, what: str) -> list:
+    """``data`` itself if it is a JSON array of numbers. A string or an
+    object would otherwise be iterated like one, and a boolean is no
+    number."""
+    if isinstance(data, list) and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in data):
+        return data
+    raise ValueError(f"{what} must be an array of numbers, got {data!r}")
+
+
 def as_int(value) -> int:
     """Coerce to int, rejecting a number with a fractional part (or a
     non-finite one) instead of truncating it."""
@@ -115,7 +125,7 @@ class Polytope:
 
     @classmethod
     def from_json(cls, data) -> "Polytope":
-        return cls.from_vertices(data)
+        return cls.from_vertices(json_numbers(v, "a vertex") for v in data)
 
     def to_json(self) -> list:
         return [list(v) for v in self.vertices]
@@ -182,7 +192,6 @@ class LinearConstraint:
 class FeasibilityResult:
     feasible: bool
     witness: Optional[Vector]
-    certificate: str
 
 
 def _pivot(tableau: list[list[float]], rhs: list[float], basis: list[int],
@@ -302,7 +311,7 @@ def linear_feasibility(constraints: Iterable[LinearConstraint],
             raise DimensionMismatchError(
                 f"constraint normal of length {len(c.normal)} in dimension {dim}")
     if not cons:
-        return FeasibilityResult(True, (0.0,) * dim, "empty system")
+        return FeasibilityResult(True, (0.0,) * dim)
     m = len(cons)
     eq: list[list[float]] = []
     b: list[float] = []
@@ -321,9 +330,7 @@ def linear_feasibility(constraints: Iterable[LinearConstraint],
         objective = strict_weight + [-w for w in strict_weight] + [0.0] * m
     x = _solve_nonneg(eq, b, objective)
     if x is None:
-        return FeasibilityResult(
-            False, None,
-            f"infeasible: phase-one optimum stays positive over {m} rows")
+        return FeasibilityResult(False, None)
     g = tuple(x[j] - x[dim + j] for j in range(dim))
     if not all(c.satisfied_by(g) for c in cons):
         # Margin polishing went numerically astray; fall back to phase one.
@@ -331,8 +338,7 @@ def linear_feasibility(constraints: Iterable[LinearConstraint],
         g = tuple(x[j] - x[dim + j] for j in range(dim))
         if not all(c.satisfied_by(g) for c in cons):
             raise ArithmeticError("feasibility witness failed verification")
-    return FeasibilityResult(
-        True, g, f"witness from deterministic simplex over {m} rows")
+    return FeasibilityResult(True, g)
 
 
 # ---------------------------------------------------------------------------

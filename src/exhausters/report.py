@@ -18,8 +18,6 @@ from .geometry import TWO_PI, ArcSet, Polytope, Vector
 
 CONDITION_ORDER = [cid.value for cid in ConditionID]
 
-_READING_FALLBACK = "auxiliary check"
-
 
 @dataclass
 class AnalysisReport:
@@ -42,9 +40,10 @@ class AnalysisReport:
         self.warnings = tuple(self.warnings)
 
     def ordered_conditions(self) -> list[tuple[str, Verdict]]:
-        known = [c for c in CONDITION_ORDER if c in self.conditions]
-        extra = sorted(c for c in self.conditions if c not in CONDITION_ORDER)
-        return [(c, self.conditions[c]) for c in known + extra]
+        """Verdicts in catalog order; a key that is no condition id raises
+        ValueError."""
+        return sorted(self.conditions.items(),
+                      key=lambda item: CONDITION_ORDER.index(item[0]))
 
     def to_json_obj(self) -> dict:
         obj: dict = {"problem": self.problem}
@@ -92,11 +91,7 @@ def render_report(report: AnalysisReport, fmt: str = "json") -> bytes:
         lines.append(f"{key}(x) = {_fmt(report.values[key])}")
     lines.append("conditions:")
     for name, verdict in report.ordered_conditions():
-        try:
-            reading = CONDITION_READINGS[ConditionID(name)]
-        except ValueError:
-            reading = _READING_FALLBACK
-        lines.extend(_verdict_line(name, verdict, reading))
+        lines.extend(_verdict_line(name, verdict, CONDITION_READINGS[ConditionID(name)]))
     if report.regularity is not None:
         lines.extend(_verdict_line("regularity", report.regularity,
                                    "constraint cone closure at the point"))

@@ -5,7 +5,7 @@ generators."""
 import math
 from itertools import product
 
-from exhausters.conditions import Verdict
+from exhausters.conditions import SignRegion, Verdict
 from exhausters.deriv import (
     AtomExpr,
     Leaf,
@@ -33,6 +33,21 @@ F_UPPER = Exhauster("upper", 2, (C1, C2))
 F_LOWER = Exhauster("lower", 2, (C3, C4))
 U_UPPER = Exhauster("upper", 2, (C3, C4))
 U_LOWER = Exhauster("lower", 2, (C1, C2))
+
+# (family kind, sign) of the four regions one set C spans on its own: the
+# dual cone of cone(C) (every <v, g> >= 0), its negative, and their closed
+# complements (some <v, g> <= 0, some <v, g> >= 0).
+DUAL = ("lower", 1.0)
+NEG_DUAL = ("upper", -1.0)
+NOT_DUAL = ("lower", -1.0)
+NOT_NEG_DUAL = ("upper", 1.0)
+SIGN_KINDS = (DUAL, NEG_DUAL, NOT_DUAL, NOT_NEG_DUAL)
+
+
+def sign_region(kind_sign, *sets):
+    """The sign region of a family of the given (kind, sign) over ``sets``."""
+    kind, sign = kind_sign
+    return SignRegion(Exhauster(kind, sets[0].dim, sets), sign)
 
 
 def coord(dim, index, coef=1.0):

@@ -13,14 +13,12 @@ import time
 import pytest
 
 from exhausters.conditions import (
-    AtomKind,
     ConditionID,
-    RegionAtom,
-    arcs_from_atom,
     build_condition,
     check_unconstrained,
     inclusion_check,
     necessary_condition_oracle,
+    region_arcs,
     region_membership,
     regularity_check,
 )
@@ -44,6 +42,7 @@ from helpers import (
     C2,
     C3,
     C4,
+    DUAL,
     circle_directions,
     constraint_expr,
     disc_atom,
@@ -52,6 +51,7 @@ from helpers import (
     random_expr,
     random_family,
     random_point,
+    sign_region,
 )
 
 FIXTURE_DIR = "fixtures/reference-example"
@@ -101,8 +101,8 @@ def test_criterion_1_reference_families_reproduced():
 def test_criterion_2_minimum_conditions_hold_both_methods():
     start = time.monotonic()
     families = reference_families()
-    expected = arcs_from_atom(RegionAtom(AtomKind.K_PLUS, C3)).union(
-        arcs_from_atom(RegionAtom(AtomKind.K_PLUS, C4)))
+    expected = region_arcs(sign_region(DUAL, C3)).union(
+        region_arcs(sign_region(DUAL, C4)))
     for cid in MIN_IDS:
         built = build_condition(cid, families[("f", cid.f_kind)],
                                 families[("u", cid.u_kind)])
@@ -113,7 +113,6 @@ def test_criterion_2_minimum_conditions_hold_both_methods():
             assert backward.status == "holds", (cid, method)
         # Mutual inclusion means both sides equal the two quarter cones
         # around the horizontal axis.
-        from exhausters.conditions import region_arcs
         for side in (built.lhs, built.rhs):
             arcs = region_arcs(side)
             assert arcset_subset(arcs, expected)[0]

@@ -16,6 +16,11 @@ from exhausters.geometry import Polytope
 from helpers import problem_dict
 
 FIXTURE = "fixtures/reference-example/problem.json"
+# Every recorded report: fixtures/<case>/expected-report.json is the
+# problem's report under --sense min, expected-report-<sense>.json under
+# that sense.
+RECORDED = sorted((Path(__file__).resolve().parents[1] / "fixtures").glob(
+    "*/expected-report*.json"))
 
 
 @pytest.fixture
@@ -92,6 +97,26 @@ class TestAnalyze:
         path.write_text(json.dumps(spec))
         assert main(["analyze", str(path)]) == 2
         assert "non-integral" in capsys.readouterr().err
+
+    def test_point_must_be_an_array_of_numbers(self, tmp_path, capsys):
+        # An object or a string is not iterated into coordinates: the
+        # object's keys "1", "2" once read as the point (1, 2).
+        path = tmp_path / "point.json"
+        for point in ({"1": 0, "2": 0}, "00", ["0", 0], [True, False]):
+            path.write_text(json.dumps(dict(problem_dict(), point=point)))
+            for command in ("analyze", "oracle"):
+                assert main([command, str(path)]) == 2
+                assert "array of numbers" in capsys.readouterr().err
+
+    def test_exponents_must_be_an_array_of_numbers(self, tmp_path, capsys):
+        # "10" once read as the exponents (1, 0).
+        path = tmp_path / "exponent.json"
+        for exps in ("10", {"1": 1, "0": 0}):
+            spec = problem_dict()
+            spec["objective"]["args"][0]["args"][0]["atom"]["terms"][0]["e"] = exps
+            path.write_text(json.dumps(spec))
+            assert main(["analyze", str(path)]) == 2
+            assert "array of numbers" in capsys.readouterr().err
 
     def test_overflow_at_the_point_is_input_error(self, tmp_path, capsys):
         # x1^400 overflows the power itself, 1e300*x1^2 the value, and
@@ -225,6 +250,16 @@ class TestCheck:
                          "--conditions", "UNC_MIN_UPPER"]) == 2
             assert "error" in capsys.readouterr().err
 
+    def test_vertex_must_be_an_array_of_numbers(self, tmp_path, capsys):
+        # The vertex "10" once read as (1, 0).
+        path = tmp_path / "f.json"
+        for vertex in ("10", {"1": 1, "0": 0}):
+            path.write_text(json.dumps({
+                "kind": "upper", "dim": 2, "sets": [[vertex, [-1, 1]]]}))
+            assert main(["check", "--f-exhauster", str(path),
+                         "--conditions", "UNC_MIN_UPPER"]) == 2
+            assert "array of numbers" in capsys.readouterr().err
+
     def test_tolerance_not_offered(self, family_files, capsys):
         f_path, _ = family_files
         with pytest.raises(SystemExit) as exc:
@@ -325,6 +360,20 @@ class TestShippedFixture:
     def test_fixture_runs_green(self, capsys):
         assert main(["analyze", FIXTURE]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("expected", RECORDED,
+                             ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_recorded_report_replays_byte_for_byte(self, expected, capsys):
+        sense = expected.stem.partition("expected-report-")[2] or "min"
+        code = main(["analyze", str(expected.with_name("problem.json")),
+                     "--sense", sense])
+        text = expected.read_text(encoding="utf-8")
+        assert capsys.readouterr().out == text
+        report = json.loads(text)
+        conditions = [v["status"] for v in report["conditions"].values()]
+        oracle = [v["status"] for v in report["oracle"].values()]
+        assert code == (1 if "violated" in conditions + oracle
+                        else 3 if "inconclusive" in conditions else 0)
 
 
 def test_cli_import_leaves_numpy_out():

@@ -1,17 +1,13 @@
 import math
 import random
+from itertools import product
 
 import pytest
 
 from exhausters.conditions import (
-    _atom_options,
     _choice_points,
-    AtomKind,
     ConditionID,
-    RegionAtom,
-    RegionExpr,
-    arcs_from_atom,
-    atom_membership,
+    SignRegion,
     build_condition,
     check_unconstrained,
     evaluate_condition,
@@ -39,9 +35,13 @@ from helpers import (
     C2,
     C3,
     C4,
+    DUAL,
     F_LOWER,
     F_UPPER,
     U_LOWER,
+    NEG_DUAL,
+    NOT_DUAL,
+    SIGN_KINDS,
     U_UPPER,
     brute_force_direction,
     constraint_tree,
@@ -50,6 +50,7 @@ from helpers import (
     random_family,
     random_minmax_tree,
     random_polytope,
+    sign_region,
 )
 
 ALL_CONSTRAINED = [
@@ -72,45 +73,52 @@ def families_for(cid):
 
 
 class TestAtomMembership:
+    """One set on its own: the four regions it spans."""
+
     def test_complement_predicate(self):
-        assert atom_membership(RegionAtom(AtomKind.NOT_K_PLUS, C1), (1, 0))
+        assert region_membership(sign_region(NOT_DUAL, C1), (1, 0))
 
     def test_dual_cone(self):
-        assert atom_membership(RegionAtom(AtomKind.K_PLUS, C3), (1, 0))
+        assert region_membership(sign_region(DUAL, C3), (1, 0))
 
     def test_negative_dual(self):
-        assert not atom_membership(RegionAtom(AtomKind.NEG_K_PLUS, C3), (1, 0))
+        assert not region_membership(sign_region(NEG_DUAL, C3), (1, 0))
 
     def test_strict_margin_mode(self):
-        atom = RegionAtom(AtomKind.NOT_K_PLUS, C3)
+        region = sign_region(NOT_DUAL, C3)
         # (1, 1) sits on the predicate boundary: the lenient test accepts
         # it, the strict-margin test rejects it.
-        assert atom_membership(atom, (1, 1), tol=1e-9)
-        assert not atom_membership(atom, (1, 1), tol=-1e-6)
+        assert region_membership(region, (1, 1), tol=1e-9)
+        assert not region_membership(region, (1, 1), tol=-1e-6)
 
     def test_options_match_membership(self):
-        # Each kind's member options hold at g exactly when the atom does,
-        # and a direction meeting a negation option lies outside the atom.
-        # Integer vertices and half-integer directions put many products
-        # exactly on 0 and 1, the thresholds of plain and strict rows.
+        # A region's choice points spell it out: some system (one option
+        # per choice point) holds at g exactly when g lies in the region,
+        # and a direction meeting a negation system lies outside it. Odd
+        # trials use a second set. Integer vertices and half-integer
+        # directions put many products exactly on 0 and 1, the thresholds
+        # of plain and strict rows.
+        def meets(points, g):
+            return any(all(c.satisfied_by(g) for option in system for c in option)
+                       for system in product(*points))
+
         rng = random.Random(52)
         seen = set()
         for trial in range(600):
             dim = 2 + trial % 3
-            poly = Polytope.from_vertices([
+            sets = [Polytope.from_vertices([
                 tuple(float(rng.randint(-2, 2)) for _ in range(dim))
-                for _ in range(rng.randint(1, 4))])
+                for _ in range(rng.randint(1, 4))]) for _ in range(1 + trial % 2)]
             g = tuple(rng.randint(-4, 4) / 2.0 for _ in range(dim))
-            for kind in AtomKind:
-                atom = RegionAtom(kind, poly)
-                member = atom_membership(atom, g)
-                assert member == any(all(c.satisfied_by(g) for c in option)
-                                     for option in _atom_options(atom, False))
-                negated = any(all(c.satisfied_by(g) for c in option)
-                              for option in _atom_options(atom, True))
+            for kind_sign in SIGN_KINDS:
+                region = sign_region(kind_sign, *sets)
+                member = region_membership(region, g)
+                assert member == meets(_choice_points(region, False), g)
+                negated = meets(_choice_points(region, True), g)
                 assert not (member and negated)
-                seen.add((kind, member, negated))
-        assert seen == {(kind, member, negated) for kind in AtomKind
+                seen.add((kind_sign, len(sets), member, negated))
+        assert seen == {(kind_sign, count, member, negated)
+                        for kind_sign in SIGN_KINDS for count in (1, 2)
                         for member, negated in ((True, False), (False, True),
                                                 (False, False))}
 
@@ -128,29 +136,46 @@ class TestBuildCondition:
 
     def test_adjoint_pairing_sides(self):
         built = build_condition(ConditionID.MIN_LOWER_UPPER, F_LOWER, U_UPPER)
-        assert built.lhs.combinator == "union"
-        assert all(a.kind is AtomKind.NEG_K_PLUS for a in built.lhs.atoms)
-        assert [a.polytope for a in built.lhs.atoms] == [C3, C4]
-        assert built.rhs.combinator == "union"
-        assert all(a.kind is AtomKind.K_PLUS for a in built.rhs.atoms)
-        assert [a.polytope for a in built.rhs.atoms] == [C3, C4]
+        # Every vertex of some set: the sets unite.
+        assert built.lhs == SignRegion(U_UPPER, -1.0) and built.lhs.every
+        assert built.rhs == SignRegion(F_LOWER, 1.0) and built.rhs.every
 
     def test_proper_pairing_sides(self):
         built = build_condition(ConditionID.MIN_UPPER_LOWER, F_UPPER, U_LOWER)
-        assert built.lhs.combinator == "intersection"
-        assert all(a.kind is AtomKind.NOT_K_PLUS for a in built.lhs.atoms)
-        assert built.rhs.combinator == "intersection"
-        assert all(a.kind is AtomKind.NOT_NEG_K_PLUS for a in built.rhs.atoms)
+        # Some vertex of every set: the sets intersect.
+        assert built.lhs == SignRegion(U_LOWER, -1.0) and not built.lhs.every
+        assert built.rhs == SignRegion(F_UPPER, 1.0) and not built.rhs.every
+
+    def test_every_id_keeps_its_vertex_sign_predicate(self):
+        # (every, sign) of each side: sign * <v, g> >= 0 at every vertex of
+        # some set, or at some vertex of every set. Constraint sides depend
+        # on u's kind only; objective sides on the sense and f's kind.
+        lhs = {"lower": (False, -1.0), "upper": (True, -1.0)}
+        rhs = {("min", "upper"): (False, 1.0), ("min", "lower"): (True, 1.0),
+               ("max", "lower"): (False, -1.0), ("max", "upper"): (True, -1.0)}
+        for cid in ConditionID:
+            ef = FAMILIES[("f", cid.f_kind)]
+            built = build_condition(cid, ef, FAMILIES.get(("u", cid.u_kind)))
+            assert (built.rhs.every, built.rhs.sign) == (
+                (False, -1.0) if cid is ConditionID.UNC_MIN_UPPER
+                else rhs[cid.sense, cid.f_kind])
+            assert built.rhs.family.sets == ef.sets
+            if cid.u_kind is not None:
+                assert (built.lhs.every, built.lhs.sign) == lhs[cid.u_kind]
 
     def test_unconstrained_descriptor(self):
         built = build_condition(ConditionID.UNC_MIN_UPPER, F_UPPER)
         assert built.cid is ConditionID.UNC_MIN_UPPER
-        assert built.family is F_UPPER
-        assert built.rhs.combinator == "intersection"
-        assert [a.kind for a in built.rhs.atoms] == [AtomKind.NOT_K_PLUS] * 2
+        # The origin form: some <v, g> <= 0 in every set.
+        assert built.rhs == SignRegion(Exhauster("lower", 2, F_UPPER.sets), -1.0)
+        assert not built.rhs.every
         covering = build_condition(ConditionID.UNC_MIN_LOWER, F_LOWER)
-        assert covering.rhs.combinator == "union"
-        assert [a.kind for a in covering.rhs.atoms] == [AtomKind.K_PLUS] * 2
+        assert covering.rhs == SignRegion(F_LOWER, 1.0) and covering.rhs.every
+
+    def test_sign_must_be_unit(self):
+        for sign in (0.0, 2.0, 0.5):
+            with pytest.raises(ValueError):
+                SignRegion(F_UPPER, sign)
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ExhausterKindError):
@@ -168,8 +193,8 @@ class TestInclusionOnReference:
             assert inclusion_check(built.lhs, built.rhs, method=method).status == "holds"
             assert inclusion_check(built.rhs, built.lhs, method=method).status == "holds"
         # Both sides trace the two quarter cones around the x axis.
-        expected = arcs_from_atom(RegionAtom(AtomKind.K_PLUS, C3)).union(
-            arcs_from_atom(RegionAtom(AtomKind.K_PLUS, C4)))
+        expected = region_arcs(sign_region(DUAL, C3)).union(
+            region_arcs(sign_region(DUAL, C4)))
         for side in (built.lhs, built.rhs):
             arcs = region_arcs(side)
             assert arcset_subset(arcs, expected)[0]
@@ -186,10 +211,9 @@ class TestInclusionOnReference:
             assert not region_membership(built.rhs, w, tol=-1e-9)
 
     def test_reflexive_inclusion(self):
-        expr = RegionExpr("union", (RegionAtom(AtomKind.K_PLUS, C3),
-                                    RegionAtom(AtomKind.K_PLUS, C4)))
+        region = sign_region(DUAL, C3, C4)
         for method in ("exact2d", "lp_enumeration"):
-            assert inclusion_check(expr, expr, method=method).status == "holds"
+            assert inclusion_check(region, region, method=method).status == "holds"
 
     def test_combination_cap_inconclusive(self):
         built = build_condition(ConditionID.MIN_UPPER_LOWER, F_UPPER, U_LOWER)
@@ -200,9 +224,8 @@ class TestInclusionOnReference:
 
     def test_degeneracy_note_for_origin_set(self):
         with_origin = Polytope.from_vertices([(0, 0), (1, 1), (-1, 1)])
-        lhs = RegionExpr("intersection", (RegionAtom(AtomKind.NOT_K_PLUS, with_origin),))
-        rhs = RegionExpr("intersection", (RegionAtom(AtomKind.NOT_K_PLUS, with_origin),))
-        verdict = inclusion_check(lhs, rhs)
+        region = sign_region(NOT_DUAL, with_origin)
+        verdict = inclusion_check(region, region)
         assert "degenerate" in verdict.certificate
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from exhausters import geometry
-from exhausters.conditions import AtomKind, RegionAtom, arcs_from_atom, atom_membership
+from exhausters.conditions import region_arcs, region_membership
 from exhausters.errors import DimensionMismatchError
 from exhausters.geometry import (
     ANGLE_TOL,
@@ -23,7 +23,8 @@ from exhausters.geometry import (
     unit_direction,
 )
 
-from helpers import C1, C3, random_polytope
+from helpers import (C1, C3, DUAL, NEG_DUAL, NOT_DUAL, NOT_NEG_DUAL, SIGN_KINDS,
+                     random_polytope, sign_region)
 
 
 class TestSupportValue:
@@ -70,13 +71,13 @@ class TestContainsOrigin:
 
 class TestConjugateMembership:
     def test_inside(self):
-        assert atom_membership(RegionAtom(AtomKind.K_PLUS, C3), (1, 0))
+        assert region_membership(sign_region(DUAL, C3), (1, 0))
 
     def test_outside(self):
-        assert not atom_membership(RegionAtom(AtomKind.K_PLUS, C3), (-1, 0))
+        assert not region_membership(sign_region(DUAL, C3), (-1, 0))
 
     def test_boundary_vertex(self):
-        assert atom_membership(RegionAtom(AtomKind.K_PLUS, C1), (0, 1))
+        assert region_membership(sign_region(DUAL, C1), (0, 1))
 
     def test_matches_support_min(self):
         rng = random.Random(7)
@@ -84,7 +85,7 @@ class TestConjugateMembership:
             poly = random_polytope(rng)
             g = (rng.uniform(-2, 2), rng.uniform(-2, 2))
             expected = support_value(poly, g, "min") >= -TOL
-            assert atom_membership(RegionAtom(AtomKind.K_PLUS, poly), g) == expected
+            assert region_membership(sign_region(DUAL, poly), g) == expected
 
 
 class TestLinearFeasibility:
@@ -196,7 +197,7 @@ class TestLinearFeasibility:
 
 class TestArcs:
     def test_dual_cone_arc(self):
-        arcs = arcs_from_atom(RegionAtom(AtomKind.K_PLUS, C3))
+        arcs = region_arcs(sign_region(DUAL, C3))
         assert arcs.measure() == pytest.approx(math.pi / 2, abs=1e-9)
         for theta in (0.0, math.pi / 4, -math.pi / 4):
             assert arcs.contains(theta)
@@ -204,14 +205,14 @@ class TestArcs:
             assert not arcs.contains(theta)
 
     def test_negative_dual_is_reflection(self):
-        pos = arcs_from_atom(RegionAtom(AtomKind.K_PLUS, C3))
-        neg = arcs_from_atom(RegionAtom(AtomKind.NEG_K_PLUS, C3))
+        pos = region_arcs(sign_region(DUAL, C3))
+        neg = region_arcs(sign_region(NEG_DUAL, C3))
         for k in range(360):
             theta = TWO_PI * k / 360
             assert pos.contains(theta) == neg.contains(theta + math.pi)
 
     def test_complement_predicate_arc(self):
-        arcs = arcs_from_atom(RegionAtom(AtomKind.NOT_K_PLUS, C1))
+        arcs = region_arcs(sign_region(NOT_DUAL, C1))
         assert arcs.measure() == pytest.approx(3 * math.pi / 2, abs=1e-9)
         assert arcs.contains(math.pi / 4)      # boundary angle included
         assert not arcs.contains(math.pi / 2)  # interior of the open gap
@@ -223,14 +224,14 @@ class TestArcs:
         # evaluation on a dense random sample of angles.
         rng = random.Random(3)
         modes = {
-            AtomKind.K_PLUS: lambda p, g: support_value(p, g, "min") >= -TOL,
-            AtomKind.NEG_K_PLUS: lambda p, g: support_value(p, g, "max") <= TOL,
-            AtomKind.NOT_K_PLUS: lambda p, g: support_value(p, g, "min") <= TOL,
-            AtomKind.NOT_NEG_K_PLUS: lambda p, g: support_value(p, g, "max") >= -TOL,
+            DUAL: lambda p, g: support_value(p, g, "min") >= -TOL,
+            NEG_DUAL: lambda p, g: support_value(p, g, "max") <= TOL,
+            NOT_DUAL: lambda p, g: support_value(p, g, "min") <= TOL,
+            NOT_NEG_DUAL: lambda p, g: support_value(p, g, "max") >= -TOL,
         }
         for _ in range(25):
             poly = random_polytope(rng)
-            arcs = {mode: arcs_from_atom(RegionAtom(mode, poly)) for mode in modes}
+            arcs = {mode: region_arcs(sign_region(mode, poly)) for mode in modes}
             for _ in range(40):
                 theta = rng.uniform(0.0, TWO_PI)
                 g = unit_direction(theta)
@@ -238,21 +239,35 @@ class TestArcs:
                     assert arcs[mode].contains(theta) == predicate(poly, g), \
                         f"{mode} disagrees at {theta} on {poly.vertices}"
 
+    def test_family_arcs_match_membership(self):
+        # Several sets: the per-set arcs united or intersected agree with
+        # the region's own evaluation of the family.
+        rng = random.Random(5)
+        for _ in range(25):
+            sets = [random_polytope(rng) for _ in range(rng.randint(2, 3))]
+            for mode in SIGN_KINDS:
+                region = sign_region(mode, *sets)
+                arcs = region_arcs(region)
+                for _ in range(20):
+                    theta = rng.uniform(0.0, TWO_PI)
+                    assert arcs.contains(theta) == region_membership(
+                        region, unit_direction(theta)), f"{mode} at {theta}"
+
     def test_zero_vertex_means_no_restriction(self):
         poly = Polytope.from_vertices([(0, 0)])
-        for mode in AtomKind:
-            assert arcs_from_atom(RegionAtom(mode, poly)).measure() == pytest.approx(TWO_PI)
+        for mode in SIGN_KINDS:
+            assert region_arcs(sign_region(mode, poly)).measure() == pytest.approx(TWO_PI)
 
     def test_point_arc_from_opposite_vertices(self):
         poly = Polytope.from_vertices([(1, 0), (-1, 0)])
-        arcs = arcs_from_atom(RegionAtom(AtomKind.K_PLUS, poly))
+        arcs = region_arcs(sign_region(DUAL, poly))
         assert arcs.contains(math.pi / 2)
         assert arcs.contains(3 * math.pi / 2)
         assert arcs.measure() == pytest.approx(0.0, abs=1e-9)
 
     def test_requires_plane(self):
         with pytest.raises(DimensionMismatchError):
-            arcs_from_atom(RegionAtom(AtomKind.K_PLUS, Polytope.from_vertices([(1, 0, 0)])))
+            region_arcs(sign_region(DUAL, Polytope.from_vertices([(1, 0, 0)])))
 
 
 class TestArcsetSubset:

@@ -63,6 +63,13 @@ class TestReportSerialization:
              "MIN_LOWER_UPPER", "MAX_LOWER_LOWER", "MAX_LOWER_UPPER",
              "MAX_UPPER_LOWER", "MAX_UPPER_UPPER"].index(n)))
 
+    def test_unknown_condition_key_rejected(self):
+        report = sample_report()
+        report.conditions["AUXILIARY"] = report.conditions["MIN_UPPER_LOWER"]
+        for fmt in ("json", "text"):
+            with pytest.raises(ValueError):
+                render_report(report, fmt)
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             render_report(sample_report(), "yaml")
