@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 from .errors import CapExceededError, DimensionMismatchError
-from .geometry import Vector, as_int, as_vector, dot, json_numbers
+from .geometry import Vector, as_int, as_vector, dot, is_number, json_numbers
 
 ACTIVITY_RTOL = 1e-9
 DEFAULT_LEAF_CAP = 1_000_000  # leaves per summed tree; read at every call
@@ -415,6 +415,8 @@ def _parse_expr(data) -> Expr:
 
 
 def _finite(value) -> float:
+    if not is_number(value):
+        raise ValueError(f"coefficient must be a number, got {value!r}")
     number = float(value)
     if not math.isfinite(number):
         raise ValueError(f"non-finite coefficient {number!r}")

@@ -164,6 +164,19 @@ def find_direction(choice_points: Sequence[Sequence[Sequence[LinearConstraint]]]
     one known feasible; the choice at the first infeasible prefix's last
     position then advances, which skips the whole subtree behind it, since
     adding rows never restores feasibility.
+
+    Once the first full system has failed, a conflict table refutes
+    systems with no LP. Two rows clash when one is strict and their
+    normals point in exactly opposite directions: ``<n, g> >= 1`` and
+    ``<-c n, g> >= 0`` with ``c > 0`` exclude each other, and a strict row
+    with a zero normal clashes with itself. The first prefix holding a
+    clash, within one option or across two, is infeasible, so its last
+    position advances as for an infeasible prefix and no LP is solved. The
+    test is exact (see ``_ray``), so every skipped system is infeasible and
+    the result is the one plain enumeration finds, except that a clashing
+    system the solver would accept within its tolerance, such as
+    ``<(1, 0), g> >= 1`` with ``<(-1e-12, 0), g> >= 0``, is refuted unless
+    it is the first one tried.
     """
     def solve(parts):
         return linear_feasibility([c for part in parts for c in part], dim)
@@ -171,20 +184,96 @@ def find_direction(choice_points: Sequence[Sequence[Sequence[LinearConstraint]]]
     depth = len(choice_points)
     choice = [0] * depth
     known = 0  # length of the longest prefix known to be feasible
+    clean = 0  # length of the longest prefix known to hold no clash
+    table = None  # built once the first full system fails
     while True:
-        parts = [point[j] for point, j in zip(choice_points, choice)]
-        result = solve(parts)
-        if result.feasible:
-            return result
-        bad = next((k for k in range(known + 1, depth)
-                    if not solve(parts[:k]).feasible), depth)
+        # bad: length of a prefix shown infeasible, by a clash or by the
+        # solver; depth + 1 while none is
+        bad = depth + 1 if table is None else _first_clash(table, choice, clean) + 1
+        if bad > depth:
+            parts = [point[j] for point, j in zip(choice_points, choice)]
+            result = solve(parts)
+            if result.feasible:
+                return result
+            if table is None:
+                table = _conflict_table(choice_points)
+                bad = _first_clash(table, choice, 0) + 1
+            if bad > depth:
+                bad = next((k for k in range(known + 1, depth)
+                            if not solve(parts[:k]).feasible), depth)
+                known = bad - 1
         pos = bad - 1
         while pos >= 0 and choice[pos] == len(choice_points[pos]) - 1:
             pos -= 1
         if pos < 0:
             return None
         choice[pos:] = [choice[pos] + 1] + [0] * (depth - pos - 1)
-        known = pos
+        known = min(known, pos)
+        clean = pos
+
+
+def _ray(normal: Vector) -> tuple[int, ...]:
+    """The primitive integer vector on the ray of ``normal``. Floats are
+    dyadic rationals, so scaling by the largest denominator (a power of
+    two) and dividing by the gcd is exact: two normals are positive
+    multiples of each other exactly when their rays are equal."""
+    ratios = [x.as_integer_ratio() for x in normal]
+    scale = max(d for _, d in ratios)
+    ints = [n * (scale // d) for n, d in ratios]
+    common = math.gcd(*ints) or 1
+    return tuple(i // common for i in ints)
+
+
+def _conflict_table(choice_points: Sequence[Sequence[Sequence[LinearConstraint]]]) -> list:
+    """For each option of each choice point: None if its own rows clash,
+    else the pairs (earlier position, its options that clash with this
+    one), nonempty ones only."""
+    rays: dict[Vector, tuple] = {}  # normal -> (ray, opposite ray)
+    # ray -> {earlier position: its options with a row on the ray}, for
+    # strict rows and for all rows
+    strict_on: dict[tuple, dict[int, set[int]]] = {}
+    any_on: dict[tuple, dict[int, set[int]]] = {}
+    table = []
+    for p, point in enumerate(choice_points):
+        entries = []
+        rows = []  # (ray, strict, option) of every row at this position
+        for j, option in enumerate(point):
+            own, opposite_any, opposite_strict = set(), set(), set()
+            for c in option:
+                pair = rays.get(c.normal)
+                if pair is None:
+                    ray = _ray(c.normal)
+                    pair = rays[c.normal] = (ray, tuple(-i for i in ray))
+                own.add(pair[0])
+                opposite_any.add(pair[1])
+                if c.strict:
+                    opposite_strict.add(pair[1])
+                rows.append((pair[0], c.strict, j))
+            if not opposite_strict.isdisjoint(own):
+                entries.append(None)
+                continue
+            hits: dict[int, set[int]] = {}
+            for opposites, index in ((opposite_strict, any_on), (opposite_any, strict_on)):
+                for ray in opposites:
+                    for q, options in index.get(ray, {}).items():
+                        hits.setdefault(q, set()).update(options)
+            entries.append([(q, frozenset(options)) for q, options in hits.items()])
+        for ray, strict, j in rows:
+            any_on.setdefault(ray, {}).setdefault(p, set()).add(j)
+            if strict:
+                strict_on.setdefault(ray, {}).setdefault(p, set()).add(j)
+        table.append(entries)
+    return table
+
+
+def _first_clash(table: list, choice: list[int], start: int) -> int:
+    """The first position from ``start`` on whose chosen option clashes
+    with itself or with an earlier choice; ``len(choice)`` if none does."""
+    for p in range(start, len(choice)):
+        entry = table[p][choice[p]]
+        if entry is None or any(choice[q] in hit for q, hit in entry):
+            return p
+    return len(choice)
 
 
 def reduce_exhauster(family: Exhauster, *,

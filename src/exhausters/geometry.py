@@ -39,19 +39,26 @@ def as_vector(coords: Iterable[float]) -> Vector:
     return vec
 
 
+def is_number(x) -> bool:
+    """Whether ``x`` is a JSON number: a boolean is none, and a string is
+    never read as one."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def json_numbers(data, what: str) -> list:
     """``data`` itself if it is a JSON array of numbers. A string or an
-    object would otherwise be iterated like one, and a boolean is no
-    number."""
-    if isinstance(data, list) and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in data):
+    object would otherwise be iterated like one."""
+    if isinstance(data, list) and all(map(is_number, data)):
         return data
     raise ValueError(f"{what} must be an array of numbers, got {data!r}")
 
 
 def as_int(value) -> int:
-    """Coerce to int, rejecting a number with a fractional part (or a
-    non-finite one) instead of truncating it."""
+    """Coerce a number to int, rejecting a number with a fractional part
+    (or a non-finite one) instead of truncating it, and anything that is
+    not a number (see ``is_number``)."""
+    if not is_number(value):
+        raise ValueError(f"expected an integer, got {value!r}")
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"non-integral number {value!r}")
     return int(value)

@@ -23,6 +23,12 @@ RECORDED = sorted((Path(__file__).resolve().parents[1] / "fixtures").glob(
     "*/expected-report*.json"))
 
 
+def line_problem():
+    """f = x on the line, at the origin."""
+    return {"dim": 1, "objective": {"atom": {"terms": [{"c": 1, "e": [1]}]}},
+            "point": [0]}
+
+
 @pytest.fixture
 def problem_file(tmp_path):
     path = tmp_path / "problem.json"
@@ -89,6 +95,29 @@ class TestAnalyze:
             path.write_text(json.dumps(dict(problem_dict(), dim=dim)))
             assert main(["analyze", str(path)]) == 2
             assert "error" in capsys.readouterr().err
+
+    def test_boolean_or_string_dim_is_input_error(self, tmp_path, capsys):
+        # true once read as 1, so this ran as the 1-D problem f = x and
+        # exited 1; "2" once read as 2.
+        path = tmp_path / "dim.json"
+        for problem in (dict(line_problem(), dim=True), dict(problem_dict(), dim="2")):
+            path.write_text(json.dumps(problem))
+            assert main(["analyze", str(path)]) == 2
+            assert "expected an integer" in capsys.readouterr().err
+
+    def test_coefficient_must_be_a_number(self, tmp_path, capsys):
+        # Both once read through float(): true as 1.0, "1" as 1.0.
+        path = tmp_path / "coefficient.json"
+        for value in (True, "1"):
+            term = line_problem()
+            term["objective"]["atom"]["terms"][0]["c"] = value
+            scaled = line_problem()
+            scaled["objective"] = {"op": "scale", "coef": value,
+                                   "arg": scaled["objective"]}
+            for problem in (term, scaled):
+                path.write_text(json.dumps(problem))
+                assert main(["analyze", str(path)]) == 2
+                assert "coefficient must be a number" in capsys.readouterr().err
 
     def test_fractional_exponent_is_input_error(self, tmp_path, capsys):
         spec = problem_dict()
@@ -249,6 +278,15 @@ class TestCheck:
             assert main(["check", "--f-exhauster", str(path),
                          "--conditions", "UNC_MIN_UPPER"]) == 2
             assert "error" in capsys.readouterr().err
+
+    def test_boolean_or_string_dim_is_input_error(self, tmp_path, capsys):
+        # true once read as 1 and "2" as 2, and the check ran.
+        path = tmp_path / "f.json"
+        for dim, vertices in ((True, [[1], [-1]]), ("2", [[1, 1], [-1, 1]])):
+            path.write_text(json.dumps({"kind": "upper", "dim": dim, "sets": [vertices]}))
+            assert main(["check", "--f-exhauster", str(path),
+                         "--conditions", "UNC_MIN_UPPER"]) == 2
+            assert "expected an integer" in capsys.readouterr().err
 
     def test_vertex_must_be_an_array_of_numbers(self, tmp_path, capsys):
         # The vertex "10" once read as (1, 0).

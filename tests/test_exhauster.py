@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -13,6 +14,7 @@ from exhausters.deriv import (
 from exhausters.errors import CapExceededError, DimensionMismatchError
 from exhausters.exhauster import (
     Exhauster,
+    _ray,
     eval_exhauster,
     exhauster_from_tree,
     find_direction,
@@ -24,6 +26,7 @@ from exhausters.exhauster import (
 from exhausters.geometry import (
     LinearConstraint,
     Polytope,
+    linear_feasibility,
     sample_unit_directions,
 )
 
@@ -233,6 +236,98 @@ class TestFindDirection:
             outcomes.add(found is None)
         assert outcomes == {True, False}
 
+    def test_matches_brute_force_with_planted_clashes(self):
+        # Zero rows and rows on opposite rays, planted inside one option and
+        # across options, next to rows drawn from a small integer pool, so
+        # that the conflict table refutes some systems, the solver others,
+        # and some searches succeed.
+        rng = random.Random(43)
+
+        def clashes(system):
+            rows = [c for option in system for c in option]
+            return any(a.strict and _ray(a.normal) == tuple(-i for i in _ray(b.normal))
+                       for a in rows for b in rows)
+
+        outcomes = set()
+        for trial in range(80):
+            dim = 3 + trial % 2
+            pool = [tuple(float(rng.randint(-2, 2)) for _ in range(dim)) for _ in range(3)]
+
+            def row():
+                if rng.random() < 0.1:
+                    return LinearConstraint((0.0,) * dim, rng.random() < 0.5)
+                return LinearConstraint(rng.choice(pool), rng.random() < 0.6)
+
+            def opposite(r):
+                c = rng.choice((1.0, 0.5, 2.0, 3.0))
+                return LinearConstraint(tuple(-c * x for x in r.normal), rng.random() < 0.5)
+
+            points = [[[row() for _ in range(rng.randint(1, 2))]
+                       for _ in range(rng.randint(1, 3))]
+                      for _ in range(rng.randint(2, 4))]
+            for _ in range(rng.randint(1, 3)):
+                p, q = rng.randrange(len(points)), rng.randrange(len(points))
+                source = rng.choice(points[p])
+                target = rng.choice(points[q])
+                target.append(opposite(rng.choice(source)))
+            found = find_direction(points, dim)
+            reference = brute_force_direction(points, dim)
+            assert (found is None) == (reference is None)
+            if reference is not None:
+                assert found.witness == reference.witness
+            # Systems the table can skip: after the first, before the found one.
+            systems = list(product(*points))
+            stop = len(systems) if found is None else next(
+                i for i, system in enumerate(systems)
+                if linear_feasibility([c for option in system for c in option], dim).feasible)
+            outcomes.add((found is None, any(map(clashes, systems[1:stop]))))
+        assert outcomes == {(found, skipped) for found in (True, False)
+                            for skipped in (True, False)}
+
+    def test_rays_are_exact(self, monkeypatch):
+        # 0.2 and 0.4 are exactly twice 0.1 and 0.2 in binary floating
+        # point; 0.30000000000000004 is not 0.3. The search sees the
+        # difference: after the first full system fails, the clash needs
+        # no LP, while the near-clash needs the prefix LP.
+        def negated(ray):
+            return tuple(-i for i in ray)
+
+        assert _ray((0.1, 0.2)) == negated(_ray((-0.2, -0.4)))
+        assert _ray((0.1, 0.3)) != negated(_ray((-0.1, -0.30000000000000004)))
+        assert _ray((0.0, -0.0)) == (0, 0)
+        assert _ray((5e-324, -1e308))[0] == 1
+        calls = count_lps(monkeypatch)
+        for first, second, lps in (((0.1, 0.2), (-0.2, -0.4), 1),
+                                   ((0.1, 0.3), (-0.1, -0.30000000000000004), 2)):
+            calls.clear()
+            points = [[[LinearConstraint(first, True)]], [[LinearConstraint(second)]]]
+            assert find_direction(points, 2) is None
+            assert len(calls) == lps
+
+    def test_clash_in_every_system_costs_one_lp(self, monkeypatch):
+        # Every option at the first choice point is strict, and the middle
+        # choice point's only option holds the opposite of each: all 12
+        # systems clash, and only the first full system is solved.
+        calls = count_lps(monkeypatch)
+        e = [tuple(float(i == j) for j in range(3)) for i in range(3)]
+        points = [[[LinearConstraint(v, True)] for v in e],
+                  [[LinearConstraint(tuple(-2.0 * x for x in v)) for v in e]],
+                  [[LinearConstraint(v)] for v in e + [(1.0, 1.0, 1.0)]]]
+        assert find_direction(points, 3) is None
+        assert len(calls) == 1
+
+    def test_clash_is_refuted_exactly(self):
+        # The solver accepts g = (1, 0) for the second system within its
+        # tolerance, and plain enumeration returns that. But a strict row
+        # and a row on the opposite ray exclude each other however small
+        # the second normal, and once the first system has failed the
+        # search refutes the second with no LP.
+        strict = LinearConstraint((1.0, 0.0), True)
+        points = [[[strict]],
+                  [[LinearConstraint((-1.0, 0.0), True)], [LinearConstraint((-1e-12, 0.0))]]]
+        assert brute_force_direction(points, 2).witness == (1.0, 0.0)
+        assert find_direction(points, 2) is None
+
     def test_feasible_first_choice_costs_one_lp(self, monkeypatch):
         calls = count_lps(monkeypatch)
         e1, e2 = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
@@ -255,6 +350,16 @@ class TestFindDirection:
         for g in sample_unit_directions(3, 50, seed=5):
             assert eval_exhauster(reduced, g) == pytest.approx(
                 eval_minmax(tree, g), abs=1e-9)
+
+    def test_abs_sum_upper_family_reduces_in_few_lps(self, monkeypatch):
+        # Nearly all of the up to 2**15 systems behind each candidate hold
+        # two strict rows on opposite rays: the conflict table refutes
+        # those with no LP.
+        tree = directional_derivative_tree(abs_sum_objective(), (0.0, 0.0, 0.0))
+        family = exhauster_from_tree(tree, "upper")
+        calls = count_lps(monkeypatch)
+        assert len(reduce_exhauster(family).sets) == 4
+        assert len(calls) <= 40
 
 
 class TestRepresentationFidelity:
