@@ -23,6 +23,7 @@ from .deriv import (
     Scale,
     SmoothAtom,
     Sum,
+    SumNode,
     directional_derivative_tree,
     eval_expr,
     eval_minmax,

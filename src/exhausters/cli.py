@@ -130,6 +130,11 @@ def _at_point(label: str, expr: Expr, point: Vector) -> tuple[float, MinMaxTree]
     raise InputError(f"{label} overflows the floats at the point: {reason}")
 
 
+def _check_tolerance(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise InputError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
 def analyze_problem(problem: dict, *, sense: Optional[str] = None,
                     condition_ids: Optional[list[ConditionID]] = None,
                     tol: float = TOL, samples: int = 720, seed: int = 0,
@@ -139,6 +144,7 @@ def analyze_problem(problem: dict, *, sense: Optional[str] = None,
     dim, point, f_expr, u_expr = _parse_problem(problem)
     if samples < 1:
         raise InputError("need a positive sample count")
+    _check_tolerance("tol", tol)
     sense = sense or problem.get("sense", "min")
     if sense not in ("min", "max", "both"):
         raise InputError(f"sense must be min, max or both, got {sense!r}")
@@ -278,6 +284,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     problem = _load_json(args.problem)
     if args.samples < 1:
         raise InputError("need a positive sample count")
+    _check_tolerance("oracle-tol", args.oracle_tol)
     dim, point, f_expr, u_expr = _parse_problem(problem)
     parts = [("objective", f_expr)]
     if u_expr is not None:

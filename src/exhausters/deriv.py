@@ -3,24 +3,24 @@
 An expression is a tree of polynomial atoms combined by sum, scale, max and
 min. At a fixed point, the one-sided derivative in a direction ``g`` is a
 continuous positively homogeneous piecewise-linear function of ``g``; it is
-built here as a finite min/max tree over linear forms by linearizing the
-atoms that are active at the point. A finite-difference estimator that only
-ever evaluates the expression provides an independent check of that
+built here as a finite max/min/sum tree over linear forms by linearizing
+the atoms that are active at the point. A finite-difference estimator that
+only ever evaluates the expression provides an independent check of that
 construction.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
-from .errors import CapExceededError, DimensionMismatchError
+from .errors import DimensionMismatchError
 from .geometry import Vector, as_int, as_vector, dot, is_number, json_numbers
 
 ACTIVITY_RTOL = 1e-9
-DEFAULT_LEAF_CAP = 1_000_000  # leaves per summed tree; read at every call
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def eval_expr(expr: Expr, x: Sequence[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Min/max trees of linear forms
+# Max/min/sum trees of linear forms
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -184,32 +184,39 @@ class Leaf:
 
 
 @dataclass(frozen=True)
-class MaxNode:
+class _Node:
     children: tuple["MinMaxTree", ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "children", tuple(self.children))
         if not self.children:
-            raise ValueError("max node needs at least one child")
+            raise ValueError(f"{type(self).__name__} needs at least one child")
 
 
-@dataclass(frozen=True)
-class MinNode:
-    children: tuple["MinMaxTree", ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
-        if not self.children:
-            raise ValueError("min node needs at least one child")
+class MaxNode(_Node):
+    """Pointwise maximum of the children."""
 
 
-MinMaxTree = Union[Leaf, MaxNode, MinNode]
+class MinNode(_Node):
+    """Pointwise minimum of the children."""
+
+
+class SumNode(_Node):
+    """Pointwise sum of the children, added left to right."""
+
+
+MinMaxTree = Union[Leaf, MaxNode, MinNode, SumNode]
+
+# The node a negative scale turns each node into.
+_NEGATED = {MaxNode: MinNode, MinNode: MaxNode, SumNode: SumNode}
 
 
 def eval_minmax(tree: MinMaxTree, g: Sequence[float]) -> float:
     if isinstance(tree, Leaf):
         return dot(tree.form, g)
     values = [eval_minmax(c, g) for c in tree.children]
+    if isinstance(tree, SumNode):
+        return functools.reduce(operator.add, values)
     return max(values) if isinstance(tree, MaxNode) else min(values)
 
 
@@ -217,10 +224,11 @@ def eval_minmax_many(tree: MinMaxTree,
                      directions: Sequence[Sequence[float]]) -> list[float]:
     """``eval_minmax`` at every direction, in order, computed node by node
     over the whole sample: one column of values per leaf, then an
-    elementwise max or min of the children's columns at each node.
+    elementwise max, min or sum of the children's columns at each node.
 
-    The leaf sums start at integer 0 like ``dot``, so the values, signed
-    zeros included, are the ones ``eval_minmax`` returns.
+    The leaf sums start at integer 0 like ``dot``, and sum nodes add their
+    children left to right with no start value, as ``eval_minmax`` does, so
+    the values, signed zeros included, are the ones it returns.
     """
     dim = tree_dim(tree)
     if any(len(g) != dim for g in directions):
@@ -239,8 +247,11 @@ def _columns(tree: MinMaxTree, directions: Sequence[Sequence[float]]) -> list[fl
     if len(tree.children) == 1:
         # map(max, column) would call max on a single float.
         return _columns(tree.children[0], directions)
+    columns = (_columns(c, directions) for c in tree.children)
+    if isinstance(tree, SumNode):
+        return functools.reduce(lambda a, b: list(map(operator.add, a, b)), columns)
     pick = max if isinstance(tree, MaxNode) else min
-    return list(map(pick, *(_columns(c, directions) for c in tree.children)))
+    return list(map(pick, *columns))
 
 
 def leaf_count(tree: MinMaxTree) -> int:
@@ -257,45 +268,22 @@ def tree_dim(tree: MinMaxTree) -> int:
 
 
 def scale_tree(tree: MinMaxTree, lam: float) -> MinMaxTree:
-    """Scale pointwise; a negative factor swaps max and min nodes."""
+    """Scale pointwise; a negative factor swaps max and min nodes and keeps
+    sum nodes."""
     if isinstance(tree, Leaf):
         return Leaf(tuple(lam * c for c in tree.form))
-    children = tuple(scale_tree(c, lam) for c in tree.children)
-    if lam < 0.0:
-        return MinNode(children) if isinstance(tree, MaxNode) else MaxNode(children)
-    return type(tree)(children)
-
-
-def tree_sum(a: MinMaxTree, b: MinMaxTree) -> MinMaxTree:
-    """Pointwise sum, materialized by distributing one tree over the other.
-
-    ``max_i(u_i) + t == max_i(u_i + t)`` and likewise for min, so pushing
-    the addition to the leaves pairs every leaf of one tree with every leaf
-    of the other while preserving pointwise equality exactly. The result
-    has ``leaves(a) * leaves(b)`` leaves, hence the cap.
-    """
-    if leaf_count(a) * leaf_count(b) > DEFAULT_LEAF_CAP:
-        raise CapExceededError(
-            f"summed tree would exceed {DEFAULT_LEAF_CAP} leaves")
-    return _sum_trees(a, b)
-
-
-def _sum_trees(a: MinMaxTree, b: MinMaxTree) -> MinMaxTree:
-    if isinstance(a, Leaf) and isinstance(b, Leaf):
-        return Leaf(tuple(x + y for x, y in zip(a.form, b.form)))
-    if not isinstance(a, Leaf):
-        return type(a)(tuple(_sum_trees(c, b) for c in a.children))
-    return type(b)(tuple(_sum_trees(a, c) for c in b.children))
+    node = _NEGATED[type(tree)] if lam < 0.0 else type(tree)
+    return node(tuple(scale_tree(c, lam) for c in tree.children))
 
 
 def directional_derivative_tree(expr: Expr, x: Sequence[float]) -> MinMaxTree:
-    """Directional derivative of ``expr`` at ``x`` as a min/max tree over
+    """Directional derivative of ``expr`` at ``x`` as a max/min/sum tree over
     linear forms (the gradients of the active atoms).
 
     Max and min nodes keep only the children whose value at ``x`` ties the
     node value within a relative tolerance; inactive children do not affect
-    the one-sided derivative. Sums distribute over the children's trees;
-    negative scaling swaps max and min.
+    the one-sided derivative. A sum becomes a sum node over the children's
+    trees; negative scaling swaps max and min.
     """
     point = as_vector(x)
     if len(point) != expr_dim(expr):
@@ -310,22 +298,19 @@ def _ddt(expr: Expr, x: Vector) -> MinMaxTree:
     if isinstance(expr, Scale):
         return scale_tree(_ddt(expr.child, x), expr.coef)
     if isinstance(expr, Sum):
-        acc = _ddt(expr.children[0], x)
-        for child in expr.children[1:]:
-            acc = tree_sum(acc, _ddt(child, x))
-        return acc
-    if isinstance(expr, (Max, Min)):
+        node, children = SumNode, expr.children
+    elif isinstance(expr, (Max, Min)):
         values = [_eval(c, x) for c in expr.children]
         ref = max(values) if isinstance(expr, Max) else min(values)
-        active = [i for i, v in enumerate(values)
-                  if abs(v - ref) <= ACTIVITY_RTOL * (1.0 + abs(ref))]
-        if not active:
+        children = [c for c, v in zip(expr.children, values)
+                    if abs(v - ref) <= ACTIVITY_RTOL * (1.0 + abs(ref))]
+        if not children:
             raise RuntimeError("empty active set")  # unreachable with tol >= 0
-        subtrees = tuple(_ddt(expr.children[i], x) for i in active)
-        if len(subtrees) == 1:
-            return subtrees[0]
-        return MaxNode(subtrees) if isinstance(expr, Max) else MinNode(subtrees)
-    raise TypeError(f"not an expression node: {expr!r}")
+        node = MaxNode if isinstance(expr, Max) else MinNode
+    else:
+        raise TypeError(f"not an expression node: {expr!r}")
+    subtrees = tuple(_ddt(c, x) for c in children)
+    return subtrees[0] if len(subtrees) == 1 else node(subtrees)
 
 
 # ---------------------------------------------------------------------------

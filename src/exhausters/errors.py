@@ -6,7 +6,7 @@ class DimensionMismatchError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """A work cap was reached: tree leaves, normal-form clauses or simplex
+    """A work cap was reached: the vertices of a family or simplex
     pivots."""
 
 

@@ -3,8 +3,8 @@ homogeneous function.
 
 An upper family evaluates as the minimum over its sets of the maximal
 vertex product; a lower family as the maximum of the minimal products. Both
-come out of the same min/max tree by lattice distributivity, so they agree
-pointwise with the tree and with each other.
+are built from the same derivative tree by the exhauster calculus (sums,
+maxima, minima), so they agree pointwise with the tree and with each other.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .deriv import Leaf, MaxNode, MinMaxTree, MinNode, tree_dim
+from .deriv import Leaf, MaxNode, MinMaxTree, MinNode, SumNode, tree_dim
 from .errors import CapExceededError, DimensionMismatchError
 from .geometry import (
     FeasibilityResult,
@@ -26,7 +26,7 @@ from .geometry import (
     support_value,
 )
 
-DEFAULT_CLAUSE_CAP = 10_000  # clauses per normal form; read at every call
+DEFAULT_FAMILY_CAP = 10_000  # vertices over a family's sets; read at every call
 DEFAULT_COMBINATION_CAP = 1_000_000  # vertex selections per search
 KINDS = ("upper", "lower")
 
@@ -69,53 +69,48 @@ class Exhauster:
         }
 
 
-def normalize(tree: MinMaxTree, target: str) -> list[tuple[Vector, ...]]:
-    """Flatten a min/max tree into clause form by lattice distributivity.
+def exhauster_from_tree(tree: MinMaxTree, kind: str) -> Exhauster:
+    """Build the family of the requested kind from a derivative tree by the
+    exhauster calculus, bottom-up.
 
-    target 'cnf': clauses are max-groups and the tree equals their minimum;
-    target 'dnf': clauses are min-groups and the tree equals their maximum.
-    Pointwise equality is exact; only the representation changes. Clause
-    count is capped because distribution multiplies.
+    A leaf is one singleton set. The node that matches the kind (min for
+    upper, max for lower) concatenates its children's families; the other
+    takes their product, uniting one set of each child per combination;
+    a sum node takes the pairwise Minkowski sums of the sets, whose
+    vertices are ``v + w`` over every pair of vertices. Children fold left
+    to right. Redundant vertices are left alone (hull equality, not list
+    equality, is the notion of sameness downstream). A family whose
+    vertices, summed over its sets, would exceed ``DEFAULT_FAMILY_CAP``
+    raises ``CapExceededError`` before it is built.
     """
-    if target not in ("cnf", "dnf"):
-        raise ValueError(f"target must be 'cnf' or 'dnf', got {target!r}")
-    concat_node = MinNode if target == "cnf" else MaxNode
+    concat_node = MinNode if kind == "upper" else MaxNode
 
-    def flatten(node: MinMaxTree) -> list[tuple[Vector, ...]]:
+    def build(node: MinMaxTree) -> list[tuple[Vector, ...]]:
         if isinstance(node, Leaf):
             return [(node.form,)]
-        if isinstance(node, concat_node):
-            clauses: list[tuple[Vector, ...]] = []
-            for child in node.children:
-                clauses.extend(flatten(child))
-                if len(clauses) > DEFAULT_CLAUSE_CAP:
-                    raise CapExceededError(
-                        f"clause count exceeded {DEFAULT_CLAUSE_CAP}")
-            return clauses
-        acc: list[tuple[Vector, ...]] = [()]
-        for child in node.children:
-            child_clauses = flatten(child)
-            if len(acc) * len(child_clauses) > DEFAULT_CLAUSE_CAP:
-                raise CapExceededError(f"clause count exceeded {DEFAULT_CLAUSE_CAP}")
-            acc = [a + c for a in acc for c in child_clauses]
+        acc, *rest = (build(child) for child in node.children)
+        for family in rest:
+            have, more = sum(map(len, acc)), sum(map(len, family))
+            if isinstance(node, concat_node):
+                _check_family_cap(have + more)
+                acc = acc + family
+            elif isinstance(node, SumNode):
+                _check_family_cap(have * more)
+                acc = [tuple(tuple(x + y for x, y in zip(v, w)) for v in a for w in b)
+                       for a in acc for b in family]
+            else:
+                _check_family_cap(have * len(family) + more * len(acc))
+                acc = [a + b for a in acc for b in family]
         return acc
 
-    return flatten(tree)
-
-
-def exhauster_from_tree(tree: MinMaxTree, kind: str) -> Exhauster:
-    """Build the family of the requested kind from a min/max tree.
-
-    Each clause of the matching normal form becomes one polytope whose
-    vertices are the clause's linear forms verbatim; redundant vertices are
-    left alone (hull equality, not list equality, is the notion of sameness
-    downstream).
-    """
-    target = "cnf" if kind == "upper" else "dnf"
-    clauses = normalize(tree, target)
     dim = tree_dim(tree)
-    sets = tuple(Polytope(dim, clause) for clause in clauses)
-    return Exhauster(kind, dim, sets)
+    return Exhauster(kind, dim, tuple(Polytope(dim, s) for s in build(tree)))
+
+
+def _check_family_cap(vertices: int) -> None:
+    if vertices > DEFAULT_FAMILY_CAP:
+        raise CapExceededError(
+            f"a family would hold {vertices} vertices, over {DEFAULT_FAMILY_CAP}")
 
 
 def eval_exhauster(family: Exhauster, g: Sequence[float]) -> float:

@@ -16,6 +16,7 @@ from exhausters.deriv import (
     Scale,
     SmoothAtom,
     Sum,
+    SumNode,
     directional_derivative_tree,
     eval_minmax,
     tree_dim,
@@ -158,13 +159,48 @@ def brute_force_direction(choice_points, dim):
     return None
 
 
+def count_lps(monkeypatch):
+    """Count the solver calls made through the exhauster module: those of
+    reduction and of every condition search."""
+    import exhausters.exhauster as module
+
+    calls = []
+    solve = module.linear_feasibility
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(module, "linear_feasibility", counted)
+    return calls
+
+
+def abs_sum_json(pattern):
+    """``sum_i a_i(x_i)`` in wire form: ``a`` is |x_i| = max(x_i, -x_i),
+    ``n`` is min(x_i, -x_i)."""
+    dim = len(pattern)
+
+    def term(i, ch):
+        coords = [{"atom": {"terms": [{"c": c, "e": [int(j == i) for j in range(dim)]}]}}
+                  for c in (1, -1)]
+        return {"op": "max" if ch == "a" else "min", "args": coords}
+    return {"op": "sum", "args": [term(i, ch) for i, ch in enumerate(pattern)]}
+
+
+def abs_sum_problem(f_pattern, u_pattern):
+    """Abs-sum rung at the origin, such as ``annn/aaan``."""
+    dim = len(f_pattern)
+    return {"dim": dim, "objective": abs_sum_json(f_pattern),
+            "constraint": abs_sum_json(u_pattern), "point": [0] * dim}
+
+
 def random_minmax_tree(rng, dim, depth=3):
-    """Min/max tree over linear forms with single-child nodes and signed
+    """Max/min/sum tree over linear forms with single-child nodes and signed
     zero coefficients among its draws."""
     if depth == 0 or rng.random() < 0.3:
         return Leaf(tuple(rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, rng.uniform(-3, 3)])
                           for _ in range(dim)))
-    node = rng.choice([MaxNode, MinNode])
+    node = rng.choice([MaxNode, MinNode, SumNode])
     return node(tuple(random_minmax_tree(rng, dim, depth - 1)
                       for _ in range(rng.randint(1, 3))))
 

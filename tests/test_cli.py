@@ -13,7 +13,7 @@ from exhausters.cli import main
 from exhausters.exhauster import Exhauster
 from exhausters.geometry import Polytope
 
-from helpers import problem_dict
+from helpers import abs_sum_problem, count_lps, problem_dict
 
 FIXTURE = "fixtures/reference-example/problem.json"
 # Every recorded report: fixtures/<case>/expected-report.json is the
@@ -87,6 +87,27 @@ class TestAnalyze:
     def test_zero_samples_is_input_error(self, problem_file, capsys):
         assert main(["analyze", problem_file, "--samples", "0"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+    def test_bad_tolerance_is_input_error(self, problem_file, capsys, tol):
+        # A NaN tolerance would reach the report as a bare NaN, not JSON.
+        assert main(["analyze", problem_file, f"--tol={tol}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: tol must be finite")
+
+    def test_abs_sum_4d_rung_is_decided_in_few_lps(self, monkeypatch):
+        calls = count_lps(monkeypatch)
+        report, code = cli.analyze_problem(abs_sum_problem("annn", "aaan"), sense="both")
+        assert code == 1
+        assert all(v.status != "inconclusive" for v in report.conditions.values())
+        assert report.regularity.status == "holds"
+        assert len(calls) <= 100
+
+    def test_abs_sum_5d_rung_ends_without_a_cap(self):
+        # A normal form of these families would need more than 10^4 clauses.
+        report, code = cli.analyze_problem(abs_sum_problem("annnn", "aaaan"), sense="both")
+        assert code == 1
+        assert report.conditions["MIN_UPPER_UPPER"].status == "violated"
 
     def test_non_integer_dim_is_input_error(self, tmp_path, capsys):
         # A fractional dimension is rejected, not truncated to 2.
@@ -365,6 +386,13 @@ class TestOracleCommand:
     def test_zero_samples_is_input_error(self, problem_file):
         assert main(["oracle", problem_file, "--samples", "0"]) == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance_is_input_error(self, problem_file, capsys, tol):
+        # A NaN tolerance would pass every deviation, a negative one none.
+        assert main(["oracle", problem_file, f"--oracle-tol={tol}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: oracle-tol must be finite")
+
     def test_overflow_at_a_difference_step_is_input_error(self, tmp_path, capsys):
         # Value and gradient are finite at x1 = 5.82, but x1^400 overflows
         # once a finite-difference step moves x1 past about 5.9.
@@ -428,8 +456,9 @@ class TestExitBoundary:
     """Every failure ends in exit 2 or 3 with one line on stderr; none is
     a traceback that exits 1, which reads as a violated condition."""
 
-    def test_clause_cap_in_oracle_exits_3(self, tmp_path, capsys):
-        # |x_1| + ... + |x_14| at the origin has 2^14 clauses per family.
+    def test_family_cap_in_oracle_exits_3(self, tmp_path, capsys):
+        # |x_1| + ... + |x_14| at the origin: the upper family is one set of
+        # 2^14 vertices, the lower one 2^14 singletons.
         dim = 14
         terms = [{"op": "max", "args": [
             {"atom": {"terms": [{"c": c, "e": [int(j == i) for j in range(dim)]}]}}
@@ -440,7 +469,7 @@ class TestExitBoundary:
             "point": [0] * dim}))
         assert main(["oracle", str(path), "--samples", "4"]) == 3
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("cap exceeded: clause count")
+        assert out == "" and err.startswith("cap exceeded: a family would hold")
 
     def test_svg_of_a_space_problem_exits_2_without_a_report(self, tmp_path, capsys):
         path = tmp_path / "space.json"

@@ -13,6 +13,7 @@ from exhausters.deriv import (
     Scale,
     SmoothAtom,
     Sum,
+    SumNode,
     directional_derivative_tree,
     eval_expr,
     eval_minmax,
@@ -22,9 +23,8 @@ from exhausters.deriv import (
     fd_directional_derivative,
     leaf_count,
     scale_tree,
-    tree_sum,
 )
-from exhausters.errors import CapExceededError, DimensionMismatchError
+from exhausters.errors import DimensionMismatchError
 
 from helpers import (
     circle_directions,
@@ -125,11 +125,12 @@ class TestDirectionalTree:
         for g in circle_directions(32):
             assert eval_minmax(tree, g) == pytest.approx(-abs(g[0]))
 
-    def test_leaf_cap(self, monkeypatch):
-        monkeypatch.setattr("exhausters.deriv.DEFAULT_LEAF_CAP", 1000)
+    def test_sum_becomes_sum_node(self):
+        # No distribution: 25 two-leaf maxima stay 50 leaves, not 2^25.
         children = tuple(Max((coord(2, 0), coord(2, 1))) for _ in range(25))
-        with pytest.raises(CapExceededError):
-            directional_derivative_tree(Sum(children), (0.0, 0.0))
+        tree = directional_derivative_tree(Sum(children), (0.0, 0.0))
+        assert isinstance(tree, SumNode) and leaf_count(tree) == 50
+        assert eval_minmax(tree, (1.0, -2.0)) == 25.0
 
 
 class TestEvalMinMax:
@@ -184,8 +185,8 @@ class TestTreeAlgebra:
             x = random_point(rng)
             t1 = directional_derivative_tree(e1, x)
             t2 = directional_derivative_tree(e2, x)
-            both = tree_sum(t1, t2)
-            assert leaf_count(both) == leaf_count(t1) * leaf_count(t2)
+            both = directional_derivative_tree(Sum((e1, e2)), x)
+            assert both == SumNode((t1, t2))
             for g in circle_directions(24):
                 assert eval_minmax(both, g) == pytest.approx(
                     eval_minmax(t1, g) + eval_minmax(t2, g), abs=1e-9)
@@ -200,6 +201,11 @@ class TestTreeAlgebra:
             for g in circle_directions(24):
                 assert eval_minmax(flipped, g) == pytest.approx(
                     -eval_minmax(tree, g), abs=1e-9)
+
+    def test_negative_scale_keeps_sum_nodes(self):
+        tree = SumNode((MaxNode((Leaf((1.0, 0.0)), Leaf((0.0, 1.0)))), Leaf((2.0, 2.0))))
+        assert scale_tree(tree, -1.0) == SumNode((
+            MinNode((Leaf((-1.0, -0.0)), Leaf((-0.0, -1.0)))), Leaf((-2.0, -2.0))))
 
     def test_scale_tree_zero(self):
         tree = scale_tree(objective_tree(), 0.0)

@@ -7,9 +7,12 @@ from exhausters.deriv import (
     Leaf,
     MaxNode,
     MinNode,
+    SumNode,
     directional_derivative_tree,
     eval_minmax,
     expr_from_json,
+    fd_directional_derivative,
+    scale_tree,
 )
 from exhausters.errors import CapExceededError, DimensionMismatchError
 from exhausters.exhauster import (
@@ -18,7 +21,6 @@ from exhausters.exhauster import (
     eval_exhauster,
     exhauster_from_tree,
     find_direction,
-    normalize,
     polytope_families_equal,
     polytopes_equal,
     reduce_exhauster,
@@ -35,9 +37,11 @@ from helpers import (
     C2,
     C3,
     C4,
+    abs_sum_json,
     brute_force_direction,
     circle_directions,
     constraint_tree,
+    count_lps,
     objective_tree,
     random_expr,
     random_point,
@@ -47,43 +51,72 @@ from helpers import (
 L1, L2, L3, L4 = Leaf((1.0, 1.0)), Leaf((1.0, -1.0)), Leaf((-1.0, 1.0)), Leaf((-1.0, -1.0))
 
 
-class TestNormalize:
-    def test_cnf_of_min_of_maxes_is_verbatim(self):
-        tree = MinNode((MaxNode((L1, L2)), MaxNode((L3, L4))))
-        clauses = normalize(tree, "cnf")
-        assert clauses == [((1.0, 1.0), (1.0, -1.0)), ((-1.0, 1.0), (-1.0, -1.0))]
+def vertex_lists(family):
+    return [s.vertices for s in family.sets]
 
-    def test_dnf_distributes(self):
+
+class TestFamilyCalculus:
+    def test_min_rule_concatenates_upper_sets(self):
         tree = MinNode((MaxNode((L1, L2)), MaxNode((L3, L4))))
-        clauses = normalize(tree, "dnf")
-        assert clauses == [
+        assert vertex_lists(exhauster_from_tree(tree, "upper")) == [
+            ((1.0, 1.0), (1.0, -1.0)), ((-1.0, 1.0), (-1.0, -1.0))]
+
+    def test_min_rule_takes_product_of_lower_sets(self):
+        tree = MinNode((MaxNode((L1, L2)), MaxNode((L3, L4))))
+        assert vertex_lists(exhauster_from_tree(tree, "lower")) == [
             ((1.0, 1.0), (-1.0, 1.0)),
             ((1.0, 1.0), (-1.0, -1.0)),
             ((1.0, -1.0), (-1.0, 1.0)),
             ((1.0, -1.0), (-1.0, -1.0)),
         ]
-        # Distribution preserves the function pointwise.
+        # The product preserves the function pointwise.
+        family = exhauster_from_tree(tree, "lower")
         rng = random.Random(1)
         for _ in range(100):
             g = (rng.uniform(-2, 2), rng.uniform(-2, 2))
-            expected = eval_minmax(tree, g)
-            via_dnf = max(min(sum(a * b for a, b in zip(form, g)) for form in clause)
-                          for clause in clauses)
-            assert via_dnf == pytest.approx(expected, abs=1e-12)
+            assert eval_exhauster(family, g) == pytest.approx(eval_minmax(tree, g), abs=1e-12)
 
-    def test_leaf_single_clause(self):
-        assert normalize(Leaf((2.0, 0.0)), "cnf") == [((2.0, 0.0),)]
-        assert normalize(Leaf((2.0, 0.0)), "dnf") == [((2.0, 0.0),)]
+    def test_max_rule_mirrors_min_rule(self):
+        tree = MaxNode((MinNode((L1, L2)), L3))
+        assert vertex_lists(exhauster_from_tree(tree, "lower")) == [
+            ((1.0, 1.0), (1.0, -1.0)), ((-1.0, 1.0),)]
+        assert vertex_lists(exhauster_from_tree(tree, "upper")) == [
+            ((1.0, 1.0), (-1.0, 1.0)), ((1.0, -1.0), (-1.0, 1.0))]
 
-    def test_clause_cap(self, monkeypatch):
-        monkeypatch.setattr("exhausters.exhauster.DEFAULT_CLAUSE_CAP", 100)
+    def test_sum_rule_adds_sets_pairwise(self):
+        # Each set of the left family meets each of the right one, and the
+        # vertices are v + w with v running slowest.
+        tree = SumNode((MinNode((MaxNode((L1, L2)), L3)), MaxNode((L2, L4))))
+        assert vertex_lists(exhauster_from_tree(tree, "upper")) == [
+            ((2.0, 0.0), (0.0, 0.0), (2.0, -2.0), (0.0, -2.0)),
+            ((0.0, 0.0), (-2.0, 0.0)),
+        ]
+        assert vertex_lists(exhauster_from_tree(tree, "lower")) == [
+            ((2.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (-2.0, 0.0)),
+            ((2.0, -2.0), (0.0, 0.0)), ((0.0, -2.0), (-2.0, 0.0)),
+        ]
+
+    def test_negative_scale_swaps_upper_and_lower(self):
+        tree = SumNode((MinNode((MaxNode((L1, L2)), L3)), MaxNode((L2, L4))))
+        for kind, other in (("upper", "lower"), ("lower", "upper")):
+            flipped = exhauster_from_tree(scale_tree(tree, -1.0), kind)
+            assert vertex_lists(flipped) == [
+                tuple(tuple(-c for c in v) for v in vertices)
+                for vertices in vertex_lists(exhauster_from_tree(tree, other))]
+
+    def test_family_cap(self, monkeypatch):
+        monkeypatch.setattr("exhausters.exhauster.DEFAULT_FAMILY_CAP", 100)
         wide = MaxNode(tuple(MinNode((L1, L2, L3)) for _ in range(10)))
         with pytest.raises(CapExceededError):
-            normalize(wide, "cnf")
+            exhauster_from_tree(wide, "upper")
+        assert len(exhauster_from_tree(wide, "lower").sets) == 10
+        pairs = SumNode(tuple(MaxNode((L1, L2)) for _ in range(7)))
+        with pytest.raises(CapExceededError):
+            exhauster_from_tree(pairs, "upper")  # one set of 2^7 vertices
 
-    def test_bad_target(self):
+    def test_bad_kind(self):
         with pytest.raises(ValueError):
-            normalize(L1, "nnf")
+            exhauster_from_tree(L1, "sideways")
 
 
 class TestConstruction:
@@ -100,9 +133,10 @@ class TestConstruction:
         assert polytope_families_equal(family.sets, (C3, C4))
 
     def test_leaf_gives_single_singleton(self):
-        family = exhauster_from_tree(Leaf((2.0, -1.0)), "upper")
-        assert len(family.sets) == 1
-        assert family.sets[0].vertices == ((2.0, -1.0),)
+        for kind in ("upper", "lower"):
+            family = exhauster_from_tree(Leaf((2.0, -1.0)), kind)
+            assert len(family.sets) == 1
+            assert family.sets[0].vertices == ((2.0, -1.0),)
 
 
 class TestEvaluation:
@@ -180,29 +214,18 @@ class TestReduction:
 
 
 
-def count_lps(monkeypatch):
-    """Count the solver calls made through the exhauster module."""
-    import exhausters.exhauster as module
-
-    calls = []
-    solve = module.linear_feasibility
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(module, "linear_feasibility", counted)
-    return calls
-
-
 def abs_sum_objective():
     """|x1| + min(x2, -x2) + min(x3, -x3) at the origin of R^3."""
-    def term(i, op):
-        coords = [{"atom": {"terms": [{"c": c, "e": [int(j == i) for j in range(3)]}]}}
-                  for c in (1, -1)]
-        return {"op": op, "args": coords}
-    return expr_from_json({"op": "sum", "args": [
-        term(0, "max"), term(1, "min"), term(2, "min")]})
+    return expr_from_json(abs_sum_json("ann"))
+
+
+def abs_sum_upper_pairs():
+    """An upper family of ``abs_sum_objective`` with 16 two-vertex sets:
+    each vertex with x1 = 1 paired with each vertex with x1 = -1, the
+    other coordinates +-1. The calculus builds the 4 sets it reduces to."""
+    signs = list(product((1.0, -1.0), repeat=2))
+    return Exhauster("upper", 3, tuple(Polytope(3, ((1.0, *a), (-1.0, *b)))
+                                       for a in signs for b in signs))
 
 
 class TestFindDirection:
@@ -341,10 +364,8 @@ class TestFindDirection:
         # 16 two-vertex sets; certifying each without pruning needs up to
         # 2**15 systems.
         tree = directional_derivative_tree(abs_sum_objective(), (0.0, 0.0, 0.0))
-        family = exhauster_from_tree(tree, "upper")
-        assert len(family.sets) == 16
         calls = count_lps(monkeypatch)
-        reduced = reduce_exhauster(family)
+        reduced = reduce_exhauster(abs_sum_upper_pairs())
         assert len(reduced.sets) == 4
         assert len(calls) < 1000
         for g in sample_unit_directions(3, 50, seed=5):
@@ -355,10 +376,8 @@ class TestFindDirection:
         # Nearly all of the up to 2**15 systems behind each candidate hold
         # two strict rows on opposite rays: the conflict table refutes
         # those with no LP.
-        tree = directional_derivative_tree(abs_sum_objective(), (0.0, 0.0, 0.0))
-        family = exhauster_from_tree(tree, "upper")
         calls = count_lps(monkeypatch)
-        assert len(reduce_exhauster(family).sets) == 4
+        assert len(reduce_exhauster(abs_sum_upper_pairs()).sets) == 4
         assert len(calls) <= 40
 
 
@@ -375,6 +394,23 @@ class TestRepresentationFidelity:
                 reference = eval_minmax(tree, g)
                 assert eval_exhauster(upper, g) == pytest.approx(reference, abs=1e-9)
                 assert eval_exhauster(lower, g) == pytest.approx(reference, abs=1e-9)
+
+    def test_families_and_tree_agree_beyond_the_plane(self):
+        # At the origin more max/min children tie than at a random point.
+        rng = random.Random(23)
+        for dim in (3, 4, 5):
+            for _ in range(8):
+                expr = random_expr(rng, dim)
+                for x in (random_point(rng, dim, scale=1.0), (0.0,) * dim):
+                    tree = directional_derivative_tree(expr, x)
+                    upper = exhauster_from_tree(tree, "upper")
+                    lower = exhauster_from_tree(tree, "lower")
+                    for g in sample_unit_directions(dim, 12, seed=dim):
+                        reference = eval_minmax(tree, g)
+                        assert eval_exhauster(upper, g) == pytest.approx(reference, abs=1e-9)
+                        assert eval_exhauster(lower, g) == pytest.approx(reference, abs=1e-9)
+                        assert fd_directional_derivative(expr, x, g) == \
+                            pytest.approx(reference, abs=1e-3)
 
     def test_reference_families_agree_with_trees(self):
         for tree in (objective_tree(), constraint_tree()):
