@@ -104,6 +104,11 @@ class TestFamilyCalculus:
                 tuple(tuple(-c for c in v) for v in vertices)
                 for vertices in vertex_lists(exhauster_from_tree(tree, other))]
 
+    def test_leaf_gives_one_singleton_of_either_kind(self):
+        for kind in ("upper", "lower"):
+            assert vertex_lists(exhauster_from_tree(Leaf((2.0, 0.0)), kind)) \
+                == [((2.0, 0.0),)]
+
     def test_family_cap(self, monkeypatch):
         monkeypatch.setattr("exhausters.exhauster.DEFAULT_FAMILY_CAP", 100)
         wide = MaxNode(tuple(MinNode((L1, L2, L3)) for _ in range(10)))
@@ -133,10 +138,9 @@ class TestConstruction:
         assert polytope_families_equal(family.sets, (C3, C4))
 
     def test_leaf_gives_single_singleton(self):
-        for kind in ("upper", "lower"):
-            family = exhauster_from_tree(Leaf((2.0, -1.0)), kind)
-            assert len(family.sets) == 1
-            assert family.sets[0].vertices == ((2.0, -1.0),)
+        family = exhauster_from_tree(Leaf((2.0, -1.0)), "upper")
+        assert len(family.sets) == 1
+        assert family.sets[0].vertices == ((2.0, -1.0),)
 
 
 class TestEvaluation:
