@@ -57,6 +57,6 @@ from .geometry import (
     sample_unit_directions,
     support_value,
 )
-from .report import AnalysisReport, Canvas, render_report, render_svg
+from .report import AnalysisReport, render_report, render_svg
 
 __version__ = "0.1.0"

@@ -117,13 +117,18 @@ def _parse_problem(problem) -> tuple[int, Vector, Expr, Optional[Expr]]:
     return dim, point, f_expr, u_expr
 
 
-def _at_point(label: str, expr: Expr, point: Vector) -> tuple[float, MinMaxTree]:
-    """Value and derivative tree of ``expr`` at the point; a value or a
-    gradient beyond the float range is an InputError."""
+def _at_point(label: str, expr: Expr, point: Vector
+              ) -> tuple[float, MinMaxTree, dict[str, Exhauster]]:
+    """Value, derivative tree and unreduced families by kind of ``expr`` at
+    the point; a value, a gradient or a family vertex beyond the float
+    range is an InputError. A vertex of a sum can overflow where none of
+    the summands' gradients does."""
     try:
         value = eval_expr(expr, point)
         if math.isfinite(value):
-            return value, directional_derivative_tree(expr, point)
+            tree = directional_derivative_tree(expr, point)
+            return value, tree, {kind: exhauster_from_tree(tree, kind)
+                                 for kind in ("upper", "lower")}
         reason = f"value {value}"
     except (OverflowError, ValueError) as exc:
         reason = str(exc)
@@ -149,17 +154,15 @@ def analyze_problem(problem: dict, *, sense: Optional[str] = None,
     if sense not in ("min", "max", "both"):
         raise InputError(f"sense must be min, max or both, got {sense!r}")
 
-    f_value, f_tree = _at_point("objective", f_expr, point)
+    f_value, f_tree, f_families = _at_point("objective", f_expr, point)
     values = {"f": f_value}
+    built = {"f": f_families}
     u_tree = None
     if u_expr is not None:
-        values["u"], u_tree = _at_point("constraint", u_expr, point)
-    trees = {"f": f_tree} if u_tree is None else {"f": f_tree, "u": u_tree}
-    families = {
-        (func, kind): reduce_exhauster(exhauster_from_tree(tree, kind),
-                                       max_combinations=max_combinations)
-        for func, tree in trees.items() for kind in ("upper", "lower")
-    }
+        values["u"], u_tree, built["u"] = _at_point("constraint", u_expr, point)
+    families = {func: {kind: reduce_exhauster(family, max_combinations=max_combinations)
+                       for kind, family in kinds.items()}
+                for func, kinds in built.items()}
 
     if condition_ids is None:
         condition_ids = [cid for s in _senses(sense) for cid in ConditionID
@@ -170,13 +173,14 @@ def analyze_problem(problem: dict, *, sense: Optional[str] = None,
         if cid.u_kind is not None and u_tree is None:
             raise InputError(f"{cid.value} needs a constraint, none was given")
         verdicts[cid.value] = evaluate_condition(
-            cid, families[("f", cid.f_kind)], families.get(("u", cid.u_kind)),
+            cid, families["f"][cid.f_kind],
+            families["u"][cid.u_kind] if cid.u_kind is not None else None,
             max_combinations=max_combinations)
 
     regularity = None
     if u_tree is not None:
         regularity = replace(
-            regularity_check(families[("u", "upper")],
+            regularity_check(families["u"]["upper"],
                              max_combinations=max_combinations),
             condition="REGULARITY")
     gate_tree = u_tree if u_tree is not None else Leaf((0.0,) * dim)
@@ -199,22 +203,13 @@ def analyze_problem(problem: dict, *, sense: Optional[str] = None,
                 "constraint value is positive at the point: the point is "
                 "infeasible")
 
-    exhausters_json: dict = {"f": {
-        "upper": families[("f", "upper")].to_json(),
-        "lower": families[("f", "lower")].to_json(),
-    }}
-    if u_tree is not None:
-        exhausters_json["u"] = {
-            "upper": families[("u", "upper")].to_json(),
-            "lower": families[("u", "lower")].to_json(),
-        }
     report = AnalysisReport(
         problem=problem,
         conditions=verdicts,
         point=point,
         sense=sense,
         values=values,
-        exhausters=exhausters_json,
+        exhausters=families,
         regularity=regularity,
         oracle=oracle,
         warnings=tuple(warnings),
@@ -228,12 +223,6 @@ def analyze_problem(problem: dict, *, sense: Optional[str] = None,
     return report, _exit_code(verdicts, oracle)
 
 
-def _families_for_svg(report: AnalysisReport):
-    return [c for func in sorted(report.exhausters)
-            for kind in ("upper", "lower")
-            for c in Exhauster.from_json(report.exhausters[func][kind]).sets]
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     report, code = analyze_problem(
         _load_json(args.problem), sense=args.sense,
@@ -242,7 +231,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         max_combinations=args.max_combinations)
     # The figure comes first, so a figure that fails leaves no report.
     if args.svg:
-        figure = render_svg(_families_for_svg(report))
+        figure = render_svg([s for kinds in report.exhausters.values()
+                             for family in kinds.values() for s in family.sets])
         with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(figure)
     sys.stdout.write(render_report(report, args.format).decode("utf-8"))
@@ -289,11 +279,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     parts = [("objective", f_expr)]
     if u_expr is not None:
         parts.append(("constraint", u_expr))
-    trees = [_at_point(label, expr, point)[1] for label, expr in parts]
+    built = [_at_point(label, expr, point)[2] for label, expr in parts]
     directions = sample_unit_directions(dim, args.samples, args.seed)
     code = EXIT_OK
     lines = []  # printed once every part is through, so a failure prints none
-    for (label, expr), tree in zip(parts, trees):
+    for (label, expr), families in zip(parts, built):
         try:
             estimates = [fd_directional_derivative(expr, point, g) for g in directions]
             reason = (None if all(map(math.isfinite, estimates))
@@ -303,9 +293,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         if reason is not None:
             raise InputError(f"{label} overflows the floats at a "
                              f"finite-difference step: {reason}")
-        families = [exhauster_from_tree(tree, kind) for kind in ("upper", "lower")]
         deviation = max(abs(estimate - eval_exhauster(family, g))
-                        for family in families
+                        for family in families.values()
                         for g, estimate in zip(directions, estimates))
         # The difference quotient errs in proportion to the derivative.
         scale = max(1.0, max(map(abs, estimates)))

@@ -160,18 +160,19 @@ def find_direction(choice_points: Sequence[Sequence[Sequence[LinearConstraint]]]
     position then advances, which skips the whole subtree behind it, since
     adding rows never restores feasibility.
 
-    Once the first full system has failed, a conflict table refutes
-    systems with no LP. Two rows clash when one is strict and their
-    normals point in exactly opposite directions: ``<n, g> >= 1`` and
-    ``<-c n, g> >= 0`` with ``c > 0`` exclude each other, and a strict row
-    with a zero normal clashes with itself. The first prefix holding a
-    clash, within one option or across two, is infeasible, so its last
-    position advances as for an infeasible prefix and no LP is solved. The
-    test is exact (see ``_ray``), so every skipped system is infeasible and
-    the result is the one plain enumeration finds, except that a clashing
-    system the solver would accept within its tolerance, such as
-    ``<(1, 0), g> >= 1`` with ``<(-1e-12, 0), g> >= 0``, is refuted unless
-    it is the first one tried.
+    Once the first full system has failed, a conflict table refutes systems
+    with no LP. The table waits for that failure because building it costs
+    more than the single LP that a feasible first system needs. Two rows
+    clash when one is strict and their normals point in exactly opposite
+    directions: ``<n, g> >= 1`` and ``<-c n, g> >= 0`` with ``c > 0``
+    exclude each other, and a strict row with a zero normal clashes with
+    itself. The first prefix holding a clash, within one option or across
+    two, is infeasible, so its last position advances as for an infeasible
+    prefix and no LP is solved. The test is exact (see ``_ray``), so every
+    skipped system is infeasible and the result is the one plain enumeration
+    finds, except that a clashing system the solver would accept within its
+    tolerance, such as ``<(1, 0), g> >= 1`` with ``<(-1e-12, 0), g> >= 0``,
+    is refuted unless it is the first one tried.
     """
     def solve(parts):
         return linear_feasibility([c for part in parts for c in part], dim)

@@ -1,8 +1,10 @@
 """Analysis reports and plane figures.
 
 Reports serialize deterministically: fixed key order, no wall-clock data,
-so identical runs produce identical bytes. Figures are standalone SVG
-documents with one drawable group per input item.
+so identical runs produce identical bytes. A report holds the analysis's
+families as ``Exhauster`` objects and writes them out only when it is
+serialized. Figures are standalone SVG documents of plane polytopes, such
+as the sets of those families, with one group per polytope.
 """
 
 from __future__ import annotations
@@ -10,25 +12,30 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .conditions import CONDITION_READINGS, ConditionID, Verdict
 from .errors import DimensionMismatchError
-from .geometry import TWO_PI, ArcSet, Polytope, Vector
+from .exhauster import Exhauster
+from .geometry import Polytope, Vector
 
 CONDITION_ORDER = [cid.value for cid in ConditionID]
 
 
 @dataclass
 class AnalysisReport:
-    """Everything one analysis produced, ready for serialization."""
+    """Everything one analysis produced, ready for serialization.
+
+    ``exhausters`` maps a function name (``f``, ``u``) to its families by
+    kind (``upper``, ``lower``), in the order they are written out.
+    """
 
     problem: dict
     conditions: dict[str, Verdict]
     point: Optional[Vector] = None
     sense: Optional[str] = None
     values: dict = field(default_factory=dict)
-    exhausters: dict = field(default_factory=dict)
+    exhausters: dict[str, dict[str, Exhauster]] = field(default_factory=dict)
     regularity: Optional[Verdict] = None
     oracle: dict = field(default_factory=dict)
     warnings: tuple[str, ...] = ()
@@ -50,7 +57,8 @@ class AnalysisReport:
         obj["point"] = list(self.point) if self.point is not None else None
         obj["sense"] = self.sense
         obj["values"] = {k: self.values[k] for k in sorted(self.values)}
-        obj["exhausters"] = self.exhausters
+        obj["exhausters"] = {func: {kind: e.to_json() for kind, e in kinds.items()}
+                             for func, kinds in self.exhausters.items()}
         obj["conditions"] = {c: v.to_json() for c, v in self.ordered_conditions()}
         obj["regularity"] = self.regularity.to_json() if self.regularity else None
         obj["oracle"] = {k: self.oracle[k].to_json() for k in sorted(self.oracle)}
@@ -107,119 +115,52 @@ def render_report(report: AnalysisReport, fmt: str = "json") -> bytes:
 # SVG rendering
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Canvas:
-    size: int = 800
-    extent: float = 2.0
-    arc_radius: float = 1.8
-
+SIZE = 800      # canvas width and height in px
+EXTENT = 2.0    # world units drawn on each side of the origin
+_SCALE = SIZE / (2.0 * EXTENT)
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
 
-DrawItem = Union[Polytope, ArcSet, tuple, list]
+
+def _to_px(point: Sequence[float]) -> tuple[float, float]:
+    return (point[0] + EXTENT) * _SCALE, (EXTENT - point[1]) * _SCALE
 
 
-def _make_to_px(canvas: Canvas):
-    scale = canvas.size / (2.0 * canvas.extent)
-
-    def to_px(point: Sequence[float]) -> tuple[float, float]:
-        return ((point[0] + canvas.extent) * scale,
-                (canvas.extent - point[1]) * scale)
-
-    return to_px
-
-
-def _polytope_svg(polytope: Polytope, color: str, to_px) -> str:
+def _polytope_svg(polytope: Polytope, color: str) -> str:
     verts = polytope.vertices
     if len(verts) == 1:
-        x, y = to_px(verts[0])
+        x, y = _to_px(verts[0])
         return f'<circle cx="{x:.3f}" cy="{y:.3f}" r="5" fill="{color}"/>'
     if len(verts) == 2:
-        (x1, y1), (x2, y2) = to_px(verts[0]), to_px(verts[1])
+        (x1, y1), (x2, y2) = _to_px(verts[0]), _to_px(verts[1])
         return (f'<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}" '
                 f'stroke="{color}" stroke-width="3"/>')
     # Order by angle about the centroid so the outline is the hull boundary.
     cx = sum(v[0] for v in verts) / len(verts)
     cy = sum(v[1] for v in verts) / len(verts)
     ordered = sorted(verts, key=lambda v: math.atan2(v[1] - cy, v[0] - cx))
-    points = " ".join(f"{x:.3f},{y:.3f}" for x, y in (to_px(v) for v in ordered))
+    points = " ".join(f"{x:.3f},{y:.3f}" for x, y in map(_to_px, ordered))
     return (f'<polygon points="{points}" fill="{color}" fill-opacity="0.25" '
             f'stroke="{color}" stroke-width="2"/>')
 
 
-def _arcset_svg(arcs: ArcSet, color: str, canvas: Canvas, to_px) -> str:
-    ox, oy = to_px((0.0, 0.0))
-    radius = canvas.arc_radius
-    parts = []
-    for start, end in arcs.arcs:
-        span = end - start
-        if span >= TWO_PI - 1e-9:
-            scale = canvas.size / (2.0 * canvas.extent)
-            parts.append(
-                f'<circle cx="{ox:.3f}" cy="{oy:.3f}" r="{radius * scale:.3f}" '
-                f'fill="{color}" fill-opacity="0.3"/>')
-            continue
-        x1, y1 = to_px((radius * math.cos(start), radius * math.sin(start)))
-        x2, y2 = to_px((radius * math.cos(end), radius * math.sin(end)))
-        scale = canvas.size / (2.0 * canvas.extent)
-        large = 1 if span > math.pi else 0
-        # Counterclockwise in world coordinates is sweep 0 on a flipped axis.
-        parts.append(
-            f'<path d="M {ox:.3f} {oy:.3f} L {x1:.3f} {y1:.3f} '
-            f'A {radius * scale:.3f} {radius * scale:.3f} 0 {large} 0 '
-            f'{x2:.3f} {y2:.3f} Z" fill="{color}" fill-opacity="0.3" '
-            f'stroke="{color}" stroke-width="1"/>')
-    return "".join(parts)
-
-
-def _vector_svg(vec: Sequence[float], color: str, to_px) -> str:
-    ox, oy = to_px((0.0, 0.0))
-    tx, ty = to_px(vec)
-    dx, dy = tx - ox, ty - oy
-    length = math.hypot(dx, dy)
-    if length < 1e-9:
-        return f'<circle cx="{ox:.3f}" cy="{oy:.3f}" r="4" fill="{color}"/>'
-    ux, uy = dx / length, dy / length
-    head = 12.0
-    bx, by = tx - head * ux, ty - head * uy
-    px, py = -uy, ux
-    barb1 = (bx + 0.5 * head * px, by + 0.5 * head * py)
-    barb2 = (bx - 0.5 * head * px, by - 0.5 * head * py)
-    return (f'<line x1="{ox:.3f}" y1="{oy:.3f}" x2="{bx:.3f}" y2="{by:.3f}" '
-            f'stroke="{color}" stroke-width="2.5"/>'
-            f'<polygon points="{tx:.3f},{ty:.3f} {barb1[0]:.3f},{barb1[1]:.3f} '
-            f'{barb2[0]:.3f},{barb2[1]:.3f}" fill="{color}"/>')
-
-
-def render_svg(items: Sequence[DrawItem], canvas: Optional[Canvas] = None) -> str:
-    """Standalone SVG: polytopes as dots/segments/polygons, arc sets as
-    shaded sectors about the origin, plain vectors as arrows. Every input
-    item becomes exactly one <g> element."""
-    canvas = canvas or Canvas()
-    to_px = _make_to_px(canvas)
-    size = canvas.size
-    half = size / 2.0
+def render_svg(polytopes: Sequence[Polytope]) -> str:
+    """Standalone SVG of plane polytopes on a fixed canvas: a point as a
+    dot, a segment as a line, anything larger as a filled polygon. Every
+    polytope becomes exactly one ``<g id="item-<i>">`` element; a polytope
+    outside the plane raises DimensionMismatchError."""
     groups = []
-    for idx, item in enumerate(items):
-        color = PALETTE[idx % len(PALETTE)]
-        if isinstance(item, Polytope):
-            if item.dim != 2:
-                raise DimensionMismatchError("can only draw plane polytopes")
-            body = _polytope_svg(item, color, to_px)
-        elif isinstance(item, ArcSet):
-            body = _arcset_svg(item, color, canvas, to_px)
-        elif isinstance(item, (tuple, list)):
-            if len(item) != 2:
-                raise DimensionMismatchError("can only draw plane vectors")
-            body = _vector_svg(item, color, to_px)
-        else:
-            raise TypeError(f"cannot draw {type(item).__name__}")
+    for idx, polytope in enumerate(polytopes):
+        if polytope.dim != 2:
+            raise DimensionMismatchError("can only draw plane polytopes")
+        body = _polytope_svg(polytope, PALETTE[idx % len(PALETTE)])
         groups.append(f'<g id="item-{idx}">{body}</g>')
-    axes = (f'<line x1="0" y1="{half:.1f}" x2="{size}" y2="{half:.1f}" '
+    half = SIZE / 2.0
+    axes = (f'<line x1="0" y1="{half:.1f}" x2="{SIZE}" y2="{half:.1f}" '
             f'stroke="#cccccc" stroke-width="1"/>'
-            f'<line x1="{half:.1f}" y1="0" x2="{half:.1f}" y2="{size}" '
+            f'<line x1="{half:.1f}" y1="0" x2="{half:.1f}" y2="{SIZE}" '
             f'stroke="#cccccc" stroke-width="1"/>')
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-            f'height="{size}" viewBox="0 0 {size} {size}">'
-            f'<rect width="{size}" height="{size}" fill="white"/>'
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" '
+            f'height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">'
+            f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>'
             f"{axes}{''.join(groups)}</svg>")

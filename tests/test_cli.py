@@ -182,6 +182,27 @@ class TestAnalyze:
                 assert main([command, str(path)]) == 2
                 assert "overflows the floats" in capsys.readouterr().err
 
+    def test_overflow_in_a_sum_names_the_function(self, tmp_path, capsys):
+        # Every gradient is finite; only the sum of two, a vertex of a
+        # summed family, overflows. In the second objective the two
+        # summands cancel, so every difference quotient is finite too.
+        def atom(c):
+            return {"atom": {"terms": [{"c": c, "e": [1]}]}}
+
+        kinked = {"op": "max", "args": [atom(1e308), atom(-1e308)]}
+        cases = [({"op": "sum", "args": [atom(1e308), kinked]}, ("analyze",)),
+                 ({"op": "sum", "args": [kinked, {"op": "min", "args": [
+                     atom(1e308), atom(-1e308)]}]}, ("analyze", "oracle"))]
+        path = tmp_path / "overflow.json"
+        for objective, commands in cases:
+            path.write_text(json.dumps(
+                {"dim": 1, "objective": objective, "point": [0]}))
+            for command in commands:
+                assert main([command, str(path)]) == 2
+                out, err = capsys.readouterr()
+                assert out == "" and err.startswith(
+                    "error: objective overflows the floats at the point:")
+
     def test_pivot_cap_gives_inconclusive_exit(self, problem_file, capsys,
                                                monkeypatch):
         monkeypatch.setattr("exhausters.geometry.PIVOT_CAP", 0)
@@ -440,6 +461,14 @@ class TestShippedFixture:
         oracle = [v["status"] for v in report["oracle"].values()]
         assert code == (1 if "violated" in conditions + oracle
                         else 3 if "inconclusive" in conditions else 0)
+
+    def test_recorded_figure_replays_byte_for_byte(self, tmp_path, capsys):
+        fixture = Path(__file__).resolve().parents[1] / FIXTURE
+        target = tmp_path / "families.svg"
+        assert main(["analyze", str(fixture), "--svg", str(target)]) == 0
+        capsys.readouterr()
+        assert target.read_bytes() == \
+            fixture.with_name("expected-families.svg").read_bytes()
 
 
 def test_cli_import_leaves_numpy_out():

@@ -579,6 +579,35 @@ class TestOracleConsistency:
                     assert verdict.status != "holds"
         assert confirmed > 20
 
+    def test_violations_confirmed_by_sampling_beyond_the_plane(self):
+        # Above the plane the checks enumerate vertex selections by LP; at
+        # the origin the max and min children tie.
+        from exhausters.deriv import directional_derivative_tree
+        from helpers import random_expr
+
+        rng = random.Random(31)
+        statuses = []
+        for dim in (3, 4, 5):
+            origin = (0.0,) * dim
+            for _ in range(6):
+                f_tree, u_tree = (directional_derivative_tree(random_expr(rng, dim), origin)
+                                  for _ in range(2))
+                families = {(func, kind): reduce_exhauster(exhauster_from_tree(tree, kind))
+                            for func, tree in (("f", f_tree), ("u", u_tree))
+                            for kind in ("upper", "lower")}
+                for cid in ALL_CONSTRAINED:
+                    verdict = evaluate_condition(cid, families[("f", cid.f_kind)],
+                                                 families[("u", cid.u_kind)])
+                    oracle = necessary_condition_oracle(
+                        f_tree, u_tree, cid.sense,
+                        extra_directions=[verdict.witness] if verdict.witness else ())
+                    if verdict.status == "violated":
+                        assert oracle.status == "violated"
+                    if oracle.status == "violated":
+                        assert verdict.status != "holds"
+                    statuses.append(verdict.status)
+        assert {"holds", "violated"} <= set(statuses)
+
 
 class TestVacuousConditionFamilies:
     def test_origin_in_every_set_makes_min_proper_conditions_vacuous(self):

@@ -216,6 +216,24 @@ class TestReduction:
                     assert eval_exhauster(reduced, g) == pytest.approx(
                         eval_exhauster(family, g), abs=1e-9)
 
+    def test_reduction_preserves_values_beyond_the_plane(self):
+        # At the origin the max and min children tie, so families carry
+        # sets that reduction can remove.
+        rng = random.Random(29)
+        removed = 0
+        for dim in (3, 4, 5):
+            directions = sample_unit_directions(dim, 97, seed=dim)
+            for _ in range(8):
+                tree = directional_derivative_tree(random_expr(rng, dim), (0.0,) * dim)
+                for kind in ("upper", "lower"):
+                    family = exhauster_from_tree(tree, kind)
+                    reduced = reduce_exhauster(family)
+                    removed += len(family.sets) - len(reduced.sets)
+                    for g in directions:
+                        assert eval_exhauster(reduced, g) == pytest.approx(
+                            eval_exhauster(family, g), abs=1e-9)
+        assert removed > 0
+
 
 
 def abs_sum_objective():

@@ -1,13 +1,12 @@
 import json
-import math
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from exhausters.cli import analyze_problem
 from exhausters.conditions import Verdict
-from exhausters.geometry import ArcSet, Polytope
-from exhausters.report import AnalysisReport, Canvas, render_report, render_svg
+from exhausters.geometry import Polytope
+from exhausters.report import AnalysisReport, render_report, render_svg
 
 from helpers import C1, C2, C3, C4, problem_dict
 
@@ -84,22 +83,6 @@ class TestSvg:
         lines = [e for g in groups for e in g if e.tag.endswith("}line")]
         assert len(lines) == 4  # two-vertex polytopes render as segments
 
-    def test_arcs_render_as_sectors(self):
-        arcs = ArcSet.normalize([(-math.pi / 4, math.pi / 4),
-                                 (3 * math.pi / 4, 5 * math.pi / 4)])
-        doc = render_svg([arcs])
-        root = ET.fromstring(doc)
-        groups = [e for e in root if e.tag.endswith("}g")]
-        assert len(groups) == 1
-        paths = [e for e in groups[0] if e.tag.endswith("}path")]
-        assert len(paths) == 3  # the wrapped arc is stored as two pieces
-
-    def test_vectors_render_as_arrows(self):
-        doc = render_svg([(1.0, 0.5)])
-        root = ET.fromstring(doc)
-        groups = [e for e in root if e.tag.endswith("}g")]
-        assert len(groups) == 1
-
     def test_empty_canvas_is_valid(self):
         doc = render_svg([])
         root = ET.fromstring(doc)
@@ -107,8 +90,10 @@ class TestSvg:
         assert root.get("width") == "800"
 
     def test_every_item_owns_one_group(self):
-        items = [C1, ArcSet.full(), (0.5, 0.5), Polytope.from_vertices([(1, 1)])]
-        doc = render_svg(items, canvas=Canvas(size=400, extent=1.5))
+        items = [C1, Polytope.from_vertices([(0, 0), (1, 0), (0, 1)]),
+                 Polytope.from_vertices([(0.5, 0.5)]),
+                 Polytope.from_vertices([(1, 1)])]
+        doc = render_svg(items)
         root = ET.fromstring(doc)
         groups = [e for e in root if e.tag.endswith("}g")]
         assert len(groups) == len(items)
