@@ -14,16 +14,12 @@ from .conditions import (
     regularity_check,
 )
 from .deriv import (
-    AtomExpr,
     Leaf,
     Max,
-    MaxNode,
     Min,
-    MinNode,
     Scale,
     SmoothAtom,
     Sum,
-    SumNode,
     directional_derivative_tree,
     eval_expr,
     eval_minmax,

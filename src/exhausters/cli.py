@@ -160,9 +160,14 @@ def analyze_problem(problem: dict, *, sense: Optional[str] = None,
     u_tree = None
     if u_expr is not None:
         values["u"], u_tree, built["u"] = _at_point("constraint", u_expr, point)
-    families = {func: {kind: reduce_exhauster(family, max_combinations=max_combinations)
-                       for kind, family in kinds.items()}
-                for func, kinds in built.items()}
+    families = {}
+    for func, kinds in built.items():
+        try:
+            families[func] = {kind: reduce_exhauster(family, max_combinations=max_combinations)
+                              for kind, family in kinds.items()}
+        except ValueError as exc:  # a difference of two finite vertices overflowed
+            label = "objective" if func == "f" else "constraint"
+            raise InputError(f"{label} overflows the floats in a vertex difference: {exc}") from exc
 
     if condition_ids is None:
         condition_ids = [cid for s in _senses(sense) for cid in ConditionID

@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Union
 # contains_origin and eval_minmax by name in this module and stops if one is
 # missing, so linear_feasibility and eval_minmax stay imported although
 # nothing here calls them.
-from .deriv import MinMaxTree, eval_minmax, eval_minmax_many, tree_dim
+from .deriv import MinMaxTree, eval_minmax, eval_minmax_many, expr_dim
 from .errors import DimensionMismatchError, ExhausterKindError
 from .exhauster import DEFAULT_COMBINATION_CAP, Exhauster, eval_exhauster, find_direction
 from .geometry import (
@@ -443,8 +443,8 @@ def necessary_condition_oracle(f_tree: MinMaxTree, u_tree: MinMaxTree, sense: st
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     if samples < 1:
         raise ValueError("need at least one sample")
-    dim = tree_dim(f_tree)
-    if tree_dim(u_tree) != dim:
+    dim = expr_dim(f_tree)
+    if expr_dim(u_tree) != dim:
         raise DimensionMismatchError("objective and constraint trees disagree "
                                      "on dimension")
     directions: list[Vector] = []

@@ -1,12 +1,13 @@
 """Piecewise-smooth expressions and their directional derivatives.
 
-An expression is a tree of polynomial atoms combined by sum, scale, max and
-min. At a fixed point, the one-sided derivative in a direction ``g`` is a
-continuous positively homogeneous piecewise-linear function of ``g``; it is
-built here as a finite max/min/sum tree over linear forms by linearizing
-the atoms that are active at the point. A finite-difference estimator that
-only ever evaluates the expression provides an independent check of that
-construction.
+An expression is a tree of polynomial atoms (``SmoothAtom``) combined by
+``Sum``, ``Scale``, ``Max`` and ``Min``. At a fixed point, the one-sided
+derivative in a direction ``g`` is a continuous positively homogeneous
+piecewise-linear function of ``g``; it is built here as a tree of the same
+``Sum``, ``Max`` and ``Min`` nodes over linear forms (``Leaf``) by
+linearizing the atoms that are active at the point. A finite-difference
+estimator that only ever evaluates the expression provides an independent
+check of that construction.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import ClassVar, Iterator, Sequence, Union
 
 from .errors import DimensionMismatchError
 from .geometry import Vector, as_int, as_vector, dot, is_number, json_numbers
@@ -27,8 +28,21 @@ ACTIVITY_RTOL = 1e-9
 # Polynomial atoms and expression nodes
 # ---------------------------------------------------------------------------
 
+def _checked(x: Sequence[float], dim: int) -> Sequence[float]:
+    """``x`` itself, once it is known to have ``dim`` coordinates."""
+    if len(x) != dim:
+        raise DimensionMismatchError(f"point of length {len(x)} against dimension {dim}")
+    return x
+
+
+class Expr:
+    """Base class of expression and derivative-tree nodes."""
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True)
-class SmoothAtom:
+class SmoothAtom(Expr):
     """Multivariate polynomial: a sum of ``coefficient * monomial`` terms.
 
     Terms are ``(coefficient, exponents)`` pairs where the exponent
@@ -61,9 +75,7 @@ class SmoothAtom:
         return SmoothAtom(dim, ((coef, exps),))
 
     def value(self, x: Sequence[float]) -> float:
-        if len(x) != self.dim:
-            raise DimensionMismatchError(
-                f"point of length {len(x)} against dimension {self.dim}")
+        _checked(x, self.dim)
         total = 0.0
         for coef, exps in self.terms:
             term = coef
@@ -74,9 +86,7 @@ class SmoothAtom:
         return total
 
     def gradient(self, x: Sequence[float]) -> Vector:
-        if len(x) != self.dim:
-            raise DimensionMismatchError(
-                f"point of length {len(x)} against dimension {self.dim}")
+        _checked(x, self.dim)
         grad = [0.0] * self.dim
         for coef, exps in self.terms:
             for j, ej in enumerate(exps):
@@ -91,25 +101,18 @@ class SmoothAtom:
         return tuple(grad)
 
 
-class Expr:
-    """Marker base class for expression nodes."""
-
-    __slots__ = ()
-
-
 @dataclass(frozen=True)
-class AtomExpr(Expr):
-    atom: SmoothAtom
+class Leaf(Expr):
+    """Linear form ``g -> <form, g>``, a leaf of a derivative tree."""
 
-
-@dataclass(frozen=True)
-class Sum(Expr):
-    children: tuple[Expr, ...]
+    form: Vector
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
-        if not self.children:
-            raise ValueError("sum needs at least one child")
+        object.__setattr__(self, "form", as_vector(self.form))
+
+    @property
+    def dim(self) -> int:
+        return len(self.form)
 
 
 @dataclass(frozen=True)
@@ -122,35 +125,62 @@ class Scale(Expr):
 
 
 @dataclass(frozen=True)
-class Max(Expr):
+class _Node(Expr):
+    """Operator over a nonempty tuple of children; ``op`` is its wire name."""
+
     children: tuple[Expr, ...]
+    op: ClassVar[str]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "children", tuple(self.children))
         if not self.children:
-            raise ValueError("max needs at least one child")
+            raise ValueError(f"{self.op} needs at least one child")
 
 
-@dataclass(frozen=True)
-class Min(Expr):
-    children: tuple[Expr, ...]
+class Sum(_Node):
+    """Pointwise sum of the children, added left to right."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
-        if not self.children:
-            raise ValueError("min needs at least one child")
+    op = "sum"
 
 
-def expr_dim(expr: Expr) -> int:
-    node = expr
-    while not isinstance(node, AtomExpr):
+class Max(_Node):
+    """Pointwise maximum of the children."""
+
+    op = "max"
+
+
+class Min(_Node):
+    """Pointwise minimum of the children."""
+
+    op = "min"
+
+
+# A derivative tree: Sum, Max and Min nodes over Leaf forms.
+MinMaxTree = Union[Leaf, Sum, Max, Min]
+
+
+def leaves(node: Expr) -> Iterator[Expr]:
+    """The leaves of an expression or a derivative tree, left to right:
+    its atoms, or its linear forms."""
+    if isinstance(node, _Node):
+        for child in node.children:
+            yield from leaves(child)
+    elif isinstance(node, Scale):
+        yield from leaves(node.child)
+    else:
+        yield node
+
+
+def expr_dim(node: Expr) -> int:
+    """Dimension of an expression or a derivative tree: its first leaf's."""
+    while isinstance(node, (_Node, Scale)):
         node = node.child if isinstance(node, Scale) else node.children[0]
-    return node.atom.dim
+    return node.dim
 
 
 def _eval(expr: Expr, x: Vector) -> float:
-    if isinstance(expr, AtomExpr):
-        return expr.atom.value(x)
+    if isinstance(expr, SmoothAtom):
+        return expr.value(x)
     if isinstance(expr, Sum):
         return sum(_eval(c, x) for c in expr.children)
     if isinstance(expr, Scale):
@@ -164,60 +194,24 @@ def _eval(expr: Expr, x: Vector) -> float:
 
 def eval_expr(expr: Expr, x: Sequence[float]) -> float:
     """Pointwise evaluation with exact max/min semantics."""
-    point = as_vector(x)
-    if len(point) != expr_dim(expr):
-        raise DimensionMismatchError(
-            f"point of length {len(point)} against dimension {expr_dim(expr)}")
-    return _eval(expr, point)
+    return _eval(expr, _checked(as_vector(x), expr_dim(expr)))
 
 
 # ---------------------------------------------------------------------------
 # Max/min/sum trees of linear forms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Leaf:
-    form: Vector
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "form", as_vector(self.form))
-
-
-@dataclass(frozen=True)
-class _Node:
-    children: tuple["MinMaxTree", ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
-        if not self.children:
-            raise ValueError(f"{type(self).__name__} needs at least one child")
-
-
-class MaxNode(_Node):
-    """Pointwise maximum of the children."""
-
-
-class MinNode(_Node):
-    """Pointwise minimum of the children."""
-
-
-class SumNode(_Node):
-    """Pointwise sum of the children, added left to right."""
-
-
-MinMaxTree = Union[Leaf, MaxNode, MinNode, SumNode]
-
 # The node a negative scale turns each node into.
-_NEGATED = {MaxNode: MinNode, MinNode: MaxNode, SumNode: SumNode}
+_NEGATED = {Max: Min, Min: Max, Sum: Sum}
 
 
 def eval_minmax(tree: MinMaxTree, g: Sequence[float]) -> float:
     if isinstance(tree, Leaf):
         return dot(tree.form, g)
     values = [eval_minmax(c, g) for c in tree.children]
-    if isinstance(tree, SumNode):
+    if isinstance(tree, Sum):
         return functools.reduce(operator.add, values)
-    return max(values) if isinstance(tree, MaxNode) else min(values)
+    return max(values) if isinstance(tree, Max) else min(values)
 
 
 def eval_minmax_many(tree: MinMaxTree,
@@ -230,7 +224,7 @@ def eval_minmax_many(tree: MinMaxTree,
     children left to right with no start value, as ``eval_minmax`` does, so
     the values, signed zeros included, are the ones it returns.
     """
-    dim = tree_dim(tree)
+    dim = expr_dim(tree)
     if any(len(g) != dim for g in directions):
         raise DimensionMismatchError(
             f"a direction's length differs from the tree's dimension {dim}")
@@ -248,23 +242,14 @@ def _columns(tree: MinMaxTree, directions: Sequence[Sequence[float]]) -> list[fl
         # map(max, column) would call max on a single float.
         return _columns(tree.children[0], directions)
     columns = (_columns(c, directions) for c in tree.children)
-    if isinstance(tree, SumNode):
+    if isinstance(tree, Sum):
         return functools.reduce(lambda a, b: list(map(operator.add, a, b)), columns)
-    pick = max if isinstance(tree, MaxNode) else min
+    pick = max if isinstance(tree, Max) else min
     return list(map(pick, *columns))
 
 
 def leaf_count(tree: MinMaxTree) -> int:
-    if isinstance(tree, Leaf):
-        return 1
-    return sum(leaf_count(c) for c in tree.children)
-
-
-def tree_dim(tree: MinMaxTree) -> int:
-    node = tree
-    while not isinstance(node, Leaf):
-        node = node.children[0]
-    return len(node.form)
+    return sum(1 for _ in leaves(tree))
 
 
 def scale_tree(tree: MinMaxTree, lam: float) -> MinMaxTree:
@@ -277,40 +262,35 @@ def scale_tree(tree: MinMaxTree, lam: float) -> MinMaxTree:
 
 
 def directional_derivative_tree(expr: Expr, x: Sequence[float]) -> MinMaxTree:
-    """Directional derivative of ``expr`` at ``x`` as a max/min/sum tree over
-    linear forms (the gradients of the active atoms).
+    """Directional derivative of ``expr`` at ``x`` as a tree of the
+    expression's own ``Sum``, ``Max`` and ``Min`` nodes over linear forms
+    (``Leaf``, the gradients of the active atoms).
 
     Max and min nodes keep only the children whose value at ``x`` ties the
     node value within a relative tolerance; inactive children do not affect
-    the one-sided derivative. A sum becomes a sum node over the children's
-    trees; negative scaling swaps max and min.
+    the one-sided derivative, and a node left with one child is that
+    child's tree. A sum stays a sum; negative scaling swaps max and min.
     """
-    point = as_vector(x)
-    if len(point) != expr_dim(expr):
-        raise DimensionMismatchError(
-            f"point of length {len(point)} against dimension {expr_dim(expr)}")
-    return _ddt(expr, point)
+    return _ddt(expr, _checked(as_vector(x), expr_dim(expr)))
 
 
 def _ddt(expr: Expr, x: Vector) -> MinMaxTree:
-    if isinstance(expr, AtomExpr):
-        return Leaf(expr.atom.gradient(x))
+    if isinstance(expr, SmoothAtom):
+        return Leaf(expr.gradient(x))
     if isinstance(expr, Scale):
         return scale_tree(_ddt(expr.child, x), expr.coef)
-    if isinstance(expr, Sum):
-        node, children = SumNode, expr.children
-    elif isinstance(expr, (Max, Min)):
-        values = [_eval(c, x) for c in expr.children]
+    if not isinstance(expr, _Node):
+        raise TypeError(f"not an expression node: {expr!r}")
+    children = expr.children
+    if not isinstance(expr, Sum):
+        values = [_eval(c, x) for c in children]
         ref = max(values) if isinstance(expr, Max) else min(values)
-        children = [c for c, v in zip(expr.children, values)
+        children = [c for c, v in zip(children, values)
                     if abs(v - ref) <= ACTIVITY_RTOL * (1.0 + abs(ref))]
         if not children:
             raise RuntimeError("empty active set")  # unreachable with tol >= 0
-        node = MaxNode if isinstance(expr, Max) else MinNode
-    else:
-        raise TypeError(f"not an expression node: {expr!r}")
     subtrees = tuple(_ddt(c, x) for c in children)
-    return subtrees[0] if len(subtrees) == 1 else node(subtrees)
+    return subtrees[0] if len(subtrees) == 1 else type(expr)(subtrees)
 
 
 # ---------------------------------------------------------------------------
@@ -351,22 +331,24 @@ def fd_directional_derivative(expr: Expr, x: Sequence[float],
 # ---------------------------------------------------------------------------
 
 def expr_to_json(expr: Expr):
-    if isinstance(expr, AtomExpr):
+    if isinstance(expr, SmoothAtom):
         return {"atom": {"terms": [{"c": coef, "e": list(exps)}
-                                   for coef, exps in expr.atom.terms]}}
+                                   for coef, exps in expr.terms]}}
     if isinstance(expr, Scale):
         return {"op": "scale", "coef": expr.coef, "arg": expr_to_json(expr.child)}
-    op = {Sum: "sum", Max: "max", Min: "min"}[type(expr)]
-    return {"op": op, "args": [expr_to_json(c) for c in expr.children]}
+    return {"op": expr.op, "args": [expr_to_json(c) for c in expr.children]}
 
 
 def expr_from_json(data) -> Expr:
     """Parse the wire form; raises ValueError on malformed input."""
     expr = _parse_expr(data)
-    dims = {atom.dim for atom in _walk_atoms(expr)}
+    dims = {atom.dim for atom in leaves(expr)}
     if len(dims) != 1:
         raise ValueError(f"atoms disagree on dimension: {sorted(dims)}")
     return expr
+
+
+_NODES = {node.op: node for node in (Sum, Max, Min)}
 
 
 def _parse_expr(data) -> Expr:
@@ -384,18 +366,17 @@ def _parse_expr(data) -> Expr:
             terms.append((_finite(term["c"]), tuple(exps)))
         if not terms:
             raise ValueError("atom needs at least one term")
-        return AtomExpr(SmoothAtom(len(terms[0][1]), tuple(terms)))
+        return SmoothAtom(len(terms[0][1]), tuple(terms))
     op = data.get("op")
     if op == "scale":
         if "coef" not in data or "arg" not in data:
             raise ValueError("scale node needs 'coef' and 'arg'")
         return Scale(_finite(data["coef"]), _parse_expr(data["arg"]))
-    if op in ("sum", "max", "min"):
+    if isinstance(op, str) and op in _NODES:
         args = data.get("args")
         if not isinstance(args, list) or not args:
             raise ValueError(f"{op} node needs a nonempty 'args' list")
-        children = tuple(_parse_expr(a) for a in args)
-        return {"sum": Sum, "max": Max, "min": Min}[op](children)
+        return _NODES[op](tuple(_parse_expr(a) for a in args))
     raise ValueError(f"unknown expression node: {data!r}")
 
 
@@ -407,12 +388,3 @@ def _finite(value) -> float:
         raise ValueError(f"non-finite coefficient {number!r}")
     return number
 
-
-def _walk_atoms(expr: Expr) -> Iterator[SmoothAtom]:
-    if isinstance(expr, AtomExpr):
-        yield expr.atom
-    elif isinstance(expr, Scale):
-        yield from _walk_atoms(expr.child)
-    else:
-        for c in expr.children:
-            yield from _walk_atoms(c)

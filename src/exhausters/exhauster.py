@@ -3,8 +3,9 @@ homogeneous function.
 
 An upper family evaluates as the minimum over its sets of the maximal
 vertex product; a lower family as the maximum of the minimal products. Both
-are built from the same derivative tree by the exhauster calculus (sums,
-maxima, minima), so they agree pointwise with the tree and with each other.
+are built by the exhauster calculus from the same derivative tree, whose
+``Sum``, ``Max`` and ``Min`` nodes over ``Leaf`` forms are the expression's
+own operators, so they agree pointwise with the tree and with each other.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .deriv import Leaf, MaxNode, MinMaxTree, MinNode, SumNode, tree_dim
+from .deriv import Leaf, Max, Min, MinMaxTree, Sum, expr_dim
 from .errors import CapExceededError, DimensionMismatchError
 from .geometry import (
     FeasibilityResult,
@@ -73,17 +74,17 @@ def exhauster_from_tree(tree: MinMaxTree, kind: str) -> Exhauster:
     """Build the family of the requested kind from a derivative tree by the
     exhauster calculus, bottom-up.
 
-    A leaf is one singleton set. The node that matches the kind (min for
-    upper, max for lower) concatenates its children's families; the other
-    takes their product, uniting one set of each child per combination;
-    a sum node takes the pairwise Minkowski sums of the sets, whose
-    vertices are ``v + w`` over every pair of vertices. Children fold left
-    to right. Redundant vertices are left alone (hull equality, not list
-    equality, is the notion of sameness downstream). A family whose
-    vertices, summed over its sets, would exceed ``DEFAULT_FAMILY_CAP``
-    raises ``CapExceededError`` before it is built.
+    A ``Leaf`` is one singleton set. The node that matches the kind (``Min``
+    for upper, ``Max`` for lower) concatenates its children's families; the
+    other takes their product, uniting one set of each child per
+    combination; a ``Sum`` node takes the pairwise Minkowski sums of the
+    sets, whose vertices are ``v + w`` over every pair of vertices.
+    Children fold left to right. Redundant vertices are left alone (hull
+    equality, not list equality, is the notion of sameness downstream). A
+    family whose vertices, summed over its sets, would exceed
+    ``DEFAULT_FAMILY_CAP`` raises ``CapExceededError`` before it is built.
     """
-    concat_node = MinNode if kind == "upper" else MaxNode
+    concat_node = Min if kind == "upper" else Max
 
     def build(node: MinMaxTree) -> list[tuple[Vector, ...]]:
         if isinstance(node, Leaf):
@@ -94,7 +95,7 @@ def exhauster_from_tree(tree: MinMaxTree, kind: str) -> Exhauster:
             if isinstance(node, concat_node):
                 _check_family_cap(have + more)
                 acc = acc + family
-            elif isinstance(node, SumNode):
+            elif isinstance(node, Sum):
                 _check_family_cap(have * more)
                 acc = [tuple(tuple(x + y for x, y in zip(v, w)) for v in a for w in b)
                        for a in acc for b in family]
@@ -103,7 +104,7 @@ def exhauster_from_tree(tree: MinMaxTree, kind: str) -> Exhauster:
                 acc = [a + b for a in acc for b in family]
         return acc
 
-    dim = tree_dim(tree)
+    dim = expr_dim(tree)
     return Exhauster(kind, dim, tuple(Polytope(dim, s) for s in build(tree)))
 
 

@@ -7,19 +7,15 @@ from itertools import product
 
 from exhausters.conditions import SignRegion, Verdict
 from exhausters.deriv import (
-    AtomExpr,
     Leaf,
     Max,
-    MaxNode,
     Min,
-    MinNode,
     Scale,
     SmoothAtom,
     Sum,
-    SumNode,
     directional_derivative_tree,
     eval_minmax,
-    tree_dim,
+    expr_dim,
 )
 from exhausters.exhauster import Exhauster
 from exhausters.geometry import Polytope, linear_feasibility, sample_unit_directions
@@ -52,13 +48,13 @@ def sign_region(kind_sign, *sets):
 
 
 def coord(dim, index, coef=1.0):
-    return AtomExpr(SmoothAtom.coordinate(dim, index, coef))
+    return SmoothAtom.coordinate(dim, index, coef)
 
 
 def disc_atom(sx, sy):
     """Quadratic piece 0.5*x1^2 + 0.5*x2^2 + sx*x1 + sy*x2."""
-    return AtomExpr(SmoothAtom(2, (
-        (0.5, (2, 0)), (0.5, (0, 2)), (sx, (1, 0)), (sy, (0, 1)))))
+    return SmoothAtom(2, (
+        (0.5, (2, 0)), (0.5, (0, 2)), (sx, (1, 0)), (sy, (0, 1))))
 
 
 def objective_expr():
@@ -122,7 +118,7 @@ def random_expr(rng, dim=2, depth=3, budget=None):
         budget = [6]
     if depth == 0 or budget[0] <= 1 or rng.random() < 0.25:
         budget[0] -= 1
-        return AtomExpr(random_atom(rng, dim))
+        return random_atom(rng, dim)
     kind = rng.choice(["sum", "scale", "max", "min"])
     if kind == "scale":
         return Scale(rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
@@ -200,7 +196,7 @@ def random_minmax_tree(rng, dim, depth=3):
     if depth == 0 or rng.random() < 0.3:
         return Leaf(tuple(rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, rng.uniform(-3, 3)])
                           for _ in range(dim)))
-    node = rng.choice([MaxNode, MinNode, SumNode])
+    node = rng.choice([Max, Min, Sum])
     return node(tuple(random_minmax_tree(rng, dim, depth - 1)
                       for _ in range(rng.randint(1, 3))))
 
@@ -214,7 +210,7 @@ def oracle_reference(f_tree, u_tree, sense, samples=720, seed=0, *,
         norm = math.sqrt(sum(float(c) * float(c) for c in d))
         if norm > 1e-12:
             directions.append(tuple(float(c) / norm for c in d))
-    directions.extend(sample_unit_directions(tree_dim(f_tree), samples, seed))
+    directions.extend(sample_unit_directions(expr_dim(f_tree), samples, seed))
     for g in directions:
         hu = eval_minmax(u_tree, g)
         if hu <= tol:

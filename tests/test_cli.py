@@ -203,6 +203,23 @@ class TestAnalyze:
                 assert out == "" and err.startswith(
                     "error: objective overflows the floats at the point:")
 
+    def test_overflow_in_a_vertex_difference_names_the_function(self, tmp_path, capsys):
+        # min(|1e308 x|, |1e308 x|): every vertex of the upper family is
+        # finite, but the reduction's rows w - v = 1e308 - (-1e308) are not.
+        def atom(c):
+            return {"atom": {"terms": [{"c": c, "e": [1]}]}}
+
+        kinked = {"op": "max", "args": [atom(1e308), atom(-1e308)]}
+        overflowing = {"op": "min", "args": [kinked, kinked]}
+        path = tmp_path / "overflow.json"
+        for label, problem in (
+                ("objective", {"objective": overflowing}),
+                ("constraint", {"objective": atom(1.0), "constraint": overflowing})):
+            path.write_text(json.dumps({"dim": 1, "point": [0], **problem}))
+            assert main(["analyze", str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: {label} overflows the floats")
+
     def test_pivot_cap_gives_inconclusive_exit(self, problem_file, capsys,
                                                monkeypatch):
         monkeypatch.setattr("exhausters.geometry.PIVOT_CAP", 0)
@@ -461,6 +478,13 @@ class TestShippedFixture:
         oracle = [v["status"] for v in report["oracle"].values()]
         assert code == (1 if "violated" in conditions + oracle
                         else 3 if "inconclusive" in conditions else 0)
+
+    def test_recorded_text_report_replays_byte_for_byte(self, capsys):
+        fixture = Path(__file__).resolve().parents[1] / FIXTURE
+        assert main(["analyze", str(fixture), "--sense", "both",
+                     "--format", "text"]) == 1
+        assert capsys.readouterr().out == \
+            fixture.with_name("expected-report-both.txt").read_text(encoding="utf-8")
 
     def test_recorded_figure_replays_byte_for_byte(self, tmp_path, capsys):
         fixture = Path(__file__).resolve().parents[1] / FIXTURE

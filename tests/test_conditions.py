@@ -17,7 +17,7 @@ from exhausters.conditions import (
     region_membership,
     regularity_check,
 )
-from exhausters.deriv import Leaf, MaxNode, MinNode, eval_minmax
+from exhausters.deriv import Leaf, Max, Min, eval_minmax
 from exhausters.errors import ExhausterKindError
 from exhausters.exhauster import Exhauster, exhauster_from_tree, reduce_exhauster
 from exhausters.geometry import (
@@ -284,13 +284,13 @@ class TestRegularity:
         assert verdict.method == "exact2d"
 
     def test_absolute_value_violated(self):
-        tree = MaxNode((Leaf((1.0, 0.0)), Leaf((-1.0, 0.0))))
+        tree = Max((Leaf((1.0, 0.0)), Leaf((-1.0, 0.0))))
         verdict = regularity_check(_upper(tree))
         assert verdict.status == "violated"
         assert abs(verdict.witness[0]) <= 1e-9  # zero directions are the y axis
 
     def test_zero_sector_violated(self):
-        tree = MinNode((Leaf((0.0, 0.0)), Leaf((1.0, 0.0))))
+        tree = Min((Leaf((0.0, 0.0)), Leaf((1.0, 0.0))))
         # min(0, g1) vanishes on the whole right half circle
         verdict = regularity_check(_upper(tree))
         assert verdict.status == "violated"
@@ -305,7 +305,7 @@ class TestRegularity:
         verdict = regularity_check(_upper(Leaf((1.0, 0.0, 0.0))))
         assert verdict.method == "lp_enumeration"
         assert verdict.status == "holds"
-        cone = MaxNode((Leaf((1.0, 0.0, 0.0)), Leaf((-1.0, 0.0, 0.0))))
+        cone = Max((Leaf((1.0, 0.0, 0.0)), Leaf((-1.0, 0.0, 0.0))))
         verdict = regularity_check(_upper(cone))
         assert verdict.method == "lp_enumeration"
         assert verdict.status == "violated"
@@ -318,7 +318,7 @@ class TestRegularity:
         # found none and reported a false violation.
         forms = [(-1.0, -0.97, 0.28, 0.0), (0.0, 0.0, -0.52, -1.0),
                  (0.0, 0.5, 0.0, 2.3), (0.0, -2.84, 0.0, 1.0)]
-        tree = MaxNode(tuple(Leaf(f) for f in forms))
+        tree = Max(tuple(Leaf(f) for f in forms))
         assert eval_minmax(tree, (1.0, 0.0, 0.0, 0.0)) == 0.0
         descent = [LinearConstraint(tuple(-c for c in f), strict=True) for f in forms]
         assert linear_feasibility(descent, 4).feasible

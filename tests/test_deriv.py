@@ -4,20 +4,17 @@ import random
 import pytest
 
 from exhausters.deriv import (
-    AtomExpr,
     Leaf,
     Max,
-    MaxNode,
     Min,
-    MinNode,
     Scale,
     SmoothAtom,
     Sum,
-    SumNode,
     directional_derivative_tree,
     eval_expr,
     eval_minmax,
     eval_minmax_many,
+    expr_dim,
     expr_from_json,
     expr_to_json,
     fd_directional_derivative,
@@ -69,8 +66,8 @@ class TestEval:
 
 class TestGradient:
     def test_disc_gradients_at_origin(self):
-        assert disc_atom(-1, -1).atom.gradient((0.0, 0.0)) == (-1.0, -1.0)
-        assert disc_atom(1, 1).atom.gradient((0.0, 0.0)) == (1.0, 1.0)
+        assert disc_atom(-1, -1).gradient((0.0, 0.0)) == (-1.0, -1.0)
+        assert disc_atom(1, 1).gradient((0.0, 0.0)) == (1.0, 1.0)
 
     def test_linear_atom(self):
         atom = SmoothAtom.coordinate(2, 0)
@@ -105,15 +102,15 @@ class TestDirectionalTree:
 
     def test_constraint_tree_structure(self):
         tree = constraint_tree()
-        assert isinstance(tree, MinNode)
+        assert isinstance(tree, Min)
         assert len(tree.children) == 2
         first, second = tree.children
-        assert isinstance(first, MaxNode) and isinstance(second, MaxNode)
+        assert isinstance(first, Max) and isinstance(second, Max)
         assert [leaf.form for leaf in first.children] == [(-1.0, -1.0), (-1.0, 1.0)]
         assert [leaf.form for leaf in second.children] == [(1.0, -1.0), (1.0, 1.0)]
 
     def test_inactive_child_dropped(self):
-        square = AtomExpr(SmoothAtom(2, ((1.0, (2, 0)),)))
+        square = SmoothAtom(2, ((1.0, (2, 0)),))
         expr = Max((coord(2, 0), square))
         tree = directional_derivative_tree(expr, (2.0, 0.0))
         assert tree == Leaf((4.0, 0.0))
@@ -121,7 +118,7 @@ class TestDirectionalTree:
     def test_negative_scale_swaps_nodes(self):
         expr = Scale(-1.0, Max((coord(2, 0), coord(2, 0, -1.0))))
         tree = directional_derivative_tree(expr, (0.0, 0.0))
-        assert isinstance(tree, MinNode)
+        assert isinstance(tree, Min)
         for g in circle_directions(32):
             assert eval_minmax(tree, g) == pytest.approx(-abs(g[0]))
 
@@ -129,7 +126,7 @@ class TestDirectionalTree:
         # No distribution: 25 two-leaf maxima stay 50 leaves, not 2^25.
         children = tuple(Max((coord(2, 0), coord(2, 1))) for _ in range(25))
         tree = directional_derivative_tree(Sum(children), (0.0, 0.0))
-        assert isinstance(tree, SumNode) and leaf_count(tree) == 50
+        assert isinstance(tree, Sum) and leaf_count(tree) == 50
         assert eval_minmax(tree, (1.0, -2.0)) == 25.0
 
 
@@ -167,7 +164,7 @@ class TestEvalMinMax:
                     [repr(eval_minmax(tree, g)) for g in directions]
 
     def test_many_signed_zero_and_single_child(self):
-        tree = MinNode((MaxNode((Leaf((-0.0, 1.0)),)),))
+        tree = Min((Max((Leaf((-0.0, 1.0)),)),))
         assert repr(eval_minmax_many(tree, [(1.0, -0.0)])[0]) == "0.0"
         assert repr(eval_minmax_many(Leaf((-0.0, 1.0, 2.0)), [(1.0, -0.0, 0.0)])[0]) == "0.0"
 
@@ -186,7 +183,7 @@ class TestTreeAlgebra:
             t1 = directional_derivative_tree(e1, x)
             t2 = directional_derivative_tree(e2, x)
             both = directional_derivative_tree(Sum((e1, e2)), x)
-            assert both == SumNode((t1, t2))
+            assert both == Sum((t1, t2))
             for g in circle_directions(24):
                 assert eval_minmax(both, g) == pytest.approx(
                     eval_minmax(t1, g) + eval_minmax(t2, g), abs=1e-9)
@@ -203,9 +200,9 @@ class TestTreeAlgebra:
                     -eval_minmax(tree, g), abs=1e-9)
 
     def test_negative_scale_keeps_sum_nodes(self):
-        tree = SumNode((MaxNode((Leaf((1.0, 0.0)), Leaf((0.0, 1.0)))), Leaf((2.0, 2.0))))
-        assert scale_tree(tree, -1.0) == SumNode((
-            MinNode((Leaf((-1.0, -0.0)), Leaf((-0.0, -1.0)))), Leaf((-2.0, -2.0))))
+        tree = Sum((Max((Leaf((1.0, 0.0)), Leaf((0.0, 1.0)))), Leaf((2.0, 2.0))))
+        assert scale_tree(tree, -1.0) == Sum((
+            Min((Leaf((-1.0, -0.0)), Leaf((-0.0, -1.0)))), Leaf((-2.0, -2.0))))
 
     def test_scale_tree_zero(self):
         tree = scale_tree(objective_tree(), 0.0)
@@ -229,6 +226,11 @@ class TestFiniteDifferences:
     def test_tree_agreement_on_reference_pair(self):
         for expr in (objective_expr(), constraint_expr()):
             tree = directional_derivative_tree(expr, (0.0, 0.0))
+            # The tree is built of the expression's own Sum, Max and Min
+            # nodes, and one walker gives both the same dimension.
+            assert type(tree) is type(expr)
+            assert [type(c) for c in tree.children] == [type(c) for c in expr.children]
+            assert expr_dim(tree) == expr_dim(expr) == 2
             for g in circle_directions(360):
                 fd = fd_directional_derivative(expr, (0.0, 0.0), g)
                 assert fd == pytest.approx(eval_minmax(tree, g), abs=1e-3)
@@ -266,6 +268,7 @@ class TestJson:
 
     @pytest.mark.parametrize("bad", [
         {"op": "nope", "args": []},
+        {"op": ["max"], "args": [{"atom": {"terms": [{"c": 1, "e": [1]}]}}]},
         {"op": "max", "args": []},
         {"op": "scale", "arg": {"atom": {"terms": [{"c": 1, "e": [1]}]}}},
         {"atom": {"terms": []}},

@@ -5,9 +5,9 @@ import pytest
 
 from exhausters.deriv import (
     Leaf,
-    MaxNode,
-    MinNode,
-    SumNode,
+    Max,
+    Min,
+    Sum,
     directional_derivative_tree,
     eval_minmax,
     expr_from_json,
@@ -57,12 +57,12 @@ def vertex_lists(family):
 
 class TestFamilyCalculus:
     def test_min_rule_concatenates_upper_sets(self):
-        tree = MinNode((MaxNode((L1, L2)), MaxNode((L3, L4))))
+        tree = Min((Max((L1, L2)), Max((L3, L4))))
         assert vertex_lists(exhauster_from_tree(tree, "upper")) == [
             ((1.0, 1.0), (1.0, -1.0)), ((-1.0, 1.0), (-1.0, -1.0))]
 
     def test_min_rule_takes_product_of_lower_sets(self):
-        tree = MinNode((MaxNode((L1, L2)), MaxNode((L3, L4))))
+        tree = Min((Max((L1, L2)), Max((L3, L4))))
         assert vertex_lists(exhauster_from_tree(tree, "lower")) == [
             ((1.0, 1.0), (-1.0, 1.0)),
             ((1.0, 1.0), (-1.0, -1.0)),
@@ -77,7 +77,7 @@ class TestFamilyCalculus:
             assert eval_exhauster(family, g) == pytest.approx(eval_minmax(tree, g), abs=1e-12)
 
     def test_max_rule_mirrors_min_rule(self):
-        tree = MaxNode((MinNode((L1, L2)), L3))
+        tree = Max((Min((L1, L2)), L3))
         assert vertex_lists(exhauster_from_tree(tree, "lower")) == [
             ((1.0, 1.0), (1.0, -1.0)), ((-1.0, 1.0),)]
         assert vertex_lists(exhauster_from_tree(tree, "upper")) == [
@@ -86,7 +86,7 @@ class TestFamilyCalculus:
     def test_sum_rule_adds_sets_pairwise(self):
         # Each set of the left family meets each of the right one, and the
         # vertices are v + w with v running slowest.
-        tree = SumNode((MinNode((MaxNode((L1, L2)), L3)), MaxNode((L2, L4))))
+        tree = Sum((Min((Max((L1, L2)), L3)), Max((L2, L4))))
         assert vertex_lists(exhauster_from_tree(tree, "upper")) == [
             ((2.0, 0.0), (0.0, 0.0), (2.0, -2.0), (0.0, -2.0)),
             ((0.0, 0.0), (-2.0, 0.0)),
@@ -97,7 +97,7 @@ class TestFamilyCalculus:
         ]
 
     def test_negative_scale_swaps_upper_and_lower(self):
-        tree = SumNode((MinNode((MaxNode((L1, L2)), L3)), MaxNode((L2, L4))))
+        tree = Sum((Min((Max((L1, L2)), L3)), Max((L2, L4))))
         for kind, other in (("upper", "lower"), ("lower", "upper")):
             flipped = exhauster_from_tree(scale_tree(tree, -1.0), kind)
             assert vertex_lists(flipped) == [
@@ -111,11 +111,11 @@ class TestFamilyCalculus:
 
     def test_family_cap(self, monkeypatch):
         monkeypatch.setattr("exhausters.exhauster.DEFAULT_FAMILY_CAP", 100)
-        wide = MaxNode(tuple(MinNode((L1, L2, L3)) for _ in range(10)))
+        wide = Max(tuple(Min((L1, L2, L3)) for _ in range(10)))
         with pytest.raises(CapExceededError):
             exhauster_from_tree(wide, "upper")
         assert len(exhauster_from_tree(wide, "lower").sets) == 10
-        pairs = SumNode(tuple(MaxNode((L1, L2)) for _ in range(7)))
+        pairs = Sum(tuple(Max((L1, L2)) for _ in range(7)))
         with pytest.raises(CapExceededError):
             exhauster_from_tree(pairs, "upper")  # one set of 2^7 vertices
 
