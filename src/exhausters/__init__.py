@@ -3,6 +3,7 @@ derivatives, with exact checkers for the induced optimality conditions."""
 
 from .conditions import (
     ConditionID,
+    RunMemo,
     SignRegion,
     Verdict,
     build_condition,

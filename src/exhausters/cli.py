@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 
 from .conditions import (
     ConditionID,
+    RunMemo,
     Verdict,
     evaluate_condition,
     necessary_condition_oracle,
@@ -53,9 +54,21 @@ class InputError(ValueError):
 
 
 def _load_json(path: str):
+    """The JSON value in ``path``. The constants NaN, Infinity and -Infinity
+    are not JSON, nor is a number beyond the float range once echoed, so
+    a report carrying one would not parse."""
+    def reject(name: str):
+        raise InputError(f"{name} in {path} is not a JSON number")
+
+    def finite(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise InputError(f"{text} in {path} overflows the floats")
+        return value
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, parse_constant=reject, parse_float=finite)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -140,6 +153,12 @@ def _check_tolerance(name: str, value: float) -> None:
         raise InputError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
+def _check_cap(max_combinations: int) -> None:
+    # A cap below one would keep every candidate set in reduction.
+    if max_combinations < 1:
+        raise InputError(f"max-combinations must be positive, got {max_combinations}")
+
+
 def analyze_problem(problem: dict, *, sense: Optional[str] = None,
                     condition_ids: Optional[list[ConditionID]] = None,
                     tol: float = TOL, samples: int = 720, seed: int = 0,
@@ -150,6 +169,7 @@ def analyze_problem(problem: dict, *, sense: Optional[str] = None,
     if samples < 1:
         raise InputError("need a positive sample count")
     _check_tolerance("tol", tol)
+    _check_cap(max_combinations)
     sense = sense or problem.get("sense", "min")
     if sense not in ("min", "max", "both"):
         raise InputError(f"sense must be min, max or both, got {sense!r}")
@@ -173,6 +193,7 @@ def analyze_problem(problem: dict, *, sense: Optional[str] = None,
         condition_ids = [cid for s in _senses(sense) for cid in ConditionID
                          if cid.sense == s
                          and (cid.u_kind is None) == (u_tree is None)]
+    memo = RunMemo()
     verdicts: dict[str, Verdict] = {}
     for cid in condition_ids:
         if cid.u_kind is not None and u_tree is None:
@@ -180,13 +201,13 @@ def analyze_problem(problem: dict, *, sense: Optional[str] = None,
         verdicts[cid.value] = evaluate_condition(
             cid, families["f"][cid.f_kind],
             families["u"][cid.u_kind] if cid.u_kind is not None else None,
-            max_combinations=max_combinations)
+            max_combinations=max_combinations, memo=memo)
 
     regularity = None
     if u_tree is not None:
         regularity = replace(
             regularity_check(families["u"]["upper"],
-                             max_combinations=max_combinations),
+                             max_combinations=max_combinations, memo=memo),
             condition="REGULARITY")
     gate_tree = u_tree if u_tree is not None else Leaf((0.0,) * dim)
     oracle = {
@@ -256,14 +277,16 @@ def cmd_check(args: argparse.Namespace) -> int:
     condition_ids = _parse_condition_ids(args.conditions)
     if not condition_ids:
         raise InputError("check needs --conditions")
+    _check_cap(args.max_combinations)
     ef = _load_family(args.f_exhauster)
     eu = _load_family(args.u_exhauster) if args.u_exhauster else None
+    memo = RunMemo()
     verdicts: dict[str, Verdict] = {}
     for cid in condition_ids:
         if cid.u_kind is not None and eu is None:
             raise InputError(f"{cid.value} needs --u-exhauster")
         verdicts[cid.value] = evaluate_condition(
-            cid, ef, eu, max_combinations=args.max_combinations)
+            cid, ef, eu, max_combinations=args.max_combinations, memo=memo)
     problem_echo = {"f_exhauster": args.f_exhauster,
                     "u_exhauster": args.u_exhauster}
     report = AnalysisReport(

@@ -13,6 +13,9 @@ search over vertex choices, each system decided by the deterministic
 feasibility solver. Regularity of the constraint is one more inclusion of
 the same kind. A sampled oracle that works straight from the derivative
 trees cross-checks each verdict but never claims an exact "holds".
+
+The checks of one run share a ``RunMemo``, so that a side several
+conditions name is traced once and a set is tested for the origin once.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import reduce
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 # The benchmark's tracer (perfbench/spans.py) wraps linear_feasibility,
 # contains_origin and eval_minmax by name in this module and stops if one is
@@ -189,6 +192,39 @@ def region_arcs(region: SignRegion) -> ArcSet:
         for c in region.family.sets])
 
 
+class RunMemo:
+    """What the checks of one run compute once per side or set: the circle
+    trace of a sign region, keyed by the region's value, and whether a set
+    contains the origin, keyed by the set's vertex tuple (its value, and
+    cheaper to hash). Value keys let the sides that ``build_condition``
+    rebuilds for every id hit. A trace depends on the value alone: a
+    signed zero changes an angle only in atan2's +-pi, which gives the
+    same half-circle.
+
+    Make one per run and pass it to every check of that run; a check made
+    without one traces and tests straight through, as a memo it alone used
+    would only add dictionary work. Nothing is kept between runs, so a run
+    computes, and a tracer counts, the same work whatever ran before it.
+    """
+
+    def __init__(self) -> None:
+        self._arcs: dict[SignRegion, ArcSet] = {}
+        self._origin: dict[tuple[Vector, ...], bool] = {}
+
+    def arcs(self, region: SignRegion) -> ArcSet:
+        arcs = self._arcs.get(region)
+        if arcs is None:
+            arcs = self._arcs[region] = region_arcs(region)
+        return arcs
+
+    def holds_origin(self, polytope: Polytope) -> bool:
+        found = self._origin.get(polytope.vertices)
+        if found is None:
+            # Looked up in this module at each call, where a tracer can wrap it.
+            found = self._origin[polytope.vertices] = contains_origin(polytope)
+        return found
+
+
 # ---------------------------------------------------------------------------
 # Condition catalog
 # ---------------------------------------------------------------------------
@@ -206,7 +242,7 @@ def build_condition(cid: ConditionID, ef: Exhauster,
         raise ExhausterKindError(f"{cid.value} needs a constraint family")
     if ef.kind != cid.f_kind:
         raise ExhausterKindError(
-            f"{cid.value} needs an {cid.f_kind} family for the objective, got {ef.kind}")
+            f"{cid.value} needs an objective family of kind {cid.f_kind}, got {ef.kind}")
     rhs = SignRegion(ef, 1.0 if cid.sense == "min" else -1.0)
     if cid is ConditionID.UNC_MIN_UPPER:
         # The origin form "some <v, g> <= 0 in every set", like
@@ -218,7 +254,7 @@ def build_condition(cid: ConditionID, ef: Exhauster,
         return UnconstrainedCondition(cid, rhs)
     if eu.kind != cid.u_kind:
         raise ExhausterKindError(
-            f"{cid.value} needs a {cid.u_kind} family for the constraint, got {eu.kind}")
+            f"{cid.value} needs a constraint family of kind {cid.u_kind}, got {eu.kind}")
     if ef.dim != eu.dim:
         raise DimensionMismatchError(
             f"objective family dimension {ef.dim} vs constraint {eu.dim}")
@@ -229,13 +265,14 @@ def build_condition(cid: ConditionID, ef: Exhauster,
 # Inclusion decision
 # ---------------------------------------------------------------------------
 
-def _degeneracy_notes(lhs: SignRegion, rhs: SignRegion) -> str:
+def _degeneracy_notes(lhs: SignRegion, rhs: SignRegion,
+                      holds_origin: Callable[[Polytope], bool]) -> str:
     notes = []
     for label, region in (("lhs", lhs), ("rhs", rhs)):
         if region.every:
             continue
         for i, c in enumerate(region.family.sets):
-            if contains_origin(c):
+            if holds_origin(c):
                 notes.append(
                     f"degenerate {label} atom {i}: set contains the origin, "
                     "predicate covers every direction")
@@ -280,7 +317,8 @@ def _search(choice_points: list[list[list[LinearConstraint]]], dim: int,
 
 
 def inclusion_check(lhs: SignRegion, rhs: SignRegion, *, method: str = "auto",
-                    max_combinations: int = DEFAULT_COMBINATION_CAP) -> Verdict:
+                    max_combinations: int = DEFAULT_COMBINATION_CAP,
+                    memo: Optional[RunMemo] = None) -> Verdict:
     """Decide whether every direction of ``lhs`` belongs to ``rhs``.
 
     exact2d traces both regions as circle arcs and tests arc coverage;
@@ -288,7 +326,8 @@ def inclusion_check(lhs: SignRegion, rhs: SignRegion, *, method: str = "auto",
     ``find_direction``: the lhs membership choice points followed by the
     rhs negation choice points, searched in lexicographic order with
     infeasible prefixes pruned, each system decided by the feasibility
-    solver. Both are exact; in the plane they must agree.
+    solver. Both are exact; in the plane they must agree. ``memo`` holds
+    the run's traces and origin tests (see ``RunMemo``).
     """
     dim = lhs.family.dim
     if rhs.family.dim != dim:
@@ -296,12 +335,14 @@ def inclusion_check(lhs: SignRegion, rhs: SignRegion, *, method: str = "auto",
             f"lhs dimension {dim} vs rhs dimension {rhs.family.dim}")
     if method == "auto":
         method = "exact2d" if dim == 2 else "lp_enumeration"
-    notes = _degeneracy_notes(lhs, rhs)
+    trace = region_arcs if memo is None else memo.arcs
+    notes = _degeneracy_notes(
+        lhs, rhs, contains_origin if memo is None else memo.holds_origin)
     if method == "exact2d":
         if dim != 2:
             raise DimensionMismatchError("exact2d needs plane regions")
-        left = region_arcs(lhs)
-        right = region_arcs(rhs)
+        left = trace(lhs)
+        right = trace(rhs)
         holds, angle = arcset_subset(left, right, ANGLE_TOL)
         if holds:
             return Verdict(
@@ -357,15 +398,17 @@ def check_unconstrained(cid: ConditionID, family: Exhauster, *,
 
 def evaluate_condition(cid: ConditionID, ef: Exhauster,
                        eu: Optional[Exhauster] = None, *,
-                       max_combinations: int = DEFAULT_COMBINATION_CAP) -> Verdict:
-    """Build and run one condition, labelling the verdict with its id."""
+                       max_combinations: int = DEFAULT_COMBINATION_CAP,
+                       memo: Optional[RunMemo] = None) -> Verdict:
+    """Build and run one condition, labelling the verdict with its id.
+    ``memo`` is the run's ``RunMemo``, if any."""
     cid = ConditionID(cid)
     if cid.u_kind is None:
         verdict = check_unconstrained(cid, ef, max_combinations=max_combinations)
     else:
         built = build_condition(cid, ef, eu)
         verdict = inclusion_check(built.lhs, built.rhs,
-                                  max_combinations=max_combinations)
+                                  max_combinations=max_combinations, memo=memo)
     return replace(verdict, condition=cid.value)
 
 
@@ -374,7 +417,8 @@ def evaluate_condition(cid: ConditionID, ef: Exhauster,
 # ---------------------------------------------------------------------------
 
 def regularity_check(family: Exhauster, *,
-                     max_combinations: int = DEFAULT_COMBINATION_CAP) -> Verdict:
+                     max_combinations: int = DEFAULT_COMBINATION_CAP,
+                     memo: Optional[RunMemo] = None) -> Verdict:
     """Is every zero direction of the constraint's derivative a limit of
     strictly negative directions?
 
@@ -390,15 +434,16 @@ def regularity_check(family: Exhauster, *,
     ``inclusion_check``: exact2d arcs in the plane, lp_enumeration above
     it. With no open set the right side is the cone {0}, the P of the
     cross-polytope. A violation witness is a unit zero direction outside
-    every open set's P_k.
+    every open set's P_k. ``memo`` is the run's ``RunMemo``, if any.
     """
     if family.kind != "upper":
         raise ExhausterKindError(f"regularity needs an upper family, got {family.kind}")
+    holds_origin = contains_origin if memo is None else memo.holds_origin
     dim = family.dim
     closed: list[Polytope] = []
     opened: list[Polytope] = []
     for c in family.sets:
-        (closed if contains_origin(c) else opened).append(c)
+        (closed if holds_origin(c) else opened).append(c)
     if not closed:
         return Verdict(
             "holds", None,
@@ -412,7 +457,7 @@ def regularity_check(family: Exhauster, *,
     verdict = inclusion_check(
         SignRegion(Exhauster("upper", dim, closed), -1.0),
         SignRegion(Exhauster("upper", dim, opened), -1.0),
-        max_combinations=max_combinations)
+        max_combinations=max_combinations, memo=memo)
     witness = verdict.witness
     if witness is not None:
         norm = math.sqrt(sum(x * x for x in witness))

@@ -272,6 +272,44 @@ class TestAnalyze:
         assert any(v["status"] == "inconclusive"
                    for v in out["conditions"].values())
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_one_is_input_error(self, problem_file, capsys, cap):
+        # Reduction would keep every candidate set under such a cap.
+        assert main(["analyze", problem_file, "--max-combinations", cap]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: max-combinations must be positive, got {cap}\n"
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_json_number_is_input_error(self, tmp_path, capsys, literal):
+        # Echoed into the report, it would make a file strict parsers reject.
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem_dict())[:-1] + f', "note": {literal}}}')
+        assert main(["analyze", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {literal} in {path}")
+
+    def test_runs_share_nothing(self, monkeypatch):
+        # B checks A's sets in swapped roles; A's bytes and its origin
+        # tests must not change.
+        import exhausters.conditions as module
+
+        tested = []
+        contains_origin = module.contains_origin
+        monkeypatch.setattr(module, "contains_origin",
+                            lambda c: tested.append(c) or contains_origin(c))
+        a = json.loads((Path(__file__).resolve().parents[1] / FIXTURE).read_text())
+        b = dict(a, objective=a["constraint"], constraint=a["objective"])
+
+        def analyze(problem):
+            tested.clear()
+            report, code = cli.analyze_problem(problem, sense="both")
+            return cli.render_report(report), code, len(tested)
+
+        first = analyze(a)
+        assert first[2] > 0
+        assert analyze(b)[:2] != first[:2]
+        assert analyze(a) == first
+
     def test_oracle_tolerance_not_offered(self, problem_file, capsys):
         # No verdict of analyze reads a finite-difference tolerance.
         with pytest.raises(SystemExit) as exc:
@@ -318,11 +356,34 @@ class TestCheck:
         assert code == 1
 
     def test_kind_mismatch_is_input_error(self, family_files, capsys):
-        f_path, _ = family_files
+        f_path, u_path = family_files
         code = main(["check", "--f-exhauster", f_path, "--u-exhauster", f_path,
                      "--conditions", "MIN_UPPER_LOWER"])
         assert code == 2
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: MIN_UPPER_LOWER needs a constraint family of kind lower, got upper\n")
+        code = main(["check", "--f-exhauster", u_path, "--u-exhauster", u_path,
+                     "--conditions", "MIN_UPPER_LOWER"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: MIN_UPPER_LOWER needs an objective family of kind upper, got lower\n")
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_one_is_input_error(self, family_files, capsys, cap):
+        f_path, _ = family_files
+        assert main(["check", "--f-exhauster", f_path, "--conditions", "UNC_MIN_UPPER",
+                     "--max-combinations", cap]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: max-combinations must be positive, got {cap}\n"
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_json_number_is_input_error(self, tmp_path, capsys, literal):
+        path = tmp_path / "family.json"
+        path.write_text('{"kind": "upper", "dim": 2, "sets": [[[1, 1], [%s, 1]]]}' % literal)
+        assert main(["check", "--f-exhauster", str(path),
+                     "--conditions", "UNC_MIN_UPPER"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {literal} in {path}")
 
     def test_constrained_without_u_family(self, family_files):
         f_path, _ = family_files

@@ -7,6 +7,7 @@ import pytest
 from exhausters.conditions import (
     _choice_points,
     ConditionID,
+    RunMemo,
     SignRegion,
     build_condition,
     check_unconstrained,
@@ -363,6 +364,74 @@ class TestRegularity:
                             for c in opened)
         assert {"holds", "violated"} <= seen
         assert zeros > 0
+
+
+def _run(cids, families, memo_for):
+    """The JSON verdicts of the constrained ``cids`` and of regularity, in
+    catalog order whatever order they ran in; ``memo_for()`` gives each
+    call its memo."""
+    out = {cid: evaluate_condition(cid, families[cid.f_kind], families["u_" + cid.u_kind],
+                                   memo=memo_for()).to_json() for cid in cids}
+    out["REGULARITY"] = regularity_check(families["u_upper"], memo=memo_for()).to_json()
+    return [out[cid] for cid in ALL_CONSTRAINED] + [out["REGULARITY"]]
+
+
+class TestRunMemo:
+    """One memo per run: each side is traced and each set tested for the
+    origin once, and verdicts are those of checks that share nothing."""
+
+    REFERENCE = {"upper": F_UPPER, "lower": F_LOWER, "u_upper": U_UPPER, "u_lower": U_LOWER}
+
+    @staticmethod
+    def _orders(families):
+        shared = RunMemo()
+        forward = _run(ALL_CONSTRAINED, families, lambda: shared)
+        shared = RunMemo()
+        backward = _run(ALL_CONSTRAINED[::-1], families, lambda: shared)
+        alone = _run(ALL_CONSTRAINED, families, RunMemo)
+        bare = _run(ALL_CONSTRAINED, families, lambda: None)
+        return forward, backward, alone, bare
+
+    def test_sharing_and_order_leave_verdicts_unchanged(self):
+        forward, backward, alone, bare = self._orders(self.REFERENCE)
+        assert forward == backward == alone == bare
+
+    def test_random_families_with_signed_zeros(self):
+        # Value keys treat 0.0 and -0.0 alike; the random trees draw both,
+        # and families of objective and constraint often share sets.
+        rng = random.Random(47)
+        shared_sets = 0
+        for trial in range(40):
+            dim = 2 + trial % 2
+            f_tree, u_tree = random_minmax_tree(rng, dim), random_minmax_tree(rng, dim)
+            families = {kind: exhauster_from_tree(f_tree, kind) for kind in ("upper", "lower")}
+            families.update({"u_" + kind: exhauster_from_tree(u_tree, kind)
+                             for kind in ("upper", "lower")})
+            forward, backward, alone, bare = self._orders(families)
+            assert forward == backward == alone == bare
+            sets = [c for family in families.values() for c in family.sets]
+            shared_sets += len(set(sets)) < len(sets)
+        assert shared_sets > 0
+
+    def test_each_set_and_side_computed_once(self, monkeypatch):
+        import exhausters.conditions as module
+
+        calls = {"contains_origin": [], "region_arcs": []}
+        for name, seen in calls.items():
+            def counted(arg, fn=getattr(module, name), seen=seen):
+                seen.append(arg)
+                return fn(arg)
+            monkeypatch.setattr(module, name, counted)
+        memo = RunMemo()
+        _run(ALL_CONSTRAINED, self.REFERENCE, lambda: memo)
+        for seen in calls.values():
+            assert len(seen) == len(set(seen))
+        assert len(calls["contains_origin"]) == len({C1, C2, C3, C4})
+        # A call without a memo repeats the work, whatever ran before it.
+        counts = {name: len(seen) for name, seen in calls.items()}
+        _run(ALL_CONSTRAINED, self.REFERENCE, lambda: None)
+        for name, seen in calls.items():
+            assert len(seen) - counts[name] > counts[name]
 
 
 class TestOracle:
