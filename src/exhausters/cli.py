@@ -55,8 +55,9 @@ class InputError(ValueError):
 
 def _load_json(path: str):
     """The JSON value in ``path``. The constants NaN, Infinity and -Infinity
-    are not JSON, nor is a number beyond the float range once echoed, so
-    a report carrying one would not parse."""
+    are not JSON, nor is a non-integer number beyond the float range once
+    read as inf and echoed, so a report carrying one would not parse. A
+    huge integer stays an int and echoes back as valid JSON."""
     def reject(name: str):
         raise InputError(f"{name} in {path} is not a JSON number")
 

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import reduce
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 # The benchmark's tracer (perfbench/spans.py) wraps linear_feasibility,
 # contains_origin and eval_minmax by name in this module and stops if one is
@@ -202,8 +202,7 @@ class RunMemo:
     same half-circle.
 
     Make one per run and pass it to every check of that run; a check made
-    without one traces and tests straight through, as a memo it alone used
-    would only add dictionary work. Nothing is kept between runs, so a run
+    without one uses a fresh one. Nothing is kept between runs, so a run
     computes, and a tracer counts, the same work whatever ran before it.
     """
 
@@ -265,14 +264,13 @@ def build_condition(cid: ConditionID, ef: Exhauster,
 # Inclusion decision
 # ---------------------------------------------------------------------------
 
-def _degeneracy_notes(lhs: SignRegion, rhs: SignRegion,
-                      holds_origin: Callable[[Polytope], bool]) -> str:
+def _degeneracy_notes(lhs: SignRegion, rhs: SignRegion, memo: RunMemo) -> str:
     notes = []
     for label, region in (("lhs", lhs), ("rhs", rhs)):
         if region.every:
             continue
         for i, c in enumerate(region.family.sets):
-            if holds_origin(c):
+            if memo.holds_origin(c):
                 notes.append(
                     f"degenerate {label} atom {i}: set contains the origin, "
                     "predicate covers every direction")
@@ -329,20 +327,19 @@ def inclusion_check(lhs: SignRegion, rhs: SignRegion, *, method: str = "auto",
     solver. Both are exact; in the plane they must agree. ``memo`` holds
     the run's traces and origin tests (see ``RunMemo``).
     """
+    memo = memo or RunMemo()
     dim = lhs.family.dim
     if rhs.family.dim != dim:
         raise DimensionMismatchError(
             f"lhs dimension {dim} vs rhs dimension {rhs.family.dim}")
     if method == "auto":
         method = "exact2d" if dim == 2 else "lp_enumeration"
-    trace = region_arcs if memo is None else memo.arcs
-    notes = _degeneracy_notes(
-        lhs, rhs, contains_origin if memo is None else memo.holds_origin)
+    notes = _degeneracy_notes(lhs, rhs, memo)
     if method == "exact2d":
         if dim != 2:
             raise DimensionMismatchError("exact2d needs plane regions")
-        left = trace(lhs)
-        right = trace(rhs)
+        left = memo.arcs(lhs)
+        right = memo.arcs(rhs)
         holds, angle = arcset_subset(left, right, ANGLE_TOL)
         if holds:
             return Verdict(
@@ -438,12 +435,12 @@ def regularity_check(family: Exhauster, *,
     """
     if family.kind != "upper":
         raise ExhausterKindError(f"regularity needs an upper family, got {family.kind}")
-    holds_origin = contains_origin if memo is None else memo.holds_origin
+    memo = memo or RunMemo()
     dim = family.dim
     closed: list[Polytope] = []
     opened: list[Polytope] = []
     for c in family.sets:
-        (closed if holds_origin(c) else opened).append(c)
+        (closed if memo.holds_origin(c) else opened).append(c)
     if not closed:
         return Verdict(
             "holds", None,
