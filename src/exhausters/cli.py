@@ -212,10 +212,9 @@ def analyze_problem(problem: dict, *, sense: Optional[str] = None,
             condition="REGULARITY")
     gate_tree = u_tree if u_tree is not None else Leaf((0.0,) * dim)
     oracle = {
-        s: replace(
-            necessary_condition_oracle(f_tree, gate_tree, s, samples, seed, tol=tol),
-            condition=f"ORACLE_{s.upper()}")
-        for s in _senses(sense)
+        s: replace(verdict, condition=f"ORACLE_{s.upper()}")
+        for s, verdict in necessary_condition_oracle(
+            f_tree, gate_tree, _senses(sense), samples, seed, tol=tol).items()
     }
 
     warnings = []

@@ -15,7 +15,8 @@ the same kind. A sampled oracle that works straight from the derivative
 trees cross-checks each verdict but never claims an exact "holds".
 
 The checks of one run share a ``RunMemo``, so that a side several
-conditions name is traced once and a set is tested for the origin once.
+conditions name is traced once, a set is tested for the origin once and a
+vertex-selection system is solved once.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .geometry import (
     ANGLE_TOL,
     TOL,
     ArcSet,
+    FeasibilityResult,
     LinearConstraint,
     Polytope,
     Vector,
@@ -193,13 +195,16 @@ def region_arcs(region: SignRegion) -> ArcSet:
 
 
 class RunMemo:
-    """What the checks of one run compute once per side or set: the circle
-    trace of a sign region, keyed by the region's value, and whether a set
-    contains the origin, keyed by the set's vertex tuple (its value, and
-    cheaper to hash). Value keys let the sides that ``build_condition``
-    rebuilds for every id hit. A trace depends on the value alone: a
-    signed zero changes an angle only in atan2's +-pi, which gives the
-    same half-circle.
+    """What the checks of one run compute once per side, set or system: the
+    circle trace of a sign region, keyed by the region's value; whether a
+    set contains the origin, keyed by the set's vertex tuple (its value,
+    and cheaper to hash); and, in ``solved``, the solver's result on each
+    vertex-selection system, keyed by ``(dim, rows)`` as ``find_direction``
+    looks it up. Value keys let the sides that ``build_condition`` rebuilds
+    for every id hit, and the proper and adjoint forms of a condition, or
+    the constraint's two families, meet the same systems. A trace depends
+    on the value alone: a signed zero changes an angle only in atan2's
+    +-pi, which gives the same half-circle.
 
     Make one per run and pass it to every check of that run; a check made
     without one uses a fresh one. Nothing is kept between runs, so a run
@@ -209,6 +214,7 @@ class RunMemo:
     def __init__(self) -> None:
         self._arcs: dict[SignRegion, ArcSet] = {}
         self._origin: dict[tuple[Vector, ...], bool] = {}
+        self.solved: dict[tuple[int, tuple[LinearConstraint, ...]], FeasibilityResult] = {}
 
     def arcs(self, region: SignRegion) -> ArcSet:
         arcs = self._arcs.get(region)
@@ -295,20 +301,21 @@ def _choice_points(region: SignRegion, negate: bool) -> list[list[list[LinearCon
 
 
 def _search(choice_points: list[list[list[LinearConstraint]]], dim: int,
-            max_combinations: int, violated: str, holds: str,
+            max_combinations: int, violated: str, holds: str, memo: RunMemo,
             notes: str = "") -> Verdict:
     """The lp_enumeration verdict on a disjunction of linear systems, one
     per choice of an option at every choice point: the first feasible
     system in lexicographic order gives the violation witness, none means
     the condition holds, and more than ``max_combinations`` systems leave
-    it inconclusive. ``holds`` may name the system count as ``{count}``."""
+    it inconclusive. ``holds`` may name the system count as ``{count}``.
+    Systems the run has decided are taken from ``memo``."""
     count = math.prod(len(point) for point in choice_points)
     if count > max_combinations:
         return Verdict(
             "inconclusive", None,
             f"enumeration needs {count} combinations, above the cap of {max_combinations}" + notes,
             "lp_enumeration")
-    result = find_direction(choice_points, dim)
+    result = find_direction(choice_points, dim, memo.solved)
     if result is not None:
         return Verdict("violated", result.witness, violated + notes, "lp_enumeration")
     return Verdict("holds", None, holds.format(count=count) + notes, "lp_enumeration")
@@ -325,7 +332,7 @@ def inclusion_check(lhs: SignRegion, rhs: SignRegion, *, method: str = "auto",
     rhs negation choice points, searched in lexicographic order with
     infeasible prefixes pruned, each system decided by the feasibility
     solver. Both are exact; in the plane they must agree. ``memo`` holds
-    the run's traces and origin tests (see ``RunMemo``).
+    the run's traces, origin tests and solved systems (see ``RunMemo``).
     """
     memo = memo or RunMemo()
     dim = lhs.family.dim
@@ -356,7 +363,7 @@ def inclusion_check(lhs: SignRegion, rhs: SignRegion, *, method: str = "auto",
         _choice_points(lhs, False) + _choice_points(rhs, True), dim,
         max_combinations,
         "feasible vertex selection: witness lies in lhs with rhs violated at "
-        "unit margin", "all {count} vertex-selection systems infeasible", notes)
+        "unit margin", "all {count} vertex-selection systems infeasible", memo, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +371,8 @@ def inclusion_check(lhs: SignRegion, rhs: SignRegion, *, method: str = "auto",
 # ---------------------------------------------------------------------------
 
 def check_unconstrained(cid: ConditionID, family: Exhauster, *,
-                        max_combinations: int = DEFAULT_COMBINATION_CAP) -> Verdict:
+                        max_combinations: int = DEFAULT_COMBINATION_CAP,
+                        memo: Optional[RunMemo] = None) -> Verdict:
     """Decide one of the four unconstrained conditions exactly.
 
     Each is a constrained condition with every direction admissible: the
@@ -376,7 +384,8 @@ def check_unconstrained(cid: ConditionID, family: Exhauster, *,
     origin lies outside that set, and its solution strictly separates the
     two. In the covering form (every vertex of some set) they choose one
     vertex per set at unit margin. Both forms are decided by
-    lp_enumeration in every dimension, the plane included.
+    lp_enumeration in every dimension, the plane included. ``memo`` holds
+    the run's solved systems (see ``RunMemo``).
     """
     rhs = build_condition(cid, family).rhs
     if not rhs.every:
@@ -390,7 +399,7 @@ def check_unconstrained(cid: ConditionID, family: Exhauster, *,
         holds = ("all {count} vertex selections infeasible: cones cover "
                  "every direction")
     return _search(_choice_points(rhs, True), family.dim,
-                   max_combinations, violated, holds)
+                   max_combinations, violated, holds, memo or RunMemo())
 
 
 def evaluate_condition(cid: ConditionID, ef: Exhauster,
@@ -401,7 +410,8 @@ def evaluate_condition(cid: ConditionID, ef: Exhauster,
     ``memo`` is the run's ``RunMemo``, if any."""
     cid = ConditionID(cid)
     if cid.u_kind is None:
-        verdict = check_unconstrained(cid, ef, max_combinations=max_combinations)
+        verdict = check_unconstrained(cid, ef, max_combinations=max_combinations,
+                                      memo=memo)
     else:
         built = build_condition(cid, ef, eu)
         verdict = inclusion_check(built.lhs, built.rhs,
@@ -468,21 +478,26 @@ def regularity_check(family: Exhauster, *,
 # Sampled cross-check straight from the derivative trees
 # ---------------------------------------------------------------------------
 
-def necessary_condition_oracle(f_tree: MinMaxTree, u_tree: MinMaxTree, sense: str,
-                               samples: int = 720, seed: int = 0, *,
-                               tol: float = TOL,
+def necessary_condition_oracle(f_tree: MinMaxTree, u_tree: MinMaxTree,
+                               senses: Sequence[str], samples: int = 720,
+                               seed: int = 0, *, tol: float = TOL,
                                extra_directions: Sequence[Sequence[float]] = ()
-                               ) -> Verdict:
-    """Search sampled directions for one that is admissible for the
-    constraint yet has the wrong objective-derivative sign.
+                               ) -> dict[str, Verdict]:
+    """Search sampled directions, for each of the ``senses`` ("min",
+    "max"), for one that is admissible for the constraint yet has the wrong
+    objective-derivative sign; the verdicts by sense.
 
     This bypasses families and regions entirely, so it cross-checks every
     constrained verdict. Pass a candidate witness through
-    ``extra_directions`` to have it examined first. A clean pass is only
-    ever ``inconclusive``.
+    ``extra_directions`` to have it examined first. One scan serves every
+    sense: each direction's derivatives are evaluated once, each sense
+    keeps the first direction that violates it, and the scan stops when
+    every sense has one. A clean pass is only ever ``inconclusive``.
     """
-    if sense not in ("min", "max"):
-        raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
+    senses = tuple(dict.fromkeys(senses))
+    for sense in senses:
+        if sense not in ("min", "max"):
+            raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     if samples < 1:
         raise ValueError("need at least one sample")
     dim = expr_dim(f_tree)
@@ -496,18 +511,23 @@ def necessary_condition_oracle(f_tree: MinMaxTree, u_tree: MinMaxTree, sense: st
         if norm > 1e-12:
             directions.append(tuple(c / norm for c in vec))
     directions.extend(sample_unit_directions(dim, samples, seed))
+    found: dict[str, Verdict] = {}
     for start in range(0, len(directions), _ORACLE_BLOCK):
+        if len(found) == len(senses):
+            break
         block = directions[start:start + _ORACLE_BLOCK]
         admissible = [(g, hu) for g, hu in zip(block, eval_minmax_many(u_tree, block))
                       if hu <= tol]
         hfs = eval_minmax_many(f_tree, [g for g, _ in admissible])
         for (g, hu), hf in zip(admissible, hfs):
-            if (sense == "min" and hf < -ORACLE_MARGIN) or (
-                    sense == "max" and hf > ORACLE_MARGIN):
-                return Verdict(
-                    "violated", g,
-                    f"admissible direction with objective derivative {hf:.6g} "
-                    f"(constraint derivative {hu:.6g})", "sampled")
-    return Verdict(
+            for sense in senses:
+                if sense not in found and (hf < -ORACLE_MARGIN if sense == "min"
+                                           else hf > ORACLE_MARGIN):
+                    found[sense] = Verdict(
+                        "violated", g,
+                        f"admissible direction with objective derivative {hf:.6g} "
+                        f"(constraint derivative {hu:.6g})", "sampled")
+    clean = Verdict(
         "inconclusive", None,
         f"no violating direction among {len(directions)} samples", "sampled")
+    return {sense: found.get(sense, clean) for sense in senses}

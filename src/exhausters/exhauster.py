@@ -146,7 +146,7 @@ def polytope_families_equal(a: Iterable[Polytope], b: Iterable[Polytope]) -> boo
 
 
 def find_direction(choice_points: Sequence[Sequence[Sequence[LinearConstraint]]],
-                   dim: int) -> Optional[FeasibilityResult]:
+                   dim: int, solved: Optional[dict] = None) -> Optional[FeasibilityResult]:
     """Search a disjunction of linear systems for a feasible one.
 
     A choice point is a list of options and an option a list of
@@ -174,9 +174,26 @@ def find_direction(choice_points: Sequence[Sequence[Sequence[LinearConstraint]]]
     finds, except that a clashing system the solver would accept within its
     tolerance, such as ``<(1, 0), g> >= 1`` with ``<(-1e-12, 0), g> >= 0``,
     is refuted unless it is the first one tried.
+
+    ``solved`` maps ``(dim, rows)``, the rows an ordered tuple, to the
+    solver's result on that system; each full or prefix system is looked
+    up there before it is solved, and every result solved is added. The
+    solver is a deterministic function of its ordered rows, so a hit is
+    what a fresh solve would give. Keys compare floats by value, so -0.0
+    matches 0.0: the solver skips zero entries and draws its right-hand
+    sides from the strict flags alone, so a zero's sign reaches neither a
+    pivot decision nor the witness. Pass one store to the searches of a run
+    to solve each distinct system once; without one the search uses a
+    fresh store of its own.
     """
+    solved = {} if solved is None else solved
+
     def solve(parts):
-        return linear_feasibility([c for part in parts for c in part], dim)
+        rows = tuple(c for part in parts for c in part)
+        result = solved.get((dim, rows))
+        if result is None:
+            result = solved[dim, rows] = linear_feasibility(rows, dim)
+        return result
 
     depth = len(choice_points)
     choice = [0] * depth

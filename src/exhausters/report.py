@@ -84,9 +84,11 @@ def _verdict_line(name: str, verdict: Verdict, reading: str) -> list[str]:
 
 
 def render_report(report: AnalysisReport, fmt: str = "json") -> bytes:
-    """Serialize a report; identical reports give identical bytes."""
+    """Serialize a report; identical reports give identical bytes. A JSON
+    report holding a non-finite float raises ValueError, since ``NaN`` and
+    ``Infinity`` are not JSON."""
     if fmt == "json":
-        text = json.dumps(report.to_json_obj(), indent=2) + "\n"
+        text = json.dumps(report.to_json_obj(), indent=2, allow_nan=False) + "\n"
         return text.encode("utf-8")
     if fmt != "text":
         raise ValueError(f"format must be 'json' or 'text', got {fmt!r}")

@@ -147,8 +147,8 @@ def test_criterion_4_negative_controls():
     assert inclusion_check(built.lhs, built.rhs, method="exact2d").status == "violated"
 
     f_tree, u_tree = reference_trees()
-    oracle = necessary_condition_oracle(f_tree, u_tree, "max",
-                                        extra_directions=[witness])
+    oracle = necessary_condition_oracle(f_tree, u_tree, ("max",),
+                                        extra_directions=[witness])["max"]
     assert oracle.status == "violated"
     w = oracle.witness
     norm = math.hypot(*w)

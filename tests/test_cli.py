@@ -540,6 +540,18 @@ class TestShippedFixture:
         assert code == (1 if "violated" in conditions + oracle
                         else 3 if "inconclusive" in conditions else 0)
 
+    def test_recorded_check_report_replays_byte_for_byte(self, monkeypatch, capsys):
+        # One check call, one memo over constrained and unconstrained ids.
+        # The report echoes the family paths, so they are given as recorded.
+        monkeypatch.chdir(Path(__file__).resolve().parents[1])
+        case = Path(FIXTURE).parent
+        code = main(["check", "--f-exhauster", str(case / "f-upper.json"),
+                     "--u-exhauster", str(case / "u-lower.json"), "--conditions",
+                     "MIN_UPPER_LOWER,MAX_UPPER_LOWER,UNC_MIN_UPPER,UNC_MAX_UPPER"])
+        assert code == 1
+        assert capsys.readouterr().out == \
+            (case / "expected-check-upper-lower.json").read_text(encoding="utf-8")
+
     def test_recorded_text_report_replays_byte_for_byte(self, capsys):
         fixture = Path(__file__).resolve().parents[1] / FIXTURE
         assert main(["analyze", str(fixture), "--sense", "both",

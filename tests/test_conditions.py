@@ -366,30 +366,42 @@ class TestRegularity:
         assert zeros > 0
 
 
+ALL_IDS = list(ConditionID)
+
+
 def _run(cids, families, memo_for):
-    """The JSON verdicts of the constrained ``cids`` and of regularity, in
-    catalog order whatever order they ran in; ``memo_for()`` gives each
-    call its memo."""
-    out = {cid: evaluate_condition(cid, families[cid.f_kind], families["u_" + cid.u_kind],
-                                   memo=memo_for()).to_json() for cid in cids}
+    """The JSON verdicts of ``cids`` and of regularity, by id whatever order
+    they ran in; ``memo_for()`` gives each call its memo."""
+    out = {cid: evaluate_condition(
+        cid, families[cid.f_kind],
+        families["u_" + cid.u_kind] if cid.u_kind is not None else None,
+        memo=memo_for()).to_json() for cid in cids}
     out["REGULARITY"] = regularity_check(families["u_upper"], memo=memo_for()).to_json()
-    return [out[cid] for cid in ALL_CONSTRAINED] + [out["REGULARITY"]]
+    return out
+
+
+def _families(f_tree, u_tree):
+    families = {kind: exhauster_from_tree(f_tree, kind) for kind in ("upper", "lower")}
+    families.update({"u_" + kind: exhauster_from_tree(u_tree, kind)
+                     for kind in ("upper", "lower")})
+    return families
 
 
 class TestRunMemo:
-    """One memo per run: each side is traced and each set tested for the
-    origin once, and verdicts are those of checks that share nothing."""
+    """One memo per run: each side is traced, each set tested for the
+    origin and each system solved once, and verdicts are those of checks
+    that share nothing."""
 
     REFERENCE = {"upper": F_UPPER, "lower": F_LOWER, "u_upper": U_UPPER, "u_lower": U_LOWER}
 
     @staticmethod
     def _orders(families):
         shared = RunMemo()
-        forward = _run(ALL_CONSTRAINED, families, lambda: shared)
+        forward = _run(ALL_IDS, families, lambda: shared)
         shared = RunMemo()
-        backward = _run(ALL_CONSTRAINED[::-1], families, lambda: shared)
-        alone = _run(ALL_CONSTRAINED, families, RunMemo)
-        bare = _run(ALL_CONSTRAINED, families, lambda: None)
+        backward = _run(ALL_IDS[::-1], families, lambda: shared)
+        alone = _run(ALL_IDS, families, RunMemo)
+        bare = _run(ALL_IDS, families, lambda: None)
         return forward, backward, alone, bare
 
     def test_sharing_and_order_leave_verdicts_unchanged(self):
@@ -403,10 +415,7 @@ class TestRunMemo:
         shared_sets = 0
         for trial in range(40):
             dim = 2 + trial % 2
-            f_tree, u_tree = random_minmax_tree(rng, dim), random_minmax_tree(rng, dim)
-            families = {kind: exhauster_from_tree(f_tree, kind) for kind in ("upper", "lower")}
-            families.update({"u_" + kind: exhauster_from_tree(u_tree, kind)
-                             for kind in ("upper", "lower")})
+            families = _families(random_minmax_tree(rng, dim), random_minmax_tree(rng, dim))
             forward, backward, alone, bare = self._orders(families)
             assert forward == backward == alone == bare
             sets = [c for family in families.values() for c in family.sets]
@@ -423,24 +432,70 @@ class TestRunMemo:
                 return fn(arg)
             monkeypatch.setattr(module, name, counted)
         memo = RunMemo()
-        _run(ALL_CONSTRAINED, self.REFERENCE, lambda: memo)
+        _run(ALL_IDS, self.REFERENCE, lambda: memo)
         for seen in calls.values():
             assert len(seen) == len(set(seen))
         assert len(calls["contains_origin"]) == len({C1, C2, C3, C4})
         # A call without a memo repeats the work, whatever ran before it.
         counts = {name: len(seen) for name, seen in calls.items()}
-        _run(ALL_CONSTRAINED, self.REFERENCE, lambda: None)
+        _run(ALL_IDS, self.REFERENCE, lambda: None)
         for name, seen in calls.items():
             assert len(seen) - counts[name] > counts[name]
+
+    def test_each_system_solved_once(self, monkeypatch):
+        # The searches of the twelve ids and of regularity ask the solver
+        # once per distinct (dim, rows) key when they share a memo; without
+        # one they ask again for the same systems.
+        import exhausters.exhauster as module
+
+        solved = []
+
+        def counted(rows, dim, fn=module.linear_feasibility):
+            solved.append((dim, tuple(rows)))
+            return fn(rows, dim)
+
+        monkeypatch.setattr(module, "linear_feasibility", counted)
+        rng = random.Random(53)
+        repeated = 0
+        for trial in range(12):
+            families = _families(random_minmax_tree(rng, 3), random_minmax_tree(rng, 3))
+            memo = RunMemo()
+            solved.clear()
+            _run(ALL_IDS, families, lambda: memo)
+            shared = list(solved)
+            assert len(shared) == len(set(shared)) == len(memo.solved)
+            solved.clear()
+            _run(ALL_IDS, families, lambda: None)
+            assert set(solved) == set(shared)
+            repeated += len(solved) - len(shared)
+        assert repeated > 0
+
+    def test_zero_signs_of_normals_leave_the_solver_unchanged(self):
+        # The store's keys compare rows by value, where -0.0 == 0.0, so a
+        # hit must give the bits a solve with the other zero signs gives.
+        rng = random.Random(59)
+        outcomes = set()
+        for _ in range(400):
+            dim = rng.randint(2, 4)
+            rows = [LinearConstraint(tuple(rng.choice([0.0, -0.0, 0.0, -0.0, 1.0, -1.0,
+                                                       rng.uniform(-2, 2)])
+                                           for _ in range(dim)), rng.random() < 0.5)
+                    for _ in range(rng.randint(1, 6))]
+            flipped = [LinearConstraint(tuple(-x if x == 0.0 else x for x in c.normal),
+                                        c.strict) for c in rows]
+            result = linear_feasibility(rows, dim)
+            assert repr(linear_feasibility(flipped, dim)) == repr(result)
+            outcomes.add(result.feasible)
+        assert outcomes == {True, False}
 
 
 class TestOracle:
     def test_reference_minimum_clean(self):
-        verdict = necessary_condition_oracle(objective_tree(), constraint_tree(), "min")
+        verdict = necessary_condition_oracle(objective_tree(), constraint_tree(), ("min",))["min"]
         assert verdict.status == "inconclusive"
 
     def test_reference_maximum_flagged(self):
-        verdict = necessary_condition_oracle(objective_tree(), constraint_tree(), "max")
+        verdict = necessary_condition_oracle(objective_tree(), constraint_tree(), ("max",))["max"]
         assert verdict.status == "violated"
         w = verdict.witness
         assert eval_minmax(constraint_tree(), w) <= 1e-9
@@ -448,7 +503,7 @@ class TestOracle:
 
     def test_smooth_identical_trees_flagged_for_min(self):
         leaf = Leaf((1.0, 0.0))
-        verdict = necessary_condition_oracle(leaf, leaf, "min")
+        verdict = necessary_condition_oracle(leaf, leaf, ("min",))["min"]
         assert verdict.status == "violated"
         w = verdict.witness
         assert eval_minmax(leaf, w) <= 1e-9
@@ -456,43 +511,61 @@ class TestOracle:
 
     def test_extra_directions_checked_first(self):
         verdict = necessary_condition_oracle(
-            objective_tree(), constraint_tree(), "max",
-            extra_directions=[(2.0, 0.0)])
+            objective_tree(), constraint_tree(), ("max",),
+            extra_directions=[(2.0, 0.0)])["max"]
         assert verdict.status == "violated"
         assert verdict.witness == (1.0, 0.0)
 
     def test_sample_validation(self):
         with pytest.raises(ValueError):
             necessary_condition_oracle(objective_tree(), constraint_tree(),
-                                       "min", samples=0)
+                                       ("min",), samples=0)
+
+    def test_sense_validation(self):
+        with pytest.raises(ValueError):
+            necessary_condition_oracle(objective_tree(), constraint_tree(), "min")
 
     def test_matches_per_direction_scan(self):
+        # One scan for both senses gives each the verdict of its own scan.
         rng = random.Random(91)
-        violated = 0
+        violated = {"min": 0, "max": 0}
         for trial in range(60):
             dim = 2 + trial % 3
             f_tree = random_minmax_tree(rng, dim)
             u_tree = random_minmax_tree(rng, dim)
-            sense = rng.choice(["min", "max"])
             seed = rng.randrange(5)
-            verdict = necessary_condition_oracle(f_tree, u_tree, sense, 200, seed)
-            assert verdict == oracle_reference(f_tree, u_tree, sense, 200, seed)
-            violated += verdict.status == "violated"
-        assert 10 < violated < 60
+            verdicts = necessary_condition_oracle(f_tree, u_tree, ("min", "max"), 200, seed)
+            assert list(verdicts) == ["min", "max"]
+            for sense, verdict in verdicts.items():
+                assert verdict == oracle_reference(f_tree, u_tree, sense, 200, seed)
+                violated[sense] += verdict.status == "violated"
+        assert all(10 < count < 60 for count in violated.values())
 
     def test_first_violation_past_the_first_block(self):
         # Admissible on the upper half circle; f' < 0 only past 90 degrees.
         f_tree, u_tree = Leaf((1.0, 0.0)), Leaf((0.0, -1.0))
-        verdict = necessary_condition_oracle(f_tree, u_tree, "min")
+        verdict = necessary_condition_oracle(f_tree, u_tree, ("min",))["min"]
         assert verdict == oracle_reference(f_tree, u_tree, "min")
         assert sample_unit_directions(2, 720).index(verdict.witness) > 64
 
+    def test_senses_violated_in_different_blocks(self):
+        # f' > 0 within the first block, f' < 0 only past it: the
+        # scan goes on for the minimum after the maximum has its witness.
+        f_tree, u_tree = Leaf((1.0, 0.0)), Leaf((0.0, -1.0))
+        directions = sample_unit_directions(2, 720)
+        verdicts = necessary_condition_oracle(f_tree, u_tree, ("max", "min"))
+        for sense, verdict in verdicts.items():
+            assert verdict == oracle_reference(f_tree, u_tree, sense)
+        assert directions.index(verdicts["max"].witness) < 64
+        assert directions.index(verdicts["min"].witness) > 64
+
     def test_witness_from_extra_directions_matches_scan(self):
         extra = [(0.0, 0.0), (0.0, 3.0), (2.0, 0.0)]
-        args = (objective_tree(), constraint_tree(), "max")
-        verdict = necessary_condition_oracle(*args, extra_directions=extra)
-        assert verdict == oracle_reference(*args, extra_directions=extra)
-        assert verdict.witness == (1.0, 0.0)
+        trees = (objective_tree(), constraint_tree())
+        verdicts = necessary_condition_oracle(*trees, ("min", "max"), extra_directions=extra)
+        for sense, verdict in verdicts.items():
+            assert verdict == oracle_reference(*trees, sense, extra_directions=extra)
+        assert verdicts["max"].witness == (1.0, 0.0)
 
 
 class TestMethodAgreement:
@@ -639,8 +712,9 @@ class TestOracleConsistency:
                                         families[("u", cid.u_kind)])
                 verdict = inclusion_check(built.lhs, built.rhs)
                 oracle = necessary_condition_oracle(
-                    f_tree, u_tree, cid.sense, samples=10_000,
-                    extra_directions=[verdict.witness] if verdict.witness else ())
+                    f_tree, u_tree, (cid.sense,), samples=10_000,
+                    extra_directions=[verdict.witness] if verdict.witness else ()
+                )[cid.sense]
                 if verdict.status == "violated":
                     assert oracle.status == "violated"
                     confirmed += 1
@@ -668,8 +742,9 @@ class TestOracleConsistency:
                     verdict = evaluate_condition(cid, families[("f", cid.f_kind)],
                                                  families[("u", cid.u_kind)])
                     oracle = necessary_condition_oracle(
-                        f_tree, u_tree, cid.sense,
-                        extra_directions=[verdict.witness] if verdict.witness else ())
+                        f_tree, u_tree, (cid.sense,),
+                        extra_directions=[verdict.witness] if verdict.witness else ()
+                    )[cid.sense]
                     if verdict.status == "violated":
                         assert oracle.status == "violated"
                     if oracle.status == "violated":

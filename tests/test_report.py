@@ -34,6 +34,13 @@ class TestReportSerialization:
         with pytest.raises(ValueError):
             AnalysisReport(problem={}, conditions={})
 
+    def test_non_finite_value_fails_to_render(self):
+        # NaN is not JSON: the report raises instead of writing b"NaN".
+        report, code = analyze_problem(dict(problem_dict(), note=float("nan")))
+        assert code == 0
+        with pytest.raises(ValueError):
+            render_report(report)
+
     def test_byte_identical_rendering(self):
         report, _ = analyze_problem(problem_dict())
         assert render_report(report, "json") == render_report(report, "json")
