@@ -32,6 +32,7 @@ from .errors import (
     CapExceededError,
     DimensionMismatchError,
     ExhausterKindError,
+    SolverError,
 )
 from .exhauster import (
     Exhauster,

@@ -6,7 +6,8 @@ conditions. ``check`` runs selected conditions against user-supplied
 families. ``oracle`` compares finite-difference estimates with family
 evaluations. Exit codes: 0 all requested conditions hold, 1 a condition is
 violated, 2 input error, 3 a cap left a verdict inconclusive or stopped
-the work. ``main`` alone maps exceptions to the codes 2 and 3.
+the work, or the solver's witness failed verification. ``main`` alone
+maps exceptions to the codes 2 and 3.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .deriv import (
     expr_from_json,
     fd_directional_derivative,
 )
-from .errors import CapExceededError
+from .errors import CapExceededError, SolverError
 from .exhauster import (DEFAULT_COMBINATION_CAP, Exhauster, eval_exhauster,
                         exhauster_from_tree, reduce_exhauster)
 from .geometry import (TOL, Vector, as_int, as_vector, json_numbers,
@@ -396,15 +397,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one subcommand. Its exceptions end here: a cap gives exit 3, bad
-    input exit 2 (a ValueError, InputError included, a file that cannot be
-    read or written, or input nested past the recursion limit), each with
-    one line on stderr."""
+    """Run one subcommand. Its exceptions end here: a cap or a witness that
+    fails verification gives exit 3, bad input exit 2 (a ValueError,
+    InputError included, a file that cannot be read or written, or input
+    nested past the recursion limit), each with one line on stderr."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    except SolverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except RecursionError:
         print("error: input is nested too deeply", file=sys.stderr)

@@ -10,5 +10,10 @@ class CapExceededError(RuntimeError):
     pivots."""
 
 
+class SolverError(ArithmeticError):
+    """The simplex solver returned a point that fails re-substitution into
+    the system it solved."""
+
+
 class ExhausterKindError(ValueError):
     """A family of the wrong kind (upper vs lower) was supplied."""

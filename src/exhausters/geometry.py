@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import CapExceededError, DimensionMismatchError
+from .errors import CapExceededError, DimensionMismatchError, SolverError
 
 Vector = tuple[float, ...]
 
@@ -161,9 +161,9 @@ def hull_contains(polytope: Polytope, point: Sequence[float]) -> bool:
     if len(target) != polytope.dim:
         raise DimensionMismatchError(
             f"point of length {len(target)} against dimension {polytope.dim}")
-    rows = [[v[r] for v in polytope.vertices] for r in range(polytope.dim)]
-    rows.append([1.0] * len(polytope.vertices))
-    rhs = list(target) + [1.0]
+    rows = list(zip(*polytope.vertices))
+    rows.append((1.0,) * len(polytope.vertices))
+    rhs = [*target, 1.0]
     return _solve_nonneg(rows, rhs, None) is not None
 
 
@@ -203,46 +203,52 @@ class FeasibilityResult:
 
 def _pivot(tableau: list[list[float]], rhs: list[float], basis: list[int],
            row: int, col: int) -> None:
-    """Pivot on ``tableau[row][col]``. Other rows change only where the
-    pivot row is nonzero: elsewhere the update subtracts a zero product."""
+    """Pivot on ``tableau[row][col]``. Only the pivot row's nonzero entries
+    are divided, and other rows change only where it is nonzero: elsewhere
+    the update would subtract a zero product. Skipping a zero can change
+    only the sign of a zero, and no decision reads a zero's sign."""
     pivot_row = tableau[row]
     piv = pivot_row[col]
-    pivot_row[:] = [v / piv for v in pivot_row]
-    rhs[row] /= piv
-    support = [(j, v) for j, v in enumerate(pivot_row) if v != 0.0]
+    support = []
+    for j, v in enumerate(pivot_row):
+        if v:
+            v /= piv
+            pivot_row[j] = v
+            if v:
+                support.append((j, v))
+    r = rhs[row] = rhs[row] / piv
     for i, other in enumerate(tableau):
         factor = other[col]
         if i == row or factor == 0.0:
             continue
         for j, v in support:
             other[j] -= factor * v
-        rhs[i] -= factor * rhs[row]
+        rhs[i] -= factor * r
     basis[row] = col
 
 
 def _minimize(tableau: list[list[float]], rhs: list[float], basis: list[int],
-              cost: list[float], enterable: int) -> None:
-    """Bland-rule simplex sweep, in place.
+              reduced: list[float], enterable: int) -> None:
+    """Bland-rule simplex sweep, in place, from the priced-out reduced-cost
+    row ``reduced``.
 
     The lowest-index rule on entering and leaving variables makes the walk,
     and therefore the final basic solution, deterministic; it also rules
     out cycling. Only the first ``enterable`` columns may enter the basis.
-    The reduced-cost row is priced out once, then rides along as one more
-    tableau row that every pivot updates; its right-hand entry goes unread.
-    More than ``PIVOT_CAP`` pivots raise CapExceededError.
+    The reduced-cost row rides along as one more tableau row that every
+    pivot updates; its right-hand entry goes unread. More than
+    ``PIVOT_CAP`` pivots raise CapExceededError.
     """
     m = len(basis)
-    reduced = list(cost)
-    for i, col in enumerate(basis):
-        c = cost[col]
-        if c != 0.0:
-            reduced = [r - c * t for r, t in zip(reduced, tableau[i])]
+    cap = PIVOT_CAP
     tableau.append(reduced)
     rhs.append(0.0)
     pivots = 0
     while True:
-        enter = next((j for j in range(enterable) if reduced[j] < -_RC_EPS), -1)
-        if enter < 0:
+        for enter in range(enterable):
+            if reduced[enter] < -_RC_EPS:
+                break
+        else:
             break
         leave = -1
         best = math.inf
@@ -260,8 +266,8 @@ def _minimize(tableau: list[list[float]], rhs: list[float], basis: list[int],
             break  # no finite step remains; keep the current point
         _pivot(tableau, rhs, basis, leave, enter)
         pivots += 1
-        if pivots > PIVOT_CAP:
-            raise CapExceededError(f"simplex exceeded {PIVOT_CAP} pivots")
+        if pivots > cap:
+            raise CapExceededError(f"simplex exceeded {cap} pivots")
     tableau.pop()
     rhs.pop()
 
@@ -278,11 +284,23 @@ def _solve_nonneg(eq_lhs: Sequence[Sequence[float]], eq_rhs: Sequence[float],
     m, n = len(eq_lhs), len(eq_lhs[0])
     tableau = [[-v for v in row] if b < 0 else list(row)
                for row, b in zip(eq_lhs, eq_rhs)]
+    # Every artificial starts basic with cost 1, so pricing out subtracts
+    # each row from the cost row in turn: phase one's reduced costs are
+    # minus the column sums, in row order. Zero entries are skipped, which
+    # moves only the signs of zeros, and the artificial columns price out
+    # to exactly zero.
+    reduced = [0.0] * (n + m)
+    for row in tableau:
+        for j, v in enumerate(row):
+            if v:
+                reduced[j] -= v
+    zeros = [0.0] * m
     for i, row in enumerate(tableau):
-        row.extend(1.0 if k == i else 0.0 for k in range(m))
+        row += zeros
+        row[n + i] = 1.0
     rhs = [abs(b) for b in eq_rhs]
     basis = list(range(n, n + m))
-    _minimize(tableau, rhs, basis, [0.0] * n + [1.0] * m, n + m)
+    _minimize(tableau, rhs, basis, reduced, n + m)
     residual = sum(rhs[i] for i, col in enumerate(basis) if col >= n)
     if residual > 1e-9 * (1.0 + sum(rhs)):
         return None
@@ -295,7 +313,13 @@ def _solve_nonneg(eq_lhs: Sequence[Sequence[float]], eq_rhs: Sequence[float],
                     break
     rhs = [v if v > 0.0 else 0.0 for v in rhs]
     if objective is not None:
-        _minimize(tableau, rhs, basis, list(objective) + [0.0] * m, n)
+        cost = list(objective) + zeros
+        reduced = list(cost)
+        for i, col in enumerate(basis):
+            c = cost[col]
+            if c != 0.0:
+                reduced = [r - c * t for r, t in zip(reduced, tableau[i])]
+        _minimize(tableau, rhs, basis, reduced, n)
     x = [0.0] * n
     for i, col in enumerate(basis):
         if col < n:
@@ -324,17 +348,21 @@ def linear_feasibility(constraints: Iterable[LinearConstraint],
     b: list[float] = []
     strict_weight = [0.0] * dim
     has_strict = False
+    zeros = [0.0] * m
     for i, c in enumerate(cons):
         row = [-v for v in c.normal]  # row @ g <= b[i]
-        # Split the free vector as g = p - q with p, q >= 0, then add a slack.
-        eq.append(row + [-v for v in row] + [1.0 if k == i else 0.0 for k in range(m)])
+        # Split the free vector as g = p - q with p, q >= 0, then add a
+        # slack. The q block, -row, is the normal itself bit for bit.
+        eq_row = [*row, *c.normal, *zeros]
+        eq_row[2 * dim + i] = 1.0
+        eq.append(eq_row)
         b.append(-1.0 if c.strict else 0.0)
         if c.strict:
             strict_weight = [w - v for w, v in zip(strict_weight, row)]
             has_strict = True
     objective = None
     if has_strict:
-        objective = strict_weight + [-w for w in strict_weight] + [0.0] * m
+        objective = strict_weight + [-w for w in strict_weight] + zeros
     x = _solve_nonneg(eq, b, objective)
     if x is None:
         return FeasibilityResult(False, None)
@@ -344,7 +372,7 @@ def linear_feasibility(constraints: Iterable[LinearConstraint],
         x = _solve_nonneg(eq, b, None)
         g = tuple(x[j] - x[dim + j] for j in range(dim))
         if not all(c.satisfied_by(g) for c in cons):
-            raise ArithmeticError("feasibility witness failed verification")
+            raise SolverError("feasibility witness failed verification")
     return FeasibilityResult(True, g)
 
 

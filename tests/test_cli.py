@@ -390,6 +390,23 @@ class TestCheck:
         assert main(["check", "--f-exhauster", f_path,
                      "--conditions", "MIN_UPPER_LOWER"]) == 2
 
+    def test_unverified_witness_exits_3(self, tmp_path, capsys):
+        # Finite families whose LP witness fails re-substitution: the
+        # solver error once escaped as a traceback with exit 1, the code
+        # for "violated".
+        f_path = tmp_path / "f.json"
+        u_path = tmp_path / "u.json"
+        f_path.write_text('{"kind": "upper", "dim": 3, "sets": [[[1.6496210364357323e+149, '
+                          '-9.332702121806376e-09, -96201908.34121098]]]}')
+        u_path.write_text('{"kind": "lower", "dim": 3, "sets": [[[5.943698771050184e-09, '
+                          '6.876294940686056e+148, 0.47409833741964447], '
+                          '[-6.066942759721972e-302, 6.471288545276688e-301, '
+                          '2.8459553209414922e-301]]]}')
+        assert main(["check", "--f-exhauster", str(f_path), "--u-exhauster", str(u_path),
+                     "--conditions", "MIN_UPPER_LOWER"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: feasibility witness failed verification\n"
+
     def test_fractional_dim_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "f.json"
         for dim in (2.7, None):

@@ -6,7 +6,7 @@ import pytest
 
 from exhausters import geometry
 from exhausters.conditions import region_arcs, region_membership
-from exhausters.errors import DimensionMismatchError
+from exhausters.errors import CapExceededError, DimensionMismatchError
 from exhausters.geometry import (
     ANGLE_TOL,
     TOL,
@@ -158,6 +158,75 @@ class TestLinearFeasibility:
         assert feasible == 178
         assert digest.hexdigest() == \
             "f1ed79d61a86390d6ee2ff612fb2e1c236b5bfbd4c07719453089c0c24ee622e"
+
+    def test_kernel_digest_on_awkward_inputs(self):
+        # Fractional, signed-zero, tiny and mixed-magnitude normals in dims
+        # 2-5, half the systems planted as above, then hull and origin
+        # tests on random polytopes. The digest pins every outcome and
+        # witness bit for bit; a system whose witness fails verification
+        # contributes a fixed token.
+        rng = random.Random(71)
+
+        def entry(style):
+            if style == 0:
+                return rng.randint(-12, 12) / rng.choice([2.0, 3.0, 7.0, 10.0])
+            if style == 1:
+                return rng.choice([0.0, -0.0, 0.0, -0.0, 1.0, -1.0, rng.uniform(-2, 2)])
+            if style == 2:
+                return rng.choice([1e-12, -1e-12, 0.0, 1.0, -1.0, rng.uniform(-1, 1)])
+            return rng.uniform(-1, 1) * 10.0 ** rng.randint(-12, 12)
+
+        digest = hashlib.sha256()
+        for k in range(400):
+            dim = rng.randint(2, 5)
+            style = k % 4
+            normals = [tuple(entry(style) for _ in range(dim))
+                       for _ in range(rng.randint(1, 12))]
+            g = tuple(float(rng.randint(-2, 2)) for _ in range(dim))
+            cons = []
+            for n in normals:
+                strict = rng.random() < 0.5
+                sign = rng.choice([-1.0, 1.0])
+                if k // 4 % 2 == 0:
+                    # Left to right, as sum() did before Python 3.12.
+                    v = 0.0
+                    for a, b in zip(n, g):
+                        v += a * b
+                    sign = -1.0 if v < 0 else 1.0
+                    strict = strict and v != 0
+                cons.append(LinearConstraint(tuple(sign * c for c in n), strict))
+            try:
+                res = linear_feasibility(cons, dim)
+                token = repr((res.feasible, res.witness))
+            except ArithmeticError:
+                token = "unverified"
+            digest.update(token.encode())
+        for k in range(300):
+            dim = rng.randint(2, 5)
+            style = k % 4
+            poly = Polytope.from_vertices(
+                [tuple(entry(style) for _ in range(dim))
+                 for _ in range(rng.randint(1, 8))])
+            point = tuple(entry(style) for _ in range(dim))
+            digest.update(repr((hull_contains(poly, point),
+                                contains_origin(poly))).encode())
+        assert digest.hexdigest() == \
+            "fbb8303f36c5fce4f22d70eb6945079512f0ea7029f48b1664f29edba115edda"
+
+    def test_pivot_cap_counts_each_phase(self, monkeypatch):
+        # Phase one of this system takes 5 pivots and phase two 2, so the
+        # cap bounds the longer phase, not the total of 7.
+        cons = [
+            LinearConstraint((0, -1), True),
+            LinearConstraint((3, -2), True),
+            LinearConstraint((-1, -2), True),
+        ]
+        monkeypatch.setattr(geometry, "PIVOT_CAP", 4)
+        with pytest.raises(CapExceededError):
+            linear_feasibility(cons, 2)
+        monkeypatch.setattr(geometry, "PIVOT_CAP", 5)
+        res = linear_feasibility(cons, 2)
+        assert res.witness == (-1 / 3, -1.0)
 
     def test_phase_one_fallback(self, monkeypatch):
         # No known input makes the margin-polishing phase fail verification,
