@@ -7,7 +7,6 @@ from .conditions import (
     SignRegion,
     Verdict,
     build_condition,
-    check_unconstrained,
     evaluate_condition,
     inclusion_check,
     necessary_condition_oracle,

@@ -23,6 +23,7 @@ from .conditions import (
     ConditionID,
     RunMemo,
     Verdict,
+    build_condition,
     evaluate_condition,
     necessary_condition_oracle,
     regularity_check,
@@ -155,26 +156,28 @@ def _check_tolerance(name: str, value: float) -> None:
         raise InputError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
-def _check_cap(max_combinations: int) -> None:
-    # A cap below one would keep every candidate set in reduction.
-    if max_combinations < 1:
-        raise InputError(f"max-combinations must be positive, got {max_combinations}")
-
-
 def analyze_problem(problem: dict, *, sense: Optional[str] = None,
                     condition_ids: Optional[list[ConditionID]] = None,
                     tol: float = TOL, samples: int = 720, seed: int = 0,
                     max_combinations: int = DEFAULT_COMBINATION_CAP
                     ) -> tuple[AnalysisReport, int]:
-    """Full pipeline on a parsed problem; returns the report and exit code."""
+    """Full pipeline on a parsed problem; returns the report and exit code.
+    Every input error is raised before any family is built."""
     dim, point, f_expr, u_expr = _parse_problem(problem)
     if samples < 1:
         raise InputError("need a positive sample count")
     _check_tolerance("tol", tol)
-    _check_cap(max_combinations)
+    memo = RunMemo(max_combinations)
     sense = sense or problem.get("sense", "min")
     if sense not in ("min", "max", "both"):
         raise InputError(f"sense must be min, max or both, got {sense!r}")
+    if condition_ids is None:
+        condition_ids = [cid for s in _senses(sense) for cid in ConditionID
+                         if cid.sense == s
+                         and (cid.u_kind is None) == (u_expr is None)]
+    for cid in condition_ids:
+        if cid.u_kind is not None and u_expr is None:
+            raise InputError(f"{cid.value} needs a constraint, none was given")
 
     f_value, f_tree, f_families = _at_point("objective", f_expr, point)
     values = {"f": f_value}
@@ -185,32 +188,21 @@ def analyze_problem(problem: dict, *, sense: Optional[str] = None,
     families = {}
     for func, kinds in built.items():
         try:
-            families[func] = {kind: reduce_exhauster(family, max_combinations=max_combinations)
+            families[func] = {kind: reduce_exhauster(family, max_combinations=memo.max_combinations)
                               for kind, family in kinds.items()}
         except ValueError as exc:  # a difference of two finite vertices overflowed
             label = "objective" if func == "f" else "constraint"
             raise InputError(f"{label} overflows the floats in a vertex difference: {exc}") from exc
 
-    if condition_ids is None:
-        condition_ids = [cid for s in _senses(sense) for cid in ConditionID
-                         if cid.sense == s
-                         and (cid.u_kind is None) == (u_tree is None)]
-    memo = RunMemo()
-    verdicts: dict[str, Verdict] = {}
-    for cid in condition_ids:
-        if cid.u_kind is not None and u_tree is None:
-            raise InputError(f"{cid.value} needs a constraint, none was given")
-        verdicts[cid.value] = evaluate_condition(
-            cid, families["f"][cid.f_kind],
-            families["u"][cid.u_kind] if cid.u_kind is not None else None,
-            max_combinations=max_combinations, memo=memo)
+    verdicts = {cid.value: evaluate_condition(
+        cid, families["f"][cid.f_kind],
+        families["u"][cid.u_kind] if cid.u_kind is not None else None, memo=memo)
+        for cid in condition_ids}
 
     regularity = None
     if u_tree is not None:
-        regularity = replace(
-            regularity_check(families["u"]["upper"],
-                             max_combinations=max_combinations, memo=memo),
-            condition="REGULARITY")
+        regularity = replace(regularity_check(families["u"]["upper"], memo=memo),
+                             condition="REGULARITY")
     gate_tree = u_tree if u_tree is not None else Leaf((0.0,) * dim)
     oracle = {
         s: replace(verdict, condition=f"ORACLE_{s.upper()}")
@@ -278,16 +270,17 @@ def cmd_check(args: argparse.Namespace) -> int:
     condition_ids = _parse_condition_ids(args.conditions)
     if not condition_ids:
         raise InputError("check needs --conditions")
-    _check_cap(args.max_combinations)
+    memo = RunMemo(args.max_combinations)
+    for cid in condition_ids:
+        if cid.u_kind is not None and not args.u_exhauster:
+            raise InputError(f"{cid.value} needs --u-exhauster")
     ef = _load_family(args.f_exhauster)
     eu = _load_family(args.u_exhauster) if args.u_exhauster else None
-    memo = RunMemo()
-    verdicts: dict[str, Verdict] = {}
+    # Kinds and dimensions too, so that no id is decided before a bad one.
     for cid in condition_ids:
-        if cid.u_kind is not None and eu is None:
-            raise InputError(f"{cid.value} needs --u-exhauster")
-        verdicts[cid.value] = evaluate_condition(
-            cid, ef, eu, max_combinations=args.max_combinations, memo=memo)
+        build_condition(cid, ef, eu)
+    verdicts = {cid.value: evaluate_condition(cid, ef, eu, memo=memo)
+                for cid in condition_ids}
     problem_echo = {"f_exhauster": args.f_exhauster,
                     "u_exhauster": args.u_exhauster}
     report = AnalysisReport(

@@ -45,6 +45,7 @@ from .geometry import (
     arcset_subset,
     as_vector,
     contains_origin,
+    dot,
     halfcircle,
     linear_feasibility,
     sample_unit_directions,
@@ -195,10 +196,15 @@ def region_arcs(region: SignRegion) -> ArcSet:
 
 
 class RunMemo:
-    """What the checks of one run compute once per side, set or system: the
-    circle trace of a sign region, keyed by the region's value; whether a
-    set contains the origin, keyed by the set's vertex tuple (its value,
-    and cheaper to hash); and, in ``solved``, the solver's result on each
+    """The run a check belongs to: its combination cap, and what its checks
+    compute once per side, set or system.
+
+    ``max_combinations`` caps the vertex-selection systems of every search
+    (see ``_search``); a cap below one is a ValueError, since reduction
+    would keep every candidate set under it. The memo keeps the circle
+    trace of a sign region, keyed by the region's value; whether a set
+    contains the origin, keyed by the set's vertex tuple (its value, and
+    cheaper to hash); and, in ``solved``, the solver's result on each
     vertex-selection system, keyed by ``(dim, rows)`` as ``find_direction``
     looks it up. Value keys let the sides that ``build_condition`` rebuilds
     for every id hit, and the proper and adjoint forms of a condition, or
@@ -207,11 +213,15 @@ class RunMemo:
     +-pi, which gives the same half-circle.
 
     Make one per run and pass it to every check of that run; a check made
-    without one uses a fresh one. Nothing is kept between runs, so a run
-    computes, and a tracer counts, the same work whatever ran before it.
+    without one uses a fresh one with the default cap. Nothing is kept
+    between runs, so a run computes, and a tracer counts, the same work
+    whatever ran before it.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, max_combinations: int = DEFAULT_COMBINATION_CAP) -> None:
+        if max_combinations < 1:
+            raise ValueError(f"max-combinations must be positive, got {max_combinations}")
+        self.max_combinations = max_combinations
         self._arcs: dict[SignRegion, ArcSet] = {}
         self._origin: dict[tuple[Vector, ...], bool] = {}
         self.solved: dict[tuple[int, tuple[LinearConstraint, ...]], FeasibilityResult] = {}
@@ -301,20 +311,19 @@ def _choice_points(region: SignRegion, negate: bool) -> list[list[list[LinearCon
 
 
 def _search(choice_points: list[list[list[LinearConstraint]]], dim: int,
-            max_combinations: int, violated: str, holds: str, memo: RunMemo,
-            notes: str = "") -> Verdict:
+            violated: str, holds: str, memo: RunMemo, notes: str = "") -> Verdict:
     """The lp_enumeration verdict on a disjunction of linear systems, one
     per choice of an option at every choice point: the first feasible
     system in lexicographic order gives the violation witness, none means
-    the condition holds, and more than ``max_combinations`` systems leave
-    it inconclusive. ``holds`` may name the system count as ``{count}``.
-    Systems the run has decided are taken from ``memo``."""
+    the condition holds, and more than the run's ``memo.max_combinations``
+    systems leave it inconclusive. ``holds`` may name the system count as
+    ``{count}``. Systems the run has decided are taken from ``memo``."""
     count = math.prod(len(point) for point in choice_points)
-    if count > max_combinations:
+    if count > memo.max_combinations:
         return Verdict(
             "inconclusive", None,
-            f"enumeration needs {count} combinations, above the cap of {max_combinations}" + notes,
-            "lp_enumeration")
+            f"enumeration needs {count} combinations, above the cap of "
+            f"{memo.max_combinations}" + notes, "lp_enumeration")
     result = find_direction(choice_points, dim, memo.solved)
     if result is not None:
         return Verdict("violated", result.witness, violated + notes, "lp_enumeration")
@@ -322,7 +331,6 @@ def _search(choice_points: list[list[list[LinearConstraint]]], dim: int,
 
 
 def inclusion_check(lhs: SignRegion, rhs: SignRegion, *, method: str = "auto",
-                    max_combinations: int = DEFAULT_COMBINATION_CAP,
                     memo: Optional[RunMemo] = None) -> Verdict:
     """Decide whether every direction of ``lhs`` belongs to ``rhs``.
 
@@ -331,8 +339,8 @@ def inclusion_check(lhs: SignRegion, rhs: SignRegion, *, method: str = "auto",
     ``find_direction``: the lhs membership choice points followed by the
     rhs negation choice points, searched in lexicographic order with
     infeasible prefixes pruned, each system decided by the feasibility
-    solver. Both are exact; in the plane they must agree. ``memo`` holds
-    the run's traces, origin tests and solved systems (see ``RunMemo``).
+    solver. Both are exact; in the plane they must agree. ``memo`` is the
+    run's cap, traces, origin tests and solved systems (see ``RunMemo``).
     """
     memo = memo or RunMemo()
     dim = lhs.family.dim
@@ -361,61 +369,48 @@ def inclusion_check(lhs: SignRegion, rhs: SignRegion, *, method: str = "auto",
         raise ValueError(f"unknown method {method!r}")
     return _search(
         _choice_points(lhs, False) + _choice_points(rhs, True), dim,
-        max_combinations,
         "feasible vertex selection: witness lies in lhs with rhs violated at "
         "unit margin", "all {count} vertex-selection systems infeasible", memo, notes)
 
 
 # ---------------------------------------------------------------------------
-# Unconstrained conditions
+# One condition id
 # ---------------------------------------------------------------------------
-
-def check_unconstrained(cid: ConditionID, family: Exhauster, *,
-                        max_combinations: int = DEFAULT_COMBINATION_CAP,
-                        memo: Optional[RunMemo] = None) -> Verdict:
-    """Decide one of the four unconstrained conditions exactly.
-
-    Each is a constrained condition with every direction admissible: the
-    objective side ``rhs`` of ``build_condition`` must cover every
-    direction. ``inclusion_check``'s search looks for a direction outside
-    it. In the origin form (some vertex per set) the complement's systems
-    are one per set, each asking for unit margin on all of the set's
-    vertices; by Gordan's alternative one is feasible exactly when the
-    origin lies outside that set, and its solution strictly separates the
-    two. In the covering form (every vertex of some set) they choose one
-    vertex per set at unit margin. Both forms are decided by
-    lp_enumeration in every dimension, the plane included. ``memo`` holds
-    the run's solved systems (see ``RunMemo``).
-    """
-    rhs = build_condition(cid, family).rhs
-    if not rhs.every:
-        violated = ("origin lies outside a set; witness is a strictly "
-                    "separating direction")
-        holds = "origin belongs to all {count} sets"
-    else:
-        side = "negative" if rhs.sign > 0 else "positive"
-        violated = (f"direction with a strictly {side} vertex in every set: "
-                    "covering fails")
-        holds = ("all {count} vertex selections infeasible: cones cover "
-                 "every direction")
-    return _search(_choice_points(rhs, True), family.dim,
-                   max_combinations, violated, holds, memo or RunMemo())
-
 
 def evaluate_condition(cid: ConditionID, ef: Exhauster,
                        eu: Optional[Exhauster] = None, *,
-                       max_combinations: int = DEFAULT_COMBINATION_CAP,
                        memo: Optional[RunMemo] = None) -> Verdict:
-    """Build and run one condition, labelling the verdict with its id.
-    ``memo`` is the run's ``RunMemo``, if any."""
+    """Build and decide one condition, labelling the verdict with its id.
+
+    A constrained id is one ``inclusion_check``. An unconstrained id is a
+    constrained condition with every direction admissible: the objective
+    side ``rhs`` of ``build_condition`` must cover every direction, and the
+    search looks for a direction outside it. In the origin form (some
+    vertex per set) the complement's systems are one per set, each asking
+    for unit margin on all of the set's vertices; by Gordan's alternative
+    one is feasible exactly when the origin lies outside that set, and its
+    solution strictly separates the two. In the covering form (every
+    vertex of some set) they choose one vertex per set at unit margin.
+    Both forms are decided by lp_enumeration in every dimension, the plane
+    included. ``memo`` is the run's ``RunMemo``; a call without one makes
+    a fresh one.
+    """
     cid = ConditionID(cid)
-    if cid.u_kind is None:
-        verdict = check_unconstrained(cid, ef, max_combinations=max_combinations,
-                                      memo=memo)
+    built = build_condition(cid, ef, eu)
+    memo = memo or RunMemo()
+    if cid.u_kind is not None:
+        verdict = inclusion_check(built.lhs, built.rhs, memo=memo)
+    elif built.rhs.every:
+        side = "negative" if built.rhs.sign > 0 else "positive"
+        verdict = _search(
+            _choice_points(built.rhs, True), ef.dim,
+            f"direction with a strictly {side} vertex in every set: covering fails",
+            "all {count} vertex selections infeasible: cones cover every direction", memo)
     else:
-        built = build_condition(cid, ef, eu)
-        verdict = inclusion_check(built.lhs, built.rhs,
-                                  max_combinations=max_combinations, memo=memo)
+        verdict = _search(
+            _choice_points(built.rhs, True), ef.dim,
+            "origin lies outside a set; witness is a strictly separating direction",
+            "origin belongs to all {count} sets", memo)
     return replace(verdict, condition=cid.value)
 
 
@@ -423,9 +418,7 @@ def evaluate_condition(cid: ConditionID, ef: Exhauster,
 # Regularity of the constraint at the point
 # ---------------------------------------------------------------------------
 
-def regularity_check(family: Exhauster, *,
-                     max_combinations: int = DEFAULT_COMBINATION_CAP,
-                     memo: Optional[RunMemo] = None) -> Verdict:
+def regularity_check(family: Exhauster, *, memo: Optional[RunMemo] = None) -> Verdict:
     """Is every zero direction of the constraint's derivative a limit of
     strictly negative directions?
 
@@ -463,11 +456,10 @@ def regularity_check(family: Exhauster, *,
         opened = [Polytope(dim, tuple(axes))]
     verdict = inclusion_check(
         SignRegion(Exhauster("upper", dim, closed), -1.0),
-        SignRegion(Exhauster("upper", dim, opened), -1.0),
-        max_combinations=max_combinations, memo=memo)
+        SignRegion(Exhauster("upper", dim, opened), -1.0), memo=memo)
     witness = verdict.witness
     if witness is not None:
-        norm = math.sqrt(sum(x * x for x in witness))
+        norm = math.sqrt(dot(witness, witness))
         witness = tuple(x / norm for x in witness)
     return replace(verdict, witness=witness, certificate=(
         f"{len(closed)} of {len(family.sets)} sets contain the origin; "
@@ -507,7 +499,7 @@ def necessary_condition_oracle(f_tree: MinMaxTree, u_tree: MinMaxTree,
     directions: list[Vector] = []
     for d in extra_directions:
         vec = as_vector(d)
-        norm = math.sqrt(sum(c * c for c in vec))
+        norm = math.sqrt(dot(vec, vec))
         if norm > 1e-12:
             directions.append(tuple(c / norm for c in vec))
     directions.extend(sample_unit_directions(dim, samples, seed))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Iterator, Sequence, Union
 
 from .errors import DimensionMismatchError
-from .geometry import Vector, as_int, as_vector, dot, is_number, json_numbers
+from .geometry import Vector, as_int, as_vector, dot, is_number, json_numbers, plain_sum
 
 ACTIVITY_RTOL = 1e-9
 
@@ -182,7 +182,7 @@ def _eval(expr: Expr, x: Vector) -> float:
     if isinstance(expr, SmoothAtom):
         return expr.value(x)
     if isinstance(expr, Sum):
-        return sum(_eval(c, x) for c in expr.children)
+        return plain_sum(_eval(c, x) for c in expr.children)
     if isinstance(expr, Scale):
         return expr.coef * _eval(expr.child, x)
     if isinstance(expr, Max):
@@ -237,7 +237,11 @@ def _columns(tree: MinMaxTree, directions: Sequence[Sequence[float]]) -> list[fl
         if len(form) == 2:
             a, b = form
             return [0 + a * x + b * y for x, y in directions]
-        return [sum(map(operator.mul, form, g)) for g in directions]
+        # Column by column, each direction's sum adds left to right from 0.
+        column = [0] * len(directions)
+        for j, c in enumerate(form):
+            column = [s + c * g[j] for s, g in zip(column, directions)]
+        return column
     if len(tree.children) == 1:
         # map(max, column) would call max on a single float.
         return _columns(tree.children[0], directions)
@@ -319,10 +323,10 @@ def fd_directional_derivative(expr: Expr, x: Sequence[float],
         quotients.append((eval_expr(expr, shifted) - base) / s)
     aa = _FD_STEPS[-3:]
     qq = quotients[-3:]
-    am = sum(aa) / 3.0
-    qm = sum(qq) / 3.0
-    slope = sum((ai - am) * (qi - qm) for ai, qi in zip(aa, qq))
-    slope /= sum((ai - am) ** 2 for ai in aa)
+    am = plain_sum(aa) / 3.0
+    qm = plain_sum(qq) / 3.0
+    slope = plain_sum((ai - am) * (qi - qm) for ai, qi in zip(aa, qq))
+    slope /= plain_sum((ai - am) ** 2 for ai in aa)
     return qm - slope * am
 
 

@@ -64,11 +64,26 @@ def as_int(value) -> int:
     return int(value)
 
 
+def plain_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from integer 0, as ``sum`` adds floats
+    up to Python 3.11. From 3.12 on ``sum`` compensates its rounding, so
+    reports would differ between interpreters: every float sum of the
+    package adds this way."""
+    total = 0
+    for x in values:
+        total += x
+    return total
+
+
 def dot(a: Sequence[float], b: Sequence[float]) -> float:
+    """``<a, b>``, added as ``plain_sum`` adds."""
     if len(a) != len(b):
         raise DimensionMismatchError(
             f"vectors of length {len(a)} and {len(b)}")
-    return sum(x * y for x, y in zip(a, b))
+    total = 0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
 
 
 def unit_direction(theta: float) -> Vector:
@@ -92,7 +107,7 @@ def _unit_directions(dim: int, count: int, seed: int) -> tuple[Vector, ...]:
     dirs: list[Vector] = []
     while len(dirs) < count:
         raw = [rng.gauss(0.0, 1.0) for _ in range(dim)]
-        norm = math.sqrt(sum(c * c for c in raw))
+        norm = math.sqrt(dot(raw, raw))
         if norm < 1e-6:
             continue
         dirs.append(tuple(c / norm for c in raw))
@@ -301,8 +316,8 @@ def _solve_nonneg(eq_lhs: Sequence[Sequence[float]], eq_rhs: Sequence[float],
     rhs = [abs(b) for b in eq_rhs]
     basis = list(range(n, n + m))
     _minimize(tableau, rhs, basis, reduced, n + m)
-    residual = sum(rhs[i] for i, col in enumerate(basis) if col >= n)
-    if residual > 1e-9 * (1.0 + sum(rhs)):
+    residual = plain_sum(rhs[i] for i, col in enumerate(basis) if col >= n)
+    if residual > 1e-9 * (1.0 + plain_sum(rhs)):
         return None
     # Pivot zero-level artificials out so phase two cannot reactivate them.
     for i in range(m):
@@ -435,7 +450,7 @@ class ArcSet:
         return ArcSet(())
 
     def measure(self) -> float:
-        return min(sum(e - s for s, e in self.arcs), TWO_PI)
+        return min(plain_sum(e - s for s, e in self.arcs), TWO_PI)
 
     def contains(self, theta: float, tol: float = ANGLE_TOL) -> bool:
         t = _norm_angle(theta)

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .conditions import CONDITION_READINGS, ConditionID, Verdict
 from .errors import DimensionMismatchError
 from .exhauster import Exhauster
-from .geometry import Polytope, Vector
+from .geometry import Polytope, Vector, plain_sum
 
 CONDITION_ORDER = [cid.value for cid in ConditionID]
 
@@ -138,8 +138,8 @@ def _polytope_svg(polytope: Polytope, color: str) -> str:
         return (f'<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}" '
                 f'stroke="{color}" stroke-width="3"/>')
     # Order by angle about the centroid so the outline is the hull boundary.
-    cx = sum(v[0] for v in verts) / len(verts)
-    cy = sum(v[1] for v in verts) / len(verts)
+    cx = plain_sum(v[0] for v in verts) / len(verts)
+    cy = plain_sum(v[1] for v in verts) / len(verts)
     ordered = sorted(verts, key=lambda v: math.atan2(v[1] - cy, v[0] - cx))
     points = " ".join(f"{x:.3f},{y:.3f}" for x, y in map(_to_px, ordered))
     return (f'<polygon points="{points}" fill="{color}" fill-opacity="0.25" '

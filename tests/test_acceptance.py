@@ -15,7 +15,7 @@ import pytest
 from exhausters.conditions import (
     ConditionID,
     build_condition,
-    check_unconstrained,
+    evaluate_condition,
     inclusion_check,
     necessary_condition_oracle,
     region_arcs,
@@ -132,7 +132,7 @@ def test_criterion_3_regularity_exact():
 
 def test_criterion_4_negative_controls():
     families = reference_families()
-    origin = check_unconstrained(ConditionID.UNC_MIN_UPPER, families[("f", "upper")])
+    origin = evaluate_condition(ConditionID.UNC_MIN_UPPER, families[("f", "upper")])
     assert origin.status == "violated"
 
     built = build_condition(ConditionID.MAX_UPPER_UPPER,
@@ -229,8 +229,8 @@ def test_criterion_7_vacuous_condition_families():
         base = random_family(rng, "lower")
         covering = Exhauster("lower", 2, base.sets + (
             Polytope.from_vertices([(0.0, 0.0)]),))
-        assert check_unconstrained(ConditionID.UNC_MIN_LOWER,
-                                   covering).status == "holds"
+        assert evaluate_condition(ConditionID.UNC_MIN_LOWER,
+                                  covering).status == "holds"
         covering_families.append(covering)
     dual_checks = 0
     for ef in covering_families:

@@ -13,7 +13,7 @@ from exhausters.cli import main
 from exhausters.exhauster import Exhauster
 from exhausters.geometry import Polytope
 
-from helpers import abs_sum_problem, count_lps, problem_dict
+from helpers import abs_sum_json, abs_sum_problem, count_lps, problem_dict
 
 FIXTURE = "fixtures/reference-example/problem.json"
 # Every recorded report: fixtures/<case>/expected-report.json is the
@@ -246,6 +246,22 @@ class TestAnalyze:
         assert set(out["conditions"]) == {"UNC_MIN_UPPER", "UNC_MIN_LOWER"}
         assert out["regularity"] is None
 
+    @pytest.mark.parametrize("dim, conditions", [
+        (14, "MIN_UPPER_LOWER"), (2, "UNC_MIN_UPPER,MIN_UPPER_LOWER")])
+    def test_constrained_id_without_constraint_exits_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, dim, conditions):
+        # Fourteen abs terms would exceed the family cap, and the families
+        # of the plane problem would be reduced and UNC_MIN_UPPER decided.
+        spec = {"dim": dim, "objective": abs_sum_json("a" * dim), "point": [0] * dim}
+        path = tmp_path / "unconstrained.json"
+        path.write_text(json.dumps(spec))
+        calls = count_lps(monkeypatch)
+        assert main(["analyze", str(path), "--conditions", conditions]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: MIN_UPPER_LOWER needs a constraint, none was given\n"
+        assert calls == []
+
     def test_enumeration_cap_gives_inconclusive_exit(self, tmp_path, capsys):
         # Dimension three forces the enumeration method; a cap of one
         # combination leaves verdicts inconclusive.
@@ -389,6 +405,21 @@ class TestCheck:
         f_path, _ = family_files
         assert main(["check", "--f-exhauster", f_path,
                      "--conditions", "MIN_UPPER_LOWER"]) == 2
+
+    @pytest.mark.parametrize("use_u, message", [
+        (False, "MIN_UPPER_LOWER needs --u-exhauster"),
+        (True, "MIN_UPPER_LOWER needs a constraint family of kind lower, got upper")])
+    def test_bad_id_exits_2_before_any_search(self, family_files, capsys, monkeypatch,
+                                              use_u, message):
+        # UNC_MIN_UPPER alone would be decided by an LP.
+        f_path, _ = family_files
+        calls = count_lps(monkeypatch)
+        u_option = ["--u-exhauster", f_path] if use_u else []
+        assert main(["check", "--f-exhauster", f_path, *u_option,
+                     "--conditions", "UNC_MIN_UPPER,MIN_UPPER_LOWER"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+        assert calls == []
 
     def test_unverified_witness_exits_3(self, tmp_path, capsys):
         # Finite families whose LP witness fails re-substitution: the

@@ -10,7 +10,6 @@ from exhausters.conditions import (
     RunMemo,
     SignRegion,
     build_condition,
-    check_unconstrained,
     evaluate_condition,
     inclusion_check,
     necessary_condition_oracle,
@@ -18,7 +17,8 @@ from exhausters.conditions import (
     region_membership,
     regularity_check,
 )
-from exhausters.deriv import Leaf, Max, Min, eval_minmax
+from exhausters.deriv import (Leaf, Max, Min, directional_derivative_tree, eval_minmax,
+                              expr_from_json)
 from exhausters.errors import ExhausterKindError
 from exhausters.exhauster import Exhauster, exhauster_from_tree, reduce_exhauster
 from exhausters.geometry import (
@@ -44,6 +44,7 @@ from helpers import (
     NOT_DUAL,
     SIGN_KINDS,
     U_UPPER,
+    abs_sum_problem,
     brute_force_direction,
     constraint_tree,
     objective_tree,
@@ -219,7 +220,7 @@ class TestInclusionOnReference:
     def test_combination_cap_inconclusive(self):
         built = build_condition(ConditionID.MIN_UPPER_LOWER, F_UPPER, U_LOWER)
         verdict = inclusion_check(built.lhs, built.rhs, method="lp_enumeration",
-                                  max_combinations=1)
+                                  memo=RunMemo(1))
         assert verdict.status == "inconclusive"
         assert "cap" in verdict.certificate
 
@@ -232,7 +233,7 @@ class TestInclusionOnReference:
 
 class TestUnconstrained:
     def test_origin_check_violated_with_separating_direction(self):
-        verdict = check_unconstrained(ConditionID.UNC_MIN_UPPER, F_UPPER)
+        verdict = evaluate_condition(ConditionID.UNC_MIN_UPPER, F_UPPER)
         assert verdict.status == "violated"
         # The witness strictly separates the offending set from the origin.
         assert all(sum(a * b for a, b in zip(v, verdict.witness)) >= 1.0 - 1e-9
@@ -240,10 +241,10 @@ class TestUnconstrained:
 
     def test_origin_check_holds(self):
         family = Exhauster("upper", 2, (Polytope.from_vertices([(1, 1), (-1, -1)]),))
-        assert check_unconstrained(ConditionID.UNC_MIN_UPPER, family).status == "holds"
+        assert evaluate_condition(ConditionID.UNC_MIN_UPPER, family).status == "holds"
 
     def test_covering_check_violated(self):
-        verdict = check_unconstrained(ConditionID.UNC_MIN_LOWER, F_LOWER)
+        verdict = evaluate_condition(ConditionID.UNC_MIN_LOWER, F_LOWER)
         assert verdict.status == "violated"
         w = verdict.witness
         for c in F_LOWER.sets:
@@ -254,11 +255,11 @@ class TestUnconstrained:
             C3, C4, Polytope.from_vertices([(0, 1)]),
             Polytope.from_vertices([(0, -1)])))
         # Four cones: right, left, up, down; every direction is in one.
-        assert check_unconstrained(ConditionID.UNC_MIN_LOWER, family).status == "holds"
+        assert evaluate_condition(ConditionID.UNC_MIN_LOWER, family).status == "holds"
 
     def test_negated_covering_for_maximum(self):
         family = Exhauster("upper", 2, (C3, C4))
-        verdict = check_unconstrained(ConditionID.UNC_MAX_UPPER, family)
+        verdict = evaluate_condition(ConditionID.UNC_MAX_UPPER, family)
         assert verdict.status == "violated"
         w = verdict.witness
         for c in family.sets:
@@ -266,7 +267,7 @@ class TestUnconstrained:
 
     def test_kind_mismatch(self):
         with pytest.raises(ExhausterKindError):
-            check_unconstrained(ConditionID.UNC_MIN_LOWER, F_UPPER)
+            evaluate_condition(ConditionID.UNC_MIN_LOWER, F_UPPER)
 
 
 def _upper(tree):
@@ -403,6 +404,26 @@ class TestRunMemo:
         alone = _run(ALL_IDS, families, RunMemo)
         bare = _run(ALL_IDS, families, lambda: None)
         return forward, backward, alone, bare
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_is_value_error(self, cap):
+        with pytest.raises(ValueError, match=f"^max-combinations must be positive, got {cap}$"):
+            RunMemo(cap)
+
+    def test_shared_cap_reaches_every_search(self):
+        # Above the plane every id and regularity search by lp_enumeration,
+        # each over more than one system, so a cap of 1 stops them all.
+        problem = abs_sum_problem("aan", "aaa")
+        trees = [directional_derivative_tree(expr_from_json(problem[key]), problem["point"])
+                 for key in ("objective", "constraint")]
+        memo = RunMemo(1)
+        verdicts = _run(ALL_IDS, _families(*trees), lambda: memo)
+        assert len(verdicts) == len(ALL_IDS) + 1
+        for verdict in verdicts.values():
+            assert verdict["status"] == "inconclusive"
+            assert verdict["method"] == "lp_enumeration"
+            assert "above the cap of 1" in verdict["certificate"]
+        assert not memo.solved
 
     def test_sharing_and_order_leave_verdicts_unchanged(self):
         forward, backward, alone, bare = self._orders(self.REFERENCE)
@@ -678,7 +699,7 @@ class TestEnumerationBeyondThePlane:
                            for v in c.vertices]
                           for c in family.sets]
             reference = brute_force_direction(points, dim)
-            verdict = check_unconstrained(cid, family)
+            verdict = evaluate_condition(cid, family)
             assert verdict.status == ("holds" if reference is None else "violated")
             if reference is not None:
                 assert verdict.witness == reference.witness
@@ -771,8 +792,8 @@ class TestVacuousConditionFamilies:
             base = random_family(rng, "lower")
             covering = Exhauster("lower", 2, base.sets + (
                 Polytope.from_vertices([(0.0, 0.0)]),))
-            assert check_unconstrained(ConditionID.UNC_MIN_LOWER,
-                                       covering).status == "holds"
+            assert evaluate_condition(ConditionID.UNC_MIN_LOWER,
+                                      covering).status == "holds"
             for cid in (ConditionID.MIN_LOWER_LOWER, ConditionID.MIN_LOWER_UPPER):
                 eu = random_family(rng, cid.u_kind)
                 built = build_condition(cid, covering, eu)

@@ -6,6 +6,7 @@ import pytest
 
 from exhausters import geometry
 from exhausters.conditions import region_arcs, region_membership
+from exhausters.deriv import Leaf, eval_minmax, eval_minmax_many
 from exhausters.errors import CapExceededError, DimensionMismatchError
 from exhausters.geometry import (
     ANGLE_TOL,
@@ -16,8 +17,10 @@ from exhausters.geometry import (
     Polytope,
     arcset_subset,
     contains_origin,
+    dot,
     hull_contains,
     linear_feasibility,
+    plain_sum,
     sample_unit_directions,
     support_value,
     unit_direction,
@@ -448,3 +451,26 @@ class TestInvariants:
             first.pop()
             assert sample_unit_directions(dim, 50, seed=4) == second
             assert len(second) == 50
+
+
+class TestFloatSums:
+    """Float sums add left to right from 0, as ``sum`` does up to Python
+    3.11. From 3.12 on ``sum`` compensates, and each value below would
+    differ between interpreters."""
+
+    def test_sums_add_left_to_right(self):
+        # 1e16 + 1.0 rounds back to 1e16; a compensated sum gives 1.0.
+        terms = (1e16, 1.0, -1e16)
+        assert plain_sum(terms) == 0.0
+        assert dot(terms, (1.0, 1.0, 1.0)) == 0.0
+        assert eval_minmax(Leaf(terms), (1.0, 1.0, 1.0)) == 0.0
+        assert eval_minmax_many(Leaf(terms), [(1.0, 1.0, 1.0)]) == [0.0]
+
+    @pytest.mark.parametrize("dim, expected", [
+        (3, "66660e26c432f6ae9f5ac5ed421be6d7a3c1fdb0ce47c09bdf726cd7cbe4a18f"),
+        (4, "5f69b3032db2335b97fdd7c2073ea93eb843381b3f26816515b11e6ee6b38e7b"),
+    ])
+    def test_sampled_directions_digest(self, dim, expected):
+        # The oracle's sample, normalized with dot: its bits reach reports.
+        sample = repr(sample_unit_directions(dim, 720, 0)).encode()
+        assert hashlib.sha256(sample).hexdigest() == expected
