@@ -26,6 +26,7 @@ from .deriv import (
     expr_from_json,
     expr_to_json,
     fd_directional_derivative,
+    fd_directional_derivatives,
 )
 from .errors import (
     CapExceededError,

@@ -29,18 +29,20 @@ from .conditions import (
     regularity_check,
 )
 from .deriv import (
+    FD_BLOCK,
     Expr,
     Leaf,
     MinMaxTree,
     directional_derivative_tree,
     eval_expr,
+    eval_minmax_many,
     expr_dim,
     expr_from_json,
-    fd_directional_derivative,
+    fd_directional_derivatives,
 )
 from .errors import CapExceededError, SolverError
-from .exhauster import (DEFAULT_COMBINATION_CAP, Exhauster, eval_exhauster,
-                        exhauster_from_tree, reduce_exhauster)
+from .exhauster import (DEFAULT_COMBINATION_CAP, Exhauster, exhauster_from_tree,
+                        exhauster_tree, reduce_exhauster)
 from .geometry import (TOL, Vector, as_int, as_vector, json_numbers,
                        sample_unit_directions)
 from .report import AnalysisReport, render_report, render_svg
@@ -306,20 +308,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     code = EXIT_OK
     lines = []  # printed once every part is through, so a failure prints none
     for (label, expr), families in zip(parts, built):
-        try:
-            estimates = [fd_directional_derivative(expr, point, g) for g in directions]
-            reason = (None if all(map(math.isfinite, estimates))
-                      else "a difference quotient is not finite")
-        except OverflowError as exc:
-            reason = str(exc)
-        if reason is not None:
-            raise InputError(f"{label} overflows the floats at a "
-                             f"finite-difference step: {reason}")
-        deviation = max(abs(estimate - eval_exhauster(family, g))
-                        for family in families.values()
-                        for g, estimate in zip(directions, estimates))
-        # The difference quotient errs in proportion to the derivative.
-        scale = max(1.0, max(map(abs, estimates)))
+        deviation, scale = _oracle_deviation(label, expr, families, point, directions)
         lines.append(f"{label}: max deviation {deviation:.3e} of the upper and "
                      f"lower families over {len(directions)} directions "
                      f"(tolerance {args.oracle_tol:g} x derivative scale "
@@ -328,6 +317,33 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             code = EXIT_VIOLATED
     print("\n".join(lines))
     return code
+
+
+def _oracle_deviation(label: str, expr: Expr, families: dict[str, Exhauster],
+                      point: Vector, directions: list[Vector]) -> tuple[float, float]:
+    """Largest deviation of ``expr``'s finite-difference estimates from its
+    families over the directions, and the derivative scale it is judged
+    against; an overflow at a difference step is an InputError. The
+    estimates of one part at a time are held."""
+    try:
+        estimates = fd_directional_derivatives(expr, point, directions)
+        reason = (None if all(map(math.isfinite, estimates))
+                  else "a difference quotient is not finite")
+    except OverflowError as exc:
+        reason = str(exc)
+    if reason is not None:
+        raise InputError(f"{label} overflows the floats at a "
+                         f"finite-difference step: {reason}")
+    # Each family is evaluated a block of directions at a time, so that its
+    # columns do not grow with --samples.
+    deviation = max(abs(estimate - value)
+                    for tree in map(exhauster_tree, families.values())
+                    for start in range(0, len(directions), FD_BLOCK)
+                    for estimate, value in zip(
+                        estimates[start:start + FD_BLOCK],
+                        eval_minmax_many(tree, directions[start:start + FD_BLOCK])))
+    # The difference quotient errs in proportion to the derivative.
+    return deviation, max(1.0, max(map(abs, estimates)))
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -197,6 +197,71 @@ def eval_expr(expr: Expr, x: Sequence[float]) -> float:
     return _eval(expr, _checked(as_vector(x), expr_dim(expr)))
 
 
+def eval_expr_many(expr: Expr, points: Sequence[Sequence[float]]) -> list[float]:
+    """``eval_expr`` at every point, in order, computed node by node over
+    the whole sample: one column of values per coordinate, then an
+    elementwise product, scale, sum, max or min of columns at each node.
+
+    Each atom multiplies a term's factors in exponent order and adds its
+    terms from 0.0, sum nodes add their children left to right from
+    integer 0 as ``plain_sum`` does, and max and min keep the first extreme
+    child, so every value, signed zeros included, is the one ``eval_expr``
+    returns; a power beyond the float range raises ``OverflowError`` as
+    there.
+    """
+    dim = expr_dim(expr)
+    points = [_checked(as_vector(x), dim) for x in points]
+    return _expr_columns(expr, [[x[j] for x in points] for j in range(dim)],
+                         len(points), {})
+
+
+def _expr_columns(expr: Expr, coords: list[list[float]], count: int,
+                  powers: dict[tuple[int, int], list[float]]) -> list[float]:
+    """The column of ``expr`` over the points whose coordinate columns are
+    ``coords``; ``powers`` keeps each ``x_j ** e`` column of the call."""
+    if isinstance(expr, SmoothAtom):
+        total = [0.0] * count
+        for coef, exps in expr.terms:
+            factors = []
+            for j, e in enumerate(exps):
+                if e:
+                    if (j, e) not in powers:
+                        powers[j, e] = [xi ** e for xi in coords[j]]
+                    factors.append(powers[j, e])
+            if not factors:
+                total = [a + coef for a in total]
+                continue
+            # coef times the factors in exponent order; the last product is
+            # added to the total in the same pass.
+            term = [coef] * count
+            for factor in factors[:-1]:
+                term = [t * p for t, p in zip(term, factor)]
+            total = [a + t * p for a, t, p in zip(total, term, factors[-1])]
+        return total
+    if isinstance(expr, Scale):
+        coef = expr.coef
+        return [coef * v for v in _expr_columns(expr.child, coords, count, powers)]
+    if not isinstance(expr, _Node):
+        raise TypeError(f"not an expression node: {expr!r}")
+    columns = [_expr_columns(c, coords, count, powers) for c in expr.children]
+    if isinstance(expr, Sum):
+        return functools.reduce(lambda a, b: list(map(operator.add, a, b)),
+                                columns, [0] * count)
+    return _extreme_columns(expr, columns)
+
+
+def _extreme_columns(node: Expr, columns: list[list[float]]) -> list[float]:
+    """Elementwise max of the columns for a ``Max`` node, min otherwise.
+    Folded left to right, a later value replaces the kept one only when it
+    is strictly greater (less), the rule of ``max`` and ``min``: the first
+    extreme child wins, and a NaN is kept or passed over as they do."""
+    if isinstance(node, Max):
+        return functools.reduce(
+            lambda a, b: [y if y > x else x for x, y in zip(a, b)], columns)
+    return functools.reduce(
+        lambda a, b: [y if y < x else x for x, y in zip(a, b)], columns)
+
+
 # ---------------------------------------------------------------------------
 # Max/min/sum trees of linear forms
 # ---------------------------------------------------------------------------
@@ -242,14 +307,10 @@ def _columns(tree: MinMaxTree, directions: Sequence[Sequence[float]]) -> list[fl
         for j, c in enumerate(form):
             column = [s + c * g[j] for s, g in zip(column, directions)]
         return column
-    if len(tree.children) == 1:
-        # map(max, column) would call max on a single float.
-        return _columns(tree.children[0], directions)
-    columns = (_columns(c, directions) for c in tree.children)
+    columns = [_columns(c, directions) for c in tree.children]
     if isinstance(tree, Sum):
         return functools.reduce(lambda a, b: list(map(operator.add, a, b)), columns)
-    pick = max if isinstance(tree, Max) else min
-    return list(map(pick, *columns))
+    return _extreme_columns(tree, columns)
 
 
 def leaf_count(tree: MinMaxTree) -> int:
@@ -303,31 +364,60 @@ def _ddt(expr: Expr, x: Vector) -> MinMaxTree:
 
 # Difference-quotient steps, halving from 0.1.
 _FD_STEPS = tuple(0.1 * 0.5 ** k for k in range(13))
+# Directions the estimator evaluates per column pass, so that its columns do
+# not grow with the number of directions; oracle evaluates the families in
+# the same blocks.
+FD_BLOCK = 64
+
+
+def fd_directional_derivatives(expr: Expr, x: Sequence[float],
+                               directions: Sequence[Sequence[float]]) -> list[float]:
+    """One-sided difference-quotient estimates of the directional
+    derivative in each direction, in order.
+
+    Deliberately ignorant of the tree construction: only expression values
+    enter, so this is an independent check of that code path. The value at
+    the point is computed once; each block of ``FD_BLOCK`` directions is
+    evaluated at every step in one pass of ``eval_expr_many``'s column
+    code. The last three quotients of a direction are extrapolated to step
+    zero with a least-squares line, which removes the first-order error of
+    smooth pieces. The ten larger steps do not enter the estimate, but they
+    are still evaluated: an expression that overflows the floats at any
+    step raises ``OverflowError``, which ``oracle`` reports as an input
+    error.
+    """
+    point = as_vector(x)
+    base = eval_expr(expr, point)
+    dim = len(point)
+    aa = _FD_STEPS[-3:]
+    am = plain_sum(aa) / 3.0
+    offsets = [ai - am for ai in aa]
+    spread = plain_sum(d ** 2 for d in offsets)
+    estimates = []
+    for start in range(0, len(directions), FD_BLOCK):
+        # Converted a block at a time, so that no copy of every direction
+        # is held at once.
+        block = [_checked(as_vector(g), dim) for g in directions[start:start + FD_BLOCK]]
+        count = len(block)
+        coords = [[xj + s * g[j] for s in _FD_STEPS for g in block]
+                  for j, xj in enumerate(point)]
+        if not all(all(map(math.isfinite, column)) for column in coords):
+            raise ValueError("a finite-difference step leaves the float range")
+        values = _expr_columns(expr, coords, count * len(_FD_STEPS), {})
+        first = (len(_FD_STEPS) - 3) * count
+        quotients = [[(v - base) / s for v in values[at:at + count]]
+                     for at, s in zip(range(first, len(values), count), aa)]
+        for qq in zip(*quotients):
+            qm = plain_sum(qq) / 3.0
+            slope = plain_sum(d * (qi - qm) for d, qi in zip(offsets, qq)) / spread
+            estimates.append(qm - slope * am)
+    return estimates
 
 
 def fd_directional_derivative(expr: Expr, x: Sequence[float],
                               g: Sequence[float]) -> float:
-    """One-sided difference-quotient estimate of the directional derivative.
-
-    Deliberately ignorant of the tree construction: only expression values
-    enter, so this is an independent check of that code path. The last
-    three quotients are extrapolated to step zero with a least-squares
-    line, which removes the first-order error of smooth pieces.
-    """
-    point = as_vector(x)
-    direction = as_vector(g)
-    base = eval_expr(expr, point)
-    quotients = []
-    for s in _FD_STEPS:
-        shifted = tuple(xi + s * gi for xi, gi in zip(point, direction))
-        quotients.append((eval_expr(expr, shifted) - base) / s)
-    aa = _FD_STEPS[-3:]
-    qq = quotients[-3:]
-    am = plain_sum(aa) / 3.0
-    qm = plain_sum(qq) / 3.0
-    slope = plain_sum((ai - am) * (qi - qm) for ai, qi in zip(aa, qq))
-    slope /= plain_sum((ai - am) ** 2 for ai in aa)
-    return qm - slope * am
+    """``fd_directional_derivatives`` in the one direction ``g``."""
+    return fd_directional_derivatives(expr, x, [g])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,15 @@ def eval_exhauster(family: Exhauster, g: Sequence[float]) -> float:
     return max(support_value(s, g, "min") for s in family.sets)
 
 
+def exhauster_tree(family: Exhauster) -> MinMaxTree:
+    """The family's own function as a tree: a min over the sets of the max
+    over each set's vertex forms for an upper family, a max of mins for a
+    lower one. ``eval_minmax_many`` on it gives ``eval_exhauster``'s values
+    bit for bit, since both take the first extreme and add ``dot``'s way."""
+    outer, inner = (Min, Max) if family.kind == "upper" else (Max, Min)
+    return outer(tuple(inner(tuple(Leaf(v) for v in s.vertices)) for s in family.sets))
+
+
 def polytopes_equal(a: Polytope, b: Polytope) -> bool:
     """Hull equality: every vertex of each polytope lies in the hull of the
     other."""

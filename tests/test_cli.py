@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -21,6 +22,11 @@ FIXTURE = "fixtures/reference-example/problem.json"
 # that sense.
 RECORDED = sorted((Path(__file__).resolve().parents[1] / "fixtures").glob(
     "*/expected-report*.json"))
+# Every recorded oracle output: fixtures/<case>/expected-oracle.txt is the
+# problem's under the default options, expected-oracle-samples97-seed5.txt
+# the one under --samples 97 --seed 5.
+RECORDED_ORACLE = sorted((Path(__file__).resolve().parents[1] / "fixtures").glob(
+    "*/expected-oracle*.txt"))
 
 
 def line_problem():
@@ -562,6 +568,22 @@ class TestOracleCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "not finite" in err
 
+    def test_overflow_in_the_constraint_alone_prints_nothing(self, tmp_path, capsys):
+        # The objective's estimates are fine; the constraint overflows at a
+        # step, so the failure names it and the objective's line is not
+        # printed either.
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "dim": 2, "objective": {"atom": {"terms": [{"c": 1, "e": [1, 0]}]}},
+            "constraint": {"atom": {"terms": [{"c": 1, "e": [400, 0]}]}},
+            "point": [5.82, 0]}))
+        assert main(["oracle", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: constraint") and "finite-difference step" in err
+        # The OverflowError of a larger step, not a non-finite estimate.
+        assert "not finite" not in err
+
     def test_condition_options_not_offered(self, problem_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["oracle", problem_file, "--max-combinations", "1"])
@@ -587,6 +609,17 @@ class TestShippedFixture:
         oracle = [v["status"] for v in report["oracle"].values()]
         assert code == (1 if "violated" in conditions + oracle
                         else 3 if "inconclusive" in conditions else 0)
+
+    @pytest.mark.parametrize("expected", RECORDED_ORACLE,
+                             ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_recorded_oracle_output_replays_byte_for_byte(self, expected, capsys):
+        # A suffix such as -samples97-seed5 gives the options --samples 97
+        # --seed 5.
+        suffix = expected.stem.partition("expected-oracle-")[2]
+        options = [arg for name, value in re.findall(r"([a-z]+)(\d+)", suffix)
+                   for arg in (f"--{name}", value)]
+        assert main(["oracle", str(expected.with_name("problem.json"))] + options) == 0
+        assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
 
     def test_recorded_check_report_replays_byte_for_byte(self, monkeypatch, capsys):
         # One check call, one memo over constrained and unconstrained ids.

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import struct
 
 import pytest
 
@@ -12,12 +14,14 @@ from exhausters.deriv import (
     Sum,
     directional_derivative_tree,
     eval_expr,
+    eval_expr_many,
     eval_minmax,
     eval_minmax_many,
     expr_dim,
     expr_from_json,
     expr_to_json,
     fd_directional_derivative,
+    fd_directional_derivatives,
     leaf_count,
     scale_tree,
 )
@@ -35,6 +39,25 @@ from helpers import (
     random_minmax_tree,
     random_point,
 )
+
+
+def _wide_expr(rng, dim, depth):
+    """Random expression with exponents 0-3, negative and fractional
+    coefficients, scale nodes and nested, possibly single-child nodes."""
+    if depth == 0 or rng.random() < 0.25:
+        return SmoothAtom(dim, tuple(
+            (rng.choice([-2.5, -1.0, -0.75, 0.5, 1.0, 3.0, rng.uniform(-4.0, 4.0)]),
+             tuple(rng.randint(0, 3) for _ in range(dim)))
+            for _ in range(rng.randint(1, 4))))
+    kind = rng.choice(["sum", "scale", "max", "min"])
+    if kind == "scale":
+        return Scale(rng.choice([-1.5, -1.0, 0.25, 2.0]), _wide_expr(rng, dim, depth - 1))
+    node = {"sum": Sum, "max": Max, "min": Min}[kind]
+    return node(tuple(_wide_expr(rng, dim, depth - 1) for _ in range(rng.randint(1, 3))))
+
+
+def _signed_zero_vector(rng, dim, draw):
+    return tuple(rng.choice([0.0, -0.0, draw()]) for _ in range(dim))
 
 
 class TestEval:
@@ -62,6 +85,29 @@ class TestEval:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             eval_expr(objective_expr(), (1, 2, 3))
+        with pytest.raises(DimensionMismatchError):
+            eval_expr_many(objective_expr(), [(1, 2), (1, 2, 3)])
+
+    def test_many_matches_pointwise_bit_for_bit(self):
+        # repr tells -0.0 from 0.0, so signed zeros must match too.
+        rng = random.Random(67)
+        for dim in (2, 3, 4, 5):
+            for _ in range(20):
+                expr = _wide_expr(rng, dim, 3)
+                points = [_signed_zero_vector(rng, dim, lambda: rng.uniform(-2.0, 2.0))
+                          for _ in range(30)]
+                assert list(map(repr, eval_expr_many(expr, points))) == \
+                    [repr(eval_expr(expr, x)) for x in points]
+        assert eval_expr_many(objective_expr(), []) == []
+
+    def test_many_overflow_raises_as_pointwise(self):
+        expr = Max((coord(2, 0), SmoothAtom(2, ((1.0, (400, 0)),))))
+        assert eval_expr_many(expr, [(5.8, 0.0)]) == [eval_expr(expr, (5.8, 0.0))]
+        with pytest.raises(OverflowError) as pointwise:
+            eval_expr(expr, (5.9, 0.0))
+        with pytest.raises(OverflowError) as many:
+            eval_expr_many(expr, [(5.8, 0.0), (5.9, 0.0)])
+        assert str(many.value) == str(pointwise.value)
 
 
 class TestGradient:
@@ -235,6 +281,30 @@ class TestFiniteDifferences:
                 fd = fd_directional_derivative(expr, (0.0, 0.0), g)
                 assert fd == pytest.approx(eval_minmax(tree, g), abs=1e-3)
 
+    def test_many_directions_match_one_at_a_time(self):
+        # 150 directions fill two blocks and part of a third.
+        rng = random.Random(19)
+        for dim in (2, 3, 5):
+            expr = _wide_expr(rng, dim, 3)
+            x = _signed_zero_vector(rng, dim, lambda: rng.uniform(-1.5, 1.5))
+            directions = [_signed_zero_vector(rng, dim, lambda: rng.gauss(0.0, 1.0))
+                          for _ in range(150)]
+            assert list(map(repr, fd_directional_derivatives(expr, x, directions))) == \
+                [repr(fd_directional_derivative(expr, x, g)) for g in directions]
+        assert fd_directional_derivatives(objective_expr(), (0.0, 0.0), []) == []
+
+    def test_overflow_at_a_larger_step_raises(self):
+        # x1^400 overflows past x1 = 5.897, so at 5.8 only the largest step
+        # does; the three smallest steps alone would give a finite estimate.
+        atom = SmoothAtom(2, ((1.0, (400, 0)),))
+        with pytest.raises(OverflowError):
+            fd_directional_derivative(atom, (5.8, 0.0), (1.0, 0.0))
+        assert math.isfinite(fd_directional_derivative(atom, (5.8, 0.0), (0.5, 0.0)))
+
+    def test_direction_of_another_dimension(self):
+        with pytest.raises(DimensionMismatchError):
+            fd_directional_derivatives(objective_expr(), (0.0, 0.0), [(1.0, 0.0, 0.0)])
+
     def test_tree_agreement_on_random_expressions(self):
         rng = random.Random(12)
         checked = 0
@@ -247,6 +317,29 @@ class TestFiniteDifferences:
                 assert fd == pytest.approx(eval_minmax(tree, g), abs=1e-3)
                 checked += 1
         assert checked == 720
+
+
+class TestPinnedDigest:
+    def test_values_and_estimates_digest(self):
+        # The sha256 of every value's bytes as the per-direction scalar
+        # estimator gave them: a changed bit, a signed zero included,
+        # changes it.
+        rng = random.Random(18)
+        digest = hashlib.sha256()
+        for dim in (2, 3, 4, 5):
+            for _ in range(8):
+                expr = Sum((Scale(-1.25, _wide_expr(rng, dim, 3)),
+                            Max((_wide_expr(rng, dim, 3),
+                                 Min((_wide_expr(rng, dim, 2),
+                                      Scale(0.5, _wide_expr(rng, dim, 2))))))))
+                for _ in range(4):
+                    x = _signed_zero_vector(rng, dim, lambda: rng.uniform(-1.5, 1.5))
+                    digest.update(struct.pack("d", eval_expr(expr, x)))
+                    for _ in range(4):
+                        g = _signed_zero_vector(rng, dim, lambda: rng.gauss(0.0, 1.0))
+                        digest.update(struct.pack("d", eval_expr(expr, g)))
+                        digest.update(struct.pack("d", fd_directional_derivative(expr, x, g)))
+        assert digest.hexdigest() == "42ae1c2b321c0ef26d111c6fcf2018d52dd407d55b79f5313e300d7a8136393d"
 
 
 class TestJson:

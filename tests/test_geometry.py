@@ -6,8 +6,10 @@ import pytest
 
 from exhausters import geometry
 from exhausters.conditions import region_arcs, region_membership
-from exhausters.deriv import Leaf, eval_minmax, eval_minmax_many
+from exhausters.deriv import (Leaf, Max, Min, Scale, SmoothAtom, Sum, eval_expr,
+                              eval_expr_many, eval_minmax, eval_minmax_many)
 from exhausters.errors import CapExceededError, DimensionMismatchError
+from exhausters.exhauster import Exhauster, eval_exhauster, exhauster_tree
 from exhausters.geometry import (
     ANGLE_TOL,
     TOL,
@@ -465,6 +467,41 @@ class TestFloatSums:
         assert dot(terms, (1.0, 1.0, 1.0)) == 0.0
         assert eval_minmax(Leaf(terms), (1.0, 1.0, 1.0)) == 0.0
         assert eval_minmax_many(Leaf(terms), [(1.0, 1.0, 1.0)]) == [0.0]
+        atom = SmoothAtom(3, tuple((c, (1, 0, 0)) for c in terms))
+        atoms = Sum(tuple(SmoothAtom(3, ((c, (1, 0, 0)),)) for c in terms))
+        for expr in (atom, atoms):
+            assert eval_expr(expr, (1.0, 0.0, 0.0)) == 0.0
+            assert eval_expr_many(expr, [(1.0, 0.0, 0.0)]) == [0.0]
+
+    def test_expression_signed_zeros_match_pointwise(self):
+        # An atom adds its terms from 0.0, so it gives 0.0 where x1 = 0 and
+        # its negation -0.0; repr tells the two apart.
+        zero = SmoothAtom(1, ((1.0, (1,)),))
+        negative_zero = Scale(-1.0, zero)
+        cases = [
+            # Added from integer 0 as plain_sum adds, -0.0 + -0.0 gives 0.0.
+            (Sum((negative_zero, negative_zero)), "0.0"),
+            # On a tie the first child is kept.
+            (Max((zero, negative_zero)), "0.0"),
+            (Max((negative_zero, zero)), "-0.0"),
+            (Min((negative_zero, zero)), "-0.0"),
+            (Min((zero, negative_zero)), "0.0"),
+        ]
+        for expr, expected in cases:
+            assert repr(eval_expr(expr, (0.0,))) == expected
+            assert list(map(repr, eval_expr_many(expr, [(0.0,), (-0.0,)]))) == \
+                [repr(eval_expr(expr, (0.0,))), repr(eval_expr(expr, (-0.0,)))]
+
+    @pytest.mark.parametrize("kind", ["upper", "lower"])
+    def test_family_tree_matches_eval_exhauster(self, kind):
+        # Tied vertices and signed zeros: the first extreme wins in both.
+        family = Exhauster(kind, 2, (
+            Polytope(2, ((1e16, 1.0), (-0.0, 0.0), (0.0, -0.0))),
+            Polytope(2, ((-0.0, -0.0),)),
+            Polytope(2, ((1.0, 1.0), (1.0, 1.0), (-1e16, 2.0)))))
+        directions = [(1.0, 1.0), (0.0, -0.0), (-0.0, 1.0), (1.0, -1e-16), (-1.0, 0.0)]
+        assert list(map(repr, eval_minmax_many(exhauster_tree(family), directions))) == \
+            [repr(eval_exhauster(family, g)) for g in directions]
 
     @pytest.mark.parametrize("dim, expected", [
         (3, "66660e26c432f6ae9f5ac5ed421be6d7a3c1fdb0ce47c09bdf726cd7cbe4a18f"),
