@@ -11,6 +11,7 @@ from .conditions import (
     inclusion_check,
     necessary_condition_oracle,
     region_membership,
+    reduce_exhauster,
     regularity_check,
 )
 from .deriv import (
@@ -40,7 +41,6 @@ from .exhauster import (
     exhauster_from_tree,
     polytope_families_equal,
     polytopes_equal,
-    reduce_exhauster,
 )
 from .geometry import (
     TOL,

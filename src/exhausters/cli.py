@@ -20,12 +20,14 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 from .conditions import (
+    DEFAULT_COMBINATION_CAP,
     ConditionID,
     RunMemo,
     Verdict,
     build_condition,
     evaluate_condition,
     necessary_condition_oracle,
+    reduce_exhauster,
     regularity_check,
 )
 from .deriv import (
@@ -41,8 +43,7 @@ from .deriv import (
     fd_directional_derivatives,
 )
 from .errors import CapExceededError, SolverError
-from .exhauster import (DEFAULT_COMBINATION_CAP, Exhauster, exhauster_from_tree,
-                        exhauster_tree, reduce_exhauster)
+from .exhauster import Exhauster, exhauster_from_tree, exhauster_tree
 from .geometry import (TOL, Vector, as_int, as_vector, json_numbers,
                        sample_unit_directions)
 from .report import AnalysisReport, render_report, render_svg
@@ -190,7 +191,7 @@ def analyze_problem(problem: dict, *, sense: Optional[str] = None,
     families = {}
     for func, kinds in built.items():
         try:
-            families[func] = {kind: reduce_exhauster(family, max_combinations=memo.max_combinations)
+            families[func] = {kind: reduce_exhauster(family, memo=memo)
                               for kind, family in kinds.items()}
         except ValueError as exc:  # a difference of two finite vertices overflowed
             label = "objective" if func == "f" else "constraint"

@@ -14,9 +14,11 @@ feasibility solver. Regularity of the constraint is one more inclusion of
 the same kind. A sampled oracle that works straight from the derivative
 trees cross-checks each verdict but never claims an exact "holds".
 
-The checks of one run share a ``RunMemo``, so that a side several
-conditions name is traced once, a set is tested for the origin once and a
-vertex-selection system is solved once.
+Reducing a family is one more search of the same kind: a set goes when no
+direction strictly prefers it over the sets kept. The checks and
+reductions of one run share a ``RunMemo``, so that every search meets the
+run's cap, a side several conditions name is traced once, a set is tested
+for the origin once and a vertex-selection system is solved once.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from typing import Optional, Sequence, Union
 # contains_origin and eval_minmax by name in this module and stops if one is
 # missing, so linear_feasibility and eval_minmax stay imported although
 # nothing here calls them.
-from .deriv import MinMaxTree, eval_minmax, eval_minmax_many, expr_dim
+from .deriv import FD_BLOCK, MinMaxTree, eval_minmax, eval_minmax_many, expr_dim
 from .errors import DimensionMismatchError, ExhausterKindError
-from .exhauster import DEFAULT_COMBINATION_CAP, Exhauster, eval_exhauster, find_direction
+from .exhauster import Exhauster, eval_exhauster, find_direction
 from .geometry import (
     ANGLE_TOL,
     TOL,
@@ -53,10 +55,6 @@ from .geometry import (
 )
 
 ORACLE_MARGIN = 1e-6
-# Directions the oracle evaluates per step. Above the plane the first
-# violation usually lies among the first few directions, so evaluating the
-# whole sample at once would waste most of the work.
-_ORACLE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -195,9 +193,12 @@ def region_arcs(region: SignRegion) -> ArcSet:
         for c in region.family.sets])
 
 
+DEFAULT_COMBINATION_CAP = 1_000_000  # vertex selections per search
+
+
 class RunMemo:
-    """The run a check belongs to: its combination cap, and what its checks
-    compute once per side, set or system.
+    """The run a check or reduction belongs to: its combination cap, and
+    what its searches compute once per side, set or system.
 
     ``max_combinations`` caps the vertex-selection systems of every search
     (see ``_search``); a cap below one is a ValueError, since reduction
@@ -212,10 +213,10 @@ class RunMemo:
     on the value alone: a signed zero changes an angle only in atan2's
     +-pi, which gives the same half-circle.
 
-    Make one per run and pass it to every check of that run; a check made
-    without one uses a fresh one with the default cap. Nothing is kept
-    between runs, so a run computes, and a tracer counts, the same work
-    whatever ran before it.
+    Make one per run and pass it to every check and reduction of that run;
+    a call made without one uses a fresh one with the default cap. Nothing
+    is kept between runs, so a run computes, and a tracer counts, the same
+    work whatever ran before it.
     """
 
     def __init__(self, max_combinations: int = DEFAULT_COMBINATION_CAP) -> None:
@@ -467,6 +468,40 @@ def regularity_check(family: Exhauster, *, memo: Optional[RunMemo] = None) -> Ve
 
 
 # ---------------------------------------------------------------------------
+# Reduction of a family
+# ---------------------------------------------------------------------------
+
+def reduce_exhauster(family: Exhauster, *, memo: Optional[RunMemo] = None) -> Exhauster:
+    """Drop family members that never decide the min (resp. max) value.
+
+    Members are tried in order, each against the sets still kept. For an
+    upper family a candidate matters somewhere only if a direction makes
+    every kept set's max-support strictly larger than the candidate's, i.e.
+    some vertex w per kept set has ``<w - v, g> > 0`` at every candidate
+    vertex v; lower families mirror it with ``<v - w, g> > 0``. Each kept
+    set is one choice point of ``_search`` on the run's ``memo`` (a fresh
+    one without it), and the candidate is removed only when the search
+    holds, so evaluation is preserved pointwise. A candidate whose search
+    is over the cap (``inconclusive``) is kept.
+    """
+    memo = memo or RunMemo()
+    sign = 1.0 if family.kind == "upper" else -1.0
+    work = list(family.sets)
+    pos = 0
+    while len(work) > 1 and pos < len(work):
+        choice_points = [
+            [[LinearConstraint(tuple(sign * (wi - vi) for wi, vi in zip(w, v)), strict=True)
+              for v in work[pos].vertices]
+             for w in s.vertices]
+            for s in work[:pos] + work[pos + 1:]]
+        if _search(choice_points, family.dim, "", "", memo).status == "holds":
+            work.pop(pos)
+        else:
+            pos += 1
+    return Exhauster(family.kind, family.dim, tuple(work))
+
+
+# ---------------------------------------------------------------------------
 # Sampled cross-check straight from the derivative trees
 # ---------------------------------------------------------------------------
 
@@ -504,10 +539,12 @@ def necessary_condition_oracle(f_tree: MinMaxTree, u_tree: MinMaxTree,
             directions.append(tuple(c / norm for c in vec))
     directions.extend(sample_unit_directions(dim, samples, seed))
     found: dict[str, Verdict] = {}
-    for start in range(0, len(directions), _ORACLE_BLOCK):
+    # Above the plane the first violation usually lies among the first few
+    # directions, so the scan goes block by block, not over the whole sample.
+    for start in range(0, len(directions), FD_BLOCK):
         if len(found) == len(senses):
             break
-        block = directions[start:start + _ORACLE_BLOCK]
+        block = directions[start:start + FD_BLOCK]
         admissible = [(g, hu) for g, hu in zip(block, eval_minmax_many(u_tree, block))
                       if hu <= tol]
         hfs = eval_minmax_many(f_tree, [g for g, _ in admissible])

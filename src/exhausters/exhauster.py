@@ -6,6 +6,10 @@ vertex product; a lower family as the maximum of the minimal products. Both
 are built by the exhauster calculus from the same derivative tree, whose
 ``Sum``, ``Max`` and ``Min`` nodes over ``Leaf`` forms are the expression's
 own operators, so they agree pointwise with the tree and with each other.
+
+``find_direction`` is the vertex-selection search behind every exact
+decision; ``conditions`` runs it, under a run's cap and store, for each
+condition, regularity test and reduction of a family.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .geometry import (
 )
 
 DEFAULT_FAMILY_CAP = 10_000  # vertices over a family's sets; read at every call
-DEFAULT_COMBINATION_CAP = 1_000_000  # vertex selections per search
 KINDS = ("upper", "lower")
 
 
@@ -155,7 +158,7 @@ def polytope_families_equal(a: Iterable[Polytope], b: Iterable[Polytope]) -> boo
 
 
 def find_direction(choice_points: Sequence[Sequence[Sequence[LinearConstraint]]],
-                   dim: int, solved: Optional[dict] = None) -> Optional[FeasibilityResult]:
+                   dim: int, solved: dict) -> Optional[FeasibilityResult]:
     """Search a disjunction of linear systems for a feasible one.
 
     A choice point is a list of options and an option a list of
@@ -191,11 +194,10 @@ def find_direction(choice_points: Sequence[Sequence[Sequence[LinearConstraint]]]
     what a fresh solve would give. Keys compare floats by value, so -0.0
     matches 0.0: the solver skips zero entries and draws its right-hand
     sides from the strict flags alone, so a zero's sign reaches neither a
-    pivot decision nor the witness. Pass one store to the searches of a run
-    to solve each distinct system once; without one the search uses a
-    fresh store of its own.
+    pivot decision nor the witness. Its one caller, ``conditions._search``,
+    passes the run's store (``RunMemo.solved``), so that the condition,
+    regularity and reduction searches of a run solve each system once.
     """
-    solved = {} if solved is None else solved
 
     def solve(parts):
         rows = tuple(c for part in parts for c in part)
@@ -298,46 +300,3 @@ def _first_clash(table: list, choice: list[int], start: int) -> int:
             return p
     return len(choice)
 
-
-def reduce_exhauster(family: Exhauster, *,
-                     max_combinations: int = DEFAULT_COMBINATION_CAP) -> Exhauster:
-    """Drop family members that never decide the min (resp. max) value.
-
-    Members are tried in order, each against the sets still kept. One is
-    removed only when a feasibility search certifies that no direction
-    strictly prefers it over every remaining set, so evaluation is
-    preserved pointwise. Candidates whose certification would need more
-    than ``max_combinations`` vertex selections are kept.
-    """
-    work = list(family.sets)
-    pos = 0
-    while len(work) > 1 and pos < len(work):
-        if _certified_redundant(work[pos], work[:pos] + work[pos + 1:],
-                                family.kind, max_combinations):
-            work.pop(pos)
-        else:
-            pos += 1
-    return Exhauster(family.kind, family.dim, tuple(work))
-
-
-def _certified_redundant(candidate: Polytope, rest: list[Polytope], kind: str,
-                         max_combinations: int) -> bool:
-    """Certify that no direction strictly prefers the candidate.
-
-    For an upper family the candidate matters somewhere only if a direction
-    makes every remaining set's max-support strictly larger than the
-    candidate's, i.e. some vertex choice w per remaining set satisfies
-    ``<w - v, g> > 0`` for all candidate vertices v. Each remaining set is
-    one choice point of ``find_direction``; if no system is feasible the
-    candidate is redundant. Lower families are the mirrored statement,
-    ``<v - w, g> > 0``.
-    """
-    if math.prod(len(s.vertices) for s in rest) > max_combinations:
-        return False
-    sign = 1.0 if kind == "upper" else -1.0
-    choice_points = [
-        [[LinearConstraint(tuple(sign * (wi - vi) for wi, vi in zip(w, v)), strict=True)
-          for v in candidate.vertices]
-         for w in s.vertices]
-        for s in rest]
-    return find_direction(choice_points, candidate.dim) is None

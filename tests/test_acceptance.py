@@ -18,6 +18,7 @@ from exhausters.conditions import (
     evaluate_condition,
     inclusion_check,
     necessary_condition_oracle,
+    reduce_exhauster,
     region_arcs,
     region_membership,
     regularity_check,
@@ -33,7 +34,6 @@ from exhausters.exhauster import (
     eval_exhauster,
     exhauster_from_tree,
     polytope_families_equal,
-    reduce_exhauster,
 )
 from exhausters.geometry import Polytope, arcset_subset
 

@@ -115,6 +115,21 @@ class TestAnalyze:
         assert code == 1
         assert report.conditions["MIN_UPPER_UPPER"].status == "violated"
 
+    def test_one_run_solves_no_system_twice(self, monkeypatch):
+        # The four reductions, the conditions and regularity of one run
+        # share its store: under both senses the reference problem's later
+        # reductions meet systems that an earlier one solved.
+        import exhausters.exhauster as module
+
+        solved = []
+        solve = module.linear_feasibility
+        monkeypatch.setattr(module, "linear_feasibility", lambda rows, dim: (
+            solved.append((dim, tuple(rows))) or solve(rows, dim)))
+        problem = json.loads((Path(__file__).resolve().parents[1] / FIXTURE).read_text())
+        cli.analyze_problem(problem, sense="both")
+        assert solved
+        assert len(solved) == len(set(solved))
+
     def test_non_integer_dim_is_input_error(self, tmp_path, capsys):
         # A fractional dimension is rejected, not truncated to 2.
         for dim in ("two", 2.5):

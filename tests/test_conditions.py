@@ -14,13 +14,14 @@ from exhausters.conditions import (
     inclusion_check,
     necessary_condition_oracle,
     region_arcs,
+    reduce_exhauster,
     region_membership,
     regularity_check,
 )
 from exhausters.deriv import (Leaf, Max, Min, directional_derivative_tree, eval_minmax,
                               expr_from_json)
 from exhausters.errors import ExhausterKindError
-from exhausters.exhauster import Exhauster, exhauster_from_tree, reduce_exhauster
+from exhausters.exhauster import Exhauster, exhauster_from_tree
 from exhausters.geometry import (
     ArcSet,
     LinearConstraint,

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from exhausters.conditions import RunMemo, reduce_exhauster
 from exhausters.deriv import (
     Leaf,
     Max,
@@ -23,7 +24,6 @@ from exhausters.exhauster import (
     find_direction,
     polytope_families_equal,
     polytopes_equal,
-    reduce_exhauster,
 )
 from exhausters.geometry import (
     LinearConstraint,
@@ -234,6 +234,13 @@ class TestReduction:
                             eval_exhauster(family, g), abs=1e-9)
         assert removed > 0
 
+    def test_reduction_honours_the_run_cap(self):
+        # Certifying any of the 16 sets searches 2**15 vertex selections,
+        # above a cap of 1, so every candidate is kept.
+        family = abs_sum_upper_pairs()
+        assert reduce_exhauster(family, memo=RunMemo(1)).sets == family.sets
+        assert len(reduce_exhauster(family).sets) == 4
+
 
 
 def abs_sum_objective():
@@ -273,7 +280,7 @@ class TestFindDirection:
                         for v in candidate.vertices]
                        for w in s.vertices]
                       for s in rest]
-            found = find_direction(points, dim)
+            found = find_direction(points, dim, {})
             reference = brute_force_direction(points, dim)
             assert (found is None) == (reference is None)
             if reference is not None:
@@ -315,7 +322,7 @@ class TestFindDirection:
                 source = rng.choice(points[p])
                 target = rng.choice(points[q])
                 target.append(opposite(rng.choice(source)))
-            found = find_direction(points, dim)
+            found = find_direction(points, dim, {})
             reference = brute_force_direction(points, dim)
             assert (found is None) == (reference is None)
             if reference is not None:
@@ -346,7 +353,7 @@ class TestFindDirection:
                                    ((0.1, 0.3), (-0.1, -0.30000000000000004), 2)):
             calls.clear()
             points = [[[LinearConstraint(first, True)]], [[LinearConstraint(second)]]]
-            assert find_direction(points, 2) is None
+            assert find_direction(points, 2, {}) is None
             assert len(calls) == lps
 
     def test_clash_in_every_system_costs_one_lp(self, monkeypatch):
@@ -358,7 +365,7 @@ class TestFindDirection:
         points = [[[LinearConstraint(v, True)] for v in e],
                   [[LinearConstraint(tuple(-2.0 * x for x in v)) for v in e]],
                   [[LinearConstraint(v)] for v in e + [(1.0, 1.0, 1.0)]]]
-        assert find_direction(points, 3) is None
+        assert find_direction(points, 3, {}) is None
         assert len(calls) == 1
 
     def test_clash_is_refuted_exactly(self):
@@ -371,7 +378,7 @@ class TestFindDirection:
         points = [[[strict]],
                   [[LinearConstraint((-1.0, 0.0), True)], [LinearConstraint((-1e-12, 0.0))]]]
         assert brute_force_direction(points, 2).witness == (1.0, 0.0)
-        assert find_direction(points, 2) is None
+        assert find_direction(points, 2, {}) is None
 
     def test_feasible_first_choice_costs_one_lp(self, monkeypatch):
         calls = count_lps(monkeypatch)
@@ -379,7 +386,7 @@ class TestFindDirection:
         m1, m2 = (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)
         points = [[[LinearConstraint(e1, True)], [LinearConstraint(m1, True)]],
                   [[LinearConstraint(e2, True)], [LinearConstraint(m2, True)]]]
-        assert find_direction(points, 3).feasible
+        assert find_direction(points, 3, {}).feasible
         assert len(calls) == 1
 
     def test_abs_sum_upper_family_reduces_within_budget(self, monkeypatch):
