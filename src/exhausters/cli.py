@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from typing import Optional, Sequence
 
 from .conditions import (
@@ -204,11 +203,11 @@ def analyze_problem(problem: dict, *, sense: Optional[str] = None,
 
     regularity = None
     if u_tree is not None:
-        regularity = replace(regularity_check(families["u"]["upper"], memo=memo),
-                             condition="REGULARITY")
+        regularity = regularity_check(families["u"]["upper"], memo=memo).replace(
+            condition="REGULARITY")
     gate_tree = u_tree if u_tree is not None else Leaf((0.0,) * dim)
     oracle = {
-        s: replace(verdict, condition=f"ORACLE_{s.upper()}")
+        s: verdict.replace(condition=f"ORACLE_{s.upper()}")
         for s, verdict in necessary_condition_oracle(
             f_tree, gate_tree, _senses(sense), samples, seed, tol=tol).items()
     }

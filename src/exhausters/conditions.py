@@ -24,7 +24,6 @@ for the origin once and a vertex-selection system is solved once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
 from functools import reduce
 from typing import Optional, Sequence, Union
@@ -43,6 +42,7 @@ from .geometry import (
     FeasibilityResult,
     LinearConstraint,
     Polytope,
+    Value,
     Vector,
     arcset_subset,
     as_vector,
@@ -57,8 +57,7 @@ from .geometry import (
 ORACLE_MARGIN = 1e-6
 
 
-@dataclass(frozen=True)
-class SignRegion:
+class SignRegion(Value):
     """The cone region {g : sign * h(g) >= 0}, where h is the function the
     family represents: min over sets of the max vertex product for an upper
     family, max over sets of the min product for a lower one.
@@ -70,12 +69,12 @@ class SignRegion:
     checkers add a note naming such sets.
     """
 
-    family: Exhauster
-    sign: float
+    __slots__ = ("family", "sign")
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1.0, -1.0):
-            raise ValueError(f"sign must be 1 or -1, got {self.sign!r}")
+    def __init__(self, family: Exhauster, sign: float) -> None:
+        if sign not in (1.0, -1.0):
+            raise ValueError(f"sign must be 1 or -1, got {sign!r}")
+        self._init(family, sign)
 
     @property
     def every(self) -> bool:
@@ -125,8 +124,7 @@ CONDITION_READINGS = {
 }
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Value):
     """Outcome of one check.
 
     ``violated`` always carries a re-checkable witness direction. Sampled
@@ -135,11 +133,11 @@ class Verdict:
     and lp_enumeration methods.
     """
 
-    status: str
-    witness: Optional[Vector]
-    certificate: str
-    method: str
-    condition: Optional[str] = None
+    __slots__ = ("status", "witness", "certificate", "method", "condition")
+
+    def __init__(self, status: str, witness: Optional[Vector], certificate: str,
+                 method: str, condition: Optional[str] = None) -> None:
+        self._init(status, witness, certificate, method, condition)
 
     def to_json(self) -> dict:
         return {
@@ -151,20 +149,21 @@ class Verdict:
         }
 
 
-@dataclass(frozen=True)
-class ConstrainedCondition:
-    cid: ConditionID
-    lhs: SignRegion
-    rhs: SignRegion
+class ConstrainedCondition(Value):
+    __slots__ = ("cid", "lhs", "rhs")
+
+    def __init__(self, cid: ConditionID, lhs: SignRegion, rhs: SignRegion) -> None:
+        self._init(cid, lhs, rhs)
 
 
-@dataclass(frozen=True)
-class UnconstrainedCondition:
+class UnconstrainedCondition(Value):
     """``rhs`` is the region the extremum forces on the objective's
     derivative; the condition holds when it covers every direction."""
 
-    cid: ConditionID
-    rhs: SignRegion
+    __slots__ = ("cid", "rhs")
+
+    def __init__(self, cid: ConditionID, rhs: SignRegion) -> None:
+        self._init(cid, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +411,7 @@ def evaluate_condition(cid: ConditionID, ef: Exhauster,
             _choice_points(built.rhs, True), ef.dim,
             "origin lies outside a set; witness is a strictly separating direction",
             "origin belongs to all {count} sets", memo)
-    return replace(verdict, condition=cid.value)
+    return verdict.replace(condition=cid.value)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +461,7 @@ def regularity_check(family: Exhauster, *, memo: Optional[RunMemo] = None) -> Ve
     if witness is not None:
         norm = math.sqrt(dot(witness, witness))
         witness = tuple(x / norm for x in witness)
-    return replace(verdict, witness=witness, certificate=(
+    return verdict.replace(witness=witness, certificate=(
         f"{len(closed)} of {len(family.sets)} sets contain the origin; "
         + verdict.certificate))
 

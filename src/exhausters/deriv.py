@@ -15,11 +15,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
-from typing import ClassVar, Iterator, Sequence, Union
+from typing import ClassVar, Iterable, Iterator, Sequence, Union
 
 from .errors import DimensionMismatchError
-from .geometry import Vector, as_int, as_vector, dot, is_number, json_numbers, plain_sum
+from .geometry import Value, Vector, as_int, as_vector, dot, is_number, json_numbers, plain_sum
 
 ACTIVITY_RTOL = 1e-9
 
@@ -35,13 +34,12 @@ def _checked(x: Sequence[float], dim: int) -> Sequence[float]:
     return x
 
 
-class Expr:
+class Expr(Value):
     """Base class of expression and derivative-tree nodes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class SmoothAtom(Expr):
     """Multivariate polynomial: a sum of ``coefficient * monomial`` terms.
 
@@ -50,24 +48,24 @@ class SmoothAtom(Expr):
     gradients are exact polynomial arithmetic.
     """
 
-    dim: int
-    terms: tuple[tuple[float, tuple[int, ...]], ...]
+    __slots__ = ("dim", "terms")
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
+    def __init__(self, dim: int,
+                 terms: Iterable[tuple[float, Iterable[int]]]) -> None:
+        if dim < 1:
             raise ValueError("dimension must be positive")
         cleaned = []
-        for coef, exps in self.terms:
+        for coef, exps in terms:
             exps = tuple(as_int(e) for e in exps)
-            if len(exps) != self.dim:
+            if len(exps) != dim:
                 raise DimensionMismatchError(
-                    f"exponent multi-index {exps} does not have length {self.dim}")
+                    f"exponent multi-index {exps} does not have length {dim}")
             if any(e < 0 for e in exps):
                 raise ValueError("exponents must be nonnegative")
             cleaned.append((float(coef), exps))
         if not cleaned:
             raise ValueError("an atom needs at least one term")
-        object.__setattr__(self, "terms", tuple(cleaned))
+        self._init(dim, tuple(cleaned))
 
     @staticmethod
     def coordinate(dim: int, index: int, coef: float = 1.0) -> "SmoothAtom":
@@ -101,57 +99,57 @@ class SmoothAtom(Expr):
         return tuple(grad)
 
 
-@dataclass(frozen=True)
 class Leaf(Expr):
     """Linear form ``g -> <form, g>``, a leaf of a derivative tree."""
 
-    form: Vector
+    __slots__ = ("form",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "form", as_vector(self.form))
+    def __init__(self, form: Iterable[float]) -> None:
+        self._init(as_vector(form))
 
     @property
     def dim(self) -> int:
         return len(self.form)
 
 
-@dataclass(frozen=True)
 class Scale(Expr):
-    coef: float
-    child: Expr
+    __slots__ = ("coef", "child")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coef", float(self.coef))
+    def __init__(self, coef: float, child: Expr) -> None:
+        self._init(float(coef), child)
 
 
-@dataclass(frozen=True)
 class _Node(Expr):
     """Operator over a nonempty tuple of children; ``op`` is its wire name."""
 
-    children: tuple[Expr, ...]
+    __slots__ = ("children",)
     op: ClassVar[str]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
-        if not self.children:
+    def __init__(self, children: Iterable[Expr]) -> None:
+        children = tuple(children)
+        if not children:
             raise ValueError(f"{self.op} needs at least one child")
+        self._init(children)
 
 
 class Sum(_Node):
     """Pointwise sum of the children, added left to right."""
 
+    __slots__ = ()
     op = "sum"
 
 
 class Max(_Node):
     """Pointwise maximum of the children."""
 
+    __slots__ = ()
     op = "max"
 
 
 class Min(_Node):
     """Pointwise minimum of the children."""
 
+    __slots__ = ()
     op = "min"
 
 

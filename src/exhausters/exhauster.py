@@ -15,7 +15,6 @@ condition, regularity test and reduction of a family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .deriv import Leaf, Max, Min, MinMaxTree, Sum, expr_dim
@@ -24,6 +23,7 @@ from .geometry import (
     FeasibilityResult,
     LinearConstraint,
     Polytope,
+    Value,
     Vector,
     as_int,
     hull_contains,
@@ -35,25 +35,23 @@ DEFAULT_FAMILY_CAP = 10_000  # vertices over a family's sets; read at every call
 KINDS = ("upper", "lower")
 
 
-@dataclass(frozen=True)
-class Exhauster:
+class Exhauster(Value):
     """Tagged family of polytopes; ``upper`` is min-of-max, ``lower`` is
     max-of-min."""
 
-    kind: str
-    dim: int
-    sets: tuple[Polytope, ...]
+    __slots__ = ("kind", "dim", "sets")
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        object.__setattr__(self, "sets", tuple(self.sets))
-        if not self.sets:
+    def __init__(self, kind: str, dim: int, sets: Iterable[Polytope]) -> None:
+        if kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+        sets = tuple(sets)
+        if not sets:
             raise ValueError("a family needs at least one set")
-        for s in self.sets:
-            if s.dim != self.dim:
+        for s in sets:
+            if s.dim != dim:
                 raise DimensionMismatchError(
-                    f"set of dimension {s.dim} in a family of dimension {self.dim}")
+                    f"set of dimension {s.dim} in a family of dimension {dim}")
+        self._init(kind, dim, sets)
 
     @classmethod
     def from_json(cls, data) -> "Exhauster":

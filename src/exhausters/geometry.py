@@ -6,6 +6,7 @@ products, so polytopes stay in vertex form and facets are never enumerated.
 Every feasibility row reads ``<n, g> >= 0`` or, when strict, ``<n, g> >= 1``:
 the predicates are positively homogeneous, so asking for ``>= 1`` instead of
 ``> 0`` loses nothing and keeps every feasibility system closed.
+``Value`` here is the immutable base of every record of the package.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapExceededError, DimensionMismatchError, SolverError
@@ -114,8 +114,62 @@ def _unit_directions(dim: int, count: int, seed: int) -> tuple[Vector, ...]:
     return tuple(dirs)
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Value:
+    """Immutable record, the base of the package's records.
+
+    A subclass names its fields in ``__slots__``, in order, and sets them
+    with ``_init`` from an ``__init__`` whose parameters are those fields.
+    Two records are equal when they have the same class and equal fields;
+    a record hashes as the tuple of its fields and prints as
+    ``Name(field=value, ...)``. Assigning or deleting a field raises
+    AttributeError. ``replace``, copying and pickling rebuild a record
+    through ``__init__``, so its checks run again.
+    """
+
+    __slots__ = ("_values",)  # the fields' values, in order
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields += tuple(cls.__dict__.get("__slots__", ()))
+        # The slots' own setters, which pass by the __setattr__ below.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def _init(self, *values) -> None:
+        for put, value in zip(self._setters, values):
+            put(self, value)
+        _set_values(self, values)
+
+    def replace(self, **changes) -> "Value":
+        """A copy with ``changes`` to some fields, checked as a new record."""
+        return type(self)(**dict(zip(self._fields, self._values), **changes))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values
+
+
+_set_values = Value._values.__set__
+
+
+class Polytope(Value):
     """Convex compact set described by the vertices of its hull.
 
     Duplicate or redundant vertices are permitted; two polytopes are "the
@@ -123,20 +177,19 @@ class Polytope:
     not when their vertex lists match.
     """
 
-    dim: int
-    vertices: tuple[Vector, ...]
+    __slots__ = ("dim", "vertices")
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
+    def __init__(self, dim: int, vertices: Iterable[Iterable[float]]) -> None:
+        if dim < 1:
             raise ValueError("dimension must be positive")
-        verts = tuple(as_vector(v) for v in self.vertices)
+        verts = tuple(as_vector(v) for v in vertices)
         if not verts:
             raise ValueError("a polytope needs at least one vertex")
         for v in verts:
-            if len(v) != self.dim:
+            if len(v) != dim:
                 raise DimensionMismatchError(
-                    f"vertex {v} does not have dimension {self.dim}")
-        object.__setattr__(self, "vertices", verts)
+                    f"vertex {v} does not have dimension {dim}")
+        self._init(dim, verts)
 
     @classmethod
     def from_vertices(cls, vertices: Iterable[Iterable[float]]) -> "Polytope":
@@ -190,18 +243,16 @@ def contains_origin(polytope: Polytope) -> bool:
 # Linear feasibility
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(Value):
     """The homogeneous row ``<normal, g> >= 1`` if ``strict``, else
     ``<normal, g> >= 0``. The unit margin stands for a strict inequality:
     positive homogeneity lets ``> 0`` be replaced by ``>= 1`` without loss.
     """
 
-    normal: Vector
-    strict: bool = False
+    __slots__ = ("normal", "strict")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "normal", as_vector(self.normal))
+    def __init__(self, normal: Iterable[float], strict: bool = False) -> None:
+        self._init(as_vector(normal), strict)
 
     def value(self, g: Sequence[float]) -> float:
         return dot(self.normal, g)
@@ -210,10 +261,11 @@ class LinearConstraint:
         return self.value(g) >= (1.0 if self.strict else 0.0) - tol
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
-    feasible: bool
-    witness: Optional[Vector]
+class FeasibilityResult(Value):
+    __slots__ = ("feasible", "witness")
+
+    def __init__(self, feasible: bool, witness: Optional[Vector]) -> None:
+        self._init(feasible, witness)
 
 
 def _pivot(tableau: list[list[float]], rhs: list[float], basis: list[int],
@@ -404,8 +456,7 @@ def _norm_angle(theta: float) -> float:
     return t
 
 
-@dataclass(frozen=True)
-class ArcSet:
+class ArcSet(Value):
     """Closed subset of the unit circle as disjoint closed angle intervals.
 
     Intervals live inside [0, 2*pi]; a set crossing angle zero is stored as
@@ -413,7 +464,10 @@ class ArcSet:
     2*pi. Build instances through :meth:`normalize`.
     """
 
-    arcs: tuple[tuple[float, float], ...]
+    __slots__ = ("arcs",)
+
+    def __init__(self, arcs: tuple[tuple[float, float], ...]) -> None:
+        self._init(arcs)
 
     @staticmethod
     def normalize(raw: Iterable[tuple[float, float]]) -> "ArcSet":

@@ -11,40 +11,37 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .conditions import CONDITION_READINGS, ConditionID, Verdict
 from .errors import DimensionMismatchError
 from .exhauster import Exhauster
-from .geometry import Polytope, Vector, plain_sum
+from .geometry import Polytope, Value, Vector, plain_sum
 
 CONDITION_ORDER = [cid.value for cid in ConditionID]
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(Value):
     """Everything one analysis produced, ready for serialization.
 
     ``exhausters`` maps a function name (``f``, ``u``) to its families by
-    kind (``upper``, ``lower``), in the order they are written out.
+    kind (``upper``, ``lower``), in the order they are written out. A dict
+    left out is empty.
     """
 
-    problem: dict
-    conditions: dict[str, Verdict]
-    point: Optional[Vector] = None
-    sense: Optional[str] = None
-    values: dict = field(default_factory=dict)
-    exhausters: dict[str, dict[str, Exhauster]] = field(default_factory=dict)
-    regularity: Optional[Verdict] = None
-    oracle: dict = field(default_factory=dict)
-    warnings: tuple[str, ...] = ()
-    metadata: dict = field(default_factory=dict)
+    __slots__ = ("problem", "conditions", "point", "sense", "values", "exhausters",
+                 "regularity", "oracle", "warnings", "metadata")
 
-    def __post_init__(self) -> None:
-        if not self.conditions:
+    def __init__(self, problem: dict, conditions: dict[str, Verdict],
+                 point: Optional[Vector] = None, sense: Optional[str] = None,
+                 values: Optional[dict] = None,
+                 exhausters: Optional[dict[str, dict[str, Exhauster]]] = None,
+                 regularity: Optional[Verdict] = None, oracle: Optional[dict] = None,
+                 warnings: Sequence[str] = (), metadata: Optional[dict] = None) -> None:
+        if not conditions:
             raise ValueError("a report needs at least one condition verdict")
-        self.warnings = tuple(self.warnings)
+        self._init(problem, conditions, point, sense, values or {}, exhausters or {},
+                   regularity, oracle or {}, tuple(warnings), metadata or {})
 
     def ordered_conditions(self) -> list[tuple[str, Verdict]]:
         """Verdicts in catalog order; a key that is no condition id raises

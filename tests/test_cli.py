@@ -674,6 +674,18 @@ def test_cli_import_leaves_numpy_out():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_code_generation_out():
+    # A fresh interpreter loads none of these; only dataclasses pulled them
+    # in, and building records with generated code costs every CLI call.
+    slow = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = f"import sys, exhausters.cli; print([m for m in {slow!r} if m in sys.modules])"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 class TestExitBoundary:
     """Every failure ends in exit 2 or 3 with one line on stderr; none is
     a traceback that exits 1, which reads as a violated condition."""
