@@ -28,6 +28,7 @@ PIVOT_CAP = 20_000  # simplex pivots per phase; read at every call
 _RC_EPS = 1e-9      # reduced-cost threshold for simplex optimality
 _PIVOT_EPS = 1e-9   # smallest acceptable pivot magnitude
 _RATIO_TIE = 1e-12
+_ORIGIN_MARGIN = 1e-6  # a coordinate beyond it separates a set from 0
 
 
 def as_vector(coords: Iterable[float]) -> Vector:
@@ -236,6 +237,21 @@ def hull_contains(polytope: Polytope, point: Sequence[float]) -> bool:
 
 
 def contains_origin(polytope: Polytope) -> bool:
+    """Whether the hull holds the origin, answered from the vertices when
+    they settle it. A vertex that is exactly zero (``-0.0`` counts as zero)
+    puts the origin in the hull; a coordinate in which every vertex lies
+    above ``_ORIGIN_MARGIN``, or every vertex below its negative, keeps it
+    out. Both answers are exact. Every other set goes to ``hull_contains``:
+    the margin keeps the shortcut out of the band where the simplex's
+    absolute tolerance of 1e-9 decides, so the two differ only on sets
+    whose entries span many orders of magnitude, where the simplex
+    misjudges (see the README's "Tolerances and determinism")."""
+    vertices = polytope.vertices
+    if not all(map(any, vertices)):
+        return True
+    for coords in zip(*vertices):
+        if min(coords) > _ORIGIN_MARGIN or max(coords) < -_ORIGIN_MARGIN:
+            return False
     return hull_contains(polytope, (0.0,) * polytope.dim)
 
 
@@ -402,19 +418,22 @@ def linear_feasibility(constraints: Iterable[LinearConstraint],
     margin of the strict (unit-margin) rows, which presses the witness onto
     the tightest face of the feasible cone; together with Bland's rule this
     makes the witness a stable, reproducible representative.
+
+    A system with no strict row holds at g = 0, and its witness is the zero
+    vector with no tableau built: the same ``+0.0`` entries that phase one
+    gives there, since every right-hand side is zero.
     """
     cons = list(constraints)
     for c in cons:
         if len(c.normal) != dim:
             raise DimensionMismatchError(
                 f"constraint normal of length {len(c.normal)} in dimension {dim}")
-    if not cons:
+    if not any(c.strict for c in cons):
         return FeasibilityResult(True, (0.0,) * dim)
     m = len(cons)
     eq: list[list[float]] = []
     b: list[float] = []
     strict_weight = [0.0] * dim
-    has_strict = False
     zeros = [0.0] * m
     for i, c in enumerate(cons):
         row = [-v for v in c.normal]  # row @ g <= b[i]
@@ -426,10 +445,7 @@ def linear_feasibility(constraints: Iterable[LinearConstraint],
         b.append(-1.0 if c.strict else 0.0)
         if c.strict:
             strict_weight = [w - v for w, v in zip(strict_weight, row)]
-            has_strict = True
-    objective = None
-    if has_strict:
-        objective = strict_weight + [-w for w in strict_weight] + zeros
+    objective = strict_weight + [-w for w in strict_weight] + zeros
     x = _solve_nonneg(eq, b, objective)
     if x is None:
         return FeasibilityResult(False, None)

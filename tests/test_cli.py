@@ -27,6 +27,11 @@ RECORDED = sorted((Path(__file__).resolve().parents[1] / "fixtures").glob(
 # the one under --samples 97 --seed 5.
 RECORDED_ORACLE = sorted((Path(__file__).resolve().parents[1] / "fixtures").glob(
     "*/expected-oracle*.txt"))
+# Every recorded check report: fixtures/<case>/expected-check-<f>-<u>.json
+# is one check call on the case's f-<f>.json and u-<u>.json over the ids
+# MIN_<F>_<U>, MAX_<F>_<U>, UNC_MIN_<F> and UNC_MAX_<F>.
+RECORDED_CHECK = sorted((Path(__file__).resolve().parents[1] / "fixtures").glob(
+    "*/expected-check-*.json"))
 
 
 def line_problem():
@@ -637,16 +642,24 @@ class TestShippedFixture:
         assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
 
     def test_recorded_check_report_replays_byte_for_byte(self, monkeypatch, capsys):
-        # One check call, one memo over constrained and unconstrained ids.
-        # The report echoes the family paths, so they are given as recorded.
-        monkeypatch.chdir(Path(__file__).resolve().parents[1])
-        case = Path(FIXTURE).parent
-        code = main(["check", "--f-exhauster", str(case / "f-upper.json"),
-                     "--u-exhauster", str(case / "u-lower.json"), "--conditions",
-                     "MIN_UPPER_LOWER,MAX_UPPER_LOWER,UNC_MIN_UPPER,UNC_MAX_UPPER"])
-        assert code == 1
-        assert capsys.readouterr().out == \
-            (case / "expected-check-upper-lower.json").read_text(encoding="utf-8")
+        # One check call per recorded report, one memo over constrained and
+        # unconstrained ids. The report echoes the family paths, so they are
+        # given as recorded.
+        root = Path(__file__).resolve().parents[1]
+        monkeypatch.chdir(root)
+        assert len(RECORDED_CHECK) >= 2
+        for expected in RECORDED_CHECK:
+            case = expected.parent.relative_to(root)
+            f, u = expected.stem.partition("expected-check-")[2].split("-")
+            F, U = f.upper(), u.upper()
+            code = main(["check", "--f-exhauster", str(case / f"f-{f}.json"),
+                         "--u-exhauster", str(case / f"u-{u}.json"), "--conditions",
+                         f"MIN_{F}_{U},MAX_{F}_{U},UNC_MIN_{F},UNC_MAX_{F}"])
+            text = expected.read_text(encoding="utf-8")
+            assert capsys.readouterr().out == text, expected
+            statuses = [v["status"] for v in json.loads(text)["conditions"].values()]
+            assert code == (1 if "violated" in statuses
+                            else 3 if "inconclusive" in statuses else 0), expected
 
     def test_recorded_text_report_replays_byte_for_byte(self, capsys):
         fixture = Path(__file__).resolve().parents[1] / FIXTURE

@@ -15,6 +15,7 @@ from exhausters.geometry import (
     TOL,
     TWO_PI,
     ArcSet,
+    FeasibilityResult,
     LinearConstraint,
     Polytope,
     arcset_subset,
@@ -73,6 +74,56 @@ class TestContainsOrigin:
     def test_vertex_on_origin(self):
         assert contains_origin(Polytope.from_vertices([(0, 0), (2, 1)]))
 
+    def test_vertex_shortcut_matches_the_simplex(self):
+        # A zero vertex or a coordinate that separates every vertex from 0
+        # decides contains_origin without an LP. Wherever the entries of a
+        # set span at most six orders of magnitude, the answer is the
+        # simplex's: signed zeros, 1e-12, the band 1e-9..1e-6 around the
+        # shortcut's margin, small integers and uniform entries.
+        rng = random.Random(21)
+
+        def entry():
+            kind = rng.randrange(5)
+            if kind == 0:
+                return rng.choice([0.0, -0.0])
+            if kind == 1:
+                return rng.choice([1e-12, -1e-12])
+            if kind == 2:
+                return rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(-9, -6)
+            if kind == 3:
+                return float(rng.randint(-3, 3))
+            return rng.uniform(-1, 1)
+
+        answers = {True: 0, False: 0}
+        tested = 0
+        while tested < 2000:
+            dim = rng.randint(1, 5)
+            vertices = [tuple(entry() for _ in range(dim))
+                        for _ in range(rng.randint(1, 6))]
+            sizes = [abs(c) for v in vertices for c in v if c]
+            if sizes and max(sizes) > 1e6 * min(sizes):
+                continue
+            tested += 1
+            poly = Polytope.from_vertices(vertices)
+            found = contains_origin(poly)
+            assert found == hull_contains(poly, (0.0,) * dim), vertices
+            answers[found] += 1
+        assert answers[True] > 500 and answers[False] > 500
+
+    @pytest.mark.parametrize("vertices, inside", [
+        # Every vertex is above the margin in its one coordinate, yet the
+        # simplex, deciding within an absolute 1e-9, finds the origin.
+        ([(70535029.51278058,), (3.6763867743898136e-06,)], False),
+        # The origin is a vertex, yet the simplex rejects the set.
+        ([(-8.33251465618634e-09, -899.5866671036933),
+          (-0.004007510000517121, 6.726941814527563e-07), (0.0, 0.0),
+          (0.00030149148356154766, 78579435.05444857)], True),
+    ])
+    def test_shortcut_is_exact_where_the_simplex_misjudges(self, vertices, inside):
+        poly = Polytope.from_vertices(vertices)
+        assert contains_origin(poly) is inside
+        assert hull_contains(poly, (0.0,) * poly.dim) is not inside
+
 
 class TestConjugateMembership:
     def test_inside(self):
@@ -120,6 +171,40 @@ class TestLinearFeasibility:
 
     def test_empty_system(self):
         assert linear_feasibility([], 3).feasible
+
+    def test_strict_free_systems_match_phase_one(self):
+        # A system with no strict row is answered with no tableau. Its
+        # result must be the one phase one gives on the system as
+        # linear_feasibility builds it: free g = p - q, one slack per row,
+        # every right-hand side 0.
+        rng = random.Random(17)
+
+        def entry():
+            kind = rng.randrange(4)
+            if kind == 0:
+                return rng.choice([0.0, -0.0])
+            if kind == 1:
+                return float(rng.randint(-3, 3))
+            if kind == 2:
+                return rng.uniform(-1, 1)
+            return rng.uniform(-1, 1) * 10.0 ** rng.randint(-12, 12)
+
+        for _ in range(300):
+            dim = rng.randint(1, 5)
+            cons = [LinearConstraint(tuple(entry() for _ in range(dim)))
+                    for _ in range(rng.randint(1, 12))]
+            m = len(cons)
+            eq = []
+            for i, c in enumerate(cons):
+                row = [*(-v for v in c.normal), *c.normal, *[0.0] * m]
+                row[2 * dim + i] = 1.0
+                eq.append(row)
+            x = geometry._solve_nonneg(eq, [0.0] * m, None)
+            phase_one = FeasibilityResult(
+                True, tuple(x[j] - x[dim + j] for j in range(dim)))
+            res = linear_feasibility(cons, dim)
+            assert repr(res) == repr(phase_one)
+            assert all(c.satisfied_by(res.witness) for c in cons)
 
     def test_witnesses_resubstitute_on_random_systems(self):
         # Every second system is planted: each row's sense holds at some
