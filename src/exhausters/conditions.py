@@ -50,6 +50,7 @@ from .geometry import (
     dot,
     halfcircle,
     linear_feasibility,
+    plain_sum,
     sample_unit_directions,
     unit_direction,
 )
@@ -470,6 +471,29 @@ def regularity_check(family: Exhauster, *, memo: Optional[RunMemo] = None) -> Ve
 # Reduction of a family
 # ---------------------------------------------------------------------------
 
+_TRIAL_MARGIN = 1e-6  # relative margin of a trial direction, far above rounding
+
+
+def _trial_feasible(choice_points: list[list[list[LinearConstraint]]]) -> bool:
+    """Does the sum g of the unit row normals u of the first system (option
+    0 at every choice point, the system ``find_direction`` solves first)
+    meet each of its rows, all strict, with ``<u, g> >= _TRIAL_MARGIN *
+    |g|``, that is ``<n, g> >= _TRIAL_MARGIN * |n| * |g|``? Then a multiple
+    of g satisfies the system at unit margin, so True is exact; False
+    decides nothing. Rounding in u and in the inner products is a few
+    1e-16 of ``|g|``, far below the margin. A zero or overflowing norm
+    gives False."""
+    units = []
+    for row in (row for point in choice_points for row in point[0]):
+        norm = math.hypot(*row.normal)
+        if not 0.0 < norm < math.inf:
+            return False
+        units.append(tuple(x / norm for x in row.normal))
+    g = tuple(map(plain_sum, zip(*units)))
+    floor = _TRIAL_MARGIN * math.hypot(*g)
+    return floor > 0.0 and all(dot(u, g) >= floor for u in units)
+
+
 def reduce_exhauster(family: Exhauster, *, memo: Optional[RunMemo] = None) -> Exhauster:
     """Drop family members that never decide the min (resp. max) value.
 
@@ -482,6 +506,13 @@ def reduce_exhauster(family: Exhauster, *, memo: Optional[RunMemo] = None) -> Ex
     one without it), and the candidate is removed only when the search
     holds, so evaluation is preserved pointwise. A candidate whose search
     is over the cap (``inconclusive``) is kept.
+
+    Most candidates are needed, and the search's first system, the first
+    vertex of every kept set, usually shows it. So that system is first
+    tried at the sum of its unit row normals (``_trial_feasible``): when
+    that direction meets every row with a clear margin, the candidate is
+    kept with no LP solved and nothing stored in ``memo``. The trial only
+    ever keeps a set, and the search decides every other candidate.
     """
     memo = memo or RunMemo()
     sign = 1.0 if family.kind == "upper" else -1.0
@@ -493,7 +524,8 @@ def reduce_exhauster(family: Exhauster, *, memo: Optional[RunMemo] = None) -> Ex
               for v in work[pos].vertices]
              for w in s.vertices]
             for s in work[:pos] + work[pos + 1:]]
-        if _search(choice_points, family.dim, "", "", memo).status == "holds":
+        if (not _trial_feasible(choice_points)
+                and _search(choice_points, family.dim, "", "", memo).status == "holds"):
             work.pop(pos)
         else:
             pos += 1

@@ -225,11 +225,17 @@ def support_value(polytope: Polytope, g: Sequence[float], mode: str = "max") -> 
 
 
 def hull_contains(polytope: Polytope, point: Sequence[float]) -> bool:
-    """Convex-combination feasibility: does the hull contain ``point``."""
+    """Convex-combination feasibility: does the hull contain ``point``. A
+    point equal to a vertex (compared by value, so ``-0.0`` matches ``0.0``)
+    is in it at once; the simplex, deciding within an absolute tolerance,
+    can reject a vertex of a set whose entries span many orders of
+    magnitude."""
     target = as_vector(point)
     if len(target) != polytope.dim:
         raise DimensionMismatchError(
             f"point of length {len(target)} against dimension {polytope.dim}")
+    if target in polytope.vertices:
+        return True
     rows = list(zip(*polytope.vertices))
     rows.append((1.0,) * len(polytope.vertices))
     rhs = [*target, 1.0]

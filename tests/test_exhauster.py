@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from exhausters.conditions import RunMemo, reduce_exhauster
+from exhausters.conditions import RunMemo, _trial_feasible, reduce_exhauster
 from exhausters.deriv import (
     Leaf,
     Max,
@@ -233,6 +233,67 @@ class TestReduction:
                         assert eval_exhauster(reduced, g) == pytest.approx(
                             eval_exhauster(family, g), abs=1e-9)
         assert removed > 0
+
+    def test_trial_certifies_only_feasible_systems(self):
+        # The trial reads option 0 at every choice point; each system it
+        # certifies must be feasible by LP. Entries are uniform, small
+        # integers, or normals within a narrow cone around one axis.
+        rng = random.Random(31)
+
+        def normal(kind, dim, axis):
+            if kind == 0:
+                return tuple(rng.uniform(-1, 1) for _ in range(dim))
+            if kind == 1:
+                return tuple(float(rng.randint(-3, 3)) for _ in range(dim))
+            return tuple(axis[i] + rng.uniform(-0.2, 0.2) for i in range(dim))
+
+        for kind in range(3):
+            certified = 0
+            for _ in range(400):
+                dim = rng.randint(2, 5)
+                axis = tuple(float(i == 0) for i in range(dim))
+                rows = [LinearConstraint(normal(kind, dim, axis), True)
+                        for _ in range(rng.randint(1, 12))]
+                cut = rng.randint(0, len(rows) - 1)
+                decoy = [LinearConstraint(normal(0, dim, axis), True)]
+                points = [[rows[:cut], decoy], [rows[cut:], decoy]] if cut else [[rows, decoy]]
+                if _trial_feasible(points):
+                    certified += 1
+                    assert linear_feasibility(rows, dim).feasible
+            assert certified > 50
+
+    def test_trial_rejects_what_it_cannot_certify(self):
+        e1, e2 = (1.0, 0.0), (0.0, 1.0)
+        for rows in ([e1, (-1.0, 0.0)],            # opposite rows: g = 0
+                     [(0.0, 0.0)],                 # zero normal
+                     [(1.5e308, 1.5e308)],         # norm overflows
+                     [e1, e2, (-1.0, 1e-7)]):      # feasible, below the margin
+            points = [[[LinearConstraint(n, True) for n in rows]]]
+            assert not _trial_feasible(points)
+        assert _trial_feasible([[[LinearConstraint(e1, True)]], [[LinearConstraint(e2, True)]]])
+
+    def test_trial_keeps_a_set_the_simplex_drops(self):
+        # The only system behind the first set is <(-1e-10, 1e-10), g> >= 1,
+        # feasible at g = (-1e10, 1e10), but the simplex, deciding within
+        # an absolute 1e-9, calls it infeasible, and reduction once dropped
+        # the set: evaluation then moved by 1.4e-10.
+        family = Exhauster("upper", 2, (Polytope(2, ((1e-10, 0.0),)),
+                                        Polytope(2, ((0.0, 1e-10),))))
+        reduced = reduce_exhauster(family)
+        assert reduced.sets == family.sets
+        for g in sample_unit_directions(2, 360):
+            assert eval_exhauster(reduced, g) == eval_exhauster(family, g)
+
+    def test_needed_sets_are_kept_with_no_lp(self, monkeypatch):
+        # Each of the six points +-e_i is a vertex of their hull, so each
+        # set is needed, and the trial direction shows it every time.
+        family = Exhauster("upper", 3, tuple(
+            Polytope(3, (tuple(s * float(i == j) for j in range(3)),))
+            for i in range(3) for s in (1.0, -1.0)))
+        calls = count_lps(monkeypatch)
+        memo = RunMemo()
+        assert reduce_exhauster(family, memo=memo).sets == family.sets
+        assert calls == [] and memo.solved == {}
 
     def test_reduction_honours_the_run_cap(self):
         # Certifying any of the 16 sets searches 2**15 vertex selections,

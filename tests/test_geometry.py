@@ -9,7 +9,7 @@ from exhausters.conditions import region_arcs, region_membership
 from exhausters.deriv import (Leaf, Max, Min, Scale, SmoothAtom, Sum, eval_expr,
                               eval_expr_many, eval_minmax, eval_minmax_many)
 from exhausters.errors import CapExceededError, DimensionMismatchError
-from exhausters.exhauster import Exhauster, eval_exhauster, exhauster_tree
+from exhausters.exhauster import Exhauster, eval_exhauster, exhauster_tree, polytopes_equal
 from exhausters.geometry import (
     ANGLE_TOL,
     TOL,
@@ -46,6 +46,13 @@ class TestSupportValue:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             support_value(C1, (1, 0, 0), "max")
+
+
+def simplex_hull_contains(poly, point):
+    """``hull_contains``'s convex-combination system, decided by the
+    simplex alone, with no vertex shortcut."""
+    rows = [*zip(*poly.vertices), (1.0,) * len(poly.vertices)]
+    return geometry._solve_nonneg(rows, [*point, 1.0], None) is not None
 
 
 class TestContainsOrigin:
@@ -106,7 +113,7 @@ class TestContainsOrigin:
             tested += 1
             poly = Polytope.from_vertices(vertices)
             found = contains_origin(poly)
-            assert found == hull_contains(poly, (0.0,) * dim), vertices
+            assert found == simplex_hull_contains(poly, (0.0,) * dim), vertices
             answers[found] += 1
         assert answers[True] > 500 and answers[False] > 500
 
@@ -122,7 +129,19 @@ class TestContainsOrigin:
     def test_shortcut_is_exact_where_the_simplex_misjudges(self, vertices, inside):
         poly = Polytope.from_vertices(vertices)
         assert contains_origin(poly) is inside
-        assert hull_contains(poly, (0.0,) * poly.dim) is not inside
+        assert simplex_hull_contains(poly, (0.0,) * poly.dim) is not inside
+
+    def test_every_vertex_is_in_its_hull(self):
+        # The simplex rejects the vertex (0, 0) of this wide-magnitude set,
+        # and this set once compared unequal to itself.
+        poly = Polytope.from_vertices([
+            (-8.33251465618634e-09, -899.5866671036933),
+            (-0.004007510000517121, 6.726941814527563e-07), (0.0, 0.0),
+            (0.00030149148356154766, 78579435.05444857)])
+        assert not simplex_hull_contains(poly, (0.0, 0.0))
+        assert all(hull_contains(poly, v) for v in poly.vertices)
+        assert hull_contains(poly, (-0.0, 0.0))
+        assert polytopes_equal(poly, poly)
 
 
 class TestConjugateMembership:
