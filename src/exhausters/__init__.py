@@ -26,7 +26,6 @@ from .deriv import (
     eval_minmax,
     expr_from_json,
     expr_to_json,
-    fd_directional_derivative,
     fd_directional_derivatives,
 )
 from .errors import (

@@ -203,14 +203,10 @@ def analyze_problem(problem: dict, *, sense: Optional[str] = None,
 
     regularity = None
     if u_tree is not None:
-        regularity = regularity_check(families["u"]["upper"], memo=memo).replace(
-            condition="REGULARITY")
+        regularity = regularity_check(families["u"]["upper"], memo=memo)
     gate_tree = u_tree if u_tree is not None else Leaf((0.0,) * dim)
-    oracle = {
-        s: verdict.replace(condition=f"ORACLE_{s.upper()}")
-        for s, verdict in necessary_condition_oracle(
-            f_tree, gate_tree, _senses(sense), samples, seed, tol=tol).items()
-    }
+    oracle = necessary_condition_oracle(
+        f_tree, gate_tree, _senses(sense), samples, seed, tol=tol)
 
     warnings = []
     if u_expr is not None:

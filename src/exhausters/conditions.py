@@ -45,7 +45,6 @@ from .geometry import (
     Value,
     Vector,
     arcset_subset,
-    as_vector,
     contains_origin,
     dot,
     halfcircle,
@@ -126,7 +125,9 @@ CONDITION_READINGS = {
 
 
 class Verdict(Value):
-    """Outcome of one check.
+    """Outcome of one check. It does not name what it decided: the report
+    that holds it names each verdict by its condition id, ``REGULARITY``
+    or ``ORACLE_<SENSE>``.
 
     ``violated`` always carries a re-checkable witness direction. Sampled
     methods never report a plain ``holds``; their positive outcome is
@@ -134,15 +135,14 @@ class Verdict(Value):
     and lp_enumeration methods.
     """
 
-    __slots__ = ("status", "witness", "certificate", "method", "condition")
+    __slots__ = ("status", "witness", "certificate", "method")
 
     def __init__(self, status: str, witness: Optional[Vector], certificate: str,
-                 method: str, condition: Optional[str] = None) -> None:
-        self._init(status, witness, certificate, method, condition)
+                 method: str) -> None:
+        self._init(status, witness, certificate, method)
 
     def to_json(self) -> dict:
         return {
-            "condition": self.condition,
             "status": self.status,
             "method": self.method,
             "witness": list(self.witness) if self.witness is not None else None,
@@ -352,8 +352,6 @@ def inclusion_check(lhs: SignRegion, rhs: SignRegion, *, method: str = "auto",
         method = "exact2d" if dim == 2 else "lp_enumeration"
     notes = _degeneracy_notes(lhs, rhs, memo)
     if method == "exact2d":
-        if dim != 2:
-            raise DimensionMismatchError("exact2d needs plane regions")
         left = memo.arcs(lhs)
         right = memo.arcs(rhs)
         holds, angle = arcset_subset(left, right, ANGLE_TOL)
@@ -381,7 +379,7 @@ def inclusion_check(lhs: SignRegion, rhs: SignRegion, *, method: str = "auto",
 def evaluate_condition(cid: ConditionID, ef: Exhauster,
                        eu: Optional[Exhauster] = None, *,
                        memo: Optional[RunMemo] = None) -> Verdict:
-    """Build and decide one condition, labelling the verdict with its id.
+    """Build and decide one condition.
 
     A constrained id is one ``inclusion_check``. An unconstrained id is a
     constrained condition with every direction admissible: the objective
@@ -400,19 +398,17 @@ def evaluate_condition(cid: ConditionID, ef: Exhauster,
     built = build_condition(cid, ef, eu)
     memo = memo or RunMemo()
     if cid.u_kind is not None:
-        verdict = inclusion_check(built.lhs, built.rhs, memo=memo)
-    elif built.rhs.every:
+        return inclusion_check(built.lhs, built.rhs, memo=memo)
+    if built.rhs.every:
         side = "negative" if built.rhs.sign > 0 else "positive"
-        verdict = _search(
+        return _search(
             _choice_points(built.rhs, True), ef.dim,
             f"direction with a strictly {side} vertex in every set: covering fails",
             "all {count} vertex selections infeasible: cones cover every direction", memo)
-    else:
-        verdict = _search(
-            _choice_points(built.rhs, True), ef.dim,
-            "origin lies outside a set; witness is a strictly separating direction",
-            "origin belongs to all {count} sets", memo)
-    return verdict.replace(condition=cid.value)
+    return _search(
+        _choice_points(built.rhs, True), ef.dim,
+        "origin lies outside a set; witness is a strictly separating direction",
+        "origin belongs to all {count} sets", memo)
 
 
 # ---------------------------------------------------------------------------
@@ -538,16 +534,16 @@ def reduce_exhauster(family: Exhauster, *, memo: Optional[RunMemo] = None) -> Ex
 
 def necessary_condition_oracle(f_tree: MinMaxTree, u_tree: MinMaxTree,
                                senses: Sequence[str], samples: int = 720,
-                               seed: int = 0, *, tol: float = TOL,
-                               extra_directions: Sequence[Sequence[float]] = ()
+                               seed: int = 0, *, tol: float = TOL
                                ) -> dict[str, Verdict]:
     """Search sampled directions, for each of the ``senses`` ("min",
     "max"), for one that is admissible for the constraint yet has the wrong
-    objective-derivative sign; the verdicts by sense.
+    objective-derivative sign; the verdicts by sense, which the report
+    names ``ORACLE_<SENSE>``.
 
     This bypasses families and regions entirely, so it cross-checks every
-    constrained verdict. Pass a candidate witness through
-    ``extra_directions`` to have it examined first. One scan serves every
+    constrained verdict. The directions are ``sample_unit_directions``'s,
+    which raises ValueError for fewer than one sample. One scan serves every
     sense: each direction's derivatives are evaluated once, each sense
     keeps the first direction that violates it, and the scan stops when
     every sense has one. A clean pass is only ever ``inconclusive``.
@@ -556,19 +552,11 @@ def necessary_condition_oracle(f_tree: MinMaxTree, u_tree: MinMaxTree,
     for sense in senses:
         if sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-    if samples < 1:
-        raise ValueError("need at least one sample")
     dim = expr_dim(f_tree)
     if expr_dim(u_tree) != dim:
         raise DimensionMismatchError("objective and constraint trees disagree "
                                      "on dimension")
-    directions: list[Vector] = []
-    for d in extra_directions:
-        vec = as_vector(d)
-        norm = math.sqrt(dot(vec, vec))
-        if norm > 1e-12:
-            directions.append(tuple(c / norm for c in vec))
-    directions.extend(sample_unit_directions(dim, samples, seed))
+    directions = sample_unit_directions(dim, samples, seed)
     found: dict[str, Verdict] = {}
     # Above the plane the first violation usually lies among the first few
     # directions, so the scan goes block by block, not over the whole sample.

@@ -67,11 +67,6 @@ class SmoothAtom(Expr):
             raise ValueError("an atom needs at least one term")
         self._init(dim, tuple(cleaned))
 
-    @staticmethod
-    def coordinate(dim: int, index: int, coef: float = 1.0) -> "SmoothAtom":
-        exps = tuple(1 if i == index else 0 for i in range(dim))
-        return SmoothAtom(dim, ((coef, exps),))
-
     def value(self, x: Sequence[float]) -> float:
         _checked(x, self.dim)
         total = 0.0
@@ -410,12 +405,6 @@ def fd_directional_derivatives(expr: Expr, x: Sequence[float],
             slope = plain_sum(d * (qi - qm) for d, qi in zip(offsets, qq)) / spread
             estimates.append(qm - slope * am)
     return estimates
-
-
-def fd_directional_derivative(expr: Expr, x: Sequence[float],
-                              g: Sequence[float]) -> float:
-    """``fd_directional_derivatives`` in the one direction ``g``."""
-    return fd_directional_derivatives(expr, x, [g])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -116,9 +116,6 @@ def _check_family_cap(vertices: int) -> None:
 
 
 def eval_exhauster(family: Exhauster, g: Sequence[float]) -> float:
-    if len(g) != family.dim:
-        raise DimensionMismatchError(
-            f"direction of length {len(g)} against dimension {family.dim}")
     if family.kind == "upper":
         return min(support_value(s, g, "max") for s in family.sets)
     return max(support_value(s, g, "min") for s in family.sets)

@@ -244,18 +244,16 @@ def hull_contains(polytope: Polytope, point: Sequence[float]) -> bool:
 
 def contains_origin(polytope: Polytope) -> bool:
     """Whether the hull holds the origin, answered from the vertices when
-    they settle it. A vertex that is exactly zero (``-0.0`` counts as zero)
-    puts the origin in the hull; a coordinate in which every vertex lies
-    above ``_ORIGIN_MARGIN``, or every vertex below its negative, keeps it
-    out. Both answers are exact. Every other set goes to ``hull_contains``:
-    the margin keeps the shortcut out of the band where the simplex's
-    absolute tolerance of 1e-9 decides, so the two differ only on sets
-    whose entries span many orders of magnitude, where the simplex
-    misjudges (see the README's "Tolerances and determinism")."""
-    vertices = polytope.vertices
-    if not all(map(any, vertices)):
-        return True
-    for coords in zip(*vertices):
+    they settle it: a coordinate in which every vertex lies above
+    ``_ORIGIN_MARGIN``, or every vertex below its negative, keeps it out,
+    an exact answer. Every other set goes to ``hull_contains``, which
+    answers a zero vertex (``-0.0`` counts as zero) itself, since no
+    coordinate separates such a set from the origin. The margin keeps the
+    shortcut out of the band where the simplex's absolute tolerance of 1e-9
+    decides, so the two differ only on sets whose entries span many orders
+    of magnitude, where the simplex misjudges (see the README's "Tolerances
+    and determinism")."""
+    for coords in zip(*polytope.vertices):
         if min(coords) > _ORIGIN_MARGIN or max(coords) < -_ORIGIN_MARGIN:
             return False
     return hull_contains(polytope, (0.0,) * polytope.dim)

@@ -56,12 +56,19 @@ class AnalysisReport(Value):
         obj["values"] = {k: self.values[k] for k in sorted(self.values)}
         obj["exhausters"] = {func: {kind: e.to_json() for kind, e in kinds.items()}
                              for func, kinds in self.exhausters.items()}
-        obj["conditions"] = {c: v.to_json() for c, v in self.ordered_conditions()}
-        obj["regularity"] = self.regularity.to_json() if self.regularity else None
-        obj["oracle"] = {k: self.oracle[k].to_json() for k in sorted(self.oracle)}
+        obj["conditions"] = {c: _labelled(c, v) for c, v in self.ordered_conditions()}
+        obj["regularity"] = (_labelled("REGULARITY", self.regularity)
+                             if self.regularity else None)
+        obj["oracle"] = {k: _labelled(f"ORACLE_{k.upper()}", self.oracle[k])
+                         for k in sorted(self.oracle)}
         obj["warnings"] = list(self.warnings)
         obj["metadata"] = {k: self.metadata[k] for k in sorted(self.metadata)}
         return obj
+
+
+def _labelled(label: str, verdict: Verdict) -> dict:
+    """A verdict as the report writes it, under the name of what it decided."""
+    return {"condition": label, **verdict.to_json()}
 
 
 def _fmt(value: float) -> str:

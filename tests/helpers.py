@@ -5,7 +5,12 @@ generators."""
 import math
 from itertools import product
 
-from exhausters.conditions import SignRegion, Verdict
+from exhausters.conditions import (
+    ORACLE_MARGIN,
+    SignRegion,
+    Verdict,
+    necessary_condition_oracle,
+)
 from exhausters.deriv import (
     Leaf,
     Max,
@@ -18,7 +23,13 @@ from exhausters.deriv import (
     expr_dim,
 )
 from exhausters.exhauster import Exhauster
-from exhausters.geometry import Polytope, linear_feasibility, sample_unit_directions
+from exhausters.geometry import (
+    TOL,
+    Polytope,
+    dot,
+    linear_feasibility,
+    sample_unit_directions,
+)
 
 # The four segment polytopes of the reference example.
 C1 = Polytope.from_vertices([(1, 1), (-1, 1)])
@@ -48,7 +59,7 @@ def sign_region(kind_sign, *sets):
 
 
 def coord(dim, index, coef=1.0):
-    return SmoothAtom.coordinate(dim, index, coef)
+    return SmoothAtom(dim, ((coef, tuple(1 if i == index else 0 for i in range(dim))),))
 
 
 def disc_atom(sx, sy):
@@ -201,16 +212,29 @@ def random_minmax_tree(rng, dim, depth=3):
                       for _ in range(rng.randint(1, 3))))
 
 
+def oracle_flags(f_tree, u_tree, sense, witness, samples=720):
+    """Does the sampled oracle find ``sense`` violated once an exact
+    verdict's ``witness`` joins its directions? Either the unit witness
+    passes the oracle's own test (u' <= TOL, and f' beyond
+    ``ORACLE_MARGIN`` with the sign of the sense), or the oracle's sampled
+    scan finds a violation."""
+    if witness is not None:
+        norm = math.sqrt(dot(witness, witness))
+        if norm > 1e-12:
+            g = tuple(c / norm for c in witness)
+            if eval_minmax(u_tree, g) <= TOL:
+                hf = eval_minmax(f_tree, g)
+                if hf < -ORACLE_MARGIN if sense == "min" else hf > ORACLE_MARGIN:
+                    return True
+    scan = necessary_condition_oracle(f_tree, u_tree, (sense,), samples)[sense]
+    return scan.status == "violated"
+
+
 def oracle_reference(f_tree, u_tree, sense, samples=720, seed=0, *,
-                     tol=1e-9, margin=1e-6, extra_directions=()):
+                     tol=1e-9, margin=1e-6):
     """Per-direction reference for ``necessary_condition_oracle``: one
     ``eval_minmax`` of each tree per direction, in scan order."""
-    directions = []
-    for d in extra_directions:
-        norm = math.sqrt(sum(float(c) * float(c) for c in d))
-        if norm > 1e-12:
-            directions.append(tuple(float(c) / norm for c in d))
-    directions.extend(sample_unit_directions(expr_dim(f_tree), samples, seed))
+    directions = sample_unit_directions(expr_dim(f_tree), samples, seed)
     for g in directions:
         hu = eval_minmax(u_tree, g)
         if hu <= tol:

@@ -617,6 +617,15 @@ class TestShippedFixture:
         assert main(["analyze", FIXTURE]) == 0
         capsys.readouterr()
 
+    def test_console_script_runs_the_fixture(self, monkeypatch, capsys):
+        # pyproject.toml installs cli.entrypoint as the exhausters command.
+        monkeypatch.setattr(sys, "argv", ["exhausters", "analyze", FIXTURE, "--sense", "min"])
+        with pytest.raises(SystemExit) as stop:
+            cli.entrypoint()
+        assert stop.value.code == 0
+        expected = Path(FIXTURE).with_name("expected-report.json")
+        assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
+
     @pytest.mark.parametrize("expected", RECORDED,
                              ids=lambda p: f"{p.parent.name}/{p.name}")
     def test_recorded_report_replays_byte_for_byte(self, expected, capsys):

@@ -49,6 +49,7 @@ from helpers import (
     brute_force_direction,
     constraint_tree,
     objective_tree,
+    oracle_flags,
     oracle_reference,
     random_family,
     random_minmax_tree,
@@ -531,13 +532,6 @@ class TestOracle:
         assert eval_minmax(leaf, w) <= 1e-9
         assert eval_minmax(leaf, w) < -1e-6
 
-    def test_extra_directions_checked_first(self):
-        verdict = necessary_condition_oracle(
-            objective_tree(), constraint_tree(), ("max",),
-            extra_directions=[(2.0, 0.0)])["max"]
-        assert verdict.status == "violated"
-        assert verdict.witness == (1.0, 0.0)
-
     def test_sample_validation(self):
         with pytest.raises(ValueError):
             necessary_condition_oracle(objective_tree(), constraint_tree(),
@@ -580,14 +574,6 @@ class TestOracle:
             assert verdict == oracle_reference(f_tree, u_tree, sense)
         assert directions.index(verdicts["max"].witness) < 64
         assert directions.index(verdicts["min"].witness) > 64
-
-    def test_witness_from_extra_directions_matches_scan(self):
-        extra = [(0.0, 0.0), (0.0, 3.0), (2.0, 0.0)]
-        trees = (objective_tree(), constraint_tree())
-        verdicts = necessary_condition_oracle(*trees, ("min", "max"), extra_directions=extra)
-        for sense, verdict in verdicts.items():
-            assert verdict == oracle_reference(*trees, sense, extra_directions=extra)
-        assert verdicts["max"].witness == (1.0, 0.0)
 
 
 class TestMethodAgreement:
@@ -733,14 +719,12 @@ class TestOracleConsistency:
                 built = build_condition(cid, families[("f", cid.f_kind)],
                                         families[("u", cid.u_kind)])
                 verdict = inclusion_check(built.lhs, built.rhs)
-                oracle = necessary_condition_oracle(
-                    f_tree, u_tree, (cid.sense,), samples=10_000,
-                    extra_directions=[verdict.witness] if verdict.witness else ()
-                )[cid.sense]
+                flagged = oracle_flags(f_tree, u_tree, cid.sense, verdict.witness,
+                                       samples=10_000)
                 if verdict.status == "violated":
-                    assert oracle.status == "violated"
+                    assert flagged
                     confirmed += 1
-                if oracle.status == "violated":
+                if flagged:
                     assert verdict.status != "holds"
         assert confirmed > 20
 
@@ -763,13 +747,10 @@ class TestOracleConsistency:
                 for cid in ALL_CONSTRAINED:
                     verdict = evaluate_condition(cid, families[("f", cid.f_kind)],
                                                  families[("u", cid.u_kind)])
-                    oracle = necessary_condition_oracle(
-                        f_tree, u_tree, (cid.sense,),
-                        extra_directions=[verdict.witness] if verdict.witness else ()
-                    )[cid.sense]
+                    flagged = oracle_flags(f_tree, u_tree, cid.sense, verdict.witness)
                     if verdict.status == "violated":
-                        assert oracle.status == "violated"
-                    if oracle.status == "violated":
+                        assert flagged
+                    if flagged:
                         assert verdict.status != "holds"
                     statuses.append(verdict.status)
         assert {"holds", "violated"} <= set(statuses)

@@ -12,7 +12,7 @@ from exhausters.deriv import (
     directional_derivative_tree,
     eval_minmax,
     expr_from_json,
-    fd_directional_derivative,
+    fd_directional_derivatives,
     scale_tree,
 )
 from exhausters.errors import CapExceededError, DimensionMismatchError
@@ -499,7 +499,7 @@ class TestRepresentationFidelity:
                         reference = eval_minmax(tree, g)
                         assert eval_exhauster(upper, g) == pytest.approx(reference, abs=1e-9)
                         assert eval_exhauster(lower, g) == pytest.approx(reference, abs=1e-9)
-                        assert fd_directional_derivative(expr, x, g) == \
+                        assert fd_directional_derivatives(expr, x, [g])[0] == \
                             pytest.approx(reference, abs=1e-3)
 
     def test_reference_families_agree_with_trees(self):

@@ -22,8 +22,7 @@ from exhausters.report import AnalysisReport
 
 from helpers import C1, C3, F_UPPER, U_LOWER
 
-VERDICT = Verdict("violated", (1.0, 0.0), "uncovered angle 0 rad", "exact2d",
-                  "MIN_UPPER_LOWER")
+VERDICT = Verdict("violated", (1.0, 0.0), "uncovered angle 0 rad", "exact2d")
 REGION = SignRegion(F_UPPER, 1.0)
 
 # One record of every record class, with the fields that make it.
@@ -41,8 +40,7 @@ RECORDS = [
     (F_UPPER, {"kind": "upper", "dim": 2, "sets": F_UPPER.sets}),
     (REGION, {"family": F_UPPER, "sign": 1.0}),
     (VERDICT, {"status": "violated", "witness": (1.0, 0.0),
-               "certificate": "uncovered angle 0 rad", "method": "exact2d",
-               "condition": "MIN_UPPER_LOWER"}),
+               "certificate": "uncovered angle 0 rad", "method": "exact2d"}),
     (ConstrainedCondition(ConditionID.MIN_UPPER_LOWER, SignRegion(U_LOWER, -1.0), REGION),
      {"cid": ConditionID.MIN_UPPER_LOWER, "lhs": SignRegion(U_LOWER, -1.0), "rhs": REGION}),
     (UnconstrainedCondition(ConditionID.UNC_MIN_UPPER, REGION),
@@ -109,9 +107,9 @@ def test_signed_zeros_make_one_solved_key():
 
 
 def test_replace_changes_fields_and_checks_again():
-    assert VERDICT.replace(condition="REGULARITY") == Verdict(
-        "violated", (1.0, 0.0), "uncovered angle 0 rad", "exact2d", "REGULARITY")
-    assert VERDICT.condition == "MIN_UPPER_LOWER"
+    assert VERDICT.replace(method="lp_enumeration") == Verdict(
+        "violated", (1.0, 0.0), "uncovered angle 0 rad", "lp_enumeration")
+    assert VERDICT.method == "exact2d"
     assert Leaf((1.0, 2.0)).replace(form=[3, 4]).form == (3.0, 4.0)
     with pytest.raises(ValueError):
         C3.replace(dim=0)
@@ -130,8 +128,7 @@ def test_reprs_keep_the_dataclass_form():
     assert repr(Exhauster("lower", 1, [Polytope(1, [[2]])])) == \
         "Exhauster(kind='lower', dim=1, sets=(Polytope(dim=1, vertices=((2.0,),)),))"
     assert repr(Verdict("holds", None, "c", "exact2d")) == (
-        "Verdict(status='holds', witness=None, certificate='c', method='exact2d', "
-        "condition=None)")
+        "Verdict(status='holds', witness=None, certificate='c', method='exact2d')")
     assert repr(ConstrainedCondition(ConditionID.MIN_UPPER_LOWER, REGION, REGION)
                 ).startswith("ConstrainedCondition(cid=<ConditionID.MIN_UPPER_LOWER: "
                              "'MIN_UPPER_LOWER'>, lhs=SignRegion(family=Exhauster(")

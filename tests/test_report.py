@@ -12,9 +12,8 @@ from helpers import C1, C2, C3, C4, problem_dict
 
 
 def sample_report():
-    verdict = Verdict("holds", None, "test certificate", "exact2d",
-                      "MIN_UPPER_LOWER")
-    return AnalysisReport(problem={"dim": 2}, conditions={verdict.condition: verdict},
+    verdict = Verdict("holds", None, "test certificate", "exact2d")
+    return AnalysisReport(problem={"dim": 2}, conditions={"MIN_UPPER_LOWER": verdict},
                           point=(0.0, 0.0), sense="min", values={"f": 0.0})
 
 
@@ -50,8 +49,13 @@ class TestReportSerialization:
         report, _ = analyze_problem(problem_dict())
         parsed = json.loads(render_report(report, "json"))
         for name, verdict in report.conditions.items():
-            assert parsed["conditions"][name] == verdict.to_json()
-        assert parsed["regularity"]["status"] == report.regularity.status
+            assert parsed["conditions"][name] == {"condition": name, **verdict.to_json()}
+            assert list(parsed["conditions"][name]) == [
+                "condition", "status", "method", "witness", "certificate"]
+        assert parsed["regularity"] == {"condition": "REGULARITY",
+                                        **report.regularity.to_json()}
+        assert parsed["oracle"] == {"min": {"condition": "ORACLE_MIN",
+                                            **report.oracle["min"].to_json()}}
         assert parsed["point"] == [0.0, 0.0]
 
     def test_text_format_lists_pairings_and_witnesses(self):
