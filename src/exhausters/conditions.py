@@ -45,6 +45,7 @@ from .geometry import (
     Value,
     Vector,
     arcset_subset,
+    as_vector,
     contains_origin,
     dot,
     halfcircle,
@@ -302,9 +303,12 @@ def _choice_points(region: SignRegion, negate: bool) -> list[list[list[LinearCon
     with one option per set, holding all its rows. Where it needs some
     vertex, the sets intersect: one choice point per set, with one
     single-row option per vertex. Options keep (set index, vertex index)
-    order, so the first feasible system found is deterministic."""
-    sign = -region.sign if negate else region.sign
-    rows = [[LinearConstraint(tuple(sign * x for x in v), strict=negate) for v in c.vertices]
+    order, so the first feasible system found is deterministic. A row's
+    normal is the vertex itself, already checked finite, or its exact
+    negation."""
+    checked = LinearConstraint._checked
+    flip = (region.sign > 0) == negate  # the rows' sign is -1
+    rows = [[checked(tuple(-x for x in v) if flip else v, negate) for v in c.vertices]
             for c in region.family.sets]
     if region.every != negate:
         return [rows]
@@ -470,21 +474,21 @@ def regularity_check(family: Exhauster, *, memo: Optional[RunMemo] = None) -> Ve
 _TRIAL_MARGIN = 1e-6  # relative margin of a trial direction, far above rounding
 
 
-def _trial_feasible(choice_points: list[list[list[LinearConstraint]]]) -> bool:
+def _trial_feasible(normals: list[list[list[Vector]]]) -> bool:
     """Does the sum g of the unit row normals u of the first system (option
-    0 at every choice point, the system ``find_direction`` solves first)
-    meet each of its rows, all strict, with ``<u, g> >= _TRIAL_MARGIN *
-    |g|``, that is ``<n, g> >= _TRIAL_MARGIN * |n| * |g|``? Then a multiple
-    of g satisfies the system at unit margin, so True is exact; False
-    decides nothing. Rounding in u and in the inner products is a few
-    1e-16 of ``|g|``, far below the margin. A zero or overflowing norm
-    gives False."""
+    0 at every choice point, the system ``find_direction`` solves first),
+    its rows all strict and given by their normals n, meet each row with
+    ``<u, g> >= _TRIAL_MARGIN * |g|``, that is ``<n, g> >= _TRIAL_MARGIN *
+    |n| * |g|``? Then a multiple of g satisfies the system at unit margin,
+    so True is exact; False decides nothing. Rounding in u and in the inner
+    products is a few 1e-16 of ``|g|``, far below the margin. A zero or
+    overflowing norm gives False."""
     units = []
-    for row in (row for point in choice_points for row in point[0]):
-        norm = math.hypot(*row.normal)
+    for n in (n for point in normals for n in point[0]):
+        norm = math.hypot(*n)
         if not 0.0 < norm < math.inf:
             return False
-        units.append(tuple(x / norm for x in row.normal))
+        units.append(tuple(x / norm for x in n))
     g = tuple(map(plain_sum, zip(*units)))
     floor = _TRIAL_MARGIN * math.hypot(*g)
     return floor > 0.0 and all(dot(u, g) >= floor for u in units)
@@ -508,20 +512,27 @@ def reduce_exhauster(family: Exhauster, *, memo: Optional[RunMemo] = None) -> Ex
     tried at the sum of its unit row normals (``_trial_feasible``): when
     that direction meets every row with a clear margin, the candidate is
     kept with no LP solved and nothing stored in ``memo``. The trial only
-    ever keeps a set, and the search decides every other candidate.
+    ever keeps a set, and the search decides every other candidate. A
+    candidate's differences are all checked finite before its trial, in
+    choice-point order, so an overflow raises the same ValueError that
+    building its rows would; the rows are built only for a search.
     """
     memo = memo or RunMemo()
     sign = 1.0 if family.kind == "upper" else -1.0
+    checked = LinearConstraint._checked
     work = list(family.sets)
     pos = 0
     while len(work) > 1 and pos < len(work):
-        choice_points = [
-            [[LinearConstraint(tuple(sign * (wi - vi) for wi, vi in zip(w, v)), strict=True)
-              for v in work[pos].vertices]
+        normals = [
+            [[as_vector(sign * (wi - vi) for wi, vi in zip(w, v)) for v in work[pos].vertices]
              for w in s.vertices]
             for s in work[:pos] + work[pos + 1:]]
-        if (not _trial_feasible(choice_points)
-                and _search(choice_points, family.dim, "", "", memo).status == "holds"):
+        if _trial_feasible(normals):
+            pos += 1
+            continue
+        choice_points = [[[checked(n, True) for n in option] for option in point]
+                         for point in normals]
+        if _search(choice_points, family.dim, "", "", memo).status == "holds":
             work.pop(pos)
         else:
             pos += 1

@@ -163,10 +163,15 @@ def find_direction(choice_points: Sequence[Sequence[Sequence[LinearConstraint]]]
     of the choices, or None when every system is infeasible.
 
     Each full system is tried first, so a feasible first choice costs one
-    LP. Only when it fails are its prefixes tested, upward from the longest
-    one known feasible; the choice at the first infeasible prefix's last
-    position then advances, which skips the whole subtree behind it, since
-    adding rows never restores feasibility.
+    LP. When it fails, the search looks for ``last``, the latest position
+    whose choice has a later option. With none, no system is left, and it
+    returns None at once: no prefix is solved and no table is built.
+    Otherwise its prefixes are tested, upward from the longest one known
+    feasible, but only those of at most ``last`` positions: a longer
+    refuted prefix would advance ``last``, as the failed system does. The
+    choice at the first infeasible prefix's last position then advances,
+    which skips the whole subtree behind it, since adding rows never
+    restores feasibility.
 
     Once the first full system has failed, a conflict table refutes systems
     with no LP. The table waits for that failure because building it costs
@@ -202,6 +207,7 @@ def find_direction(choice_points: Sequence[Sequence[Sequence[LinearConstraint]]]
         return result
 
     depth = len(choice_points)
+    final = [len(point) - 1 for point in choice_points]  # last option of each
     choice = [0] * depth
     known = 0  # length of the longest prefix known to be feasible
     clean = 0  # length of the longest prefix known to hold no clash
@@ -215,15 +221,22 @@ def find_direction(choice_points: Sequence[Sequence[Sequence[LinearConstraint]]]
             result = solve(parts)
             if result.feasible:
                 return result
+            # The failure advances the latest position with a later option.
+            last = depth - 1
+            while last >= 0 and choice[last] == final[last]:
+                last -= 1
+            if last < 0:
+                return None
             if table is None:
                 table = _conflict_table(choice_points)
                 bad = _first_clash(table, choice, 0) + 1
             if bad > depth:
-                bad = next((k for k in range(known + 1, depth)
+                # A refuted prefix longer than last would advance last too.
+                bad = next((k for k in range(known + 1, last + 1)
                             if not solve(parts[:k]).feasible), depth)
-                known = bad - 1
+                known = min(bad - 1, last)
         pos = bad - 1
-        while pos >= 0 and choice[pos] == len(choice_points[pos]) - 1:
+        while pos >= 0 and choice[pos] == final[pos]:
             pos -= 1
         if pos < 0:
             return None

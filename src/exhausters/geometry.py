@@ -274,6 +274,15 @@ class LinearConstraint(Value):
     def __init__(self, normal: Iterable[float], strict: bool = False) -> None:
         self._init(as_vector(normal), strict)
 
+    @classmethod
+    def _checked(cls, normal: Vector, strict: bool) -> "LinearConstraint":
+        """The row on ``normal``, already a tuple of finite floats (a
+        polytope vertex or an ``as_vector`` result), which is not checked
+        again."""
+        row = object.__new__(cls)
+        row._init(normal, strict)
+        return row
+
     def value(self, g: Sequence[float]) -> float:
         return dot(self.normal, g)
 

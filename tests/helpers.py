@@ -166,20 +166,32 @@ def brute_force_direction(choice_points, dim):
     return None
 
 
-def count_lps(monkeypatch):
-    """Count the solver calls made through the exhauster module: those of
-    reduction and of every condition search."""
+def _record_calls(monkeypatch, name):
+    """Record each call of the exhauster module's function ``name`` by its
+    first argument."""
     import exhausters.exhauster as module
 
     calls = []
-    solve = module.linear_feasibility
+    function = getattr(module, name)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+    def recorded(first, *args, **kwargs):
+        calls.append(first)
+        return function(first, *args, **kwargs)
 
-    monkeypatch.setattr(module, "linear_feasibility", counted)
+    monkeypatch.setattr(module, name, recorded)
     return calls
+
+
+def count_lps(monkeypatch):
+    """The solver calls made through the exhauster module, those of
+    reduction and of every condition search, each recorded by its rows."""
+    return _record_calls(monkeypatch, "linear_feasibility")
+
+
+def count_tables(monkeypatch):
+    """The conflict tables ``find_direction`` builds, each recorded by its
+    choice points."""
+    return _record_calls(monkeypatch, "_conflict_table")
 
 
 def abs_sum_json(pattern):

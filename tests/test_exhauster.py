@@ -42,6 +42,7 @@ from helpers import (
     circle_directions,
     constraint_tree,
     count_lps,
+    count_tables,
     objective_tree,
     random_expr,
     random_point,
@@ -252,13 +253,14 @@ class TestReduction:
             for _ in range(400):
                 dim = rng.randint(2, 5)
                 axis = tuple(float(i == 0) for i in range(dim))
-                rows = [LinearConstraint(normal(kind, dim, axis), True)
-                        for _ in range(rng.randint(1, 12))]
-                cut = rng.randint(0, len(rows) - 1)
-                decoy = [LinearConstraint(normal(0, dim, axis), True)]
-                points = [[rows[:cut], decoy], [rows[cut:], decoy]] if cut else [[rows, decoy]]
+                normals = [normal(kind, dim, axis) for _ in range(rng.randint(1, 12))]
+                cut = rng.randint(0, len(normals) - 1)
+                decoy = [normal(0, dim, axis)]
+                points = ([[normals[:cut], decoy], [normals[cut:], decoy]] if cut
+                          else [[normals, decoy]])
                 if _trial_feasible(points):
                     certified += 1
+                    rows = [LinearConstraint(n, True) for n in normals]
                     assert linear_feasibility(rows, dim).feasible
             assert certified > 50
 
@@ -268,9 +270,8 @@ class TestReduction:
                      [(0.0, 0.0)],                 # zero normal
                      [(1.5e308, 1.5e308)],         # norm overflows
                      [e1, e2, (-1.0, 1e-7)]):      # feasible, below the margin
-            points = [[[LinearConstraint(n, True) for n in rows]]]
-            assert not _trial_feasible(points)
-        assert _trial_feasible([[[LinearConstraint(e1, True)]], [[LinearConstraint(e2, True)]]])
+            assert not _trial_feasible([[rows]])
+        assert _trial_feasible([[[e1]], [[e2]]])
 
     def test_trial_keeps_a_set_the_simplex_drops(self):
         # The only system behind the first set is <(-1e-10, 1e-10), g> >= 1,
@@ -353,7 +354,9 @@ class TestFindDirection:
         # Zero rows and rows on opposite rays, planted inside one option and
         # across options, next to rows drawn from a small integer pool, so
         # that the conflict table refutes some systems, the solver others,
-        # and some searches succeed.
+        # and some searches succeed. Trailing choice points with one option
+        # each often leave a failed system no later option behind its
+        # first positions.
         rng = random.Random(43)
 
         def clashes(system):
@@ -362,8 +365,8 @@ class TestFindDirection:
                        for a in rows for b in rows)
 
         outcomes = set()
-        for trial in range(80):
-            dim = 3 + trial % 2
+        for trial in range(160):
+            dim = 2 + trial % 4
             pool = [tuple(float(rng.randint(-2, 2)) for _ in range(dim)) for _ in range(3)]
 
             def row():
@@ -378,6 +381,7 @@ class TestFindDirection:
             points = [[[row() for _ in range(rng.randint(1, 2))]
                        for _ in range(rng.randint(1, 3))]
                       for _ in range(rng.randint(2, 4))]
+            points += [[[row()]] for _ in range(rng.randint(0, 2))]
             for _ in range(rng.randint(1, 3)):
                 p, q = rng.randrange(len(points)), rng.randrange(len(points))
                 source = rng.choice(points[p])
@@ -401,7 +405,9 @@ class TestFindDirection:
         # 0.2 and 0.4 are exactly twice 0.1 and 0.2 in binary floating
         # point; 0.30000000000000004 is not 0.3. The search sees the
         # difference: after the first full system fails, the clash needs
-        # no LP, while the near-clash needs the prefix LP.
+        # no LP, while the near-clash needs two prefix LPs. The trailing
+        # choice point leaves a system to skip; without it the failed
+        # first system would end the search.
         def negated(ray):
             return tuple(-i for i in ray)
 
@@ -411,9 +417,10 @@ class TestFindDirection:
         assert _ray((5e-324, -1e308))[0] == 1
         calls = count_lps(monkeypatch)
         for first, second, lps in (((0.1, 0.2), (-0.2, -0.4), 1),
-                                   ((0.1, 0.3), (-0.1, -0.30000000000000004), 2)):
+                                   ((0.1, 0.3), (-0.1, -0.30000000000000004), 3)):
             calls.clear()
-            points = [[[LinearConstraint(first, True)]], [[LinearConstraint(second)]]]
+            points = [[[LinearConstraint(first, True)]], [[LinearConstraint(second)]],
+                      [[LinearConstraint((0.0, 1.0))], [LinearConstraint((0.0, -1.0))]]]
             assert find_direction(points, 2, {}) is None
             assert len(calls) == lps
 
@@ -449,6 +456,52 @@ class TestFindDirection:
                   [[LinearConstraint(e2, True)], [LinearConstraint(m2, True)]]]
         assert find_direction(points, 3, {}).feasible
         assert len(calls) == 1
+
+    def test_failed_last_system_ends_the_search(self, monkeypatch):
+        # Nothing is left after the last system, so its failure solves no
+        # prefix and builds no table. The rays of the two-system instance
+        # are pairwise distinct and not opposite, so the table refutes
+        # nothing there either, and each system is one LP.
+        calls, tables = count_lps(monkeypatch), count_tables(monkeypatch)
+        one = [[[LinearConstraint((1.0, 0.0), True)]], [[LinearConstraint((-1.0, 1.0), True)]],
+               [[LinearConstraint((-1.0, -1.0), True)]]]
+        assert find_direction(one, 2, {}) is None
+        assert calls == [tuple(r for point in one for r in point[0])] and tables == []
+        calls.clear()
+        two = [[[LinearConstraint((1.0, 0.0), True)], [LinearConstraint((1.0, 1.0), True)]],
+               [[LinearConstraint((0.0, 1.0), True)]],
+               [[LinearConstraint((-1.0, -2.0))]]]
+        assert find_direction(two, 2, {}) is None
+        assert [len(rows) for rows in calls] == [3, 3] and len(tables) == 1
+
+    def test_single_option_tail_solves_what_enumeration_solves(self, monkeypatch):
+        # With one option at every choice point after the first, a failed
+        # system can only advance the first position, so no prefix is worth
+        # solving: the search solves the full systems of plain enumeration,
+        # in its order, up to the first feasible one. Uniform normals put
+        # no two rows on opposite rays, so the table refutes nothing.
+        rng = random.Random(47)
+        calls = count_lps(monkeypatch)
+        outcomes = set()
+        for trial in range(120):
+            dim = 2 + trial % 4
+
+            def option():
+                return [LinearConstraint(tuple(rng.uniform(-1, 1) for _ in range(dim)),
+                                         rng.random() < 0.7)
+                        for _ in range(rng.randint(1, 2))]
+
+            points = [[option() for _ in range(rng.randint(2, 5))]]
+            points += [[option()] for _ in range(rng.randint(1, 3))]
+            systems = [tuple(r for part in combo for r in part) for combo in product(*points)]
+            feasible = [linear_feasibility(rows, dim) for rows in systems]
+            stop = next((i for i, result in enumerate(feasible) if result.feasible), None)
+            calls.clear()
+            found = find_direction(points, dim, {})
+            assert calls == systems[:len(systems) if stop is None else stop + 1]
+            assert found == (None if stop is None else feasible[stop])
+            outcomes.add((stop is None, stop is not None and stop > 0))
+        assert outcomes == {(True, False), (False, False), (False, True)}
 
     def test_abs_sum_upper_family_reduces_within_budget(self, monkeypatch):
         # 16 two-vertex sets; certifying each without pruning needs up to
