@@ -25,7 +25,6 @@ from .deriv import (
     eval_expr,
     eval_minmax,
     expr_from_json,
-    expr_to_json,
     fd_directional_derivatives,
 )
 from .errors import (
@@ -38,7 +37,6 @@ from .exhauster import (
     Exhauster,
     eval_exhauster,
     exhauster_from_tree,
-    polytope_families_equal,
     polytopes_equal,
 )
 from .geometry import (

@@ -36,7 +36,6 @@ from .deriv import FD_BLOCK, MinMaxTree, eval_minmax, eval_minmax_many, expr_dim
 from .errors import DimensionMismatchError, ExhausterKindError
 from .exhauster import Exhauster, eval_exhauster, find_direction
 from .geometry import (
-    ANGLE_TOL,
     TOL,
     ArcSet,
     FeasibilityResult,
@@ -152,20 +151,20 @@ class Verdict(Value):
 
 
 class ConstrainedCondition(Value):
-    __slots__ = ("cid", "lhs", "rhs")
+    __slots__ = ("lhs", "rhs")
 
-    def __init__(self, cid: ConditionID, lhs: SignRegion, rhs: SignRegion) -> None:
-        self._init(cid, lhs, rhs)
+    def __init__(self, lhs: SignRegion, rhs: SignRegion) -> None:
+        self._init(lhs, rhs)
 
 
 class UnconstrainedCondition(Value):
     """``rhs`` is the region the extremum forces on the objective's
     derivative; the condition holds when it covers every direction."""
 
-    __slots__ = ("cid", "rhs")
+    __slots__ = ("rhs",)
 
-    def __init__(self, cid: ConditionID, rhs: SignRegion) -> None:
-        self._init(cid, rhs)
+    def __init__(self, rhs: SignRegion) -> None:
+        self._init(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +267,14 @@ def build_condition(cid: ConditionID, ef: Exhauster,
         # set from the origin: the negative of a descent direction.
         rhs = SignRegion(Exhauster("lower", ef.dim, ef.sets), -1.0)
     if cid.u_kind is None:
-        return UnconstrainedCondition(cid, rhs)
+        return UnconstrainedCondition(rhs)
     if eu.kind != cid.u_kind:
         raise ExhausterKindError(
             f"{cid.value} needs a constraint family of kind {cid.u_kind}, got {eu.kind}")
     if ef.dim != eu.dim:
         raise DimensionMismatchError(
             f"objective family dimension {ef.dim} vs constraint {eu.dim}")
-    return ConstrainedCondition(cid, SignRegion(eu, -1.0), rhs)
+    return ConstrainedCondition(SignRegion(eu, -1.0), rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +357,7 @@ def inclusion_check(lhs: SignRegion, rhs: SignRegion, *, method: str = "auto",
     if method == "exact2d":
         left = memo.arcs(lhs)
         right = memo.arcs(rhs)
-        holds, angle = arcset_subset(left, right, ANGLE_TOL)
+        holds, angle = arcset_subset(left, right)
         if holds:
             return Verdict(
                 "holds", None,
@@ -403,16 +402,15 @@ def evaluate_condition(cid: ConditionID, ef: Exhauster,
     memo = memo or RunMemo()
     if cid.u_kind is not None:
         return inclusion_check(built.lhs, built.rhs, memo=memo)
-    if built.rhs.every:
-        side = "negative" if built.rhs.sign > 0 else "positive"
-        return _search(
-            _choice_points(built.rhs, True), ef.dim,
-            f"direction with a strictly {side} vertex in every set: covering fails",
-            "all {count} vertex selections infeasible: cones cover every direction", memo)
-    return _search(
-        _choice_points(built.rhs, True), ef.dim,
-        "origin lies outside a set; witness is a strictly separating direction",
-        "origin belongs to all {count} sets", memo)
+    rhs = built.rhs
+    if rhs.every:
+        side = "negative" if rhs.sign > 0 else "positive"
+        violated = f"direction with a strictly {side} vertex in every set: covering fails"
+        holds = "all {count} vertex selections infeasible: cones cover every direction"
+    else:
+        violated = "origin lies outside a set; witness is a strictly separating direction"
+        holds = "origin belongs to all {count} sets"
+    return _search(_choice_points(rhs, True), ef.dim, violated, holds, memo)
 
 
 # ---------------------------------------------------------------------------

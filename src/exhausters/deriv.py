@@ -411,15 +411,6 @@ def fd_directional_derivatives(expr: Expr, x: Sequence[float],
 # JSON forms
 # ---------------------------------------------------------------------------
 
-def expr_to_json(expr: Expr):
-    if isinstance(expr, SmoothAtom):
-        return {"atom": {"terms": [{"c": coef, "e": list(exps)}
-                                   for coef, exps in expr.terms]}}
-    if isinstance(expr, Scale):
-        return {"op": "scale", "coef": expr.coef, "arg": expr_to_json(expr.child)}
-    return {"op": expr.op, "args": [expr_to_json(c) for c in expr.children]}
-
-
 def expr_from_json(data) -> Expr:
     """Parse the wire form; raises ValueError on malformed input."""
     expr = _parse_expr(data)

@@ -139,19 +139,6 @@ def polytopes_equal(a: Polytope, b: Polytope) -> bool:
         all(hull_contains(a, v) for v in b.vertices)
 
 
-def polytope_families_equal(a: Iterable[Polytope], b: Iterable[Polytope]) -> bool:
-    """Multiset equality of two polytope families under hull equality."""
-    remaining = list(b)
-    for pa in a:
-        for i, pb in enumerate(remaining):
-            if polytopes_equal(pa, pb):
-                remaining.pop(i)
-                break
-        else:
-            return False
-    return not remaining
-
-
 def find_direction(choice_points: Sequence[Sequence[Sequence[LinearConstraint]]],
                    dim: int, solved: dict) -> Optional[FeasibilityResult]:
     """Search a disjunction of linear systems for a feasible one.
@@ -166,12 +153,12 @@ def find_direction(choice_points: Sequence[Sequence[Sequence[LinearConstraint]]]
     LP. When it fails, the search looks for ``last``, the latest position
     whose choice has a later option. With none, no system is left, and it
     returns None at once: no prefix is solved and no table is built.
-    Otherwise its prefixes are tested, upward from the longest one known
-    feasible, but only those of at most ``last`` positions: a longer
-    refuted prefix would advance ``last``, as the failed system does. The
-    choice at the first infeasible prefix's last position then advances,
-    which skips the whole subtree behind it, since adding rows never
-    restores feasibility.
+    Otherwise its prefixes are probed from length 1 up, but only those of
+    at most ``last`` positions: a longer refuted prefix would advance
+    ``last``, as the failed system does. A prefix solved before is answered
+    by ``solved`` with no LP. The choice at the first infeasible prefix's
+    last position then advances, which skips the whole subtree behind it,
+    since adding rows never restores feasibility.
 
     Once the first full system has failed, a conflict table refutes systems
     with no LP. The table waits for that failure because building it costs
@@ -209,7 +196,6 @@ def find_direction(choice_points: Sequence[Sequence[Sequence[LinearConstraint]]]
     depth = len(choice_points)
     final = [len(point) - 1 for point in choice_points]  # last option of each
     choice = [0] * depth
-    known = 0  # length of the longest prefix known to be feasible
     clean = 0  # length of the longest prefix known to hold no clash
     table = None  # built once the first full system fails
     while True:
@@ -232,16 +218,14 @@ def find_direction(choice_points: Sequence[Sequence[Sequence[LinearConstraint]]]
                 bad = _first_clash(table, choice, 0) + 1
             if bad > depth:
                 # A refuted prefix longer than last would advance last too.
-                bad = next((k for k in range(known + 1, last + 1)
+                bad = next((k for k in range(1, last + 1)
                             if not solve(parts[:k]).feasible), depth)
-                known = min(bad - 1, last)
         pos = bad - 1
         while pos >= 0 and choice[pos] == final[pos]:
             pos -= 1
         if pos < 0:
             return None
         choice[pos:] = [choice[pos] + 1] + [0] * (depth - pos - 1)
-        known = min(known, pos)
         clean = pos
 
 
@@ -260,41 +244,38 @@ def _ray(normal: Vector) -> tuple[int, ...]:
 def _conflict_table(choice_points: Sequence[Sequence[Sequence[LinearConstraint]]]) -> list:
     """For each option of each choice point: None if its own rows clash,
     else the pairs (earlier position, its options that clash with this
-    one), nonempty ones only."""
+    one), nonempty ones only. Two options clash when the opposite ray of a
+    strict row of either is the ray of a row of the other."""
     rays: dict[Vector, tuple] = {}  # normal -> (ray, opposite ray)
-    # ray -> {earlier position: its options with a row on the ray}, for
-    # strict rows and for all rows
-    strict_on: dict[tuple, dict[int, set[int]]] = {}
-    any_on: dict[tuple, dict[int, set[int]]] = {}
+    earlier = []  # per position: (rays, strict rows' opposite rays) of each option
     table = []
-    for p, point in enumerate(choice_points):
+    for point in choice_points:
+        sides = []
         entries = []
-        rows = []  # (ray, strict, option) of every row at this position
-        for j, option in enumerate(point):
-            own, opposite_any, opposite_strict = set(), set(), set()
+        for option in point:
+            own, against = set(), set()
             for c in option:
                 pair = rays.get(c.normal)
                 if pair is None:
                     ray = _ray(c.normal)
                     pair = rays[c.normal] = (ray, tuple(-i for i in ray))
                 own.add(pair[0])
-                opposite_any.add(pair[1])
                 if c.strict:
-                    opposite_strict.add(pair[1])
-                rows.append((pair[0], c.strict, j))
-            if not opposite_strict.isdisjoint(own):
+                    against.add(pair[1])
+            sides.append((own, against))
+            if not against.isdisjoint(own):
                 entries.append(None)
                 continue
-            hits: dict[int, set[int]] = {}
-            for opposites, index in ((opposite_strict, any_on), (opposite_any, strict_on)):
-                for ray in opposites:
-                    for q, options in index.get(ray, {}).items():
-                        hits.setdefault(q, set()).update(options)
-            entries.append([(q, frozenset(options)) for q, options in hits.items()])
-        for ray, strict, j in rows:
-            any_on.setdefault(ray, {}).setdefault(p, set()).add(j)
-            if strict:
-                strict_on.setdefault(ray, {}).setdefault(p, set()).add(j)
+            entry = []
+            for q, options in enumerate(earlier):
+                hit = set()
+                for j, (their_own, their_against) in enumerate(options):
+                    if not against.isdisjoint(their_own) or not own.isdisjoint(their_against):
+                        hit.add(j)
+                if hit:
+                    entry.append((q, frozenset(hit)))
+            entries.append(entry)
+        earlier.append(sides)
         table.append(entries)
     return table
 

@@ -286,8 +286,8 @@ class LinearConstraint(Value):
     def value(self, g: Sequence[float]) -> float:
         return dot(self.normal, g)
 
-    def satisfied_by(self, g: Sequence[float], tol: float = TOL) -> bool:
-        return self.value(g) >= (1.0 if self.strict else 0.0) - tol
+    def satisfied_by(self, g: Sequence[float]) -> bool:
+        return self.value(g) >= (1.0 if self.strict else 0.0) - TOL
 
 
 class FeasibilityResult(Value):
@@ -532,14 +532,11 @@ class ArcSet(Value):
     def empty() -> "ArcSet":
         return ArcSet(())
 
-    def measure(self) -> float:
-        return min(plain_sum(e - s for s, e in self.arcs), TWO_PI)
-
-    def contains(self, theta: float, tol: float = ANGLE_TOL) -> bool:
+    def contains(self, theta: float) -> bool:
         t = _norm_angle(theta)
         for s, e in self.arcs:
             for cand in (t, t + TWO_PI, t - TWO_PI):
-                if s - tol <= cand <= e + tol:
+                if s - ANGLE_TOL <= cand <= e + ANGLE_TOL:
                     return True
         return False
 
@@ -558,32 +555,30 @@ class ArcSet(Value):
         return ArcSet.normalize(pieces)
 
 
-def _coverage_gaps(covered: ArcSet, lo: float, hi: float,
-                   tol: float) -> list[tuple[float, float]]:
+def _coverage_gaps(covered: ArcSet, lo: float, hi: float) -> list[tuple[float, float]]:
     """Uncovered stretches of [lo, hi] relative to ``covered``."""
     cands = []
     for s, e in covered.arcs:
         for shift in (-TWO_PI, 0.0, TWO_PI):
             s2, e2 = s + shift, e + shift
-            if e2 >= lo - tol and s2 <= hi + tol:
+            if e2 >= lo - ANGLE_TOL and s2 <= hi + ANGLE_TOL:
                 cands.append((s2, e2))
     cands.sort()
     gaps = []
     cur = lo
     for s2, e2 in cands:
-        if s2 > cur + tol and cur < hi - tol:
+        if s2 > cur + ANGLE_TOL and cur < hi - ANGLE_TOL:
             gaps.append((cur, min(s2, hi)))
         cur = max(cur, e2)
-        if cur >= hi - tol:
+        if cur >= hi - ANGLE_TOL:
             break
-    if cur < hi - tol:
+    if cur < hi - ANGLE_TOL:
         gaps.append((cur, hi))
     return gaps
 
 
-def arcset_subset(a: ArcSet, b: ArcSet,
-                  tol: float = ANGLE_TOL) -> tuple[bool, Optional[float]]:
-    """Is every angle of ``a`` covered by ``b`` (up to ``tol``)?
+def arcset_subset(a: ArcSet, b: ArcSet) -> tuple[bool, Optional[float]]:
+    """Is every angle of ``a`` covered by ``b`` (up to ``ANGLE_TOL``)?
 
     On failure also return a witness angle, the midpoint of the earliest
     uncovered stretch. Stretches touching angle zero from both sides are
@@ -592,18 +587,18 @@ def arcset_subset(a: ArcSet, b: ArcSet,
     """
     gaps: list[tuple[float, float]] = []
     for lo, hi in a.arcs:
-        if hi - lo <= 2.0 * tol:
+        if hi - lo <= 2.0 * ANGLE_TOL:
             mid = 0.5 * (lo + hi)
-            if not b.contains(mid, tol):
+            if not b.contains(mid):
                 gaps.append((mid, mid))
             continue
-        gaps.extend(_coverage_gaps(b, lo, hi, tol))
+        gaps.extend(_coverage_gaps(b, lo, hi))
     if not gaps:
         return True, None
     gaps.sort()
     head = gaps[0]
     tail = gaps[-1]
-    if len(gaps) > 1 and head[0] <= tol and tail[1] >= TWO_PI - tol:
+    if len(gaps) > 1 and head[0] <= ANGLE_TOL and tail[1] >= TWO_PI - ANGLE_TOL:
         gaps = gaps[1:-1] + [(tail[0] - TWO_PI, head[1])]
         gaps.sort()
     start, end = gaps[0]

@@ -2,8 +2,10 @@
 (abs-difference objective over a four-disc constraint) and seeded random
 generators."""
 
+import json
 import math
 from itertools import product
+from pathlib import Path
 
 from exhausters.conditions import (
     ORACLE_MARGIN,
@@ -22,14 +24,18 @@ from exhausters.deriv import (
     eval_minmax,
     expr_dim,
 )
-from exhausters.exhauster import Exhauster
+from exhausters.exhauster import Exhauster, polytopes_equal
 from exhausters.geometry import (
     TOL,
+    TWO_PI,
     Polytope,
     dot,
     linear_feasibility,
+    plain_sum,
     sample_unit_directions,
 )
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 # The four segment polytopes of the reference example.
 C1 = Polytope.from_vertices([(1, 1), (-1, 1)])
@@ -144,16 +150,28 @@ def random_point(rng, dim=2, scale=2.0):
     return tuple(rng.uniform(-scale, scale) for _ in range(dim))
 
 
-def problem_dict(sense="min"):
-    from exhausters.deriv import expr_to_json
+def problem_dict():
+    """The reference problem in wire form: ``objective_expr()`` over
+    ``constraint_expr()`` at the origin, under --sense min."""
+    return json.loads((FIXTURES / "reference-example" / "problem.json").read_text())
 
-    return {
-        "dim": 2,
-        "objective": expr_to_json(objective_expr()),
-        "constraint": expr_to_json(constraint_expr()),
-        "point": [0, 0],
-        "sense": sense,
-    }
+
+def polytope_families_equal(a, b):
+    """Multiset equality of two polytope families under hull equality."""
+    remaining = list(b)
+    for pa in a:
+        for i, pb in enumerate(remaining):
+            if polytopes_equal(pa, pb):
+                remaining.pop(i)
+                break
+        else:
+            return False
+    return not remaining
+
+
+def arc_measure(arcs):
+    """Total angle of an ``ArcSet``, at most a full turn."""
+    return min(plain_sum(e - s for s, e in arcs.arcs), TWO_PI)
 
 
 def brute_force_direction(choice_points, dim):

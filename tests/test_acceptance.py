@@ -32,7 +32,6 @@ from exhausters.exhauster import (
     Exhauster,
     eval_exhauster,
     exhauster_from_tree,
-    polytope_families_equal,
 )
 from exhausters.geometry import Polytope, arcset_subset
 
@@ -47,6 +46,7 @@ from helpers import (
     disc_atom,
     objective_expr,
     oracle_flags,
+    polytope_families_equal,
     problem_dict,
     random_expr,
     random_family,

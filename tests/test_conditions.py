@@ -9,6 +9,7 @@ from exhausters.conditions import (
     ConditionID,
     RunMemo,
     SignRegion,
+    UnconstrainedCondition,
     build_condition,
     evaluate_condition,
     inclusion_check,
@@ -169,7 +170,7 @@ class TestBuildCondition:
 
     def test_unconstrained_descriptor(self):
         built = build_condition(ConditionID.UNC_MIN_UPPER, F_UPPER)
-        assert built.cid is ConditionID.UNC_MIN_UPPER
+        assert isinstance(built, UnconstrainedCondition)
         # The origin form: some <v, g> <= 0 in every set.
         assert built.rhs == SignRegion(Exhauster("lower", 2, F_UPPER.sets), -1.0)
         assert not built.rhs.every

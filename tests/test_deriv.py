@@ -19,7 +19,6 @@ from exhausters.deriv import (
     eval_minmax_many,
     expr_dim,
     expr_from_json,
-    expr_to_json,
     fd_directional_derivatives,
     leaf_count,
     scale_tree,
@@ -34,6 +33,7 @@ from helpers import (
     disc_atom,
     objective_expr,
     objective_tree,
+    problem_dict,
     random_expr,
     random_minmax_tree,
     random_point,
@@ -342,22 +342,32 @@ class TestPinnedDigest:
         assert digest.hexdigest() == "42ae1c2b321c0ef26d111c6fcf2018d52dd407d55b79f5313e300d7a8136393d"
 
 
+def _to_json(expr):
+    """The wire form of ``expr``, as ``expr_from_json`` reads it."""
+    if isinstance(expr, SmoothAtom):
+        return {"atom": {"terms": [{"c": coef, "e": list(exps)} for coef, exps in expr.terms]}}
+    if isinstance(expr, Scale):
+        return {"op": "scale", "coef": expr.coef, "arg": _to_json(expr.child)}
+    return {"op": expr.op, "args": [_to_json(c) for c in expr.children]}
+
+
 class TestJson:
     def test_round_trip(self):
         rng = random.Random(14)
         for _ in range(20):
             expr = random_expr(rng)
-            data = expr_to_json(expr)
+            data = _to_json(expr)
             again = expr_from_json(data)
-            assert expr_to_json(again) == data
+            assert _to_json(again) == data
             x = random_point(rng)
             assert eval_expr(again, x) == pytest.approx(eval_expr(expr, x))
 
     def test_known_schema(self):
-        data = expr_to_json(objective_expr())
+        data = problem_dict()["objective"]
         assert data["op"] == "sum"
         assert data["args"][0]["op"] == "max"
         assert data["args"][0]["args"][0]["atom"]["terms"] == [{"c": 1.0, "e": [1, 0]}]
+        assert expr_from_json(data) == objective_expr()
 
     @pytest.mark.parametrize("bad", [
         {"op": "nope", "args": []},

@@ -18,11 +18,12 @@ from exhausters.deriv import (
 from exhausters.errors import CapExceededError, DimensionMismatchError
 from exhausters.exhauster import (
     Exhauster,
+    _conflict_table,
+    _first_clash,
     _ray,
     eval_exhauster,
     exhauster_from_tree,
     find_direction,
-    polytope_families_equal,
     polytopes_equal,
 )
 from exhausters.geometry import (
@@ -44,6 +45,7 @@ from helpers import (
     count_lps,
     count_tables,
     objective_tree,
+    polytope_families_equal,
     random_expr,
     random_point,
     random_polytope,
@@ -400,6 +402,61 @@ class TestFindDirection:
             outcomes.add((found is None, any(map(clashes, systems[1:stop]))))
         assert outcomes == {(found, skipped) for found in (True, False)
                             for skipped in (True, False)}
+
+    def test_conflict_table_finds_the_first_clash(self):
+        # For every full choice, the table's first clash is the first
+        # position whose rows, with those of the positions before it, hold
+        # a strict row and a row on its opposite ray (the same row, for a
+        # strict zero normal). Planted opposites are exact or scaled,
+        # tiny ones such as (-1e-12, 0) among them, and near misses are
+        # opposites with a tiny entry added, off the opposite ray.
+        rng = random.Random(53)
+
+        def clash_free_prefix(rows_by_position):
+            rows = []
+            for p, option in enumerate(rows_by_position):
+                rows += option
+                if any(a.strict and _ray(b.normal) == tuple(-i for i in _ray(a.normal))
+                       for a in rows for b in rows):
+                    return p
+            return len(rows_by_position)
+
+        outcomes = set()
+        for trial in range(200):
+            dim = 2 + trial % 4
+            drawn = []
+
+            def row():
+                pick = rng.random()
+                if pick < 0.1:
+                    normal = tuple(rng.choice((0.0, -0.0)) for _ in range(dim))
+                elif pick < 0.45 and drawn:
+                    c = rng.choice((1.0, 0.5, 3.0, 1e-12, rng.uniform(0.1, 10.0)))
+                    normal = tuple(-c * x for x in rng.choice(drawn))
+                elif pick < 0.55 and drawn:
+                    near = [-x for x in rng.choice(drawn)]
+                    near[rng.randrange(dim)] += rng.choice((1e-12, -1e-12))
+                    normal = tuple(near)
+                else:
+                    normal = tuple(rng.choice((float(rng.randint(-2, 2)), rng.uniform(-1, 1)))
+                                   for _ in range(dim))
+                drawn.append(normal)
+                return LinearConstraint(normal, rng.random() < 0.6)
+
+            points = [[[row() for _ in range(rng.randint(1, 2))]
+                       for _ in range(rng.randint(1, 3))]
+                      for _ in range(rng.randint(2, 4))]
+            table = _conflict_table(points)
+            for choice in product(*(range(len(point)) for point in points)):
+                expected = clash_free_prefix([point[j] for point, j in zip(points, choice)])
+                assert _first_clash(table, list(choice), 0) == expected, (trial, choice)
+                if expected < len(points):
+                    own = table[expected][choice[expected]] is None
+                    outcomes.add(("self" if own else "across", expected > 0))
+                else:
+                    outcomes.add(("none", True))
+        assert outcomes == {("none", True), ("self", False), ("self", True),
+                            ("across", True)}
 
     def test_rays_are_exact(self, monkeypatch):
         # 0.2 and 0.4 are exactly twice 0.1 and 0.2 in binary floating

@@ -11,7 +11,6 @@ from exhausters.deriv import (Leaf, Max, Min, Scale, SmoothAtom, Sum, eval_expr,
 from exhausters.errors import CapExceededError, DimensionMismatchError
 from exhausters.exhauster import Exhauster, eval_exhauster, exhauster_tree, polytopes_equal
 from exhausters.geometry import (
-    ANGLE_TOL,
     TOL,
     TWO_PI,
     ArcSet,
@@ -30,7 +29,7 @@ from exhausters.geometry import (
 )
 
 from helpers import (C1, C3, DUAL, NEG_DUAL, NOT_DUAL, NOT_NEG_DUAL, SIGN_KINDS,
-                     random_polytope, sign_region)
+                     arc_measure, random_polytope, sign_region)
 
 
 class TestSupportValue:
@@ -260,7 +259,7 @@ class TestLinearFeasibility:
             if res.feasible:
                 feasible += 1
                 for c in cons:
-                    assert c.satisfied_by(res.witness, TOL)
+                    assert c.satisfied_by(res.witness)
                     # strict rows carry a near-unit margin
                     if c.strict:
                         assert c.value(res.witness) >= 1.0 - TOL
@@ -376,7 +375,7 @@ class TestLinearFeasibility:
 class TestArcs:
     def test_dual_cone_arc(self):
         arcs = region_arcs(sign_region(DUAL, C3))
-        assert arcs.measure() == pytest.approx(math.pi / 2, abs=1e-9)
+        assert arc_measure(arcs) == pytest.approx(math.pi / 2, abs=1e-9)
         for theta in (0.0, math.pi / 4, -math.pi / 4):
             assert arcs.contains(theta)
         for theta in (math.pi / 4 + 0.01, -math.pi / 4 - 0.01, math.pi):
@@ -391,7 +390,7 @@ class TestArcs:
 
     def test_complement_predicate_arc(self):
         arcs = region_arcs(sign_region(NOT_DUAL, C1))
-        assert arcs.measure() == pytest.approx(3 * math.pi / 2, abs=1e-9)
+        assert arc_measure(arcs) == pytest.approx(3 * math.pi / 2, abs=1e-9)
         assert arcs.contains(math.pi / 4)      # boundary angle included
         assert not arcs.contains(math.pi / 2)  # interior of the open gap
         assert arcs.contains(0.0)
@@ -434,14 +433,14 @@ class TestArcs:
     def test_zero_vertex_means_no_restriction(self):
         poly = Polytope.from_vertices([(0, 0)])
         for mode in SIGN_KINDS:
-            assert region_arcs(sign_region(mode, poly)).measure() == pytest.approx(TWO_PI)
+            assert arc_measure(region_arcs(sign_region(mode, poly))) == pytest.approx(TWO_PI)
 
     def test_point_arc_from_opposite_vertices(self):
         poly = Polytope.from_vertices([(1, 0), (-1, 0)])
         arcs = region_arcs(sign_region(DUAL, poly))
         assert arcs.contains(math.pi / 2)
         assert arcs.contains(3 * math.pi / 2)
-        assert arcs.measure() == pytest.approx(0.0, abs=1e-9)
+        assert arc_measure(arcs) == pytest.approx(0.0, abs=1e-9)
 
     def test_requires_plane(self):
         with pytest.raises(DimensionMismatchError):
@@ -484,8 +483,8 @@ class TestArcsetSubset:
             b = ArcSet.normalize([(s, s + abs(e - s) % TWO_PI) for s, e in raw_b])
             held, witness = arcset_subset(a, b)
             if not held:
-                assert a.contains(witness, 1e-7)
-                assert not b.contains(witness, ANGLE_TOL)
+                assert a.contains(witness)
+                assert not b.contains(witness)
 
 
 class TestArcSetAlgebra:
@@ -496,14 +495,14 @@ class TestArcSetAlgebra:
     def test_intersect_with_full(self):
         arcs = ArcSet.normalize([(0.5, 1.5)])
         result = arcs.intersect(ArcSet.full())
-        assert result.measure() == pytest.approx(1.0)
+        assert arc_measure(result) == pytest.approx(1.0)
 
     def test_boundary_identification_at_zero(self):
         left = ArcSet.normalize([(5.0, TWO_PI)])
         right = ArcSet.normalize([(0.0, 1.0)])
         meet = left.intersect(right)
         assert meet.contains(0.0)
-        assert meet.measure() == pytest.approx(0.0, abs=1e-9)
+        assert arc_measure(meet) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestInvariants:

@@ -8,7 +8,6 @@ import pickle
 import pytest
 
 from exhausters.conditions import (
-    ConditionID,
     ConstrainedCondition,
     RunMemo,
     SignRegion,
@@ -41,10 +40,9 @@ RECORDS = [
     (REGION, {"family": F_UPPER, "sign": 1.0}),
     (VERDICT, {"status": "violated", "witness": (1.0, 0.0),
                "certificate": "uncovered angle 0 rad", "method": "exact2d"}),
-    (ConstrainedCondition(ConditionID.MIN_UPPER_LOWER, SignRegion(U_LOWER, -1.0), REGION),
-     {"cid": ConditionID.MIN_UPPER_LOWER, "lhs": SignRegion(U_LOWER, -1.0), "rhs": REGION}),
-    (UnconstrainedCondition(ConditionID.UNC_MIN_UPPER, REGION),
-     {"cid": ConditionID.UNC_MIN_UPPER, "rhs": REGION}),
+    (ConstrainedCondition(SignRegion(U_LOWER, -1.0), REGION),
+     {"lhs": SignRegion(U_LOWER, -1.0), "rhs": REGION}),
+    (UnconstrainedCondition(REGION), {"rhs": REGION}),
     (AnalysisReport({"dim": 2}, {"MIN_UPPER_LOWER": VERDICT}, warnings=["w"]),
      {"problem": {"dim": 2}, "conditions": {"MIN_UPPER_LOWER": VERDICT}, "point": None,
       "sense": None, "values": {}, "exhausters": {}, "regularity": None, "oracle": {},
@@ -129,9 +127,8 @@ def test_reprs_keep_the_dataclass_form():
         "Exhauster(kind='lower', dim=1, sets=(Polytope(dim=1, vertices=((2.0,),)),))"
     assert repr(Verdict("holds", None, "c", "exact2d")) == (
         "Verdict(status='holds', witness=None, certificate='c', method='exact2d')")
-    assert repr(ConstrainedCondition(ConditionID.MIN_UPPER_LOWER, REGION, REGION)
-                ).startswith("ConstrainedCondition(cid=<ConditionID.MIN_UPPER_LOWER: "
-                             "'MIN_UPPER_LOWER'>, lhs=SignRegion(family=Exhauster(")
+    assert repr(ConstrainedCondition(REGION, REGION)).startswith(
+        "ConstrainedCondition(lhs=SignRegion(family=Exhauster(kind='upper', dim=2, sets=(")
 
 
 def test_report_defaults_are_fresh_empty_dicts():

@@ -4,10 +4,14 @@ problems beyond the plane.
 Each of the four constrained ids of a sense decides the same inclusion
 {u' <= 0} in {f' >= 0} (or f' <= 0 for a maximum), phrased in different
 families of the same two functions, so no two of them may reach opposite
-decided statuses.
+decided statuses. And a minimum of f is a maximum of -f, whose upper
+family is the negated lower family of f and whose lower family the
+negated upper one, so each id of a minimum of f decides what the id of a
+maximum of -f with the objective's kind swapped decides.
 """
 
 import random
+from collections import Counter
 
 from exhausters.cli import analyze_problem
 
@@ -53,3 +57,34 @@ def test_constrained_ids_of_a_sense_agree():
             for status in statuses:
                 decided[status] += 1
     assert decided["holds"] >= 20 and decided["violated"] >= 100
+
+
+def _dual(cid):
+    """The id of the other sense with the objective's family kind swapped:
+    ``MIN_UPPER_LOWER`` -> ``MAX_LOWER_LOWER``, ``UNC_MAX_LOWER`` ->
+    ``UNC_MIN_UPPER``."""
+    parts = cid.split("_")
+    at = 1 if parts[0] == "UNC" else 0
+    parts[at] = "MAX" if parts[at] == "MIN" else "MIN"
+    parts[at + 1] = "LOWER" if parts[at + 1] == "UPPER" else "UPPER"
+    return "_".join(parts)
+
+
+def test_minimum_of_f_is_maximum_of_minus_f():
+    rng = random.Random(67)
+    decided = Counter()
+    for trial in range(100):
+        dim = 2 + trial % 4
+        f = kinked_function(rng, dim, (3, 2))
+        u = kinked_function(rng, dim, (2, 3))
+        for constraint in (u, None):
+            plain, negated = (
+                {cid: verdict.status for cid, verdict in analyze_problem(
+                    {"dim": dim, "objective": objective, "constraint": constraint,
+                     "point": [0] * dim}, sense="both", samples=16)[0].conditions.items()}
+                for objective in (f, {"op": "scale", "coef": -1, "arg": f}))
+            assert len(plain) == (8 if constraint else 4)
+            assert {_dual(cid): status for cid, status in plain.items()} == negated, trial
+            decided.update(plain.values())
+    assert decided["inconclusive"] == 0
+    assert decided["holds"] >= 200 and decided["violated"] >= 800
