@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .conditions import (
     DEFAULT_COMBINATION_CAP,
@@ -80,7 +80,7 @@ def _load_json(path: str):
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _parse_condition_ids(spec: Optional[str]) -> Optional[list[ConditionID]]:
+def _parse_condition_ids(spec: str | None) -> list[ConditionID] | None:
     if not spec:
         return None
     ids = []
@@ -110,7 +110,7 @@ def _exit_code(conditions: dict[str, Verdict], oracle: dict[str, Verdict]) -> in
     return EXIT_OK
 
 
-def _parse_problem(problem) -> tuple[int, Vector, Expr, Optional[Expr]]:
+def _parse_problem(problem) -> tuple[int, Vector, Expr, Expr | None]:
     """Dimension, point, objective and optional constraint of a problem
     object; every defect is an InputError."""
     if not isinstance(problem, dict):
@@ -158,8 +158,8 @@ def _check_tolerance(name: str, value: float) -> None:
         raise InputError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
-def analyze_problem(problem: dict, *, sense: Optional[str] = None,
-                    condition_ids: Optional[list[ConditionID]] = None,
+def analyze_problem(problem: dict, *, sense: str | None = None,
+                    condition_ids: list[ConditionID] | None = None,
                     tol: float = TOL, samples: int = 720, seed: int = 0,
                     max_combinations: int = DEFAULT_COMBINATION_CAP
                     ) -> tuple[AnalysisReport, int]:
@@ -272,6 +272,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     for cid in condition_ids:
         if cid.u_kind is not None and not args.u_exhauster:
             raise InputError(f"{cid.value} needs --u-exhauster")
+    if args.u_exhauster and all(cid.u_kind is None for cid in condition_ids):
+        raise InputError("--u-exhauster given, but no requested condition "
+                         "has a constraint")
     ef = _load_family(args.f_exhauster)
     eu = _load_family(args.u_exhauster) if args.u_exhauster else None
     # Kinds and dimensions too, so that no id is decided before a bad one.
@@ -401,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     """Run one subcommand. Its exceptions end here: a cap or a witness that
     fails verification gives exit 3, bad input exit 2 (a ValueError,
     InputError included, a file that cannot be read or written, or input

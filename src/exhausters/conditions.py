@@ -24,9 +24,9 @@ for the origin once and a vertex-selection system is solved once.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from enum import Enum
 from functools import reduce
-from typing import Optional, Sequence, Union
 
 # The benchmark's tracer (perfbench/spans.py) wraps linear_feasibility,
 # contains_origin and eval_minmax by name in this module and stops if one is
@@ -44,7 +44,6 @@ from .geometry import (
     Value,
     Vector,
     arcset_subset,
-    as_vector,
     contains_origin,
     dot,
     halfcircle,
@@ -137,7 +136,7 @@ class Verdict(Value):
 
     __slots__ = ("status", "witness", "certificate", "method")
 
-    def __init__(self, status: str, witness: Optional[Vector], certificate: str,
+    def __init__(self, status: str, witness: Vector | None, certificate: str,
                  method: str) -> None:
         self._init(status, witness, certificate, method)
 
@@ -246,8 +245,8 @@ class RunMemo:
 # ---------------------------------------------------------------------------
 
 def build_condition(cid: ConditionID, ef: Exhauster,
-                    eu: Optional[Exhauster] = None
-                    ) -> Union[ConstrainedCondition, UnconstrainedCondition]:
+                    eu: Exhauster | None = None
+                    ) -> ConstrainedCondition | UnconstrainedCondition:
     """Materialize the regions of one condition id, validating family
     kinds. The left side {u' <= 0} is the constraint family's region of
     sign -1; the right side is the objective family's region of sign +1
@@ -335,7 +334,7 @@ def _search(choice_points: list[list[list[LinearConstraint]]], dim: int,
 
 
 def inclusion_check(lhs: SignRegion, rhs: SignRegion, *, method: str = "auto",
-                    memo: Optional[RunMemo] = None) -> Verdict:
+                    memo: RunMemo | None = None) -> Verdict:
     """Decide whether every direction of ``lhs`` belongs to ``rhs``.
 
     exact2d traces both regions as circle arcs and tests arc coverage;
@@ -380,8 +379,8 @@ def inclusion_check(lhs: SignRegion, rhs: SignRegion, *, method: str = "auto",
 # ---------------------------------------------------------------------------
 
 def evaluate_condition(cid: ConditionID, ef: Exhauster,
-                       eu: Optional[Exhauster] = None, *,
-                       memo: Optional[RunMemo] = None) -> Verdict:
+                       eu: Exhauster | None = None, *,
+                       memo: RunMemo | None = None) -> Verdict:
     """Build and decide one condition.
 
     A constrained id is one ``inclusion_check``. An unconstrained id is a
@@ -417,7 +416,7 @@ def evaluate_condition(cid: ConditionID, ef: Exhauster,
 # Regularity of the constraint at the point
 # ---------------------------------------------------------------------------
 
-def regularity_check(family: Exhauster, *, memo: Optional[RunMemo] = None) -> Verdict:
+def regularity_check(family: Exhauster, *, memo: RunMemo | None = None) -> Verdict:
     """Is every zero direction of the constraint's derivative a limit of
     strictly negative directions?
 
@@ -472,17 +471,16 @@ def regularity_check(family: Exhauster, *, memo: Optional[RunMemo] = None) -> Ve
 _TRIAL_MARGIN = 1e-6  # relative margin of a trial direction, far above rounding
 
 
-def _trial_feasible(normals: list[list[list[Vector]]]) -> bool:
-    """Does the sum g of the unit row normals u of the first system (option
-    0 at every choice point, the system ``find_direction`` solves first),
-    its rows all strict and given by their normals n, meet each row with
-    ``<u, g> >= _TRIAL_MARGIN * |g|``, that is ``<n, g> >= _TRIAL_MARGIN *
-    |n| * |g|``? Then a multiple of g satisfies the system at unit margin,
-    so True is exact; False decides nothing. Rounding in u and in the inner
-    products is a few 1e-16 of ``|g|``, far below the margin. A zero or
-    overflowing norm gives False."""
+def _trial_feasible(normals: list[Vector]) -> bool:
+    """Does the sum g of the unit normals u of ``normals``, strict rows
+    given by their normals n, meet each row with ``<u, g> >= _TRIAL_MARGIN
+    * |g|``, that is ``<n, g> >= _TRIAL_MARGIN * |n| * |g|``? Then a
+    multiple of g satisfies the system at unit margin, so True is exact;
+    False decides nothing. Rounding in u and in the inner products is a few
+    1e-16 of ``|g|``, far below the margin. A zero norm, or the infinite
+    one of a normal with an overflowed coordinate, gives False."""
     units = []
-    for n in (n for point in normals for n in point[0]):
+    for n in normals:
         norm = math.hypot(*n)
         if not 0.0 < norm < math.inf:
             return False
@@ -492,7 +490,7 @@ def _trial_feasible(normals: list[list[list[Vector]]]) -> bool:
     return floor > 0.0 and all(dot(u, g) >= floor for u in units)
 
 
-def reduce_exhauster(family: Exhauster, *, memo: Optional[RunMemo] = None) -> Exhauster:
+def reduce_exhauster(family: Exhauster, *, memo: RunMemo | None = None) -> Exhauster:
     """Drop family members that never decide the min (resp. max) value.
 
     Members are tried in order, each against the sets still kept. For an
@@ -506,30 +504,28 @@ def reduce_exhauster(family: Exhauster, *, memo: Optional[RunMemo] = None) -> Ex
     is over the cap (``inconclusive``) is kept.
 
     Most candidates are needed, and the search's first system, the first
-    vertex of every kept set, usually shows it. So that system is first
-    tried at the sum of its unit row normals (``_trial_feasible``): when
-    that direction meets every row with a clear margin, the candidate is
-    kept with no LP solved and nothing stored in ``memo``. The trial only
-    ever keeps a set, and the search decides every other candidate. A
-    candidate's differences are all checked finite before its trial, in
-    choice-point order, so an overflow raises the same ValueError that
-    building its rows would; the rows are built only for a search.
+    vertex of every kept set, usually shows it. So only that system's
+    differences are computed first, and it is tried at the sum of their
+    unit normals (``_trial_feasible``): when that direction meets every row
+    with a clear margin, the candidate is kept with no LP solved and
+    nothing stored in ``memo``. The trial only ever keeps a set, and the
+    search decides every other candidate. Its rows are built, and checked
+    finite, only for that search, in choice-point order, so the first
+    difference that overflows raises LinearConstraint's ValueError.
     """
     memo = memo or RunMemo()
     sign = 1.0 if family.kind == "upper" else -1.0
-    checked = LinearConstraint._checked
     work = list(family.sets)
     pos = 0
     while len(work) > 1 and pos < len(work):
-        normals = [
-            [[as_vector(sign * (wi - vi) for wi, vi in zip(w, v)) for v in work[pos].vertices]
-             for w in s.vertices]
-            for s in work[:pos] + work[pos + 1:]]
-        if _trial_feasible(normals):
+        vertices = work[pos].vertices
+        kept = work[:pos] + work[pos + 1:]
+        if _trial_feasible([tuple(sign * (wi - vi) for wi, vi in zip(s.vertices[0], v))
+                            for s in kept for v in vertices]):
             pos += 1
             continue
-        choice_points = [[[checked(n, True) for n in option] for option in point]
-                         for point in normals]
+        choice_points = [[[LinearConstraint((sign * (wi - vi) for wi, vi in zip(w, v)), True)
+                           for v in vertices] for w in s.vertices] for s in kept]
         if _search(choice_points, family.dim, "", "", memo).status == "holds":
             work.pop(pos)
         else:

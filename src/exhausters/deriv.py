@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import ClassVar, Iterable, Iterator, Sequence, Union
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatchError
 from .geometry import Value, Vector, as_int, as_vector, dot, is_number, json_numbers, plain_sum
@@ -118,7 +118,7 @@ class _Node(Expr):
     """Operator over a nonempty tuple of children; ``op`` is its wire name."""
 
     __slots__ = ("children",)
-    op: ClassVar[str]
+    op: str
 
     def __init__(self, children: Iterable[Expr]) -> None:
         children = tuple(children)
@@ -149,7 +149,7 @@ class Min(_Node):
 
 
 # A derivative tree: Sum, Max and Min nodes over Leaf forms.
-MinMaxTree = Union[Leaf, Sum, Max, Min]
+MinMaxTree = Leaf | Sum | Max | Min
 
 
 def leaves(node: Expr) -> Iterator[Expr]:

@@ -15,7 +15,7 @@ condition, regularity test and reduction of a family.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 from .deriv import Leaf, Max, Min, MinMaxTree, Sum, expr_dim
 from .errors import CapExceededError, DimensionMismatchError
@@ -140,7 +140,7 @@ def polytopes_equal(a: Polytope, b: Polytope) -> bool:
 
 
 def find_direction(choice_points: Sequence[Sequence[Sequence[LinearConstraint]]],
-                   dim: int, solved: dict) -> Optional[FeasibilityResult]:
+                   dim: int, solved: dict) -> FeasibilityResult | None:
     """Search a disjunction of linear systems for a feasible one.
 
     A choice point is a list of options and an option a list of

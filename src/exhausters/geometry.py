@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import CapExceededError, DimensionMismatchError, SolverError
 
@@ -277,7 +277,7 @@ class LinearConstraint(Value):
     @classmethod
     def _checked(cls, normal: Vector, strict: bool) -> "LinearConstraint":
         """The row on ``normal``, already a tuple of finite floats (a
-        polytope vertex or an ``as_vector`` result), which is not checked
+        polytope vertex or its exact negation), which is not checked
         again."""
         row = object.__new__(cls)
         row._init(normal, strict)
@@ -293,7 +293,7 @@ class LinearConstraint(Value):
 class FeasibilityResult(Value):
     __slots__ = ("feasible", "witness")
 
-    def __init__(self, feasible: bool, witness: Optional[Vector]) -> None:
+    def __init__(self, feasible: bool, witness: Vector | None) -> None:
         self._init(feasible, witness)
 
 
@@ -369,7 +369,7 @@ def _minimize(tableau: list[list[float]], rhs: list[float], basis: list[int],
 
 
 def _solve_nonneg(eq_lhs: Sequence[Sequence[float]], eq_rhs: Sequence[float],
-                  objective: Optional[Sequence[float]]) -> Optional[list[float]]:
+                  objective: Sequence[float] | None) -> list[float] | None:
     """Find x >= 0 with ``eq_lhs @ x = eq_rhs``, or None if infeasible.
 
     Phase one drives one artificial variable per row to zero. When an
@@ -577,7 +577,7 @@ def _coverage_gaps(covered: ArcSet, lo: float, hi: float) -> list[tuple[float, f
     return gaps
 
 
-def arcset_subset(a: ArcSet, b: ArcSet) -> tuple[bool, Optional[float]]:
+def arcset_subset(a: ArcSet, b: ArcSet) -> tuple[bool, float | None]:
     """Is every angle of ``a`` covered by ``b`` (up to ``ANGLE_TOL``)?
 
     On failure also return a witness angle, the midpoint of the earliest

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .conditions import CONDITION_READINGS, ConditionID, Verdict
 from .errors import DimensionMismatchError
@@ -33,11 +33,11 @@ class AnalysisReport(Value):
                  "regularity", "oracle", "warnings", "metadata")
 
     def __init__(self, problem: dict, conditions: dict[str, Verdict],
-                 point: Optional[Vector] = None, sense: Optional[str] = None,
-                 values: Optional[dict] = None,
-                 exhausters: Optional[dict[str, dict[str, Exhauster]]] = None,
-                 regularity: Optional[Verdict] = None, oracle: Optional[dict] = None,
-                 warnings: Sequence[str] = (), metadata: Optional[dict] = None) -> None:
+                 point: Vector | None = None, sense: str | None = None,
+                 values: dict | None = None,
+                 exhausters: dict[str, dict[str, Exhauster]] | None = None,
+                 regularity: Verdict | None = None, oracle: dict | None = None,
+                 warnings: Sequence[str] = (), metadata: dict | None = None) -> None:
         if not conditions:
             raise ValueError("a report needs at least one condition verdict")
         self._init(problem, conditions, point, sense, values or {}, exhausters or {},

@@ -448,6 +448,21 @@ class TestCheck:
         assert out == "" and err == f"error: {message}\n"
         assert calls == []
 
+    def test_u_family_with_no_constrained_id_exits_2(self, family_files, tmp_path, capsys,
+                                                     monkeypatch):
+        # The u family, even one of the wrong dimension, was loaded and
+        # echoed, and the run exited 1 on UNC_MIN_UPPER alone.
+        f_path, _ = family_files
+        u_path = tmp_path / "u-3d.json"
+        u_path.write_text('{"kind": "lower", "dim": 3, "sets": [[[1, 0, 0]]]}')
+        calls = count_lps(monkeypatch)
+        assert main(["check", "--f-exhauster", f_path, "--u-exhauster", str(u_path),
+                     "--conditions", "UNC_MIN_UPPER"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("error: --u-exhauster given, but no requested "
+                                     "condition has a constraint\n")
+        assert calls == []
+
     def test_unverified_witness_exits_3(self, tmp_path, capsys):
         # Finite families whose LP witness fails re-substitution: the
         # solver error once escaped as a traceback with exit 1, the code
@@ -698,13 +713,17 @@ def test_cli_import_leaves_numpy_out():
 
 
 def test_cli_import_leaves_code_generation_out():
-    # A fresh interpreter loads none of these; only dataclasses pulled them
-    # in, and building records with generated code costs every CLI call.
-    slow = ("dataclasses", "inspect", "ast", "dis", "tokenize")
-    code = f"import sys, exhausters.cli; print([m for m in {slow!r} if m in sys.modules])"
+    # The standard modules the package uses load none of these; only
+    # dataclasses pulled in the code generators, and typing only the
+    # annotations, which are strings anyway. Each costs every CLI call.
+    # The child runs without site, whose .pth files may load typing.
+    slow = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+    code = ("import sys, argparse, json, random; base = set(sys.modules); "
+            f"import exhausters.cli; print([m for m in {slow!r} "
+            "if m in sys.modules and m not in base])")
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", code], env=env,
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product
 
@@ -238,9 +239,11 @@ class TestReduction:
         assert removed > 0
 
     def test_trial_certifies_only_feasible_systems(self):
-        # The trial reads option 0 at every choice point; each system it
-        # certifies must be feasible by LP. Entries are uniform, small
-        # integers, or normals within a narrow cone around one axis.
+        # Each system the trial certifies must be feasible by LP. Entries
+        # are uniform, small integers, or normals within a narrow cone
+        # around one axis. Each draw also takes a split point and a decoy
+        # row that the trial does not read; they keep every later draw of
+        # the seeded stream where it is.
         rng = random.Random(31)
 
         def normal(kind, dim, axis):
@@ -256,11 +259,9 @@ class TestReduction:
                 dim = rng.randint(2, 5)
                 axis = tuple(float(i == 0) for i in range(dim))
                 normals = [normal(kind, dim, axis) for _ in range(rng.randint(1, 12))]
-                cut = rng.randint(0, len(normals) - 1)
-                decoy = [normal(0, dim, axis)]
-                points = ([[normals[:cut], decoy], [normals[cut:], decoy]] if cut
-                          else [[normals, decoy]])
-                if _trial_feasible(points):
+                rng.randint(0, len(normals) - 1)  # cut
+                normal(0, dim, axis)  # decoy
+                if _trial_feasible(normals):
                     certified += 1
                     rows = [LinearConstraint(n, True) for n in normals]
                     assert linear_feasibility(rows, dim).feasible
@@ -271,9 +272,22 @@ class TestReduction:
         for rows in ([e1, (-1.0, 0.0)],            # opposite rows: g = 0
                      [(0.0, 0.0)],                 # zero normal
                      [(1.5e308, 1.5e308)],         # norm overflows
+                     [e1, (-math.inf, 1.0)],       # an overflowed difference
                      [e1, e2, (-1.0, 1e-7)]):      # feasible, below the margin
-            assert not _trial_feasible([[rows]])
-        assert _trial_feasible([[[e1]], [[e2]]])
+            assert not _trial_feasible(rows)
+        assert _trial_feasible([e1, e2])
+
+    def test_a_set_kept_by_its_trial_is_not_differenced_in_full(self):
+        # Each set is needed on one half-line, and each trial reads only
+        # the other set's first vertex, 0 or 1. The differences
+        # 1e308 - (-1e308) of the vertices no trial reads overflow, and
+        # once stopped the reduction with a ValueError.
+        family = Exhauster("upper", 1, (Polytope(1, ((0.0,), (-1e308,))),
+                                        Polytope(1, ((1.0,), (1e308,)))))
+        reduced = reduce_exhauster(family)
+        assert reduced.sets == family.sets
+        for g in ((1.0,), (-1.0,), (0.5,), (-1e-300,)):
+            assert eval_exhauster(reduced, g) == eval_exhauster(family, g)
 
     def test_trial_keeps_a_set_the_simplex_drops(self):
         # The only system behind the first set is <(-1e-10, 1e-10), g> >= 1,
