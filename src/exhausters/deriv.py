@@ -355,8 +355,8 @@ def _ddt(expr: Expr, x: Vector) -> MinMaxTree:
 # Finite-difference estimator
 # ---------------------------------------------------------------------------
 
-# Difference-quotient steps, halving from 0.1.
-_FD_STEPS = tuple(0.1 * 0.5 ** k for k in range(13))
+# The three difference-quotient steps: 0.1 halved 10, 11 and 12 times.
+_FD_STEPS = tuple(0.1 * 0.5 ** k for k in range(10, 13))
 # Directions the estimator evaluates per column pass, so that its columns do
 # not grow with the number of directions; oracle evaluates the families in
 # the same blocks.
@@ -371,20 +371,18 @@ def fd_directional_derivatives(expr: Expr, x: Sequence[float],
     Deliberately ignorant of the tree construction: only expression values
     enter, so this is an independent check of that code path. The value at
     the point is computed once; each block of ``FD_BLOCK`` directions is
-    evaluated at every step in one pass of ``eval_expr_many``'s column
-    code. The last three quotients of a direction are extrapolated to step
-    zero with a least-squares line, which removes the first-order error of
-    smooth pieces. The ten larger steps do not enter the estimate, but they
-    are still evaluated: an expression that overflows the floats at any
-    step raises ``OverflowError``, which ``oracle`` reports as an input
+    evaluated at the three steps in one pass of ``eval_expr_many``'s column
+    code. The three quotients of a direction are extrapolated to step zero
+    with a least-squares line, which removes the first-order error of
+    smooth pieces. An expression that overflows the floats at one of the
+    steps raises ``OverflowError``, which ``oracle`` reports as an input
     error.
     """
     point = as_vector(x)
     base = eval_expr(expr, point)
     dim = len(point)
-    aa = _FD_STEPS[-3:]
-    am = plain_sum(aa) / 3.0
-    offsets = [ai - am for ai in aa]
+    am = plain_sum(_FD_STEPS) / 3.0
+    offsets = [s - am for s in _FD_STEPS]
     spread = plain_sum(d ** 2 for d in offsets)
     estimates = []
     for start in range(0, len(directions), FD_BLOCK):
@@ -397,9 +395,8 @@ def fd_directional_derivatives(expr: Expr, x: Sequence[float],
         if not all(all(map(math.isfinite, column)) for column in coords):
             raise ValueError("a finite-difference step leaves the float range")
         values = _expr_columns(expr, coords, count * len(_FD_STEPS), {})
-        first = (len(_FD_STEPS) - 3) * count
         quotients = [[(v - base) / s for v in values[at:at + count]]
-                     for at, s in zip(range(first, len(values), count), aa)]
+                     for at, s in zip(range(0, len(values), count), _FD_STEPS)]
         for qq in zip(*quotients):
             qm = plain_sum(qq) / 3.0
             slope = plain_sum(d * (qi - qm) for d, qi in zip(offsets, qq)) / spread

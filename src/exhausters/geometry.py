@@ -12,6 +12,7 @@ the predicates are positively homogeneous, so asking for ``>= 1`` instead of
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from collections.abc import Iterable, Sequence
@@ -181,9 +182,9 @@ class Polytope(Value):
     __slots__ = ("dim", "vertices")
 
     def __init__(self, dim: int, vertices: Iterable[Iterable[float]]) -> None:
+        verts = tuple(as_vector(v) for v in vertices)
         if dim < 1:
             raise ValueError("dimension must be positive")
-        verts = tuple(as_vector(v) for v in vertices)
         if not verts:
             raise ValueError("a polytope needs at least one vertex")
         for v in verts:
@@ -194,10 +195,11 @@ class Polytope(Value):
 
     @classmethod
     def from_vertices(cls, vertices: Iterable[Iterable[float]]) -> "Polytope":
-        verts = [as_vector(v) for v in vertices]
-        if not verts:
-            raise ValueError("a polytope needs at least one vertex")
-        return cls(len(verts[0]), tuple(verts))
+        vertices = iter(vertices)
+        for first in vertices:  # the first vertex, if any, gives the dimension
+            first = tuple(first)
+            return cls(len(first), itertools.chain((first,), vertices))
+        raise ValueError("a polytope needs at least one vertex")
 
     @classmethod
     def from_json(cls, data) -> "Polytope":

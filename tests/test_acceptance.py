@@ -5,10 +5,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 import json
 import math
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -266,17 +268,20 @@ def test_criterion_8_representation_identities():
 
 
 def test_criterion_9_cli_end_to_end():
+    # The child finds the package and the fixture from any directory.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     base = [sys.executable, "-m", "exhausters.cli", "analyze",
-            f"{FIXTURE_DIR}/problem.json"]
-    run_min = subprocess.run(base + ["--sense", "min"],
+            str(root / FIXTURE_DIR / "problem.json")]
+    run_min = subprocess.run(base + ["--sense", "min"], env=env,
                              capture_output=True, text=True)
     assert run_min.returncode == 0, run_min.stderr
     produced = json.loads(run_min.stdout)
-    with open(f"{FIXTURE_DIR}/expected-report.json", "r", encoding="utf-8") as fh:
+    with open(root / FIXTURE_DIR / "expected-report.json", "r", encoding="utf-8") as fh:
         expected = json.load(fh)
     assert produced == expected, "report deviates from the committed fixture"
 
-    run_max = subprocess.run(base + ["--sense", "max"],
+    run_max = subprocess.run(base + ["--sense", "max"], env=env,
                              capture_output=True, text=True)
     assert run_max.returncode == 1, run_max.stderr
     _report("9 CLI end-to-end against committed fixture")

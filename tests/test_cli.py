@@ -583,12 +583,12 @@ class TestOracleCommand:
         assert out == "" and err.startswith("error: oracle-tol must be finite")
 
     def test_overflow_at_a_difference_step_is_input_error(self, tmp_path, capsys):
-        # Value and gradient are finite at x1 = 5.82, but x1^400 overflows
-        # once a finite-difference step moves x1 past about 5.9.
+        # Value and gradient are finite at x1 = 1.00069, but x1^1000000
+        # overflows once a finite-difference step moves x1 past about 1.00071.
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps({
-            "dim": 2, "objective": {"atom": {"terms": [{"c": 1, "e": [400, 0]}]}},
-            "point": [5.82, 0]}))
+            "dim": 2, "objective": {"atom": {"terms": [{"c": 1, "e": [1000000, 0]}]}},
+            "point": [1.00069, 0]}))
         assert main(["oracle", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite-difference step" in err
@@ -611,13 +611,14 @@ class TestOracleCommand:
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps({
             "dim": 2, "objective": {"atom": {"terms": [{"c": 1, "e": [1, 0]}]}},
-            "constraint": {"atom": {"terms": [{"c": 1, "e": [400, 0]}]}},
-            "point": [5.82, 0]}))
+            "constraint": {"atom": {"terms": [{"c": 1, "e": [1000000, 0]}]}},
+            "point": [1.00069, 0]}))
         assert main(["oracle", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: constraint") and "finite-difference step" in err
-        # The OverflowError of a larger step, not a non-finite estimate.
+        # The OverflowError of a step the estimate reads, not a non-finite
+        # estimate.
         assert "not finite" not in err
 
     def test_condition_options_not_offered(self, problem_file, capsys):

@@ -5,6 +5,7 @@ import struct
 
 import pytest
 
+from exhausters import deriv
 from exhausters.deriv import (
     Leaf,
     Max,
@@ -292,13 +293,30 @@ class TestFiniteDifferences:
                 [repr(fd_directional_derivatives(expr, x, [g])[0]) for g in directions]
         assert fd_directional_derivatives(objective_expr(), (0.0, 0.0), []) == []
 
-    def test_overflow_at_a_larger_step_raises(self):
-        # x1^400 overflows past x1 = 5.897, so at 5.8 only the largest step
-        # does; the three smallest steps alone would give a finite estimate.
-        atom = SmoothAtom(2, ((1.0, (400, 0)),))
+    def test_only_the_steps_the_estimate_reads_can_overflow(self):
+        # x1^543 overflows past x1 = 3.6956: from 3.62 along (1, 0) only a
+        # step of 0.1 would reach it, and the estimate reads no such step.
+        atom = SmoothAtom(2, ((1.0, (543, 0)),))
+        [estimate] = fd_directional_derivatives(atom, (3.62, 0.0), [(1.0, 0.0)])
+        assert math.isfinite(estimate)
+        assert estimate == pytest.approx(543 * 3.62 ** 542, rel=1e-4)
+        # Along (1e4, 0) a step the estimate reads overflows.
         with pytest.raises(OverflowError):
-            fd_directional_derivatives(atom, (5.8, 0.0), [(1.0, 0.0)])[0]
-        assert math.isfinite(fd_directional_derivatives(atom, (5.8, 0.0), [(0.5, 0.0)])[0])
+            fd_directional_derivatives(atom, (3.62, 0.0), [(1e4, 0.0)])
+
+    def test_each_block_is_evaluated_at_three_steps(self, monkeypatch):
+        counts = []
+
+        def counted(expr, coords, count, powers):
+            counts.append(count)
+            return expr_columns(expr, coords, count, powers)
+
+        expr_columns = deriv._expr_columns
+        monkeypatch.setattr(deriv, "_expr_columns", counted)
+        # 150 directions fill two blocks and part of a third.
+        directions = circle_directions(150)
+        fd_directional_derivatives(objective_expr(), (0.0, 0.0), directions)
+        assert set(counts) == {3 * deriv.FD_BLOCK, 3 * (150 - 2 * deriv.FD_BLOCK)}
 
     def test_direction_of_another_dimension(self):
         with pytest.raises(DimensionMismatchError):

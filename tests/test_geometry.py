@@ -18,6 +18,7 @@ from exhausters.geometry import (
     LinearConstraint,
     Polytope,
     arcset_subset,
+    as_vector,
     contains_origin,
     dot,
     hull_contains,
@@ -45,6 +46,35 @@ class TestSupportValue:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             support_value(C1, (1, 0, 0), "max")
+
+
+class TestPolytopeConstruction:
+    def test_each_vertex_is_converted_once(self, monkeypatch):
+        calls = []
+
+        def counted(coords):
+            calls.append(coords)
+            return as_vector(coords)
+
+        monkeypatch.setattr(geometry, "as_vector", counted)
+        poly = Polytope.from_vertices(iter([(1, 0), [0, 1], (-1, -1)]))
+        assert poly.vertices == ((1.0, 0.0), (0.0, 1.0), (-1.0, -1.0))
+        assert len(calls) == 3
+        Polytope.from_json([[1, 2, 3], [4, 5, 6]])
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("vertices, error, text", [
+        ([(1.0, math.inf), (1.0, 2.0, 3.0)], ValueError, "non-finite coordinate"),
+        ([], ValueError, "a polytope needs at least one vertex"),
+        ([(1.0, 2.0), (1.0, 2.0, 3.0)], DimensionMismatchError, "does not have dimension 2"),
+        ([(1.0, 2.0), 5], TypeError, "not iterable"),
+        ([5], TypeError, "not iterable"),
+        # Every vertex is converted before the first one's length is judged.
+        ([(), (1.0, "x")], ValueError, "could not convert string to float"),
+    ])
+    def test_errors(self, vertices, error, text):
+        with pytest.raises(error, match=text):
+            Polytope.from_vertices(vertices)
 
 
 def simplex_hull_contains(poly, point):
