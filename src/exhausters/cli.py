@@ -322,27 +322,28 @@ def _oracle_deviation(label: str, expr: Expr, families: dict[str, Exhauster],
                       point: Vector, directions: list[Vector]) -> tuple[float, float]:
     """Largest deviation of ``expr``'s finite-difference estimates from its
     families over the directions, and the derivative scale it is judged
-    against; an overflow at a difference step is an InputError. The
-    estimates of one part at a time are held."""
-    try:
-        estimates = fd_directional_derivatives(expr, point, directions)
-        reason = (None if all(map(math.isfinite, estimates))
-                  else "a difference quotient is not finite")
-    except OverflowError as exc:
-        reason = str(exc)
-    if reason is not None:
-        raise InputError(f"{label} overflows the floats at a "
-                         f"finite-difference step: {reason}")
-    # Each family is evaluated a block of directions at a time, so that its
-    # columns do not grow with --samples.
-    deviation = max(abs(estimate - value)
-                    for tree in map(exhauster_tree, families.values())
-                    for start in range(0, len(directions), FD_BLOCK)
-                    for estimate, value in zip(
-                        estimates[start:start + FD_BLOCK],
-                        eval_minmax_many(tree, directions[start:start + FD_BLOCK])))
+    against; an overflow at a difference step, or an estimate that is not
+    finite, is an InputError. The directions are walked one ``FD_BLOCK`` at
+    a time, so that only one block's estimates and family values are held,
+    whatever --samples is."""
+    trees = [exhauster_tree(family) for family in families.values()]
+    deviation = scale = 0.0
+    for start in range(0, len(directions), FD_BLOCK):
+        block = directions[start:start + FD_BLOCK]
+        try:
+            estimates = fd_directional_derivatives(expr, point, block)
+            reason = (None if all(map(math.isfinite, estimates))
+                      else "in a finite-difference estimate: the estimate is not finite")
+        except OverflowError as exc:
+            reason = f"at a finite-difference step: {exc}"
+        if reason is not None:
+            raise InputError(f"{label} overflows the floats {reason}")
+        for tree in trees:
+            deviation = max(deviation, *(abs(estimate - value) for estimate, value
+                                         in zip(estimates, eval_minmax_many(tree, block))))
+        scale = max(scale, *map(abs, estimates))
     # The difference quotient errs in proportion to the derivative.
-    return deviation, max(1.0, max(map(abs, estimates)))
+    return deviation, max(1.0, scale)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

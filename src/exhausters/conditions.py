@@ -333,45 +333,45 @@ def _search(choice_points: list[list[list[LinearConstraint]]], dim: int,
     return Verdict("holds", None, holds.format(count=count) + notes, "lp_enumeration")
 
 
-def inclusion_check(lhs: SignRegion, rhs: SignRegion, *, method: str = "auto",
-                    memo: RunMemo | None = None) -> Verdict:
-    """Decide whether every direction of ``lhs`` belongs to ``rhs``.
+def _exact_method(dim: int) -> str:
+    return "exact2d" if dim == 2 else "lp_enumeration"
 
-    exact2d traces both regions as circle arcs and tests arc coverage;
-    lp_enumeration searches for a direction in lhs minus rhs with
-    ``find_direction``: the lhs membership choice points followed by the
-    rhs negation choice points, searched in lexicographic order with
-    infeasible prefixes pruned, each system decided by the feasibility
-    solver. Both are exact; in the plane they must agree. ``memo`` is the
-    run's cap, traces, origin tests and solved systems (see ``RunMemo``).
-    """
+
+def inclusion_check(lhs: SignRegion, rhs: SignRegion, *,
+                    memo: RunMemo | None = None) -> Verdict:
+    """Decide whether every direction of ``lhs`` belongs to ``rhs``: in the
+    plane by exact2d, which traces both regions as circle arcs and tests
+    arc coverage, above it by lp_enumeration (``_lp_inclusion``). Both are
+    exact, and in the plane they agree. ``memo`` is the run's cap, traces,
+    origin tests and solved systems (see ``RunMemo``)."""
     memo = memo or RunMemo()
     dim = lhs.family.dim
     if rhs.family.dim != dim:
         raise DimensionMismatchError(
             f"lhs dimension {dim} vs rhs dimension {rhs.family.dim}")
-    if method == "auto":
-        method = "exact2d" if dim == 2 else "lp_enumeration"
+    if _exact_method(dim) == "lp_enumeration":
+        return _lp_inclusion(lhs, rhs, memo)
     notes = _degeneracy_notes(lhs, rhs, memo)
-    if method == "exact2d":
-        left = memo.arcs(lhs)
-        right = memo.arcs(rhs)
-        holds, angle = arcset_subset(left, right)
-        if holds:
-            return Verdict(
-                "holds", None,
-                f"{len(left.arcs)} lhs arcs covered by {len(right.arcs)} rhs arcs" + notes,
-                "exact2d")
-        witness = unit_direction(angle)
-        return Verdict(
-            "violated", witness,
-            f"uncovered angle {angle:.12g} rad" + notes, "exact2d")
-    if method != "lp_enumeration":
-        raise ValueError(f"unknown method {method!r}")
+    left, right = memo.arcs(lhs), memo.arcs(rhs)
+    holds, angle = arcset_subset(left, right)
+    if holds:
+        return Verdict("holds", None, f"{len(left.arcs)} lhs arcs covered by "
+                       f"{len(right.arcs)} rhs arcs" + notes, "exact2d")
+    return Verdict("violated", unit_direction(angle),
+                   f"uncovered angle {angle:.12g} rad" + notes, "exact2d")
+
+
+def _lp_inclusion(lhs: SignRegion, rhs: SignRegion, memo: RunMemo) -> Verdict:
+    """lp_enumeration's decision of ``inclusion_check``, in any dimension:
+    ``find_direction`` searches for a direction in lhs minus rhs, over the
+    lhs membership choice points followed by the rhs negation choice
+    points, in lexicographic order with infeasible prefixes pruned, each
+    system decided by the feasibility solver."""
     return _search(
-        _choice_points(lhs, False) + _choice_points(rhs, True), dim,
+        _choice_points(lhs, False) + _choice_points(rhs, True), lhs.family.dim,
         "feasible vertex selection: witness lies in lhs with rhs violated at "
-        "unit margin", "all {count} vertex-selection systems infeasible", memo, notes)
+        "unit margin", "all {count} vertex-selection systems infeasible", memo,
+        _degeneracy_notes(lhs, rhs, memo))
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +446,7 @@ def regularity_check(family: Exhauster, *, memo: RunMemo | None = None) -> Verdi
         return Verdict(
             "holds", None,
             f"none of the {len(family.sets)} sets contains the origin: every "
-            "zero direction is a limit of strictly negative ones",
-            "exact2d" if dim == 2 else "lp_enumeration")
+            "zero direction is a limit of strictly negative ones", _exact_method(dim))
     if not opened:
         axes = [tuple(s if j == i else 0.0 for j in range(dim))
                 for i in range(dim) for s in (1.0, -1.0)]

@@ -149,30 +149,31 @@ def find_direction(choice_points: Sequence[Sequence[Sequence[LinearConstraint]]]
     the solver's result on the first feasible system in lexicographic order
     of the choices, or None when every system is infeasible.
 
-    Each full system is tried first, so a feasible first choice costs one
-    LP. When it fails, the search looks for ``last``, the latest position
+    Each pass solves a full system that holds no known clash; the first is
+    decided by the LP alone, so a feasible first choice costs one LP. When
+    the system fails, the search looks for ``last``, the latest position
     whose choice has a later option. With none, no system is left, and it
     returns None at once: no prefix is solved and no table is built.
-    Otherwise its prefixes are probed from length 1 up, but only those of
-    at most ``last`` positions: a longer refuted prefix would advance
-    ``last``, as the failed system does. A prefix solved before is answered
-    by ``solved`` with no LP. The choice at the first infeasible prefix's
-    last position then advances, which skips the whole subtree behind it,
-    since adding rows never restores feasibility.
 
-    Once the first full system has failed, a conflict table refutes systems
-    with no LP. The table waits for that failure because building it costs
-    more than the single LP that a feasible first system needs. Two rows
-    clash when one is strict and their normals point in exactly opposite
-    directions: ``<n, g> >= 1`` and ``<-c n, g> >= 0`` with ``c > 0``
-    exclude each other, and a strict row with a zero normal clashes with
-    itself. The first prefix holding a clash, within one option or across
-    two, is infeasible, so its last position advances as for an infeasible
-    prefix and no LP is solved. The test is exact (see ``_ray``), so every
-    skipped system is infeasible and the result is the one plain enumeration
-    finds, except that a clashing system the solver would accept within its
-    tolerance, such as ``<(1, 0), g> >= 1`` with ``<(-1e-12, 0), g> >= 0``,
-    is refuted unless it is the first one tried.
+    Otherwise the pass refutes a prefix. On the first failure it builds a
+    conflict table, which costs more than the one LP a feasible first
+    system needs, and takes the first prefix holding a clash, within one
+    option or across two. Two rows clash when one is strict and their
+    normals point in exactly opposite directions: ``<n, g> >= 1`` and
+    ``<-c n, g> >= 0`` with ``c > 0`` exclude each other, and a strict row
+    with a zero normal clashes with itself. With no clash there, and after
+    every later failure, it probes prefixes from length 1 up, but only
+    those that end before ``last``: a longer refuted prefix would advance
+    ``last``, as the failed system does. A prefix solved before is answered
+    by ``solved`` with no LP. The choice at the refuted prefix's last
+    position then advances, which skips the whole subtree behind it, since
+    adding rows never restores feasibility; so does the choice ending each
+    next prefix the table refutes, with no LP, and the system this stops at
+    is the next one solved. The clash test is exact (see ``_ray``), so
+    every skipped system is infeasible and the result is the one plain
+    enumeration finds, except that a clashing system the solver would
+    accept within its tolerance, such as ``<(1, 0), g> >= 1`` with
+    ``<(-1e-12, 0), g> >= 0``, is refuted unless it is the first one tried.
 
     ``solved`` maps ``(dim, rows)``, the rows an ordered tuple, to the
     solver's result on that system; each full or prefix system is looked
@@ -196,37 +197,34 @@ def find_direction(choice_points: Sequence[Sequence[Sequence[LinearConstraint]]]
     depth = len(choice_points)
     final = [len(point) - 1 for point in choice_points]  # last option of each
     choice = [0] * depth
-    clean = 0  # length of the longest prefix known to hold no clash
     table = None  # built once the first full system fails
     while True:
-        # bad: length of a prefix shown infeasible, by a clash or by the
-        # solver; depth + 1 while none is
-        bad = depth + 1 if table is None else _first_clash(table, choice, clean) + 1
-        if bad > depth:
-            parts = [point[j] for point, j in zip(choice_points, choice)]
-            result = solve(parts)
-            if result.feasible:
-                return result
-            # The failure advances the latest position with a later option.
-            last = depth - 1
-            while last >= 0 and choice[last] == final[last]:
-                last -= 1
-            if last < 0:
-                return None
-            if table is None:
-                table = _conflict_table(choice_points)
-                bad = _first_clash(table, choice, 0) + 1
-            if bad > depth:
-                # A refuted prefix longer than last would advance last too.
-                bad = next((k for k in range(1, last + 1)
-                            if not solve(parts[:k]).feasible), depth)
-        pos = bad - 1
-        while pos >= 0 and choice[pos] == final[pos]:
-            pos -= 1
-        if pos < 0:
+        parts = [point[j] for point, j in zip(choice_points, choice)]
+        result = solve(parts)
+        if result.feasible:
+            return result
+        # The failure advances the latest position with a later option.
+        last = depth - 1
+        while last >= 0 and choice[last] == final[last]:
+            last -= 1
+        if last < 0:
             return None
-        choice[pos:] = [choice[pos] + 1] + [0] * (depth - pos - 1)
-        clean = pos
+        pos = depth  # the last position of a refuted prefix, once found
+        if table is None:
+            table = _conflict_table(choice_points)
+            pos = _first_clash(table, choice, 0)
+        if pos == depth:
+            # A refuted prefix longer than last would advance last too.
+            pos = next((k for k in range(last) if not solve(parts[:k + 1]).feasible), last)
+        # Advance past it, and past every prefix the table refutes: the
+        # system this stops at holds no known clash.
+        while pos < depth:
+            while pos >= 0 and choice[pos] == final[pos]:
+                pos -= 1
+            if pos < 0:
+                return None
+            choice[pos:] = [choice[pos] + 1] + [0] * (depth - pos - 1)
+            pos = _first_clash(table, choice, pos)
 
 
 def _ray(normal: Vector) -> tuple[int, ...]:

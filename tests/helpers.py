@@ -9,8 +9,11 @@ from pathlib import Path
 
 from exhausters.conditions import (
     ORACLE_MARGIN,
+    RunMemo,
     SignRegion,
     Verdict,
+    _lp_inclusion,
+    inclusion_check,
     necessary_condition_oracle,
 )
 from exhausters.deriv import (
@@ -172,6 +175,15 @@ def polytope_families_equal(a, b):
 def arc_measure(arcs):
     """Total angle of an ``ArcSet``, at most a full turn."""
     return min(plain_sum(e - s for s, e in arcs.arcs), TWO_PI)
+
+
+def both_methods(lhs, rhs):
+    """A plane inclusion decided by both exact methods, each on a fresh
+    memo: ``inclusion_check``, which takes exact2d there, and the
+    lp_enumeration decider it takes above the plane."""
+    exact = inclusion_check(lhs, rhs)
+    assert exact.method == "exact2d"
+    return {"exact2d": exact, "lp_enumeration": _lp_inclusion(lhs, rhs, RunMemo())}
 
 
 def brute_force_direction(choice_points, dim):

@@ -43,6 +43,7 @@ from helpers import (
     C3,
     C4,
     DUAL,
+    both_methods,
     circle_directions,
     constraint_expr,
     disc_atom,
@@ -108,11 +109,11 @@ def test_criterion_2_minimum_conditions_hold_both_methods():
     for cid in MIN_IDS:
         built = build_condition(cid, families[("f", cid.f_kind)],
                                 families[("u", cid.u_kind)])
+        forward = both_methods(built.lhs, built.rhs)
+        backward = both_methods(built.rhs, built.lhs)
         for method in ("exact2d", "lp_enumeration"):
-            forward = inclusion_check(built.lhs, built.rhs, method=method)
-            backward = inclusion_check(built.rhs, built.lhs, method=method)
-            assert forward.status == "holds", (cid, method)
-            assert backward.status == "holds", (cid, method)
+            assert forward[method].status == "holds", (cid, method)
+            assert backward[method].status == "holds", (cid, method)
         # Mutual inclusion means both sides equal the two quarter cones
         # around the horizontal axis.
         for side in (built.lhs, built.rhs):
@@ -139,14 +140,14 @@ def test_criterion_4_negative_controls():
 
     built = build_condition(ConditionID.MAX_UPPER_UPPER,
                             families[("f", "upper")], families[("u", "upper")])
-    verdict = inclusion_check(built.lhs, built.rhs, method="lp_enumeration")
+    exact, verdict = both_methods(built.lhs, built.rhs).values()
     assert verdict.status == "violated"
     witness = verdict.witness
     assert abs(witness[1]) <= 1e-9, "witness must be collinear with the x axis"
     assert abs(witness[0]) > 0
     assert region_membership(built.lhs, witness, tol=1e-9)
     assert not region_membership(built.rhs, witness, tol=-1e-9)
-    assert inclusion_check(built.lhs, built.rhs, method="exact2d").status == "violated"
+    assert exact.status == "violated"
 
     f_tree, u_tree = reference_trees()
     assert oracle_flags(f_tree, u_tree, "max", witness)
@@ -189,8 +190,7 @@ def test_criterion_6_method_equivalence_on_random_instances():
         ef = random_family(rng, cid.f_kind)
         eu = random_family(rng, cid.u_kind)
         built = build_condition(cid, ef, eu)
-        exact = inclusion_check(built.lhs, built.rhs, method="exact2d")
-        lp = inclusion_check(built.lhs, built.rhs, method="lp_enumeration")
+        exact, lp = both_methods(built.lhs, built.rhs).values()
         assert exact.status == lp.status, f"trial {trial} disagrees on {cid}"
         agreements += 1
         if exact.status == "violated":

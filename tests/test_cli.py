@@ -604,6 +604,22 @@ class TestOracleCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "not finite" in err
 
+    def test_non_finite_estimate_from_finite_quotients_is_input_error(self, tmp_path, capsys):
+        # At x1 = 5.8 every step of x1^400 and all three difference
+        # quotients (about 1.62e307) are finite; the line fit's slope
+        # overflows, so the error names the estimate, not a step or a
+        # quotient.
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps({
+            "dim": 2, "objective": {"atom": {"terms": [{"c": 1, "e": [400, 0]}]}},
+            "point": [5.8, 0]}))
+        assert main(["oracle", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: objective overflows the floats in a "
+                              "finite-difference estimate")
+        assert "not finite" in err and "step" not in err and "quotient" not in err
+
     def test_overflow_in_the_constraint_alone_prints_nothing(self, tmp_path, capsys):
         # The objective's estimates are fine; the constraint overflows at a
         # step, so the failure names it and the objective's line is not

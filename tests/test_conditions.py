@@ -6,6 +6,7 @@ import pytest
 
 from exhausters.conditions import (
     _choice_points,
+    _lp_inclusion,
     ConditionID,
     RunMemo,
     SignRegion,
@@ -47,6 +48,7 @@ from helpers import (
     SIGN_KINDS,
     U_UPPER,
     abs_sum_problem,
+    both_methods,
     brute_force_direction,
     constraint_tree,
     objective_tree,
@@ -194,9 +196,10 @@ class TestBuildCondition:
 class TestInclusionOnReference:
     def test_min_proper_condition_holds_and_sides_coincide(self):
         built = build_condition(ConditionID.MIN_UPPER_LOWER, F_UPPER, U_LOWER)
-        for method in ("exact2d", "lp_enumeration"):
-            assert inclusion_check(built.lhs, built.rhs, method=method).status == "holds"
-            assert inclusion_check(built.rhs, built.lhs, method=method).status == "holds"
+        for verdict in both_methods(built.lhs, built.rhs).values():
+            assert verdict.status == "holds"
+        for verdict in both_methods(built.rhs, built.lhs).values():
+            assert verdict.status == "holds"
         # Both sides trace the two quarter cones around the x axis.
         expected = region_arcs(sign_region(DUAL, C3)).union(
             region_arcs(sign_region(DUAL, C4)))
@@ -207,8 +210,7 @@ class TestInclusionOnReference:
 
     def test_max_adjoint_condition_violated_along_x_axis(self):
         built = build_condition(ConditionID.MAX_UPPER_UPPER, F_UPPER, U_UPPER)
-        for method in ("exact2d", "lp_enumeration"):
-            verdict = inclusion_check(built.lhs, built.rhs, method=method)
+        for verdict in both_methods(built.lhs, built.rhs).values():
             assert verdict.status == "violated"
             w = verdict.witness
             assert abs(w[1]) <= 1e-9 and abs(w[0]) > 0
@@ -217,13 +219,12 @@ class TestInclusionOnReference:
 
     def test_reflexive_inclusion(self):
         region = sign_region(DUAL, C3, C4)
-        for method in ("exact2d", "lp_enumeration"):
-            assert inclusion_check(region, region, method=method).status == "holds"
+        for verdict in both_methods(region, region).values():
+            assert verdict.status == "holds"
 
     def test_combination_cap_inconclusive(self):
         built = build_condition(ConditionID.MIN_UPPER_LOWER, F_UPPER, U_LOWER)
-        verdict = inclusion_check(built.lhs, built.rhs, method="lp_enumeration",
-                                  memo=RunMemo(1))
+        verdict = _lp_inclusion(built.lhs, built.rhs, RunMemo(1))
         assert verdict.status == "inconclusive"
         assert "cap" in verdict.certificate
 
@@ -586,8 +587,7 @@ class TestMethodAgreement:
             ef = random_family(rng, cid.f_kind)
             eu = random_family(rng, cid.u_kind)
             built = build_condition(cid, ef, eu)
-            exact = inclusion_check(built.lhs, built.rhs, method="exact2d")
-            lp = inclusion_check(built.lhs, built.rhs, method="lp_enumeration")
+            exact, lp = both_methods(built.lhs, built.rhs).values()
             assert exact.status == lp.status, \
                 f"trial {trial}: {exact.status} vs {lp.status} on {cid}"
             if exact.status == "violated":
