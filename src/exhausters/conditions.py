@@ -306,7 +306,7 @@ def _choice_points(region: SignRegion, negate: bool) -> list[list[list[LinearCon
     negation."""
     checked = LinearConstraint._checked
     flip = (region.sign > 0) == negate  # the rows' sign is -1
-    rows = [[checked(tuple(-x for x in v) if flip else v, negate) for v in c.vertices]
+    rows = [[checked(tuple([-x for x in v]) if flip else v, negate) for v in c.vertices]
             for c in region.family.sets]
     if region.every != negate:
         return [rows]
@@ -571,14 +571,19 @@ def necessary_condition_oracle(f_tree: MinMaxTree, u_tree: MinMaxTree,
         admissible = [(g, hu) for g, hu in zip(block, eval_minmax_many(u_tree, block))
                       if hu <= tol]
         hfs = eval_minmax_many(f_tree, [g for g, _ in admissible])
-        for (g, hu), hf in zip(admissible, hfs):
-            for sense in senses:
-                if sense not in found and (hf < -ORACLE_MARGIN if sense == "min"
-                                           else hf > ORACLE_MARGIN):
-                    found[sense] = Verdict(
-                        "violated", g,
-                        f"admissible direction with objective derivative {hf:.6g} "
-                        f"(constraint derivative {hu:.6g})", "sampled")
+        for sense in senses:
+            # A violation has s * hf > ORACLE_MARGIN. Only a block whose
+            # extreme derivative is one is scanned; a NaN compares false.
+            s = 1 if sense == "max" else -1
+            if sense in found or s * (max if s > 0 else min)(hfs, default=0.0) <= ORACLE_MARGIN:
+                continue
+            k = next((k for k, hf in enumerate(hfs) if s * hf > ORACLE_MARGIN), None)
+            if k is not None:
+                (g, hu), hf = admissible[k], hfs[k]
+                found[sense] = Verdict(
+                    "violated", g,
+                    f"admissible direction with objective derivative {hf:.6g} "
+                    f"(constraint derivative {hu:.6g})", "sampled")
     clean = Verdict(
         "inconclusive", None,
         f"no violating direction among {len(directions)} samples", "sampled")

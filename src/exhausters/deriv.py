@@ -283,7 +283,7 @@ def eval_minmax_many(tree: MinMaxTree,
     the values, signed zeros included, are the ones it returns.
     """
     dim = expr_dim(tree)
-    if any(len(g) != dim for g in directions):
+    if set(map(len, directions)) - {dim}:
         raise DimensionMismatchError(
             f"a direction's length differs from the tree's dimension {dim}")
     return _columns(tree, directions)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from itertools import chain
 
 from .deriv import Leaf, Max, Min, MinMaxTree, Sum, expr_dim
 from .errors import CapExceededError, DimensionMismatchError
@@ -180,15 +181,15 @@ def find_direction(choice_points: Sequence[Sequence[Sequence[LinearConstraint]]]
     up there before it is solved, and every result solved is added. The
     solver is a deterministic function of its ordered rows, so a hit is
     what a fresh solve would give. Keys compare floats by value, so -0.0
-    matches 0.0: the solver skips zero entries and draws its right-hand
-    sides from the strict flags alone, so a zero's sign reaches neither a
-    pivot decision nor the witness. Its one caller, ``conditions._search``,
-    passes the run's store (``RunMemo.solved``), so that the condition,
-    regularity and reduction searches of a run solve each system once.
+    matches 0.0: in the solver a zero entry moves at most a zero's sign,
+    and right-hand sides come from the strict flags alone, so no zero's
+    sign reaches a pivot decision or the witness. Its one caller,
+    ``conditions._search``, passes the run's store (``RunMemo.solved``):
+    a run's condition, regularity and reduction searches solve a system once.
     """
 
     def solve(parts):
-        rows = tuple(c for part in parts for c in part)
+        rows = tuple(chain.from_iterable(parts))
         result = solved.get((dim, rows))
         if result is None:
             result = solved[dim, rows] = linear_feasibility(rows, dim)

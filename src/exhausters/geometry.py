@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 from collections.abc import Iterable, Sequence
 
@@ -82,10 +83,7 @@ def dot(a: Sequence[float], b: Sequence[float]) -> float:
     if len(a) != len(b):
         raise DimensionMismatchError(
             f"vectors of length {len(a)} and {len(b)}")
-    total = 0
-    for x, y in zip(a, b):
-        total += x * y
-    return total
+    return plain_sum(map(operator.mul, a, b))
 
 
 def unit_direction(theta: float) -> Vector:
@@ -238,10 +236,17 @@ def hull_contains(polytope: Polytope, point: Sequence[float]) -> bool:
             f"point of length {len(target)} against dimension {polytope.dim}")
     if target in polytope.vertices:
         return True
-    rows = list(zip(*polytope.vertices))
-    rows.append((1.0,) * len(polytope.vertices))
+    # A row per coordinate and one for the weights' sum, each signed so that
+    # its right-hand side is nonnegative, then the artificials' identity.
+    k, m = len(polytope.vertices), polytope.dim + 1
     rhs = [*target, 1.0]
-    return _solve_nonneg(rows, rhs, None) is not None
+    tableau = [[-v for v in row] if b < 0 else list(row)
+               for row, b in zip([*zip(*polytope.vertices), (1.0,) * k], rhs)]
+    zeros = [0.0] * m
+    for i, row in enumerate(tableau):
+        row += zeros
+        row[k + i] = 1.0
+    return _solve_nonneg(tableau, [abs(b) for b in rhs], 0, k, [1] * m, None) is not None
 
 
 def contains_origin(polytope: Polytope) -> bool:
@@ -282,14 +287,17 @@ class LinearConstraint(Value):
         polytope vertex or its exact negation), which is not checked
         again."""
         row = object.__new__(cls)
-        row._init(normal, strict)
+        set_normal, set_strict = cls._setters
+        set_normal(row, normal)
+        set_strict(row, strict)
+        _set_values(row, (normal, strict))
         return row
 
     def value(self, g: Sequence[float]) -> float:
         return dot(self.normal, g)
 
     def satisfied_by(self, g: Sequence[float]) -> bool:
-        return self.value(g) >= (1.0 if self.strict else 0.0) - TOL
+        return dot(self.normal, g) >= (1.0 if self.strict else 0.0) - TOL
 
 
 class FeasibilityResult(Value):
@@ -300,13 +308,15 @@ class FeasibilityResult(Value):
 
 
 def _pivot(tableau: list[list[float]], rhs: list[float], basis: list[int],
-           row: int, col: int) -> None:
-    """Pivot on ``tableau[row][col]``. Only the pivot row's nonzero entries
-    are divided, and other rows change only where it is nonzero: elsewhere
-    the update would subtract a zero product. Skipping a zero can change
-    only the sign of a zero, and no decision reads a zero's sign."""
+           row: int, col: int, at: int, sign: int) -> list[tuple[int, float]]:
+    """Pivot on virtual column ``col``, ``sign`` times stored column ``at``,
+    at ``row``, and return the pivot row's nonzero (column, value) pairs.
+    Only the pivot row's nonzero entries are divided, and other rows change
+    only where it is nonzero: elsewhere the update would subtract a zero
+    product. Skipping a zero can change only the sign of a zero, and no
+    decision reads a zero's sign."""
     pivot_row = tableau[row]
-    piv = pivot_row[col]
+    piv = pivot_row[at] if sign > 0 else -pivot_row[at]
     support = []
     for j, v in enumerate(pivot_row):
         if v:
@@ -316,108 +326,117 @@ def _pivot(tableau: list[list[float]], rhs: list[float], basis: list[int],
                 support.append((j, v))
     r = rhs[row] = rhs[row] / piv
     for i, other in enumerate(tableau):
-        factor = other[col]
+        factor = other[at] if sign > 0 else -other[at]
         if i == row or factor == 0.0:
             continue
         for j, v in support:
             other[j] -= factor * v
         rhs[i] -= factor * r
     basis[row] = col
+    return support
 
 
 def _minimize(tableau: list[list[float]], rhs: list[float], basis: list[int],
-              reduced: list[float], enterable: int) -> None:
-    """Bland-rule simplex sweep, in place, from the priced-out reduced-cost
-    row ``reduced``.
-
-    The lowest-index rule on entering and leaving variables makes the walk,
-    and therefore the final basic solution, deterministic; it also rules
-    out cycling. Only the first ``enterable`` columns may enter the basis.
-    The reduced-cost row rides along as one more tableau row that every
-    pivot updates; its right-hand entry goes unread. More than
-    ``PIVOT_CAP`` pivots raise CapExceededError.
-    """
-    m = len(basis)
-    cap = PIVOT_CAP
-    tableau.append(reduced)
-    rhs.append(0.0)
-    pivots = 0
-    while True:
-        for enter in range(enterable):
-            if reduced[enter] < -_RC_EPS:
+              reduced: list[float], free: int, structural: int,
+              signs: Sequence[int]) -> None:
+    """Bland-rule simplex sweep, in place, from the priced-out reduced costs
+    ``reduced`` in the virtual order, but for q's: of the structural
+    columns, then of the artificials. The lowest virtual index picks the
+    entering and the leaving variable, so the walk is deterministic and
+    cannot cycle; empty ``signs`` lock the artificials out. More than
+    ``PIVOT_CAP`` pivots raise CapExceededError."""
+    n, base = free + structural, len(tableau[0]) - len(basis)
+    shift = len(reduced) - len(tableau[0])  # from a slack's cost to its artificial's
+    cap, eps, limit = PIVOT_CAP, _RC_EPS, structural + len(signs)
+    for pivots in itertools.count(1):
+        for enter in range(free):
+            if reduced[enter] < -eps:
+                at, sign = enter, 1
                 break
         else:
-            break
-        leave = -1
-        best = math.inf
-        for i in range(m):
-            coef = tableau[i][enter]
+            for at in range(free):  # q_at, whose cost is -reduced[at]
+                if reduced[at] > eps:
+                    enter, sign = free + at, -1
+                    break
+            else:
+                for at in range(free, limit):  # the other columns, the artificials
+                    if reduced[at] < -eps:
+                        enter, sign = free + at, 1
+                        break
+                else:
+                    break
+        factor = sign * reduced[at]
+        if enter >= n:  # artificial k is signs[k] times stored column base + k
+            at, sign = at - shift, signs[enter - n]
+        leave, best = -1, math.inf
+        for i, row in enumerate(tableau):
+            coef = row[at] if sign > 0 else -row[at]
             if coef > _PIVOT_EPS:
                 ratio = rhs[i] / coef
-                if ratio < best - _RATIO_TIE or (
-                    abs(ratio - best) <= _RATIO_TIE
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
+                if ratio < best - _RATIO_TIE or abs(ratio - best) <= _RATIO_TIE and (
+                        leave < 0 or basis[i] < basis[leave]):
+                    best, leave = ratio, i
         if leave < 0:
             break  # no finite step remains; keep the current point
-        _pivot(tableau, rhs, basis, leave, enter)
-        pivots += 1
+        support = _pivot(tableau, rhs, basis, leave, enter, at, sign)
+        for j, v in support:
+            reduced[j] -= factor * v
+        for j, v in reversed(support if shift else ()):  # the artificials' costs
+            if j < base:
+                break
+            reduced[j + shift] -= signs[j - base] * factor * v
         if pivots > cap:
             raise CapExceededError(f"simplex exceeded {cap} pivots")
-    tableau.pop()
-    rhs.pop()
 
 
-def _solve_nonneg(eq_lhs: Sequence[Sequence[float]], eq_rhs: Sequence[float],
+def _solve_nonneg(tableau: list[list[float]], rhs: list[float], free: int,
+                  structural: int, signs: Sequence[int],
                   objective: Sequence[float] | None) -> list[float] | None:
-    """Find x >= 0 with ``eq_lhs @ x = eq_rhs``, or None if infeasible.
+    """Find x >= 0 with ``A x = rhs``, or None if infeasible, from the rows
+    of A signed so that ``rhs >= 0``; both lists are consumed.
 
-    Phase one drives one artificial variable per row to zero. When an
-    objective is given, a second phase minimizes it with the artificial
-    columns locked out, so the returned basic solution is pinned by rule
+    Column j < ``free`` is p_j and stands for q_j = -p_j too, so a free
+    variable split as p - q is stored once. Artificial i is ``signs[i]``
+    (the int 1 or -1, which keeps exact entries exact) times the i-th of the
+    last m stored columns: a slack, plus or minus a unit vector, or, past
+    the ``structural`` columns, the artificial itself, with the sign 1. The
+    virtual order is p, q, the rest of the structural columns, the
+    artificials; x comes back in it. Phase one drives the artificials to
+    zero. A second
+    phase minimizes an ``objective`` on the leading stored columns with the
+    artificials locked out, so the returned basic solution is pinned by rule
     rather than by accident of phase one.
     """
-    m, n = len(eq_lhs), len(eq_lhs[0])
-    tableau = [[-v for v in row] if b < 0 else list(row)
-               for row, b in zip(eq_lhs, eq_rhs)]
+    m, width, n = len(tableau), len(tableau[0]), free + structural
     # Every artificial starts basic with cost 1, so pricing out subtracts
     # each row from the cost row in turn: phase one's reduced costs are
-    # minus the column sums, in row order. Zero entries are skipped, which
-    # moves only the signs of zeros, and the artificial columns price out
-    # to exactly zero.
-    reduced = [0.0] * (n + m)
+    # minus the column sums, in row order, and the artificials' are zero,
+    # kept after the structural columns' (slacks) or as the block's.
+    reduced = [0.0] * structural
     for row in tableau:
-        for j, v in enumerate(row):
-            if v:
-                reduced[j] -= v
-    zeros = [0.0] * m
-    for i, row in enumerate(tableau):
-        row += zeros
-        row[n + i] = 1.0
-    rhs = [abs(b) for b in eq_rhs]
+        reduced = list(map(operator.sub, reduced, row))
+    reduced += [0.0] * m
     basis = list(range(n, n + m))
-    _minimize(tableau, rhs, basis, reduced, n + m)
+    _minimize(tableau, rhs, basis, reduced, free, structural, signs)
     residual = plain_sum(rhs[i] for i, col in enumerate(basis) if col >= n)
     if residual > 1e-9 * (1.0 + plain_sum(rhs)):
         return None
-    # Pivot zero-level artificials out so phase two cannot reactivate them.
-    for i in range(m):
+    # Pivot zero-level artificials out so phase two cannot reactivate them;
+    # a q twin is never above its p column, which comes first.
+    for i, row in enumerate(tableau):
         if basis[i] >= n:
-            for j in range(n):
-                if abs(tableau[i][j]) > _PIVOT_EPS:
-                    _pivot(tableau, rhs, basis, i, j)
+            for j in range(structural):
+                if abs(row[j]) > _PIVOT_EPS:
+                    _pivot(tableau, rhs, basis, i, j if j < free else free + j, j, 1)
                     break
     rhs = [v if v > 0.0 else 0.0 for v in rhs]
     if objective is not None:
-        cost = list(objective) + zeros
-        reduced = list(cost)
+        reduced = [*objective, *[0.0] * (width - len(objective))]
+        costs = [*reduced[:free], *[-c for c in reduced[:free]], *reduced[free:structural]]
         for i, col in enumerate(basis):
-            c = cost[col]
-            if c != 0.0:
-                reduced = [r - c * t for r, t in zip(reduced, tableau[i])]
-        _minimize(tableau, rhs, basis, reduced, n)
+            if col < n and costs[col] != 0.0:
+                reduced = [r - costs[col] * t for r, t in zip(reduced, tableau[i])]
+        _minimize(tableau, rhs, basis, reduced, free, structural, ())
     x = [0.0] * n
     for i, col in enumerate(basis):
         if col < n:
@@ -443,35 +462,30 @@ def linear_feasibility(constraints: Iterable[LinearConstraint],
         if len(c.normal) != dim:
             raise DimensionMismatchError(
                 f"constraint normal of length {len(c.normal)} in dimension {dim}")
-    if not any(c.strict for c in cons):
+    # Split the free vector as g = p - q and give each row a slack s. A
+    # strict row is stored as <n, p> - s = 1, its artificial -s, and any
+    # other as <-n, p> + s = 0, its artificial s.
+    signs = [-1 if c.strict else 1 for c in cons]
+    if -1 not in signs:
         return FeasibilityResult(True, (0.0,) * dim)
-    m = len(cons)
-    eq: list[list[float]] = []
-    b: list[float] = []
-    strict_weight = [0.0] * dim
-    zeros = [0.0] * m
-    for i, c in enumerate(cons):
-        row = [-v for v in c.normal]  # row @ g <= b[i]
-        # Split the free vector as g = p - q with p, q >= 0, then add a
-        # slack. The q block, -row, is the normal itself bit for bit.
-        eq_row = [*row, *c.normal, *zeros]
-        eq_row[2 * dim + i] = 1.0
-        eq.append(eq_row)
-        b.append(-1.0 if c.strict else 0.0)
+    weight = [0.0] * dim  # the margin's costs on p: the strict normals' sum
+    for c in cons:
         if c.strict:
-            strict_weight = [w - v for w, v in zip(strict_weight, row)]
-    objective = strict_weight + [-w for w in strict_weight] + zeros
-    x = _solve_nonneg(eq, b, objective)
-    if x is None:
-        return FeasibilityResult(False, None)
-    g = tuple(x[j] - x[dim + j] for j in range(dim))
-    if not all(c.satisfied_by(g) for c in cons):
-        # Margin polishing went numerically astray; fall back to phase one.
-        x = _solve_nonneg(eq, b, None)
+            weight = list(map(operator.add, weight, c.normal))
+    zeros = [0.0] * len(cons)
+    for objective in (weight, None):  # phase one's point if polishing fails
+        tableau = [[*(c.normal if c.strict else map(operator.neg, c.normal)), *zeros]
+                   for c in cons]
+        for i, row in enumerate(tableau):
+            row[dim + i] = float(signs[i])
+        x = _solve_nonneg(tableau, [1.0 if c.strict else 0.0 for c in cons], dim,
+                          dim + len(cons), signs, objective)
+        if x is None:
+            return FeasibilityResult(False, None)
         g = tuple(x[j] - x[dim + j] for j in range(dim))
-        if not all(c.satisfied_by(g) for c in cons):
-            raise SolverError("feasibility witness failed verification")
-    return FeasibilityResult(True, g)
+        if all(c.satisfied_by(g) for c in cons):
+            return FeasibilityResult(True, g)
+    raise SolverError("feasibility witness failed verification")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from exhausters.conditions import (
     region_membership,
     regularity_check,
 )
-from exhausters.deriv import (Leaf, Max, Min, directional_derivative_tree, eval_minmax,
+from exhausters.deriv import (Leaf, Max, Min, Sum, directional_derivative_tree, eval_minmax,
                               expr_from_json)
 from exhausters.errors import ExhausterKindError
 from exhausters.exhauster import Exhauster, exhauster_from_tree
@@ -565,6 +565,18 @@ class TestOracle:
         verdict = necessary_condition_oracle(f_tree, u_tree, ("min",))["min"]
         assert verdict == oracle_reference(f_tree, u_tree, "min")
         assert sample_unit_directions(2, 720).index(verdict.witness) > 64
+
+    def test_nan_derivatives_are_no_violation(self):
+        # f' is inf - inf, NaN, wherever |g_1| > 0.53, and 0 elsewhere: a
+        # block of NaNs is scanned, never raises, and violates no sense.
+        big, small = Leaf((1.7e308, 0.0)), Leaf((-1.7e308, 0.0))
+        f_tree = Sum((Sum((big, big)), Sum((small, small))))
+        u_tree = Leaf((0.0, 0.0))
+        verdicts = necessary_condition_oracle(f_tree, u_tree, ("min", "max"))
+        assert math.isnan(eval_minmax(f_tree, (1.0, 0.0)))
+        for sense, verdict in verdicts.items():
+            assert verdict == oracle_reference(f_tree, u_tree, sense)
+            assert verdict.status == "inconclusive"
 
     def test_senses_violated_in_different_blocks(self):
         # f' > 0 within the first block, f' < 0 only past it: the

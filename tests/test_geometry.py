@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -77,11 +78,53 @@ class TestPolytopeConstruction:
             Polytope.from_vertices(vertices)
 
 
+def explicit_tableau(rows, rhs):
+    """The tableau of ``rows @ x = rhs`` with every column stored: each row
+    signed so that its right-hand side is nonnegative, then the identity
+    block of the artificials, which ``_solve_nonneg`` reads with the sign 1."""
+    m = len(rows)
+    tableau = []
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        row = [-v for v in row] if b < 0 else list(row)
+        row += [0.0] * m
+        row[len(row) - m + i] = 1.0
+        tableau.append(row)
+    return tableau, [abs(b) for b in rhs]
+
+
 def simplex_hull_contains(poly, point):
     """``hull_contains``'s convex-combination system, decided by the
     simplex alone, with no vertex shortcut."""
     rows = [*zip(*poly.vertices), (1.0,) * len(poly.vertices)]
-    return geometry._solve_nonneg(rows, [*point, 1.0], None) is not None
+    tableau, rhs = explicit_tableau(rows, [*point, 1.0])
+    return geometry._solve_nonneg(tableau, rhs, 0, len(poly.vertices),
+                                  [1] * len(rows), None) is not None
+
+
+def full_feasibility(cons, dim):
+    """``linear_feasibility`` on the full tableau, every column stored as
+    the kernel once stored them: g = p - q with the q block, one slack per
+    row and the artificials' identity, with ``free=0``."""
+    m = len(cons)
+    rows = []
+    for i, c in enumerate(cons):
+        row = [*(-v for v in c.normal), *c.normal, *[0.0] * m]
+        row[2 * dim + i] = 1.0
+        rows.append(row)
+    rhs = [-1.0 if c.strict else 0.0 for c in cons]
+    weight = [0.0] * dim
+    for c in cons:
+        if c.strict:
+            weight = [w + v for w, v in zip(weight, c.normal)]
+    for objective in ([*weight, *(-w for w in weight)], None):
+        x = geometry._solve_nonneg(*explicit_tableau(rows, rhs), 0, 2 * dim + m,
+                                   [1] * m, objective)
+        if x is None:
+            return FeasibilityResult(False, None)
+        g = tuple(x[j] - x[dim + j] for j in range(dim))
+        if all(c.satisfied_by(g) for c in cons):
+            return FeasibilityResult(True, g)
+    raise geometry.SolverError("feasibility witness failed verification")
 
 
 class TestContainsOrigin:
@@ -247,7 +290,8 @@ class TestLinearFeasibility:
                 row = [*(-v for v in c.normal), *c.normal, *[0.0] * m]
                 row[2 * dim + i] = 1.0
                 eq.append(row)
-            x = geometry._solve_nonneg(eq, [0.0] * m, None)
+            x = geometry._solve_nonneg(*explicit_tableau(eq, [0.0] * m), 0,
+                                       2 * dim + m, [1] * m, None)
             phase_one = FeasibilityResult(
                 True, tuple(x[j] - x[dim + j] for j in range(dim)))
             res = linear_feasibility(cons, dim)
@@ -372,8 +416,8 @@ class TestLinearFeasibility:
         solve = geometry._solve_nonneg
 
         def corrupt(polished_only):
-            def patched(eq_lhs, eq_rhs, objective):
-                x = solve(eq_lhs, eq_rhs, objective)
+            def patched(tableau, rhs, free, structural, signs, objective):
+                x = solve(tableau, rhs, free, structural, signs, objective)
                 if objective is not None or not polished_only:
                     x = [0.0] * len(x)
                 return x
@@ -391,6 +435,109 @@ class TestLinearFeasibility:
         monkeypatch.setattr(geometry, "_solve_nonneg", corrupt(False))
         with pytest.raises(ArithmeticError):
             linear_feasibility(cons, 2)
+
+    @staticmethod
+    def awkward_entry(rng):
+        kind = rng.randrange(6)
+        if kind == 0:
+            return rng.choice([0.0, -0.0])
+        if kind == 1:
+            return rng.choice([1e-12, -1e-12])
+        if kind == 2:
+            return rng.uniform(-1, 1) * 10.0 ** rng.choice([-12, 12])
+        if kind == 3:
+            return float(rng.randint(-3, 3))
+        return rng.uniform(-1, 1)
+
+    def test_twin_tableau_matches_the_full_tableau(self):
+        # linear_feasibility stores p and the slacks only, reading each q
+        # column as -p and each artificial as its signed slack; the same
+        # kernel on the full tableau, every column stored, must take the
+        # same walk bit for bit, or raise the same exception.
+        rng = random.Random(29)
+        outcomes = set()
+        for k in range(1500):
+            dim = rng.randint(1, 8)
+            m = rng.choice([rng.randint(1, 6), rng.randint(1, 12), rng.randint(1, 40)])
+            g = tuple(float(rng.randint(-2, 2)) for _ in range(dim))
+            cons = []
+            for _ in range(m):
+                normal = tuple(self.awkward_entry(rng) for _ in range(dim))
+                strict = rng.random() < 0.5
+                if k % 2:  # planted: each row holds at a multiple of g
+                    v = plain_sum(a * b for a, b in zip(normal, g))
+                    normal = tuple(-c for c in normal) if v < 0 else normal
+                    strict = strict and v != 0
+                cons.append(LinearConstraint(normal, strict or len(cons) == 0))
+            results = []
+            for solve in (linear_feasibility, full_feasibility):
+                try:
+                    results.append(repr(solve(cons, dim)))
+                except ArithmeticError as exc:
+                    results.append(repr((type(exc), str(exc))))
+            assert results[0] == results[1], (dim, cons)
+            outcomes.add(results[0][:30])
+        assert len(outcomes) >= 3  # feasible, infeasible and unverified systems
+
+    def test_hull_tableau_matches_the_explicit_tableau(self):
+        # hull_contains builds its signed rows and identity block itself;
+        # on every point that is no vertex it must answer as the kernel on
+        # the explicit tableau does.
+        rng = random.Random(31)
+        answers = []
+        for k in range(400):
+            dim = rng.randint(1, 8)
+            poly = Polytope.from_vertices(
+                [tuple(self.awkward_entry(rng) for _ in range(dim))
+                 for _ in range(rng.randint(1, 12))])
+            point = tuple(self.awkward_entry(rng) for _ in range(dim))
+            if k % 2:  # a convex combination of the vertices
+                w = [rng.random() for _ in poly.vertices]
+                point = tuple(plain_sum(a * v[j] for a, v in zip(w, poly.vertices))
+                              / plain_sum(w) for j in range(dim))
+            if point not in poly.vertices:
+                answers.append(hull_contains(poly, point))
+                assert answers[-1] is simplex_hull_contains(poly, point)
+        assert True in answers and False in answers
+
+    def test_kernel_runs_on_fractions(self, monkeypatch):
+        # With its three tolerances at 0 the kernel is exact on Fraction
+        # entries: the int signs keep every entry a Fraction, and phase one
+        # ends on a point that meets every row exactly.
+        for name in ("_RC_EPS", "_PIVOT_EPS", "_RATIO_TIE"):
+            monkeypatch.setattr(geometry, name, 0)
+        normals = [((1, 3), True), ((1, 1), False), ((-1, 2), True), ((2, -1), False)]
+        dim, m = 2, len(normals)
+        signs = [-1 if strict else 1 for _, strict in normals]
+        tableau = []
+        for i, (normal, strict) in enumerate(normals):
+            row = [Fraction(v if strict else -v, 7) for v in normal] + [Fraction(0)] * m
+            row[dim + i] = Fraction(signs[i])
+            tableau.append(row)
+        rhs = [Fraction(1 if strict else 0) for _, strict in normals]
+        reduced = [Fraction(0)] * (dim + m)
+        for row in tableau:
+            reduced = [r - v for r, v in zip(reduced, row)]
+        reduced += [Fraction(0)] * m  # the artificials', after the stored columns'
+        basis = list(range(2 * dim + m, 2 * dim + 2 * m))
+        geometry._minimize(tableau, rhs, basis, reduced, dim, dim + m, signs)
+        values = [v for row in tableau for v in row] + rhs + reduced
+        assert all(type(v) is Fraction for v in values)
+        x = [Fraction(0)] * (2 * dim + 2 * m)
+        for i, col in enumerate(basis):
+            x[col] = rhs[i]
+        assert not any(x[2 * dim + m:])  # every artificial is zero
+        g = [x[j] - x[dim + j] for j in range(dim)]
+        for i, (normal, strict) in enumerate(normals):
+            value = sum(Fraction(a, 7) * b for a, b in zip(normal, g))
+            assert value - x[2 * dim + i] == (1 if strict else 0)  # the row, slack s
+            assert x[2 * dim + i] >= 0
+        # A pivot on a q column reads -p: the twin becomes a unit column,
+        # so its stored p column is minus one, in every row, exactly.
+        row = next(i for i in range(m) if tableau[i][0] != 0)
+        geometry._pivot(tableau, rhs, basis, row, dim, 0, -1)
+        assert [r[0] for r in tableau] == [-1 if i == row else 0 for i in range(m)]
+        assert basis[row] == dim
 
     def test_deterministic_repeat(self):
         cons = [
