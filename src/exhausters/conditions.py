@@ -32,7 +32,7 @@ from functools import reduce
 # contains_origin and eval_minmax by name in this module and stops if one is
 # missing, so linear_feasibility and eval_minmax stay imported although
 # nothing here calls them.
-from .deriv import FD_BLOCK, MinMaxTree, eval_minmax, eval_minmax_many, expr_dim
+from .deriv import FD_BLOCK, MinMaxTree, _minmax_columns, eval_minmax, expr_dim
 from .errors import DimensionMismatchError, ExhausterKindError
 from .exhauster import Exhauster, eval_exhauster, find_direction
 from .geometry import (
@@ -564,13 +564,15 @@ def necessary_condition_oracle(f_tree: MinMaxTree, u_tree: MinMaxTree,
     found: dict[str, Verdict] = {}
     # Above the plane the first violation usually lies among the first few
     # directions, so the scan goes block by block, not over the whole sample.
+    # The directions are sampled in the trees' dimension, checked above, so
+    # the blocks skip eval_minmax_many's length check.
     for start in range(0, len(directions), FD_BLOCK):
         if len(found) == len(senses):
             break
         block = directions[start:start + FD_BLOCK]
-        admissible = [(g, hu) for g, hu in zip(block, eval_minmax_many(u_tree, block))
+        admissible = [(g, hu) for g, hu in zip(block, _minmax_columns(u_tree, block))
                       if hu <= tol]
-        hfs = eval_minmax_many(f_tree, [g for g, _ in admissible])
+        hfs = _minmax_columns(f_tree, [g for g, _ in admissible])
         for sense in senses:
             # A violation has s * hf > ORACLE_MARGIN. Only a block whose
             # extreme derivative is one is scanned; a NaN compares false.

@@ -196,11 +196,13 @@ def eval_expr_many(expr: Expr, points: Sequence[Sequence[float]]) -> list[float]
     elementwise product, scale, sum, max or min of columns at each node.
 
     Each atom multiplies a term's factors in exponent order and adds its
-    terms from 0.0, sum nodes add their children left to right from
-    integer 0 as ``plain_sum`` does, and max and min keep the first extreme
-    child, so every value, signed zeros included, is the one ``eval_expr``
-    returns; a power beyond the float range raises ``OverflowError`` as
-    there.
+    terms from 0.0, sum nodes add their children left to right from +0.0,
+    and max and min keep the first extreme child, so every value, signed
+    zeros included, is the one ``eval_expr`` returns; a power beyond the
+    float range raises ``OverflowError`` as there. ``plain_sum`` starts
+    from integer 0 instead, but every child value is a float ``p``, and
+    ``0 + p`` converts the 0 to +0.0 first: both starts give ``p``'s bits,
+    except that -0.0 becomes +0.0 in both.
     """
     dim = expr_dim(expr)
     points = [_checked(as_vector(x), dim) for x in points]
@@ -239,7 +241,7 @@ def _expr_columns(expr: Expr, coords: list[list[float]], count: int,
     columns = [_expr_columns(c, coords, count, powers) for c in expr.children]
     if isinstance(expr, Sum):
         return functools.reduce(lambda a, b: list(map(operator.add, a, b)),
-                                columns, [0] * count)
+                                columns, [0.0] * count)
     return _extreme_columns(expr, columns)
 
 
@@ -247,7 +249,15 @@ def _extreme_columns(node: Expr, columns: list[list[float]]) -> list[float]:
     """Elementwise max of the columns for a ``Max`` node, min otherwise.
     Folded left to right, a later value replaces the kept one only when it
     is strictly greater (less), the rule of ``max`` and ``min``: the first
-    extreme child wins, and a NaN is kept or passed over as they do."""
+    extreme child wins, and a NaN is kept or passed over as they do.
+
+    An expression's columns can hold -0.0 (a negative scale of a zero), and
+    there a tie keeps the first child's sign. A derivative tree's columns
+    never do: its leaf sums start at +0.0 (``_minmax_columns``), a float
+    sum is -0.0 only when both of its terms are, and sum, max and min nodes
+    only add or pick those values. So ties between its leaves cannot differ
+    in sign, and only a NaN tells which operand the fold keeps.
+    """
     if isinstance(node, Max):
         return functools.reduce(
             lambda a, b: [y if y > x else x for x, y in zip(a, b)], columns)
@@ -278,32 +288,58 @@ def eval_minmax_many(tree: MinMaxTree,
     over the whole sample: one column of values per leaf, then an
     elementwise max, min or sum of the children's columns at each node.
 
-    The leaf sums start at integer 0 like ``dot``, and sum nodes add their
-    children left to right with no start value, as ``eval_minmax`` does, so
-    the values, signed zeros included, are the ones it returns.
+    The leaf sums start at +0.0, where ``dot`` starts at integer 0: every
+    term is a float ``p`` (a leaf's form holds floats), and ``0 + p``
+    converts the 0 to +0.0 first, so both starts give the same bits, signed
+    zeros included. Sum nodes add their children left to right with no
+    start value, and max and min keep the first extreme child, as
+    ``eval_minmax`` does, so the values are the ones it returns; only a
+    leaf with no coordinates gives 0.0 where ``dot`` gives the int 0. No
+    value is -0.0 (``_extreme_columns`` says why). Raises
+    ``DimensionMismatchError`` when a direction's length is not the tree's
+    dimension.
     """
     dim = expr_dim(tree)
     if set(map(len, directions)) - {dim}:
         raise DimensionMismatchError(
             f"a direction's length differs from the tree's dimension {dim}")
-    return _columns(tree, directions)
+    return _minmax_columns(tree, directions)
 
 
-def _columns(tree: MinMaxTree, directions: Sequence[Sequence[float]]) -> list[float]:
+def _minmax_columns(tree: MinMaxTree,
+                    directions: Sequence[Sequence[float]]) -> list[float]:
+    """``eval_minmax_many``'s values on directions whose lengths the caller
+    has checked. A max or min node folds its children into one running
+    column, left to right by ``_extreme_columns``'s rule, and folds a plane
+    leaf in as it evaluates it, with no column of its own."""
     if isinstance(tree, Leaf):
         form = tree.form
         if len(form) == 2:
             a, b = form
-            return [0 + a * x + b * y for x, y in directions]
-        # Column by column, each direction's sum adds left to right from 0.
-        column = [0] * len(directions)
+            return [0.0 + a * x + b * y for x, y in directions]
+        # Column by column, each direction's sum adds left to right.
+        column = [0.0] * len(directions)
         for j, c in enumerate(form):
             column = [s + c * g[j] for s, g in zip(column, directions)]
         return column
-    columns = [_columns(c, directions) for c in tree.children]
+    children = tree.children
     if isinstance(tree, Sum):
-        return functools.reduce(lambda a, b: list(map(operator.add, a, b)), columns)
-    return _extreme_columns(tree, columns)
+        return functools.reduce(lambda a, b: list(map(operator.add, a, b)),
+                                [_minmax_columns(c, directions) for c in children])
+    is_max = isinstance(tree, Max)
+    column = _minmax_columns(children[0], directions)
+    for child in children[1:]:
+        if not (isinstance(child, Leaf) and len(child.form) == 2):
+            column = _extreme_columns(tree, [column, _minmax_columns(child, directions)])
+            continue
+        a, b = child.form
+        if is_max:
+            column = [v if (v := 0.0 + a * x + b * y) > m else m
+                      for m, (x, y) in zip(column, directions)]
+        else:
+            column = [v if (v := 0.0 + a * x + b * y) < m else m
+                      for m, (x, y) in zip(column, directions)]
+    return column
 
 
 def leaf_count(tree: MinMaxTree) -> int:

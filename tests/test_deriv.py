@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 import struct
@@ -208,6 +209,21 @@ class TestEvalMinMax:
                                     for _ in range(dim)) for _ in range(30)]
                 assert list(map(repr, eval_minmax_many(tree, directions))) == \
                     [repr(eval_minmax(tree, g)) for g in directions]
+        # A plane max or min node folds its leaf children straight into its
+        # running column. Next to them sit subtrees whose columns hold inf
+        # and nan (inf - inf), so each fold must keep or pass over a NaN as
+        # max and min do; the infinite directions give 0.0 * inf = nan.
+        big = Leaf((1.7e308, 1.7e308))
+        nan_sum = Sum((big, Leaf((-1.7e308, -1.7e308))))
+        parts = (big, nan_sum, Leaf((1.0, 0.0)), Leaf((-0.0, -1.0)))
+        directions = [(1.0, 1.0), (-1.0, -1.0), (1.0, 0.0), (0.0, -0.0), (-0.0, 1.0),
+                      (2.0, -0.5), (1.0, -1.0), (math.inf, 0.0), (0.0, -math.inf)]
+        for node in (Max, Min):
+            for count in (2, 3):
+                for children in itertools.permutations(parts, count):
+                    for tree in (node(children), Sum((node(children), Leaf((0.5, 0.5))))):
+                        assert list(map(repr, eval_minmax_many(tree, directions))) == \
+                            [repr(eval_minmax(tree, g)) for g in directions], tree
 
     def test_many_signed_zero_and_single_child(self):
         tree = Min((Max((Leaf((-0.0, 1.0)),)),))

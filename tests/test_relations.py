@@ -7,15 +7,25 @@ families of the same two functions, so no two of them may reach opposite
 decided statuses. And a minimum of f is a maximum of -f, whose upper
 family is the negated lower family of f and whose lower family the
 negated upper one, so each id of a minimum of f decides what the id of a
-maximum of -f with the objective's kind swapped decides.
+maximum of -f with the objective's kind swapped decides. And flipping
+coordinates, x_i -> -x_i, flips the families' vertices and so keeps every
+status; a witness of the flipped problem, flipped back, refutes the
+original condition.
 """
 
 import random
 from collections import Counter
 
 from exhausters.cli import analyze_problem
-from exhausters.conditions import RunMemo, evaluate_condition, reduce_exhauster
-from exhausters.deriv import directional_derivative_tree, expr_from_json
+from exhausters.conditions import (
+    ConditionID,
+    RunMemo,
+    build_condition,
+    evaluate_condition,
+    reduce_exhauster,
+    region_membership,
+)
+from exhausters.deriv import directional_derivative_tree, eval_minmax, expr_from_json
 from exhausters.exhauster import exhauster_from_tree
 
 
@@ -98,3 +108,52 @@ def test_minimum_of_f_is_maximum_of_minus_f():
             decided.update(plain.values())
     assert decided["inconclusive"] == 0
     assert decided["holds"] >= 200 and decided["violated"] >= 800
+
+
+def _flipped(expr, flips):
+    """``expr`` with x_i -> -x_i for each i in ``flips``: a term changes
+    sign once per flipped coordinate whose exponent is odd."""
+    if "atom" in expr:
+        return {"atom": {"terms": [
+            {"c": -term["c"] if sum(term["e"][i] for i in flips) % 2 else term["c"],
+             "e": term["e"]} for term in expr["atom"]["terms"]]}}
+    return {"op": expr["op"], "args": [_flipped(arg, flips) for arg in expr["args"]]}
+
+
+def test_coordinate_flips_keep_every_status():
+    rng = random.Random(71)
+    decided, regular = Counter(), Counter()
+    for trial in range(60):
+        dim = 3 + trial % 3
+        flips = sorted(rng.sample(range(dim), rng.randint(1, dim)))
+        problem = {"dim": dim, "objective": kinked_function(rng, dim, (3, 2)),
+                   "constraint": kinked_function(rng, dim, (2, 3)), "point": [0] * dim}
+        flipped = dict(problem, objective=_flipped(problem["objective"], flips),
+                       constraint=_flipped(problem["constraint"], flips))
+        plain, mirrored = (analyze_problem(p, sense="both", samples=16)[0]
+                           for p in (problem, flipped))
+        assert {cid: v.status for cid, v in mirrored.conditions.items()} == \
+            {cid: v.status for cid, v in plain.conditions.items()}, (trial, flips)
+        assert mirrored.regularity.status == plain.regularity.status, (trial, flips)
+        decided.update(v.status for v in plain.conditions.values())
+        regular[plain.regularity.status] += 1
+
+        def back(witness):
+            return tuple(-c if i in flips else c for i, c in enumerate(witness))
+
+        families = plain.exhausters
+        for cid, verdict in mirrored.conditions.items():
+            if verdict.status == "violated":
+                cid = ConditionID(cid)
+                built = build_condition(cid, families["f"][cid.f_kind],
+                                        families["u"][cid.u_kind])
+                witness = back(verdict.witness)
+                assert region_membership(built.lhs, witness, tol=1e-9), (trial, cid)
+                assert not region_membership(built.rhs, witness, tol=-1e-9), (trial, cid)
+        if mirrored.regularity.status == "violated":
+            u_tree = directional_derivative_tree(expr_from_json(problem["constraint"]),
+                                                 problem["point"])
+            assert abs(eval_minmax(u_tree, back(mirrored.regularity.witness))) <= 1e-9
+    assert decided["inconclusive"] == 0
+    assert decided["holds"] >= 50 and decided["violated"] >= 300
+    assert regular["holds"] and regular["violated"]
