@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Sequence
+from json.encoder import encode_basestring_ascii
 
 from .conditions import CONDITION_READINGS, ConditionID, Verdict
 from .errors import DimensionMismatchError
@@ -87,13 +89,92 @@ def _verdict_line(name: str, verdict: Verdict, reading: str) -> list[str]:
     return lines
 
 
+# ``json`` indents in C only from Python 3.13 on: before that,
+# ``JSONEncoder.iterencode`` takes its C encoder only when ``indent`` is None
+# and writes an indented document through nested generators.
+_JSON_INDENTS_IN_C = sys.version_info >= (3, 13)
+
+
+class _Unwritable(Exception):
+    """A value outside the report's JSON types, left to ``json.dumps``."""
+
+
+def _write_json(value, chunks: list[str], newline: str) -> None:
+    """Append ``json.dumps(value, indent=2, allow_nan=False)``'s text, as
+    ``json``'s own encoder writes it, for str keys and str, int, float, bool
+    and None values in lists, tuples and dicts; ``newline`` is the line break
+    and indent of the enclosing level. Anything else, a non-finite float or
+    a non-str key included, raises ``_Unwritable``."""
+    if isinstance(value, str):
+        chunks.append(encode_basestring_ascii(value))
+    elif value is None:
+        chunks.append("null")
+    elif value is True:
+        chunks.append("true")
+    elif value is False:
+        chunks.append("false")
+    elif isinstance(value, int):
+        chunks.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise _Unwritable
+        chunks.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            chunks.append("[]")
+            return
+        inner = newline + "  "
+        prefix, separator = "[" + inner, "," + inner
+        for item in value:
+            chunks.append(prefix)
+            prefix = separator
+            _write_json(item, chunks, inner)
+        chunks.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            chunks.append("{}")
+            return
+        inner = newline + "  "
+        prefix, separator = "{" + inner, "," + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise _Unwritable
+            chunks.append(prefix + encode_basestring_ascii(key) + ": ")
+            prefix = separator
+            _write_json(item, chunks, inner)
+        chunks.append(newline + "}")
+    else:
+        raise _Unwritable
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, allow_nan=False)`` by ``_write_json``;
+    whatever that writer leaves, and a cycle or input nested too deep for
+    it, goes to ``json.dumps``, so every error and key conversion is its."""
+    chunks: list[str] = []
+    try:
+        _write_json(obj, chunks, "\n")
+    except (_Unwritable, RecursionError):
+        return json.dumps(obj, indent=2, allow_nan=False)
+    return "".join(chunks)
+
+
 def render_report(report: AnalysisReport, fmt: str = "json") -> bytes:
-    """Serialize a report; identical reports give identical bytes. A JSON
-    report holding a non-finite float raises ValueError, since ``NaN`` and
-    ``Infinity`` are not JSON."""
+    """Serialize a report; identical reports give identical bytes.
+
+    A JSON report is ``json.dumps(obj, indent=2, allow_nan=False)``'s text
+    of ``to_json_obj()`` plus a newline, byte for byte on every interpreter.
+    From Python 3.13 on, where ``json`` indents in C, it is that call;
+    before, where ``json`` indents in Python, ``_write_json`` writes the
+    report's own types (str keys; str, int, float, bool and None values;
+    lists, tuples and dicts) in about half the time, and anything else is
+    left to ``json.dumps``. So a report holding a non-finite float raises
+    ``json``'s ValueError, since ``NaN`` and ``Infinity`` are not JSON."""
     if fmt == "json":
-        text = json.dumps(report.to_json_obj(), indent=2, allow_nan=False) + "\n"
-        return text.encode("utf-8")
+        obj = report.to_json_obj()
+        text = (json.dumps(obj, indent=2, allow_nan=False) if _JSON_INDENTS_IN_C
+                else _json_text(obj))
+        return (text + "\n").encode("utf-8")
     if fmt != "text":
         raise ValueError(f"format must be 'json' or 'text', got {fmt!r}")
     lines = []

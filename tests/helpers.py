@@ -149,6 +149,31 @@ def random_expr(rng, dim=2, depth=3, budget=None):
     return node(children)
 
 
+def kinked_function(rng, dim, fans):
+    """A sum of max or min nodes, one per fan-out in ``fans``, over linear
+    atoms with small integer coefficients: all of them vanish at the
+    origin, so every child is active there. About half of the nodes are
+    closed: their last atom is minus the sum of the others, so the origin
+    lies in the hull of the node's gradients."""
+    def coefs():
+        while True:
+            c = [rng.randint(-3, 3) for _ in range(dim)]
+            if any(c):
+                return c
+
+    def node(fan):
+        forms = [coefs() for _ in range(fan)]
+        closing = [-sum(column) for column in zip(*forms[:-1])]
+        if rng.random() < 0.5 and any(closing):
+            forms[-1] = closing
+        atoms = [{"atom": {"terms": [{"c": c, "e": [int(j == i) for j in range(dim)]}
+                                     for i, c in enumerate(form) if c]}}
+                 for form in forms]
+        return {"op": rng.choice(("max", "min")), "args": atoms}
+
+    return {"op": "sum", "args": [node(fan) for fan in fans]}
+
+
 def random_point(rng, dim=2, scale=2.0):
     return tuple(rng.uniform(-scale, scale) for _ in range(dim))
 

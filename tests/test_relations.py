@@ -10,7 +10,9 @@ negated upper one, so each id of a minimum of f decides what the id of a
 maximum of -f with the objective's kind swapped decides. And flipping
 coordinates, x_i -> -x_i, flips the families' vertices and so keeps every
 status; a witness of the flipped problem, flipped back, refutes the
-original condition.
+original condition. So does permuting the coordinates, with every node's
+children shuffled, and so does scaling the constraint by a positive
+factor, which leaves the feasible set as it is.
 """
 
 import random
@@ -28,30 +30,7 @@ from exhausters.conditions import (
 from exhausters.deriv import directional_derivative_tree, eval_minmax, expr_from_json
 from exhausters.exhauster import exhauster_from_tree
 
-
-def kinked_function(rng, dim, fans):
-    """A sum of max or min nodes, one per fan-out in ``fans``, over linear
-    atoms with small integer coefficients: all of them vanish at the
-    origin, so every child is active there. About half of the nodes are
-    closed: their last atom is minus the sum of the others, so the origin
-    lies in the hull of the node's gradients."""
-    def coefs():
-        while True:
-            c = [rng.randint(-3, 3) for _ in range(dim)]
-            if any(c):
-                return c
-
-    def node(fan):
-        forms = [coefs() for _ in range(fan)]
-        closing = [-sum(column) for column in zip(*forms[:-1])]
-        if rng.random() < 0.5 and any(closing):
-            forms[-1] = closing
-        atoms = [{"atom": {"terms": [{"c": c, "e": [int(j == i) for j in range(dim)]}
-                                     for i, c in enumerate(form) if c]}}
-                 for form in forms]
-        return {"op": rng.choice(("max", "min")), "args": atoms}
-
-    return {"op": "sum", "args": [node(fan) for fan in fans]}
+from helpers import kinked_function
 
 
 def test_constrained_ids_of_a_sense_agree():
@@ -157,3 +136,63 @@ def test_coordinate_flips_keep_every_status():
     assert decided["inconclusive"] == 0
     assert decided["holds"] >= 50 and decided["violated"] >= 300
     assert regular["holds"] and regular["violated"]
+
+
+def _permuted(expr, perm, rng):
+    """``expr`` with x_i -> x_perm[i] and every node's children shuffled by
+    ``rng``: a term's exponent of x_i becomes its exponent of x_perm[i]."""
+    if "atom" in expr:
+        terms = []
+        for term in expr["atom"]["terms"]:
+            e = [0] * len(perm)
+            for i, power in enumerate(term["e"]):
+                e[perm[i]] = power
+            terms.append({"c": term["c"], "e": e})
+        return {"atom": {"terms": terms}}
+    args = [_permuted(arg, perm, rng) for arg in expr["args"]]
+    rng.shuffle(args)
+    return {"op": expr["op"], "args": args}
+
+
+def _statuses(problem):
+    report = analyze_problem(problem, sense="both", samples=16)[0]
+    return ({cid: v.status for cid, v in report.conditions.items()},
+            report.regularity.status)
+
+
+def _keeps_every_status(seed, rewrite):
+    """``rewrite(rng, problem)`` of 60 seeded 3-5-D kinked problems keeps
+    every condition status and the regularity status of ``analyze --sense
+    both``; the statuses met must include both decided ones."""
+    rng = random.Random(seed)
+    decided, regular = Counter(), Counter()
+    for trial in range(60):
+        dim = 3 + trial % 3
+        problem = {"dim": dim, "objective": kinked_function(rng, dim, (3, 2)),
+                   "constraint": kinked_function(rng, dim, (2, 3)), "point": [0] * dim}
+        plain = _statuses(problem)
+        assert _statuses(rewrite(rng, problem)) == plain, trial
+        decided.update(plain[0].values())
+        regular[plain[1]] += 1
+    assert decided["inconclusive"] == 0
+    assert decided["holds"] >= 50 and decided["violated"] >= 300
+    assert regular["holds"] and regular["violated"]
+
+
+def test_coordinate_permutations_keep_every_status():
+    def permute(rng, problem):
+        perm = list(range(problem["dim"]))
+        rng.shuffle(perm)
+        return dict(problem, objective=_permuted(problem["objective"], perm, rng),
+                    constraint=_permuted(problem["constraint"], perm, rng))
+
+    _keeps_every_status(73, permute)
+
+
+def test_scaled_constraint_keeps_every_status():
+    # 3.5 u has the sign of u at every point, so the feasible set is the same.
+    def scale(rng, problem):
+        return dict(problem, constraint={"op": "scale", "coef": 3.5,
+                                         "arg": problem["constraint"]})
+
+    _keeps_every_status(79, scale)
