@@ -25,7 +25,6 @@ from .deriv import (
     eval_expr,
     eval_minmax,
     expr_from_json,
-    fd_directional_derivatives,
 )
 from .errors import (
     CapExceededError,
@@ -40,17 +39,12 @@ from .exhauster import (
     polytopes_equal,
 )
 from .geometry import (
-    TOL,
-    ArcSet,
-    FeasibilityResult,
     LinearConstraint,
     Polytope,
-    arcset_subset,
     contains_origin,
     hull_contains,
     linear_feasibility,
     sample_unit_directions,
-    support_value,
 )
 from .report import AnalysisReport, render_report, render_svg
 

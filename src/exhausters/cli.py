@@ -34,9 +34,9 @@ from .deriv import (
     Expr,
     Leaf,
     MinMaxTree,
+    _minmax_columns,
     directional_derivative_tree,
     eval_expr,
-    eval_minmax_many,
     expr_dim,
     expr_from_json,
     fd_directional_derivatives,
@@ -325,7 +325,8 @@ def _oracle_deviation(label: str, expr: Expr, families: dict[str, Exhauster],
     against; an overflow at a difference step, or an estimate that is not
     finite, is an InputError. The directions are walked one ``FD_BLOCK`` at
     a time, so that only one block's estimates and family values are held,
-    whatever --samples is."""
+    whatever --samples is. They are sampled in the expression's dimension,
+    which is each family tree's, so no length is checked again."""
     trees = [exhauster_tree(family) for family in families.values()]
     deviation = scale = 0.0
     for start in range(0, len(directions), FD_BLOCK):
@@ -340,7 +341,7 @@ def _oracle_deviation(label: str, expr: Expr, families: dict[str, Exhauster],
             raise InputError(f"{label} overflows the floats {reason}")
         for tree in trees:
             deviation = max(deviation, *(abs(estimate - value) for estimate, value
-                                         in zip(estimates, eval_minmax_many(tree, block))))
+                                         in zip(estimates, _minmax_columns(tree, block))))
         scale = max(scale, *map(abs, estimates))
     # The difference quotient errs in proportion to the derivative.
     return deviation, max(1.0, scale)

@@ -156,16 +156,6 @@ class ConstrainedCondition(Value):
         self._init(lhs, rhs)
 
 
-class UnconstrainedCondition(Value):
-    """``rhs`` is the region the extremum forces on the objective's
-    derivative; the condition holds when it covers every direction."""
-
-    __slots__ = ("rhs",)
-
-    def __init__(self, rhs: SignRegion) -> None:
-        self._init(rhs)
-
-
 # ---------------------------------------------------------------------------
 # Region evaluation
 # ---------------------------------------------------------------------------
@@ -186,7 +176,7 @@ def region_arcs(region: SignRegion) -> ArcSet:
         raise DimensionMismatchError("arc algebra is available in the plane only")
     every = region.every
     inner, outer = (ArcSet.intersect, ArcSet.union) if every else (ArcSet.union, ArcSet.intersect)
-    start = ArcSet.full() if every else ArcSet.empty()
+    start = ArcSet.full() if every else ArcSet(())
     return reduce(outer, [
         reduce(inner, [halfcircle(v, nonnegative=region.sign > 0) for v in c.vertices], start)
         for c in region.family.sets])
@@ -245,13 +235,14 @@ class RunMemo:
 # ---------------------------------------------------------------------------
 
 def build_condition(cid: ConditionID, ef: Exhauster,
-                    eu: Exhauster | None = None
-                    ) -> ConstrainedCondition | UnconstrainedCondition:
+                    eu: Exhauster | None = None) -> ConstrainedCondition | SignRegion:
     """Materialize the regions of one condition id, validating family
     kinds. The left side {u' <= 0} is the constraint family's region of
     sign -1; the right side is the objective family's region of sign +1
-    for a minimum and -1 for a maximum. An unconstrained condition has no
-    left side: every direction is admissible."""
+    for a minimum and -1 for a maximum. An unconstrained id has no left
+    side, since every direction is admissible, and is returned as its
+    right side alone: the condition holds when that region covers every
+    direction."""
     cid = ConditionID(cid)
     if cid.u_kind is not None and eu is None:
         raise ExhausterKindError(f"{cid.value} needs a constraint family")
@@ -266,7 +257,7 @@ def build_condition(cid: ConditionID, ef: Exhauster,
         # set from the origin: the negative of a descent direction.
         rhs = SignRegion(Exhauster("lower", ef.dim, ef.sets), -1.0)
     if cid.u_kind is None:
-        return UnconstrainedCondition(rhs)
+        return rhs
     if eu.kind != cid.u_kind:
         raise ExhausterKindError(
             f"{cid.value} needs a constraint family of kind {cid.u_kind}, got {eu.kind}")
@@ -385,7 +376,7 @@ def evaluate_condition(cid: ConditionID, ef: Exhauster,
 
     A constrained id is one ``inclusion_check``. An unconstrained id is a
     constrained condition with every direction admissible: the objective
-    side ``rhs`` of ``build_condition`` must cover every direction, and the
+    side that ``build_condition`` returns must cover every direction, and the
     search looks for a direction outside it. In the origin form (some
     vertex per set) the complement's systems are one per set, each asking
     for unit margin on all of the set's vertices; by Gordan's alternative
@@ -401,7 +392,7 @@ def evaluate_condition(cid: ConditionID, ef: Exhauster,
     memo = memo or RunMemo()
     if cid.u_kind is not None:
         return inclusion_check(built.lhs, built.rhs, memo=memo)
-    rhs = built.rhs
+    rhs = built
     if rhs.every:
         side = "negative" if rhs.sign > 0 else "positive"
         violated = f"direction with a strictly {side} vertex in every set: covering fails"
@@ -564,8 +555,7 @@ def necessary_condition_oracle(f_tree: MinMaxTree, u_tree: MinMaxTree,
     found: dict[str, Verdict] = {}
     # Above the plane the first violation usually lies among the first few
     # directions, so the scan goes block by block, not over the whole sample.
-    # The directions are sampled in the trees' dimension, checked above, so
-    # the blocks skip eval_minmax_many's length check.
+    # The directions are sampled in the trees' dimension, checked above.
     for start in range(0, len(directions), FD_BLOCK):
         if len(found) == len(senses):
             break

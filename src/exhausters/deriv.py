@@ -190,30 +190,15 @@ def eval_expr(expr: Expr, x: Sequence[float]) -> float:
     return _eval(expr, _checked(as_vector(x), expr_dim(expr)))
 
 
-def eval_expr_many(expr: Expr, points: Sequence[Sequence[float]]) -> list[float]:
-    """``eval_expr`` at every point, in order, computed node by node over
-    the whole sample: one column of values per coordinate, then an
-    elementwise product, scale, sum, max or min of columns at each node.
-
-    Each atom multiplies a term's factors in exponent order and adds its
-    terms from 0.0, sum nodes add their children left to right from +0.0,
-    and max and min keep the first extreme child, so every value, signed
-    zeros included, is the one ``eval_expr`` returns; a power beyond the
-    float range raises ``OverflowError`` as there. ``plain_sum`` starts
-    from integer 0 instead, but every child value is a float ``p``, and
-    ``0 + p`` converts the 0 to +0.0 first: both starts give ``p``'s bits,
-    except that -0.0 becomes +0.0 in both.
-    """
-    dim = expr_dim(expr)
-    points = [_checked(as_vector(x), dim) for x in points]
-    return _expr_columns(expr, [[x[j] for x in points] for j in range(dim)],
-                         len(points), {})
-
-
 def _expr_columns(expr: Expr, coords: list[list[float]], count: int,
                   powers: dict[tuple[int, int], list[float]]) -> list[float]:
-    """The column of ``expr`` over the points whose coordinate columns are
-    ``coords``; ``powers`` keeps each ``x_j ** e`` column of the call."""
+    """``eval_expr`` at ``count`` points whose coordinate columns are
+    ``coords``, as one elementwise column per node; ``powers`` keeps each
+    ``x_j ** e`` column of the call. Atoms multiply a term's factors in
+    exponent order, sums add left to right from +0.0 (``0 + p`` converts
+    ``plain_sum``'s 0 to +0.0 first), and max and min keep the first
+    extreme child: every value, signed zeros and ``OverflowError`` included,
+    is ``eval_expr``'s."""
     if isinstance(expr, SmoothAtom):
         total = [0.0] * count
         for coef, exps in expr.terms:
@@ -282,36 +267,14 @@ def eval_minmax(tree: MinMaxTree, g: Sequence[float]) -> float:
     return max(values) if isinstance(tree, Max) else min(values)
 
 
-def eval_minmax_many(tree: MinMaxTree,
-                     directions: Sequence[Sequence[float]]) -> list[float]:
-    """``eval_minmax`` at every direction, in order, computed node by node
-    over the whole sample: one column of values per leaf, then an
-    elementwise max, min or sum of the children's columns at each node.
-
-    The leaf sums start at +0.0, where ``dot`` starts at integer 0: every
-    term is a float ``p`` (a leaf's form holds floats), and ``0 + p``
-    converts the 0 to +0.0 first, so both starts give the same bits, signed
-    zeros included. Sum nodes add their children left to right with no
-    start value, and max and min keep the first extreme child, as
-    ``eval_minmax`` does, so the values are the ones it returns; only a
-    leaf with no coordinates gives 0.0 where ``dot`` gives the int 0. No
-    value is -0.0 (``_extreme_columns`` says why). Raises
-    ``DimensionMismatchError`` when a direction's length is not the tree's
-    dimension.
-    """
-    dim = expr_dim(tree)
-    if set(map(len, directions)) - {dim}:
-        raise DimensionMismatchError(
-            f"a direction's length differs from the tree's dimension {dim}")
-    return _minmax_columns(tree, directions)
-
-
 def _minmax_columns(tree: MinMaxTree,
                     directions: Sequence[Sequence[float]]) -> list[float]:
-    """``eval_minmax_many``'s values on directions whose lengths the caller
-    has checked. A max or min node folds its children into one running
-    column, left to right by ``_extreme_columns``'s rule, and folds a plane
-    leaf in as it evaluates it, with no column of its own."""
+    """``eval_minmax`` at every direction of the tree's dimension, as one
+    elementwise column per node. Max and min nodes fold their children
+    into one running column by ``_extreme_columns``'s rule, a plane leaf
+    with no column of its own. Leaf sums start at +0.0 where ``dot`` starts
+    at 0, the same bits for float terms, so every value is
+    ``eval_minmax``'s, but 0.0 for a leaf with no coordinates."""
     if isinstance(tree, Leaf):
         form = tree.form
         if len(form) == 2:
@@ -393,9 +356,8 @@ def _ddt(expr: Expr, x: Vector) -> MinMaxTree:
 
 # The three difference-quotient steps: 0.1 halved 10, 11 and 12 times.
 _FD_STEPS = tuple(0.1 * 0.5 ** k for k in range(10, 13))
-# Directions the estimator evaluates per column pass, so that its columns do
-# not grow with the number of directions; oracle evaluates the families in
-# the same blocks.
+# Directions per column pass of the sampled checks (the CLI's oracle and
+# necessary_condition_oracle), so that no column grows with the sample.
 FD_BLOCK = 64
 
 
@@ -406,37 +368,32 @@ def fd_directional_derivatives(expr: Expr, x: Sequence[float],
 
     Deliberately ignorant of the tree construction: only expression values
     enter, so this is an independent check of that code path. The value at
-    the point is computed once; each block of ``FD_BLOCK`` directions is
-    evaluated at the three steps in one pass of ``eval_expr_many``'s column
-    code. The three quotients of a direction are extrapolated to step zero
-    with a least-squares line, which removes the first-order error of
-    smooth pieces. An expression that overflows the floats at one of the
-    steps raises ``OverflowError``, which ``oracle`` reports as an input
-    error.
+    the point is computed once, and every direction at the three steps in
+    one pass of ``_expr_columns``, which computes each point on its own.
+    The three quotients of a direction are extrapolated to step zero with a
+    least-squares line, which removes the first-order error of smooth
+    pieces. An expression that overflows the floats at one of the steps
+    raises ``OverflowError``, which ``oracle`` reports as an input error.
     """
     point = as_vector(x)
     base = eval_expr(expr, point)
-    dim = len(point)
+    directions = [_checked(as_vector(g), len(point)) for g in directions]
+    count = len(directions)
+    coords = [[xj + s * g[j] for s in _FD_STEPS for g in directions]
+              for j, xj in enumerate(point)]
+    if not all(all(map(math.isfinite, column)) for column in coords):
+        raise ValueError("a finite-difference step leaves the float range")
+    values = _expr_columns(expr, coords, count * len(_FD_STEPS), {})
+    quotients = [[(v - base) / s for v in values[k * count:(k + 1) * count]]
+                 for k, s in enumerate(_FD_STEPS)]
     am = plain_sum(_FD_STEPS) / 3.0
     offsets = [s - am for s in _FD_STEPS]
     spread = plain_sum(d ** 2 for d in offsets)
     estimates = []
-    for start in range(0, len(directions), FD_BLOCK):
-        # Converted a block at a time, so that no copy of every direction
-        # is held at once.
-        block = [_checked(as_vector(g), dim) for g in directions[start:start + FD_BLOCK]]
-        count = len(block)
-        coords = [[xj + s * g[j] for s in _FD_STEPS for g in block]
-                  for j, xj in enumerate(point)]
-        if not all(all(map(math.isfinite, column)) for column in coords):
-            raise ValueError("a finite-difference step leaves the float range")
-        values = _expr_columns(expr, coords, count * len(_FD_STEPS), {})
-        quotients = [[(v - base) / s for v in values[at:at + count]]
-                     for at, s in zip(range(0, len(values), count), _FD_STEPS)]
-        for qq in zip(*quotients):
-            qm = plain_sum(qq) / 3.0
-            slope = plain_sum(d * (qi - qm) for d, qi in zip(offsets, qq)) / spread
-            estimates.append(qm - slope * am)
+    for qq in zip(*quotients):
+        qm = plain_sum(qq) / 3.0
+        slope = plain_sum(d * (qi - qm) for d, qi in zip(offsets, qq)) / spread
+        estimates.append(qm - slope * am)
     return estimates
 
 

@@ -27,9 +27,9 @@ from .geometry import (
     Value,
     Vector,
     as_int,
+    dot,
     hull_contains,
     linear_feasibility,
-    support_value,
 )
 
 DEFAULT_FAMILY_CAP = 10_000  # vertices over a family's sets; read at every call
@@ -61,8 +61,12 @@ class Exhauster(Value):
         for key in ("kind", "dim", "sets"):
             if key not in data:
                 raise ValueError(f"family is missing {key!r}")
-        sets = tuple(Polytope.from_json(s) for s in data["sets"])
-        return cls(str(data["kind"]), as_int(data["dim"]), sets)
+        kind, sets = data["kind"], data["sets"]
+        if not isinstance(kind, str):
+            raise ValueError(f"family 'kind' must be a string, got {kind!r}")
+        if not isinstance(sets, list):
+            raise ValueError(f"family 'sets' must be an array of sets, got {sets!r}")
+        return cls(kind, as_int(data["dim"]), tuple(map(Polytope.from_json, sets)))
 
     def to_json(self) -> dict:
         return {
@@ -118,15 +122,16 @@ def _check_family_cap(vertices: int) -> None:
 
 def eval_exhauster(family: Exhauster, g: Sequence[float]) -> float:
     if family.kind == "upper":
-        return min(support_value(s, g, "max") for s in family.sets)
-    return max(support_value(s, g, "min") for s in family.sets)
+        return min(max([dot(v, g) for v in s.vertices]) for s in family.sets)
+    return max(min([dot(v, g) for v in s.vertices]) for s in family.sets)
 
 
 def exhauster_tree(family: Exhauster) -> MinMaxTree:
     """The family's own function as a tree: a min over the sets of the max
     over each set's vertex forms for an upper family, a max of mins for a
-    lower one. ``eval_minmax_many`` on it gives ``eval_exhauster``'s values
-    bit for bit, since both take the first extreme and add ``dot``'s way."""
+    lower one. ``deriv._minmax_columns`` on it gives ``eval_exhauster``'s
+    values bit for bit, since both take the first extreme and add ``dot``'s
+    way."""
     outer, inner = (Min, Max) if family.kind == "upper" else (Max, Min)
     return outer(tuple(inner(tuple(Leaf(v) for v in s.vertices)) for s in family.sets))
 

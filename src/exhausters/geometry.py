@@ -201,27 +201,12 @@ class Polytope(Value):
 
     @classmethod
     def from_json(cls, data) -> "Polytope":
+        if not isinstance(data, list):
+            raise ValueError(f"a set must be an array of vertices, got {data!r}")
         return cls.from_vertices(json_numbers(v, "a vertex") for v in data)
 
     def to_json(self) -> list:
         return [list(v) for v in self.vertices]
-
-
-def support_value(polytope: Polytope, g: Sequence[float], mode: str = "max") -> float:
-    """Extreme value of ``<v, g>`` over the vertices.
-
-    Because the objective is linear, the extreme over the vertex list
-    equals the extreme over the whole hull.
-    """
-    if len(g) != polytope.dim:
-        raise DimensionMismatchError(
-            f"direction of length {len(g)} against dimension {polytope.dim}")
-    values = [dot(v, g) for v in polytope.vertices]
-    if mode == "max":
-        return max(values)
-    if mode == "min":
-        return min(values)
-    raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
 
 
 def hull_contains(polytope: Polytope, point: Sequence[float]) -> bool:
@@ -292,9 +277,6 @@ class LinearConstraint(Value):
         set_strict(row, strict)
         _set_values(row, (normal, strict))
         return row
-
-    def value(self, g: Sequence[float]) -> float:
-        return dot(self.normal, g)
 
     def satisfied_by(self, g: Sequence[float]) -> bool:
         return dot(self.normal, g) >= (1.0 if self.strict else 0.0) - TOL
@@ -543,10 +525,6 @@ class ArcSet(Value):
     @staticmethod
     def full() -> "ArcSet":
         return ArcSet(((0.0, TWO_PI),))
-
-    @staticmethod
-    def empty() -> "ArcSet":
-        return ArcSet(())
 
     def contains(self, theta: float) -> bool:
         t = _norm_angle(theta)

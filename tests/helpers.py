@@ -23,6 +23,7 @@ from exhausters.deriv import (
     Scale,
     SmoothAtom,
     Sum,
+    _expr_columns,
     directional_derivative_tree,
     eval_minmax,
     expr_dim,
@@ -266,6 +267,13 @@ def abs_sum_problem(f_pattern, u_pattern):
     dim = len(f_pattern)
     return {"dim": dim, "objective": abs_sum_json(f_pattern),
             "constraint": abs_sum_json(u_pattern), "point": [0] * dim}
+
+
+def expr_columns(expr, points):
+    """``eval_expr`` at float ``points`` of the expression's dimension, by
+    the column evaluator: one column per coordinate."""
+    return _expr_columns(expr, [[x[j] for x in points] for j in range(expr_dim(expr))],
+                         len(points), {})
 
 
 def random_minmax_tree(rng, dim, depth=3):

@@ -508,6 +508,25 @@ class TestCheck:
                          "--conditions", "UNC_MIN_UPPER"]) == 2
             assert "array of numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("sets", 5, "family 'sets' must be an array of sets, got 5"),
+        ("sets", "ab", "family 'sets' must be an array of sets, got 'ab'"),
+        ("sets", {"a": [1, 2]}, "family 'sets' must be an array of sets, got {'a': [1, 2]}"),
+        ("sets", [5], "a set must be an array of vertices, got 5"),
+        ("kind", ["upper"], "family 'kind' must be a string, got ['upper']"),
+    ], ids=["sets-number", "sets-string", "sets-object", "set-number", "kind-array"])
+    def test_family_type_error_names_the_field(self, tmp_path, capsys, field, value,
+                                               message):
+        # These once printed "'int' object is not iterable", a complaint
+        # about a vertex 'a', or the kind "['upper']".
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"kind": "upper", "dim": 2, "sets": [[[1, 1]]],
+                                    field: value}))
+        assert main(["check", "--f-exhauster", str(path),
+                     "--conditions", "UNC_MIN_UPPER"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: malformed family in {path}: {message}\n"
+
     def test_tolerance_not_offered(self, family_files, capsys):
         f_path, _ = family_files
         with pytest.raises(SystemExit) as exc:

@@ -10,7 +10,6 @@ from exhausters.conditions import (
     ConditionID,
     RunMemo,
     SignRegion,
-    UnconstrainedCondition,
     build_condition,
     evaluate_condition,
     inclusion_check,
@@ -163,21 +162,22 @@ class TestBuildCondition:
         for cid in ConditionID:
             ef = FAMILIES[("f", cid.f_kind)]
             built = build_condition(cid, ef, FAMILIES.get(("u", cid.u_kind)))
-            assert (built.rhs.every, built.rhs.sign) == (
+            side = built if cid.u_kind is None else built.rhs
+            assert (side.every, side.sign) == (
                 (False, -1.0) if cid is ConditionID.UNC_MIN_UPPER
                 else rhs[cid.sense, cid.f_kind])
-            assert built.rhs.family.sets == ef.sets
+            assert side.family.sets == ef.sets
             if cid.u_kind is not None:
                 assert (built.lhs.every, built.lhs.sign) == lhs[cid.u_kind]
 
     def test_unconstrained_descriptor(self):
+        # An unconstrained id is its objective side alone.
         built = build_condition(ConditionID.UNC_MIN_UPPER, F_UPPER)
-        assert isinstance(built, UnconstrainedCondition)
         # The origin form: some <v, g> <= 0 in every set.
-        assert built.rhs == SignRegion(Exhauster("lower", 2, F_UPPER.sets), -1.0)
-        assert not built.rhs.every
+        assert built == SignRegion(Exhauster("lower", 2, F_UPPER.sets), -1.0)
+        assert not built.every
         covering = build_condition(ConditionID.UNC_MIN_LOWER, F_LOWER)
-        assert covering.rhs == SignRegion(F_LOWER, 1.0) and covering.rhs.every
+        assert covering == SignRegion(F_LOWER, 1.0) and covering.every
 
     def test_sign_must_be_unit(self):
         for sign in (0.0, 2.0, 0.5):

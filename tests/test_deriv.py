@@ -1,24 +1,25 @@
 import hashlib
 import itertools
+import json
 import math
 import random
 import struct
 
 import pytest
 
-from exhausters import deriv
+from exhausters import cli, deriv
 from exhausters.deriv import (
+    FD_BLOCK,
     Leaf,
     Max,
     Min,
     Scale,
     SmoothAtom,
     Sum,
+    _minmax_columns,
     directional_derivative_tree,
     eval_expr,
-    eval_expr_many,
     eval_minmax,
-    eval_minmax_many,
     expr_dim,
     expr_from_json,
     fd_directional_derivatives,
@@ -26,13 +27,17 @@ from exhausters.deriv import (
     scale_tree,
 )
 from exhausters.errors import DimensionMismatchError
+from exhausters.exhauster import exhauster_from_tree
 
 from helpers import (
+    FIXTURES,
     circle_directions,
     constraint_expr,
     constraint_tree,
     coord,
     disc_atom,
+    expr_columns,
+    kinked_function,
     objective_expr,
     objective_tree,
     problem_dict,
@@ -86,8 +91,6 @@ class TestEval:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             eval_expr(objective_expr(), (1, 2, 3))
-        with pytest.raises(DimensionMismatchError):
-            eval_expr_many(objective_expr(), [(1, 2), (1, 2, 3)])
 
     def test_many_matches_pointwise_bit_for_bit(self):
         # repr tells -0.0 from 0.0, so signed zeros must match too.
@@ -97,17 +100,17 @@ class TestEval:
                 expr = _wide_expr(rng, dim, 3)
                 points = [_signed_zero_vector(rng, dim, lambda: rng.uniform(-2.0, 2.0))
                           for _ in range(30)]
-                assert list(map(repr, eval_expr_many(expr, points))) == \
+                assert list(map(repr, expr_columns(expr, points))) == \
                     [repr(eval_expr(expr, x)) for x in points]
-        assert eval_expr_many(objective_expr(), []) == []
+        assert expr_columns(objective_expr(), []) == []
 
     def test_many_overflow_raises_as_pointwise(self):
         expr = Max((coord(2, 0), SmoothAtom(2, ((1.0, (400, 0)),))))
-        assert eval_expr_many(expr, [(5.8, 0.0)]) == [eval_expr(expr, (5.8, 0.0))]
+        assert expr_columns(expr, [(5.8, 0.0)]) == [eval_expr(expr, (5.8, 0.0))]
         with pytest.raises(OverflowError) as pointwise:
             eval_expr(expr, (5.9, 0.0))
         with pytest.raises(OverflowError) as many:
-            eval_expr_many(expr, [(5.8, 0.0), (5.9, 0.0)])
+            expr_columns(expr, [(5.8, 0.0), (5.9, 0.0)])
         assert str(many.value) == str(pointwise.value)
 
 
@@ -207,7 +210,7 @@ class TestEvalMinMax:
                 tree = random_minmax_tree(rng, dim)
                 directions = [tuple(rng.choice([0.0, -0.0, rng.gauss(0.0, 1.0)])
                                     for _ in range(dim)) for _ in range(30)]
-                assert list(map(repr, eval_minmax_many(tree, directions))) == \
+                assert list(map(repr, _minmax_columns(tree, directions))) == \
                     [repr(eval_minmax(tree, g)) for g in directions]
         # A plane max or min node folds its leaf children straight into its
         # running column. Next to them sit subtrees whose columns hold inf
@@ -222,17 +225,13 @@ class TestEvalMinMax:
             for count in (2, 3):
                 for children in itertools.permutations(parts, count):
                     for tree in (node(children), Sum((node(children), Leaf((0.5, 0.5))))):
-                        assert list(map(repr, eval_minmax_many(tree, directions))) == \
+                        assert list(map(repr, _minmax_columns(tree, directions))) == \
                             [repr(eval_minmax(tree, g)) for g in directions], tree
 
     def test_many_signed_zero_and_single_child(self):
         tree = Min((Max((Leaf((-0.0, 1.0)),)),))
-        assert repr(eval_minmax_many(tree, [(1.0, -0.0)])[0]) == "0.0"
-        assert repr(eval_minmax_many(Leaf((-0.0, 1.0, 2.0)), [(1.0, -0.0, 0.0)])[0]) == "0.0"
-
-    def test_many_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            eval_minmax_many(Leaf((1.0, 2.0)), [(1.0, 0.0), (1.0, 0.0, 0.0)])
+        assert repr(_minmax_columns(tree, [(1.0, -0.0)])[0]) == "0.0"
+        assert repr(_minmax_columns(Leaf((-0.0, 1.0, 2.0)), [(1.0, -0.0, 0.0)])[0]) == "0.0"
 
 
 class TestTreeAlgebra:
@@ -321,18 +320,41 @@ class TestFiniteDifferences:
             fd_directional_derivatives(atom, (3.62, 0.0), [(1e4, 0.0)])
 
     def test_each_block_is_evaluated_at_three_steps(self, monkeypatch):
+        # The CLI's oracle hands the estimator one block of directions at a
+        # time, and each call evaluates its block in one column pass.
         counts = []
 
-        def counted(expr, coords, count, powers):
-            counts.append(count)
-            return expr_columns(expr, coords, count, powers)
+        def counted(node, coords, count, powers):
+            if node is expr:  # not the recursive calls on its subtrees
+                counts.append(count)
+            return original(node, coords, count, powers)
 
-        expr_columns = deriv._expr_columns
+        original = deriv._expr_columns
         monkeypatch.setattr(deriv, "_expr_columns", counted)
+        expr = objective_expr()
+        families = {kind: exhauster_from_tree(objective_tree(), kind)
+                    for kind in ("upper", "lower")}
         # 150 directions fill two blocks and part of a third.
-        directions = circle_directions(150)
-        fd_directional_derivatives(objective_expr(), (0.0, 0.0), directions)
-        assert set(counts) == {3 * deriv.FD_BLOCK, 3 * (150 - 2 * deriv.FD_BLOCK)}
+        cli._oracle_deviation("objective", expr, families, (0.0, 0.0), circle_directions(150))
+        assert counts == [3 * FD_BLOCK, 3 * FD_BLOCK, 3 * (150 - 2 * FD_BLOCK)]
+
+    def test_one_call_equals_its_blocks(self):
+        # Each estimate is computed on its own, so splitting a call into the
+        # oracle's blocks changes no bit. 150 seeded unit directions fill two
+        # blocks and part of a third; the steep power is the fixture's.
+        rng = random.Random(29)
+        steep = json.loads((FIXTURES / "steep-power" / "problem.json").read_text())
+        cases = [(expr_from_json(steep["objective"]), steep["point"]),
+                 (expr_from_json(kinked_function(rng, 3, (3, 2))), (0.0, 0.0, 0.0))]
+        for expr, x in cases:
+            gauss = [[rng.gauss(0.0, 1.0) for _ in x] for _ in range(150)]
+            directions = [tuple(c / math.hypot(*g) for c in g) for g in gauss]
+            blocks = [estimate for start in range(0, len(directions), FD_BLOCK)
+                      for estimate in fd_directional_derivatives(
+                          expr, x, directions[start:start + FD_BLOCK])]
+            assert list(map(repr, fd_directional_derivatives(expr, x, directions))) == \
+                list(map(repr, blocks))
+            assert all(map(math.isfinite, blocks))
 
     def test_direction_of_another_dimension(self):
         with pytest.raises(DimensionMismatchError):

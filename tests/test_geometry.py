@@ -7,8 +7,8 @@ import pytest
 
 from exhausters import geometry
 from exhausters.conditions import region_arcs, region_membership
-from exhausters.deriv import (Leaf, Max, Min, Scale, SmoothAtom, Sum, eval_expr,
-                              eval_expr_many, eval_minmax, eval_minmax_many)
+from exhausters.deriv import (Leaf, Max, Min, Scale, SmoothAtom, Sum, _minmax_columns,
+                              eval_expr, eval_minmax)
 from exhausters.errors import CapExceededError, DimensionMismatchError
 from exhausters.exhauster import Exhauster, eval_exhauster, exhauster_tree, polytopes_equal
 from exhausters.geometry import (
@@ -26,27 +26,33 @@ from exhausters.geometry import (
     linear_feasibility,
     plain_sum,
     sample_unit_directions,
-    support_value,
     unit_direction,
 )
 
 from helpers import (C1, C3, DUAL, NEG_DUAL, NOT_DUAL, NOT_NEG_DUAL, SIGN_KINDS,
-                     arc_measure, random_polytope, sign_region)
+                     arc_measure, expr_columns, random_polytope, sign_region)
+
+
+def support(polytope, g, kind):
+    """The extreme vertex product over one set, as the value of the
+    one-set family of that kind: max for upper, min for lower."""
+    return eval_exhauster(Exhauster(kind, polytope.dim, (polytope,)), g)
 
 
 class TestSupportValue:
     def test_max_over_segment(self):
-        assert support_value(C3, (1, 0), "max") == pytest.approx(1.0)
+        assert support(C3, (1, 0), "upper") == pytest.approx(1.0)
 
     def test_min_over_segment(self):
-        assert support_value(C1, (1, 0), "min") == pytest.approx(-1.0)
+        assert support(C1, (1, 0), "lower") == pytest.approx(-1.0)
 
     def test_zero_direction(self):
-        assert support_value(C1, (0, 0), "max") == 0.0
+        assert support(C1, (0, 0), "upper") == 0.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            support_value(C1, (1, 0, 0), "max")
+        for kind in ("upper", "lower"):
+            with pytest.raises(DimensionMismatchError):
+                support(C1, (1, 0, 0), kind)
 
 
 class TestPolytopeConstruction:
@@ -231,7 +237,7 @@ class TestConjugateMembership:
         for _ in range(200):
             poly = random_polytope(rng)
             g = (rng.uniform(-2, 2), rng.uniform(-2, 2))
-            expected = support_value(poly, g, "min") >= -TOL
+            expected = support(poly, g, "lower") >= -TOL
             assert region_membership(sign_region(DUAL, poly), g) == expected
 
 
@@ -336,7 +342,7 @@ class TestLinearFeasibility:
                     assert c.satisfied_by(res.witness)
                     # strict rows carry a near-unit margin
                     if c.strict:
-                        assert c.value(res.witness) >= 1.0 - TOL
+                        assert dot(c.normal, res.witness) >= 1.0 - TOL
         assert feasible == 178
         assert digest.hexdigest() == \
             "f1ed79d61a86390d6ee2ff612fb2e1c236b5bfbd4c07719453089c0c24ee622e"
@@ -578,10 +584,10 @@ class TestArcs:
         # evaluation on a dense random sample of angles.
         rng = random.Random(3)
         modes = {
-            DUAL: lambda p, g: support_value(p, g, "min") >= -TOL,
-            NEG_DUAL: lambda p, g: support_value(p, g, "max") <= TOL,
-            NOT_DUAL: lambda p, g: support_value(p, g, "min") <= TOL,
-            NOT_NEG_DUAL: lambda p, g: support_value(p, g, "max") >= -TOL,
+            DUAL: lambda p, g: support(p, g, "lower") >= -TOL,
+            NEG_DUAL: lambda p, g: support(p, g, "upper") <= TOL,
+            NOT_DUAL: lambda p, g: support(p, g, "lower") <= TOL,
+            NOT_NEG_DUAL: lambda p, g: support(p, g, "upper") >= -TOL,
         }
         for _ in range(25):
             poly = random_polytope(rng)
@@ -646,7 +652,7 @@ class TestArcsetSubset:
         # Uncovered region straddles angle zero; the witness is its true
         # midpoint, not an artifact of the cut at zero.
         lhs = ArcSet.normalize([(-math.pi / 4, math.pi / 4)])
-        rhs = ArcSet.empty()
+        rhs = ArcSet(())
         held, witness = arcset_subset(lhs, rhs)
         assert not held
         assert witness == pytest.approx(0.0, abs=1e-9)
@@ -689,9 +695,9 @@ class TestInvariants:
             poly = random_polytope(rng)
             g = (rng.uniform(-3, 3), rng.uniform(-3, 3))
             lam = rng.uniform(0.01, 10.0)
-            for mode in ("max", "min"):
-                scaled = support_value(poly, tuple(lam * c for c in g), mode)
-                assert scaled == pytest.approx(lam * support_value(poly, g, mode),
+            for kind in ("upper", "lower"):
+                scaled = support(poly, tuple(lam * c for c in g), kind)
+                assert scaled == pytest.approx(lam * support(poly, g, kind),
                                                rel=1e-9, abs=1e-9)
 
     def test_origin_membership_bounds_supports(self):
@@ -704,8 +710,8 @@ class TestInvariants:
             found += 1
             for _ in range(20):
                 g = (rng.uniform(-3, 3), rng.uniform(-3, 3))
-                assert support_value(poly, g, "min") <= TOL
-                assert support_value(poly, g, "max") >= -TOL
+                assert support(poly, g, "lower") <= TOL
+                assert support(poly, g, "upper") >= -TOL
         assert found > 10
 
     def test_hull_contains_midpoints(self):
@@ -746,12 +752,12 @@ class TestFloatSums:
         assert plain_sum(terms) == 0.0
         assert dot(terms, (1.0, 1.0, 1.0)) == 0.0
         assert eval_minmax(Leaf(terms), (1.0, 1.0, 1.0)) == 0.0
-        assert eval_minmax_many(Leaf(terms), [(1.0, 1.0, 1.0)]) == [0.0]
+        assert _minmax_columns(Leaf(terms), [(1.0, 1.0, 1.0)]) == [0.0]
         atom = SmoothAtom(3, tuple((c, (1, 0, 0)) for c in terms))
         atoms = Sum(tuple(SmoothAtom(3, ((c, (1, 0, 0)),)) for c in terms))
         for expr in (atom, atoms):
             assert eval_expr(expr, (1.0, 0.0, 0.0)) == 0.0
-            assert eval_expr_many(expr, [(1.0, 0.0, 0.0)]) == [0.0]
+            assert expr_columns(expr, [(1.0, 0.0, 0.0)]) == [0.0]
 
     def test_expression_signed_zeros_match_pointwise(self):
         # An atom adds its terms from 0.0, so it gives 0.0 where x1 = 0 and
@@ -769,7 +775,7 @@ class TestFloatSums:
         ]
         for expr, expected in cases:
             assert repr(eval_expr(expr, (0.0,))) == expected
-            assert list(map(repr, eval_expr_many(expr, [(0.0,), (-0.0,)]))) == \
+            assert list(map(repr, expr_columns(expr, [(0.0,), (-0.0,)]))) == \
                 [repr(eval_expr(expr, (0.0,))), repr(eval_expr(expr, (-0.0,)))]
 
     @pytest.mark.parametrize("kind", ["upper", "lower"])
@@ -780,7 +786,7 @@ class TestFloatSums:
             Polytope(2, ((-0.0, -0.0),)),
             Polytope(2, ((1.0, 1.0), (1.0, 1.0), (-1e16, 2.0)))))
         directions = [(1.0, 1.0), (0.0, -0.0), (-0.0, 1.0), (1.0, -1e-16), (-1.0, 0.0)]
-        assert list(map(repr, eval_minmax_many(exhauster_tree(family), directions))) == \
+        assert list(map(repr, _minmax_columns(exhauster_tree(family), directions))) == \
             [repr(eval_exhauster(family, g)) for g in directions]
 
     @pytest.mark.parametrize("dim, expected", [

@@ -11,7 +11,6 @@ from exhausters.conditions import (
     ConstrainedCondition,
     RunMemo,
     SignRegion,
-    UnconstrainedCondition,
     Verdict,
 )
 from exhausters.deriv import Leaf, Max, Min, Scale, SmoothAtom, Sum
@@ -42,7 +41,6 @@ RECORDS = [
                "certificate": "uncovered angle 0 rad", "method": "exact2d"}),
     (ConstrainedCondition(SignRegion(U_LOWER, -1.0), REGION),
      {"lhs": SignRegion(U_LOWER, -1.0), "rhs": REGION}),
-    (UnconstrainedCondition(REGION), {"rhs": REGION}),
     (AnalysisReport({"dim": 2}, {"MIN_UPPER_LOWER": VERDICT}, warnings=["w"]),
      {"problem": {"dim": 2}, "conditions": {"MIN_UPPER_LOWER": VERDICT}, "point": None,
       "sense": None, "values": {}, "exhausters": {}, "regularity": None, "oracle": {},
