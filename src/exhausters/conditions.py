@@ -32,7 +32,8 @@ from functools import reduce
 # contains_origin and eval_minmax by name in this module and stops if one is
 # missing, so linear_feasibility and eval_minmax stay imported although
 # nothing here calls them.
-from .deriv import FD_BLOCK, MinMaxTree, _minmax_columns, eval_minmax, expr_dim
+from .deriv import (FD_BLOCK, MinMaxTree, _arc_bounder, _minmax_columns, eval_minmax,
+                    expr_dim, leaves)
 from .errors import DimensionMismatchError, ExhausterKindError
 from .exhauster import Exhauster, eval_exhauster, find_direction
 from .geometry import (
@@ -541,7 +542,10 @@ def necessary_condition_oracle(f_tree: MinMaxTree, u_tree: MinMaxTree,
     which raises ValueError for fewer than one sample. One scan serves every
     sense: each direction's derivatives are evaluated once, each sense
     keeps the first direction that violates it, and the scan stops when
-    every sense has one. A clean pass is only ever ``inconclusive``.
+    every sense has one. In the plane, a block of ``FD_BLOCK`` directions
+    is not evaluated when its bounds (``_arc_bounder``) admit no direction
+    or violate no sense still open, so the verdicts stay the full scan's.
+    A clean pass is only ever ``inconclusive``.
     """
     senses = tuple(dict.fromkeys(senses))
     for sense in senses:
@@ -553,13 +557,27 @@ def necessary_condition_oracle(f_tree: MinMaxTree, u_tree: MinMaxTree,
                                      "on dimension")
     directions = sample_unit_directions(dim, samples, seed)
     found: dict[str, Verdict] = {}
-    # Above the plane the first violation usually lies among the first few
-    # directions, so the scan goes block by block, not over the whole sample.
-    # The directions are sampled in the trees' dimension, checked above.
+    # From 2 * FD_BLOCK evenly spaced plane directions on, a block spans under a
+    # half turn; no column overflows where each leaf's (|a| + |b|) * leaf count < 1e300.
+    f_bounds = u_bounds = None
+    if dim == 2 and len(directions) >= 2 * FD_BLOCK:
+        forms = [[leaf.form for leaf in leaves(tree)] for tree in (f_tree, u_tree)]
+        if all(len(form) == 2 and (abs(form[0]) + abs(form[1])) * len(tree_forms) < 1e300
+               for tree_forms in forms for form in tree_forms):
+            f_bounds, u_bounds = _arc_bounder(f_tree), _arc_bounder(u_tree)
+    # Block by block, since above the plane the first violation usually comes
+    # early; the directions are sampled in the trees' dimension, checked above.
     for start in range(0, len(directions), FD_BLOCK):
         if len(found) == len(senses):
             break
         block = directions[start:start + FD_BLOCK]
+        if u_bounds:
+            # A block that admits no direction is read as f' = 0.
+            arc = *block[0], *block[-1]
+            lo, hi = (0.0, 0.0) if u_bounds(arc)[0] > tol else f_bounds(arc)
+            if all(sense in found or (hi if sense == "max" else -lo) <= ORACLE_MARGIN
+                   for sense in senses):
+                continue
         admissible = [(g, hu) for g, hu in zip(block, _minmax_columns(u_tree, block))
                       if hu <= tol]
         hfs = _minmax_columns(f_tree, [g for g, _ in admissible])

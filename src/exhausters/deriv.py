@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatchError
 from .geometry import Value, Vector, as_int, as_vector, dot, is_number, json_numbers, plain_sum
@@ -303,6 +303,48 @@ def _minmax_columns(tree: MinMaxTree,
             column = [v if (v := 0.0 + a * x + b * y) < m else m
                       for m, (x, y) in zip(column, directions)]
     return column
+
+
+def _arc_bounder(tree: MinMaxTree) -> Callable[[Vector], tuple[float, float]]:
+    """A function of the ends ``(x0, y0, x1, y1)`` of a counterclockwise arc
+    of unit directions, shorter than a half turn, giving ``(lo, hi)`` around
+    every ``_minmax_columns`` value of the plane tree on the arc, if no
+    column can overflow. A leaf (a, b) lies between its values at the ends
+    unless the form or its negation points into the arc (two cross products,
+    read with a 1e-9 * r tolerance toward inside): then it reaches +-r =
+    hypot(a, b). Rounding is covered by 1e-12 * (|a| + |b|) + 1e-300 at a
+    leaf, and by 1e-12 times the children's |lo| + |hi| at a sum."""
+    if isinstance(tree, Leaf):
+        a, b = tree.form
+        r = math.hypot(a, b)
+        slack, widen = 1e-9 * r, 1e-12 * (abs(a) + abs(b)) + 1e-300
+
+        def leaf(arc):
+            x0, y0, x1, y1 = arc
+            v0, v1 = 0.0 + a * x0 + b * y0, 0.0 + a * x1 + b * y1
+            after_first, before_last = x0 * b - y0 * a, a * y1 - b * x1
+            hi = r if after_first >= -slack and before_last >= -slack else v0 if v0 > v1 else v1
+            lo = -r if after_first <= slack and before_last <= slack else v1 if v0 > v1 else v0
+            return lo - widen, hi + widen
+        return leaf
+    first, *rest = parts = [_arc_bounder(child) for child in tree.children]
+    if isinstance(tree, Sum):
+        def total(arc):
+            lo = hi = size = 0.0
+            for part in parts:
+                low, high = part(arc)
+                lo, hi, size = lo + low, hi + high, size + abs(low) + abs(high)
+            return lo - 1e-12 * size, hi + 1e-12 * size
+        return total
+    is_max = isinstance(tree, Max)
+
+    def extreme(arc):
+        lo, hi = first(arc)
+        for part in rest:
+            low, high = part(arc)
+            lo, hi = low if (low > lo) == is_max else lo, high if (high > hi) == is_max else hi
+        return lo, hi
+    return extreme
 
 
 def leaf_count(tree: MinMaxTree) -> int:

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+import exhausters.conditions as conditions_module
 from exhausters.conditions import (
     _choice_points,
     _lp_inclusion,
@@ -20,7 +21,7 @@ from exhausters.conditions import (
     regularity_check,
 )
 from exhausters.deriv import (Leaf, Max, Min, Sum, directional_derivative_tree, eval_minmax,
-                              expr_from_json)
+                              expr_from_json, scale_tree)
 from exhausters.errors import ExhausterKindError
 from exhausters.exhauster import Exhauster, exhauster_from_tree
 from exhausters.geometry import (
@@ -588,6 +589,99 @@ class TestOracle:
             assert verdict == oracle_reference(f_tree, u_tree, sense)
         assert directions.index(verdicts["max"].witness) < 64
         assert directions.index(verdicts["min"].witness) > 64
+
+
+def _integer_tree(rng, depth=3):
+    """Plane tree over forms with entries in -2..2: the kinks of its nodes
+    and the zeros of its leaves fall on sample directions, at multiples of
+    45 degrees among others."""
+    if depth == 0 or rng.random() < 0.3:
+        return Leaf((float(rng.randint(-2, 2)), float(rng.randint(-2, 2))))
+    node = rng.choice([Max, Min, Sum])
+    return node(tuple(_integer_tree(rng, depth - 1) for _ in range(rng.randint(1, 3))))
+
+
+class TestOracleBlockBounds:
+    """From 2 * FD_BLOCK plane samples on, the oracle skips a block whose
+    bounds admit no direction or violate no open sense; its verdicts stay
+    those of the per-direction reference scan."""
+
+    @pytest.mark.parametrize("samples", [65, 100, 127, 128, 129, 200, 720, 1000])
+    def test_matches_per_direction_reference(self, samples):
+        rng = random.Random(samples)
+        step = 2.0 * math.pi / samples
+        # A small sinusoid whose peak sits mid-block 0 and trough mid-block 1:
+        # near a half turn, a block's ends alone would miss both.
+        peak = 31.5 * step
+        cases = [(Leaf((1e-5 * math.cos(peak), 1e-5 * math.sin(peak))), Leaf((0.0, 0.0)))]
+        for trial in range(24):
+            if trial % 2:
+                scale = 1e-321 if trial % 8 == 1 else 10.0 ** rng.randint(-12, 12)
+                cases.append(tuple(scale_tree(random_minmax_tree(rng, 2, rng.randint(1, 4)),
+                                              scale) for _ in range(2)))
+            else:
+                cases.append((_integer_tree(rng), _integer_tree(rng)))
+        for k, (f_tree, u_tree) in enumerate(cases):
+            tol = (0.0, 1e-9, 1e-3)[k % 3]
+            verdicts = necessary_condition_oracle(f_tree, u_tree, ("min", "max"), samples,
+                                                  tol=tol)
+            for sense, verdict in verdicts.items():
+                reference = oracle_reference(f_tree, u_tree, sense, samples, tol=tol)
+                assert repr(verdict) == repr(reference), (k, sense, f_tree, u_tree)
+
+    def test_no_bounds_below_two_blocks(self):
+        # 65 samples: the first block spans 349 degrees, and its ends alone
+        # would hide the objective's positive lobe around 200 degrees.
+        angle = math.radians(200.0)
+        f_tree = Max((Leaf((math.cos(angle), math.sin(angle))), Leaf((0.0, 0.0))))
+        u_tree = Leaf((0.0, 0.0))
+        verdicts = necessary_condition_oracle(f_tree, u_tree, ("min", "max"), 65)
+        assert verdicts["max"].status == "violated"
+        for sense, verdict in verdicts.items():
+            assert verdict == oracle_reference(f_tree, u_tree, sense, 65)
+
+    @staticmethod
+    def _evaluated(monkeypatch, f_tree, u_tree, senses, samples=720):
+        """The sizes of the blocks the oracle evaluates u' on."""
+        sizes = []
+        evaluate = conditions_module._minmax_columns
+
+        def counted(tree, directions):
+            if tree is u_tree:
+                sizes.append(len(directions))
+            return evaluate(tree, directions)
+
+        monkeypatch.setattr(conditions_module, "_minmax_columns", counted)
+        verdicts = necessary_condition_oracle(f_tree, u_tree, senses, samples)
+        for sense, verdict in verdicts.items():
+            assert verdict == oracle_reference(f_tree, u_tree, sense, samples)
+        return sizes, verdicts
+
+    def test_clean_blocks_are_not_evaluated(self, monkeypatch):
+        # Admissible on the upper half circle, f' < 0 only past 90 degrees:
+        # only the witness's block, the third, is evaluated.
+        f_tree, u_tree = Leaf((1.0, 0.0)), Leaf((0.0, -1.0))
+        sizes, verdicts = self._evaluated(monkeypatch, f_tree, u_tree, ("min",))
+        at = sample_unit_directions(2, 720).index(verdicts["min"].witness)
+        assert sizes == [64] and at // 64 == 2
+        # Zero derivatives: no block of the plane can hold a violation, and
+        # above it every block is evaluated.
+        zero, zero3 = Leaf((0.0, 0.0)), Leaf((0.0, 0.0, 0.0))
+        assert self._evaluated(monkeypatch, zero, Leaf((0.0, 0.0)), ("min", "max"))[0] == []
+        assert len(self._evaluated(monkeypatch, zero3, Leaf((0.0, 0.0, 0.0)),
+                                   ("min", "max"))[0]) == 12
+        # Below two blocks there are no bounds.
+        assert self._evaluated(monkeypatch, zero, Leaf((0.0, 0.0)), ("min",), 127)[0] == [64, 63]
+
+    def test_overflowing_trees_evaluate_every_block(self, monkeypatch):
+        # The 1.7e308 forms of test_nan_derivatives_are_no_violation: 4 leaves
+        # of |a| + |b| = 1.7e308 fail the 1e300 guard, so no block is skipped.
+        big, small = Leaf((1.7e308, 0.0)), Leaf((-1.7e308, 0.0))
+        f_tree = Sum((Sum((big, big)), Sum((small, small))))
+        sizes, verdicts = self._evaluated(monkeypatch, f_tree, Leaf((0.0, 0.0)),
+                                          ("min", "max"))
+        assert sizes == [64] * 11 + [16]
+        assert {verdict.status for verdict in verdicts.values()} == {"inconclusive"}
 
 
 class TestMethodAgreement:

@@ -16,6 +16,7 @@ from exhausters.deriv import (
     Scale,
     SmoothAtom,
     Sum,
+    _arc_bounder,
     _minmax_columns,
     directional_derivative_tree,
     eval_expr,
@@ -232,6 +233,55 @@ class TestEvalMinMax:
         tree = Min((Max((Leaf((-0.0, 1.0)),)),))
         assert repr(_minmax_columns(tree, [(1.0, -0.0)])[0]) == "0.0"
         assert repr(_minmax_columns(Leaf((-0.0, 1.0, 2.0)), [(1.0, -0.0, 0.0)])[0]) == "0.0"
+
+
+class TestArcBounds:
+    """``_arc_bounder`` bounds the column values of a plane tree on an arc
+    shorter than a half turn: the sampled oracle skips a block on it."""
+
+    def test_every_column_value_lies_inside(self):
+        # Forms scaled by 10^k, k in -12..12, and some subnormal ones, whose
+        # products round by whole subnormal steps that no relative widening
+        # covers.
+        rng = random.Random(34)
+        for trial in range(3000):
+            scale = 1e-321 if trial % 20 == 0 else 10.0 ** rng.randint(-12, 12)
+            tree = scale_tree(random_minmax_tree(rng, 2, rng.randint(1, 4)), scale)
+            start = rng.uniform(0.0, 2.0 * math.pi)
+            span = rng.choice([0.0, 1e-9, rng.uniform(0.0, math.pi), math.pi * (1.0 - 1e-6)])
+            angles = [start, start + span] + [start + span * rng.random() for _ in range(8)]
+            for step in (1e-16, 1e-15, 1e-14, 1e-13, 1e-12):
+                angles += [start + min(step, span), start + span - min(step, span)]
+            directions = [(math.cos(t), math.sin(t)) for t in angles]
+            lo, hi = _arc_bounder(tree)((*directions[0], *directions[1]))
+            for g, value in zip(directions, _minmax_columns(tree, directions)):
+                assert lo <= value <= hi, (trial, tree, g)
+
+    def test_subnormal_forms_on_sample_blocks(self):
+        # Entries a few least subnormals: each product rounds by up to half a
+        # step, and hypot too, which no relative widening covers.
+        tiny = math.ulp(0.0)
+        directions = circle_directions(2 * FD_BLOCK)
+        for a, b in itertools.product(range(-8, 9), repeat=2):
+            leaf = Leaf((a * tiny, b * tiny))
+            for start in (0, FD_BLOCK):
+                block = directions[start:start + FD_BLOCK]
+                lo, hi = _arc_bounder(leaf)((*block[0], *block[-1]))
+                assert all(lo <= v <= hi for v in _minmax_columns(leaf, block)), (a, b, start)
+
+    def test_a_leaf_bound_is_its_range(self):
+        # Ends alone, or the peak (trough) of the sinusoid when the form (its
+        # negation) points into the arc: no wider than the widening.
+        for form, start, span, low, high in (
+                ((1.0, 0.0), 0.3, 1.0, math.cos(1.3), math.cos(0.3)),
+                ((1.0, 0.0), -0.5, 1.0, math.cos(0.5), 1.0),
+                ((-2.0, 0.0), -0.5, 1.0, -2.0, -2.0 * math.cos(0.5)),
+                ((0.0, 3.0), 2.0, 1.0, 3.0 * math.sin(3.0), 3.0 * math.sin(2.0))):
+            first = (math.cos(start), math.sin(start))
+            last = (math.cos(start + span), math.sin(start + span))
+            lo, hi = _arc_bounder(Leaf(form))((*first, *last))
+            assert lo == pytest.approx(low, abs=1e-11) and hi == pytest.approx(high, abs=1e-11)
+            assert lo < low and high < hi
 
 
 class TestTreeAlgebra:

@@ -12,7 +12,8 @@ coordinates, x_i -> -x_i, flips the families' vertices and so keeps every
 status; a witness of the flipped problem, flipped back, refutes the
 original condition. So does permuting the coordinates, with every node's
 children shuffled, and so does scaling the constraint by a positive
-factor, which leaves the feasible set as it is.
+factor, which leaves the feasible set as it is. And a sampled oracle
+violation never meets an exact ``holds`` of its sense.
 """
 
 import random
@@ -196,3 +197,25 @@ def test_scaled_constraint_keeps_every_status():
                                          "arg": problem["constraint"]})
 
     _keeps_every_status(79, scale)
+
+
+def test_no_oracle_violation_meets_an_exact_holds():
+    # A sampled violation is an admissible direction where f' has the wrong
+    # sign beyond the oracle's margin, so no constrained id of its sense,
+    # decided exactly, may hold. In the plane the oracle skips blocks by
+    # their bounds; above it, it scans every block up to its witnesses.
+    rng = random.Random(83)
+    met = Counter()
+    for trial in range(80):
+        dim = 2 + trial % 4
+        problem = {"dim": dim, "objective": kinked_function(rng, dim, (3, 2)),
+                   "constraint": kinked_function(rng, dim, (2, 3)), "point": [0] * dim}
+        report = analyze_problem(problem, sense="both")[0]
+        for sense, oracle in report.oracle.items():
+            holds = any(verdict.status == "holds" for cid, verdict in report.conditions.items()
+                        if ConditionID(cid).sense == sense)
+            assert not (oracle.status == "violated" and holds), (trial, sense)
+            met[oracle.status, holds, dim == 2] += 1
+    # (status, an id holds, in the plane): both outcomes, in and above it.
+    assert met["violated", False, True] >= 20 and met["violated", False, False] >= 60
+    assert met["inconclusive", True, True] >= 10 and met["inconclusive", True, False] >= 15

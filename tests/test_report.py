@@ -153,7 +153,7 @@ class TestJsonWriter:
 
     def test_fixture_reports(self):
         paths = sorted(FIXTURES.glob("*/problem.json"))
-        assert len(paths) == 5
+        assert len(paths) == 6
         for path in paths:
             report, _ = analyze_problem(json.loads(path.read_text()), sense="both")
             obj = report.to_json_obj()
