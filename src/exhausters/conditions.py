@@ -37,13 +37,16 @@ from .deriv import (FD_BLOCK, MinMaxTree, _arc_bounder, _minmax_columns, eval_mi
 from .errors import DimensionMismatchError, ExhausterKindError
 from .exhauster import Exhauster, eval_exhauster, find_direction
 from .geometry import (
+    FULL_CIRCLE,
     TOL,
-    ArcSet,
+    Arcs,
     FeasibilityResult,
     LinearConstraint,
     Polytope,
     Value,
     Vector,
+    _intersect,
+    _normalize,
     arcset_subset,
     contains_origin,
     dot,
@@ -167,19 +170,24 @@ def region_membership(region: SignRegion, g: Sequence[float], tol: float = TOL) 
     return region.sign * eval_exhauster(region.family, g) >= -tol
 
 
-def region_arcs(region: SignRegion) -> ArcSet:
-    """Exact trace of the region on the unit circle (plane only): per set,
-    the intersection (every vertex) or union (some vertex) of one closed
-    half-circle per vertex, then the sets united or intersected. Boundary
-    angles are the roots of the vertex inner products, obtained in closed
-    form, so the result is exact up to the angle tolerance."""
+def region_arcs(region: SignRegion) -> Arcs:
+    """Exact trace of the region on the unit circle (plane only), as arcs:
+    per set, the intersection (every vertex) or union (some vertex, the
+    arcs joined and normalized) of one closed half-circle per vertex, then
+    the sets united or intersected. Boundary angles are the roots of the
+    vertex inner products, obtained in closed form, so the result is exact
+    up to the angle tolerance."""
     if region.family.dim != 2:
         raise DimensionMismatchError("arc algebra is available in the plane only")
+
+    def union(left: Arcs, right: Arcs) -> Arcs:
+        return _normalize(left + right)
+
     every = region.every
-    inner, outer = (ArcSet.intersect, ArcSet.union) if every else (ArcSet.union, ArcSet.intersect)
-    start = ArcSet.full() if every else ArcSet(())
+    inner, outer = (_intersect, union) if every else (union, _intersect)
     return reduce(outer, [
-        reduce(inner, [halfcircle(v, nonnegative=region.sign > 0) for v in c.vertices], start)
+        reduce(inner, [halfcircle(v, nonnegative=region.sign > 0) for v in c.vertices],
+               FULL_CIRCLE if every else ())
         for c in region.family.sets])
 
 
@@ -213,11 +221,11 @@ class RunMemo:
         if max_combinations < 1:
             raise ValueError(f"max-combinations must be positive, got {max_combinations}")
         self.max_combinations = max_combinations
-        self._arcs: dict[SignRegion, ArcSet] = {}
+        self._arcs: dict[SignRegion, Arcs] = {}
         self._origin: dict[tuple[Vector, ...], bool] = {}
         self.solved: dict[tuple[int, tuple[LinearConstraint, ...]], FeasibilityResult] = {}
 
-    def arcs(self, region: SignRegion) -> ArcSet:
+    def arcs(self, region: SignRegion) -> Arcs:
         arcs = self._arcs.get(region)
         if arcs is None:
             arcs = self._arcs[region] = region_arcs(region)
@@ -347,8 +355,8 @@ def inclusion_check(lhs: SignRegion, rhs: SignRegion, *,
     left, right = memo.arcs(lhs), memo.arcs(rhs)
     holds, angle = arcset_subset(left, right)
     if holds:
-        return Verdict("holds", None, f"{len(left.arcs)} lhs arcs covered by "
-                       f"{len(right.arcs)} rhs arcs" + notes, "exact2d")
+        return Verdict("holds", None, f"{len(left)} lhs arcs covered by "
+                       f"{len(right)} rhs arcs" + notes, "exact2d")
     return Verdict("violated", unit_direction(angle),
                    f"uncovered angle {angle:.12g} rad" + notes, "exact2d")
 
@@ -552,19 +560,18 @@ def necessary_condition_oracle(f_tree: MinMaxTree, u_tree: MinMaxTree,
         if sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     dim = expr_dim(f_tree)
-    if expr_dim(u_tree) != dim:
-        raise DimensionMismatchError("objective and constraint trees disagree "
-                                     "on dimension")
+    forms = [[leaf.form for leaf in leaves(tree)] for tree in (f_tree, u_tree)]
+    if any(len(form) != dim for tree_forms in forms for form in tree_forms):
+        raise DimensionMismatchError(f"every linear form of the trees must have length {dim}")
     directions = sample_unit_directions(dim, samples, seed)
     found: dict[str, Verdict] = {}
     # From 2 * FD_BLOCK evenly spaced plane directions on, a block spans under a
     # half turn; no column overflows where each leaf's (|a| + |b|) * leaf count < 1e300.
     f_bounds = u_bounds = None
-    if dim == 2 and len(directions) >= 2 * FD_BLOCK:
-        forms = [[leaf.form for leaf in leaves(tree)] for tree in (f_tree, u_tree)]
-        if all(len(form) == 2 and (abs(form[0]) + abs(form[1])) * len(tree_forms) < 1e300
-               for tree_forms in forms for form in tree_forms):
-            f_bounds, u_bounds = _arc_bounder(f_tree), _arc_bounder(u_tree)
+    if dim == 2 and len(directions) >= 2 * FD_BLOCK and all(
+            (abs(a) + abs(b)) * len(tree_forms) < 1e300
+            for tree_forms in forms for a, b in tree_forms):
+        f_bounds, u_bounds = _arc_bounder(f_tree), _arc_bounder(u_tree)
     # Block by block, since above the plane the first violation usually comes
     # early; the directions are sampled in the trees' dimension, checked above.
     for start in range(0, len(directions), FD_BLOCK):

@@ -100,7 +100,10 @@ class Leaf(Expr):
     __slots__ = ("form",)
 
     def __init__(self, form: Iterable[float]) -> None:
-        self._init(as_vector(form))
+        form = as_vector(form)
+        if not form:
+            raise ValueError("dimension must be positive")
+        self._init(form)
 
     @property
     def dim(self) -> int:
@@ -273,8 +276,7 @@ def _minmax_columns(tree: MinMaxTree,
     elementwise column per node. Max and min nodes fold their children
     into one running column by ``_extreme_columns``'s rule, a plane leaf
     with no column of its own. Leaf sums start at +0.0 where ``dot`` starts
-    at 0, the same bits for float terms, so every value is
-    ``eval_minmax``'s, but 0.0 for a leaf with no coordinates."""
+    at 0, the same bits for float terms, so every value is ``eval_minmax``'s."""
     if isinstance(tree, Leaf):
         form = tree.form
         if len(form) == 2:
@@ -460,8 +462,8 @@ def _parse_expr(data) -> Expr:
         raise ValueError(f"expression node must be an object, got {type(data).__name__}")
     if "atom" in data:
         spec = data["atom"]
-        if not isinstance(spec, dict) or "terms" not in spec:
-            raise ValueError("atom node needs a 'terms' list")
+        if not isinstance(spec, dict) or not isinstance(spec.get("terms"), list):
+            raise ValueError(f"atom node needs a 'terms' array, got {spec!r}")
         terms = []
         for term in spec["terms"]:
             if not isinstance(term, dict) or "c" not in term or "e" not in term:

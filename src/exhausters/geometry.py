@@ -94,6 +94,8 @@ def sample_unit_directions(dim: int, count: int, seed: int = 0) -> list[Vector]:
     """Deterministic unit directions: evenly spaced on the circle in the
     plane, seeded gaussians elsewhere. Each draw is made once and cached;
     every call returns a fresh list."""
+    if dim < 1:
+        raise ValueError("dimension must be positive")
     if count < 1:
         raise ValueError("need at least one direction")
     return list(_unit_directions(dim, count, seed))
@@ -483,76 +485,64 @@ def _norm_angle(theta: float) -> float:
     return t
 
 
-class ArcSet(Value):
-    """Closed subset of the unit circle as disjoint closed angle intervals.
-
-    Intervals live inside [0, 2*pi]; a set crossing angle zero is stored as
-    two pieces, and all operations account for the identification of 0 with
-    2*pi. Build instances through :meth:`normalize`.
-    """
-
-    __slots__ = ("arcs",)
-
-    def __init__(self, arcs: tuple[tuple[float, float], ...]) -> None:
-        self._init(arcs)
-
-    @staticmethod
-    def normalize(raw: Iterable[tuple[float, float]]) -> "ArcSet":
-        pieces: list[tuple[float, float]] = []
-        for a, b in raw:
-            span = b - a
-            if span < -ANGLE_TOL:
-                continue
-            span = min(max(span, 0.0), TWO_PI)
-            start = _norm_angle(a)
-            end = start + span
-            if end <= TWO_PI + 1e-15:
-                pieces.append((start, min(end, TWO_PI)))
-            else:
-                pieces.append((start, TWO_PI))
-                pieces.append((0.0, end - TWO_PI))
-        if not pieces:
-            return ArcSet(())
-        pieces.sort()
-        merged = [list(pieces[0])]
-        for s, e in pieces[1:]:
-            if s <= merged[-1][1] + ANGLE_TOL:
-                merged[-1][1] = max(merged[-1][1], e)
-            else:
-                merged.append([s, e])
-        return ArcSet(tuple((s, e) for s, e in merged))
-
-    @staticmethod
-    def full() -> "ArcSet":
-        return ArcSet(((0.0, TWO_PI),))
-
-    def contains(self, theta: float) -> bool:
-        t = _norm_angle(theta)
-        for s, e in self.arcs:
-            for cand in (t, t + TWO_PI, t - TWO_PI):
-                if s - ANGLE_TOL <= cand <= e + ANGLE_TOL:
-                    return True
-        return False
-
-    def union(self, other: "ArcSet") -> "ArcSet":
-        return ArcSet.normalize(self.arcs + other.arcs)
-
-    def intersect(self, other: "ArcSet") -> "ArcSet":
-        pieces = []
-        for a1, b1 in self.arcs:
-            for a2, b2 in other.arcs:
-                for shift in (-TWO_PI, 0.0, TWO_PI):
-                    lo = max(a1, a2 + shift)
-                    hi = min(b1, b2 + shift)
-                    if hi >= lo - ANGLE_TOL:
-                        pieces.append((lo, max(lo, hi)))
-        return ArcSet.normalize(pieces)
+# Arcs: a closed subset of the unit circle as a sorted tuple of disjoint closed
+# angle intervals (start, end) inside [0, 2*pi], built by ``_normalize``. A
+# subset crossing angle zero is two pieces; every operation identifies 0 with 2*pi.
+Arcs = tuple[tuple[float, float], ...]
+FULL_CIRCLE: Arcs = ((0.0, TWO_PI),)
 
 
-def _coverage_gaps(covered: ArcSet, lo: float, hi: float) -> list[tuple[float, float]]:
+def _normalize(raw: Iterable[tuple[float, float]]) -> Arcs:
+    pieces: list[tuple[float, float]] = []
+    for a, b in raw:
+        span = b - a
+        if span < -ANGLE_TOL:
+            continue
+        span = min(max(span, 0.0), TWO_PI)
+        start = _norm_angle(a)
+        end = start + span
+        if end <= TWO_PI + 1e-15:
+            pieces.append((start, min(end, TWO_PI)))
+        else:
+            pieces.append((start, TWO_PI))
+            pieces.append((0.0, end - TWO_PI))
+    if not pieces:
+        return ()
+    pieces.sort()
+    merged = [list(pieces[0])]
+    for s, e in pieces[1:]:
+        if s <= merged[-1][1] + ANGLE_TOL:
+            merged[-1][1] = max(merged[-1][1], e)
+        else:
+            merged.append([s, e])
+    return tuple((s, e) for s, e in merged)
+
+
+def _contains(arcs: Arcs, theta: float) -> bool:
+    t = _norm_angle(theta)
+    for s, e in arcs:
+        for cand in (t, t + TWO_PI, t - TWO_PI):
+            if s - ANGLE_TOL <= cand <= e + ANGLE_TOL:
+                return True
+    return False
+
+
+def _intersect(left: Arcs, right: Arcs) -> Arcs:
+    pieces = []
+    for a1, b1 in left:
+        for a2, b2 in right:
+            for shift in (-TWO_PI, 0.0, TWO_PI):
+                lo = max(a1, a2 + shift)
+                hi = min(b1, b2 + shift)
+                if hi >= lo - ANGLE_TOL:
+                    pieces.append((lo, max(lo, hi)))
+    return _normalize(pieces)
+
+
+def _coverage_gaps(covered: Arcs, lo: float, hi: float) -> list[tuple[float, float]]:
     """Uncovered stretches of [lo, hi] relative to ``covered``."""
     cands = []
-    for s, e in covered.arcs:
+    for s, e in covered:
         for shift in (-TWO_PI, 0.0, TWO_PI):
             s2, e2 = s + shift, e + shift
             if e2 >= lo - ANGLE_TOL and s2 <= hi + ANGLE_TOL:
@@ -571,8 +561,8 @@ def _coverage_gaps(covered: ArcSet, lo: float, hi: float) -> list[tuple[float, f
     return gaps
 
 
-def arcset_subset(a: ArcSet, b: ArcSet) -> tuple[bool, float | None]:
-    """Is every angle of ``a`` covered by ``b`` (up to ``ANGLE_TOL``)?
+def arcset_subset(a: Arcs, b: Arcs) -> tuple[bool, float | None]:
+    """Is every angle of arcs ``a`` covered by arcs ``b`` (up to ``ANGLE_TOL``)?
 
     On failure also return a witness angle, the midpoint of the earliest
     uncovered stretch. Stretches touching angle zero from both sides are
@@ -580,10 +570,10 @@ def arcset_subset(a: ArcSet, b: ArcSet) -> tuple[bool, float | None]:
     midpoint rather than an endpoint artifact.
     """
     gaps: list[tuple[float, float]] = []
-    for lo, hi in a.arcs:
+    for lo, hi in a:
         if hi - lo <= 2.0 * ANGLE_TOL:
             mid = 0.5 * (lo + hi)
-            if not b.contains(mid):
+            if not _contains(b, mid):
                 gaps.append((mid, mid))
             continue
         gaps.extend(_coverage_gaps(b, lo, hi))
@@ -599,13 +589,13 @@ def arcset_subset(a: ArcSet, b: ArcSet) -> tuple[bool, float | None]:
     return False, _norm_angle(0.5 * (start + end))
 
 
-def halfcircle(v: Sequence[float], *, nonnegative: bool) -> ArcSet:
-    """Angles whose unit direction has nonnegative (or nonpositive) inner
-    product with ``v``. The zero vector imposes no restriction."""
+def halfcircle(v: Sequence[float], *, nonnegative: bool) -> Arcs:
+    """Arcs of the angles whose unit direction has nonnegative (or nonpositive)
+    inner product with ``v``; the zero vector imposes no restriction."""
     if len(v) != 2:
         raise DimensionMismatchError("halfcircle needs a plane vector")
     if abs(v[0]) <= TOL and abs(v[1]) <= TOL:
-        return ArcSet.full()
+        return FULL_CIRCLE
     phi = math.atan2(v[1], v[0])
     center = phi if nonnegative else phi + math.pi
-    return ArcSet.normalize([(center - 0.5 * math.pi, center + 0.5 * math.pi)])
+    return _normalize([(center - 0.5 * math.pi, center + 0.5 * math.pi)])

@@ -199,8 +199,8 @@ def polytope_families_equal(a, b):
 
 
 def arc_measure(arcs):
-    """Total angle of an ``ArcSet``, at most a full turn."""
-    return min(plain_sum(e - s for s, e in arcs.arcs), TWO_PI)
+    """Total angle of a circle trace's arcs, at most a full turn."""
+    return min(plain_sum(e - s for s, e in arcs), TWO_PI)
 
 
 def both_methods(lhs, rhs):

@@ -35,7 +35,7 @@ from exhausters.exhauster import (
     eval_exhauster,
     exhauster_from_tree,
 )
-from exhausters.geometry import Polytope, arcset_subset
+from exhausters.geometry import Polytope, _normalize, arcset_subset
 
 from helpers import (
     C1,
@@ -104,8 +104,8 @@ def test_criterion_1_reference_families_reproduced():
 def test_criterion_2_minimum_conditions_hold_both_methods():
     start = time.monotonic()
     families = reference_families()
-    expected = region_arcs(sign_region(DUAL, C3)).union(
-        region_arcs(sign_region(DUAL, C4)))
+    expected = _normalize(region_arcs(sign_region(DUAL, C3))
+                          + region_arcs(sign_region(DUAL, C4)))
     for cid in MIN_IDS:
         built = build_condition(cid, families[("f", cid.f_kind)],
                                 families[("u", cid.u_kind)])

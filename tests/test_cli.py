@@ -195,6 +195,20 @@ class TestAnalyze:
             assert main(["analyze", str(path)]) == 2
             assert "array of numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("terms", [5, None, "ab", {"c": 1, "e": [1, 0]}],
+                             ids=["number", "null", "string", "object"])
+    def test_atom_terms_must_be_an_array(self, tmp_path, capsys, terms):
+        # These once printed "'int' object is not iterable", the same for
+        # 'NoneType', or a complaint that a term needs 'c' and 'e'.
+        spec = problem_dict()
+        spec["objective"]["args"][0]["args"][0]["atom"]["terms"] = terms
+        path = tmp_path / "terms.json"
+        path.write_text(json.dumps(spec))
+        assert main(["analyze", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("error: malformed problem: atom node needs a "
+                                     f"'terms' array, got {{'terms': {terms!r}}}\n")
+
     def test_overflow_at_the_point_is_input_error(self, tmp_path, capsys):
         # x1^400 overflows the power itself, 1e300*x1^2 the value, and
         # 1e308*x1^2 at x1 = 1.2 only the gradient.

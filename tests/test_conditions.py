@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import struct
 from itertools import product
 
 import pytest
@@ -22,12 +24,12 @@ from exhausters.conditions import (
 )
 from exhausters.deriv import (Leaf, Max, Min, Sum, directional_derivative_tree, eval_minmax,
                               expr_from_json, scale_tree)
-from exhausters.errors import ExhausterKindError
+from exhausters.errors import DimensionMismatchError, ExhausterKindError
 from exhausters.exhauster import Exhauster, exhauster_from_tree
 from exhausters.geometry import (
-    ArcSet,
     LinearConstraint,
     Polytope,
+    _normalize,
     arcset_subset,
     contains_origin,
     linear_feasibility,
@@ -202,8 +204,8 @@ class TestInclusionOnReference:
         for verdict in both_methods(built.rhs, built.lhs).values():
             assert verdict.status == "holds"
         # Both sides trace the two quarter cones around the x axis.
-        expected = region_arcs(sign_region(DUAL, C3)).union(
-            region_arcs(sign_region(DUAL, C4)))
+        expected = _normalize(region_arcs(sign_region(DUAL, C3))
+                              + region_arcs(sign_region(DUAL, C4)))
         for side in (built.lhs, built.rhs):
             arcs = region_arcs(side)
             assert arcset_subset(arcs, expected)[0]
@@ -234,6 +236,51 @@ class TestInclusionOnReference:
         region = sign_region(NOT_DUAL, with_origin)
         verdict = inclusion_check(region, region)
         assert "degenerate" in verdict.certificate
+
+
+# Sets whose traces reach the arc algebra's edge cases: a zero vertex (no
+# restriction), exactly opposite vertices (single-ray and point traces), and
+# vertices on the axes (pieces that wrap at angle zero).
+_EDGE_SETS = tuple(Polytope.from_vertices(vertices) for vertices in (
+    [(0, 0)], [(0, 0), (2, 0)], [(1, 2), (-1, -2)], [(3, 0), (-3, 0)],
+    [(1, 0), (0, 1)], [(0, -2), (-1, 0)], [(0, 3)], [(-2, 0), (0, 0), (0, 1)]))
+
+
+class TestPinnedTraceDigest:
+    def test_traces_and_witnesses_digest(self):
+        # The sha256 of every arc count and endpoint that region_arcs gives,
+        # and of every witness angle of arcset_subset and exact2d verdict of
+        # inclusion_check, on seeded plane regions of both kinds and both
+        # signs: a changed bit changes it.
+        rng = random.Random(35)
+        regions = []
+        for trial in range(60):
+            for kind in ("lower", "upper"):
+                sets = random_family(rng, kind).sets
+                if trial % 3 == 1:
+                    sets += (rng.choice(_EDGE_SETS),)
+                elif trial % 3 == 2:
+                    sets = tuple(rng.sample(_EDGE_SETS, rng.randint(1, 3)))
+                family = Exhauster(kind, 2, sets)
+                regions += [SignRegion(family, 1.0), SignRegion(family, -1.0)]
+        digest = hashlib.sha256()
+        traces = [region_arcs(region) for region in regions]
+        for arcs in traces:
+            digest.update(struct.pack("q", len(arcs)))
+            for start, end in arcs:
+                digest.update(struct.pack("dd", start, end))
+        for _ in range(400):
+            i, j = rng.randrange(len(regions)), rng.randrange(len(regions))
+            held, angle = arcset_subset(traces[i], traces[j])
+            digest.update(struct.pack("?", held))
+            if angle is not None:
+                digest.update(struct.pack("d", angle))
+            verdict = inclusion_check(regions[i], regions[j])
+            assert verdict.method == "exact2d" and (verdict.status == "holds") == held
+            digest.update(verdict.certificate.encode())
+            if verdict.witness is not None:
+                digest.update(struct.pack("dd", *verdict.witness))
+        assert digest.hexdigest() == "7fde828543e779fd680aba7564a63bdfe58ce125bf042a39090952bc1a916757"
 
 
 class TestUnconstrained:
@@ -543,6 +590,22 @@ class TestOracle:
     def test_sense_validation(self):
         with pytest.raises(ValueError):
             necessary_condition_oracle(objective_tree(), constraint_tree(), "min")
+
+    def test_trees_without_coordinates_are_rejected(self):
+        # The oracle once sampled directions of no coordinates forever.
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            necessary_condition_oracle(Leaf(()), Leaf(()), ["min"])
+
+    @pytest.mark.parametrize("samples", [64, 720])
+    @pytest.mark.parametrize("f_tree, u_tree", [
+        (Sum((Leaf((1.0, 0.0)), Leaf((1.0,)))), Leaf((0.0, 0.0))),
+        (Leaf((1.0, 0.0)), Max((Leaf((0.0, 1.0)), Leaf((1.0, 2.0, 3.0))))),
+    ], ids=["short-leaf", "long-leaf"])
+    def test_every_leaf_has_the_trees_dimension(self, f_tree, u_tree, samples):
+        # The first pair once came back violated under both senses, read as
+        # if the 1-form were (1, 0); the second raised IndexError.
+        with pytest.raises(DimensionMismatchError, match="must have length 2"):
+            necessary_condition_oracle(f_tree, u_tree, ("min", "max"), samples)
 
     def test_matches_per_direction_scan(self):
         # One scan for both senses gives each the verdict of its own scan.

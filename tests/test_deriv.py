@@ -191,6 +191,10 @@ class TestEvalMinMax:
     def test_zero_direction(self):
         assert eval_minmax(constraint_tree(), (0, 0)) == 0.0
 
+    def test_leaf_needs_a_coordinate(self):
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            Leaf(())
+
     def test_positive_homogeneity(self):
         rng = random.Random(6)
         for _ in range(20):

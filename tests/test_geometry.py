@@ -12,12 +12,15 @@ from exhausters.deriv import (Leaf, Max, Min, Scale, SmoothAtom, Sum, _minmax_co
 from exhausters.errors import CapExceededError, DimensionMismatchError
 from exhausters.exhauster import Exhauster, eval_exhauster, exhauster_tree, polytopes_equal
 from exhausters.geometry import (
+    FULL_CIRCLE,
     TOL,
     TWO_PI,
-    ArcSet,
     FeasibilityResult,
     LinearConstraint,
     Polytope,
+    _contains,
+    _intersect,
+    _normalize,
     arcset_subset,
     as_vector,
     contains_origin,
@@ -560,24 +563,24 @@ class TestArcs:
         arcs = region_arcs(sign_region(DUAL, C3))
         assert arc_measure(arcs) == pytest.approx(math.pi / 2, abs=1e-9)
         for theta in (0.0, math.pi / 4, -math.pi / 4):
-            assert arcs.contains(theta)
+            assert _contains(arcs, theta)
         for theta in (math.pi / 4 + 0.01, -math.pi / 4 - 0.01, math.pi):
-            assert not arcs.contains(theta)
+            assert not _contains(arcs, theta)
 
     def test_negative_dual_is_reflection(self):
         pos = region_arcs(sign_region(DUAL, C3))
         neg = region_arcs(sign_region(NEG_DUAL, C3))
         for k in range(360):
             theta = TWO_PI * k / 360
-            assert pos.contains(theta) == neg.contains(theta + math.pi)
+            assert _contains(pos, theta) == _contains(neg, theta + math.pi)
 
     def test_complement_predicate_arc(self):
         arcs = region_arcs(sign_region(NOT_DUAL, C1))
         assert arc_measure(arcs) == pytest.approx(3 * math.pi / 2, abs=1e-9)
-        assert arcs.contains(math.pi / 4)      # boundary angle included
-        assert not arcs.contains(math.pi / 2)  # interior of the open gap
-        assert arcs.contains(0.0)
-        assert arcs.contains(math.pi)
+        assert _contains(arcs, math.pi / 4)  # boundary angle included
+        assert not _contains(arcs, math.pi / 2)  # interior of the open gap
+        assert _contains(arcs, 0.0)
+        assert _contains(arcs, math.pi)
 
     def test_arc_membership_matches_predicates(self):
         # Exact carrier consistency: arcs agree with direct vertex-sign
@@ -596,7 +599,7 @@ class TestArcs:
                 theta = rng.uniform(0.0, TWO_PI)
                 g = unit_direction(theta)
                 for mode, predicate in modes.items():
-                    assert arcs[mode].contains(theta) == predicate(poly, g), \
+                    assert _contains(arcs[mode], theta) == predicate(poly, g), \
                         f"{mode} disagrees at {theta} on {poly.vertices}"
 
     def test_family_arcs_match_membership(self):
@@ -610,7 +613,7 @@ class TestArcs:
                 arcs = region_arcs(region)
                 for _ in range(20):
                     theta = rng.uniform(0.0, TWO_PI)
-                    assert arcs.contains(theta) == region_membership(
+                    assert _contains(arcs, theta) == region_membership(
                         region, unit_direction(theta)), f"{mode} at {theta}"
 
     def test_zero_vertex_means_no_restriction(self):
@@ -621,8 +624,8 @@ class TestArcs:
     def test_point_arc_from_opposite_vertices(self):
         poly = Polytope.from_vertices([(1, 0), (-1, 0)])
         arcs = region_arcs(sign_region(DUAL, poly))
-        assert arcs.contains(math.pi / 2)
-        assert arcs.contains(3 * math.pi / 2)
+        assert _contains(arcs, math.pi / 2)
+        assert _contains(arcs, 3 * math.pi / 2)
         assert arc_measure(arcs) == pytest.approx(0.0, abs=1e-9)
 
     def test_requires_plane(self):
@@ -632,27 +635,27 @@ class TestArcs:
 
 class TestArcsetSubset:
     def test_full_cover(self):
-        held, witness = arcset_subset(ArcSet.normalize([(0, math.pi)]), ArcSet.full())
+        held, witness = arcset_subset(_normalize([(0, math.pi)]), FULL_CIRCLE)
         assert held and witness is None
 
     def test_half_cover_witness(self):
         held, witness = arcset_subset(
-            ArcSet.normalize([(0, math.pi)]),
-            ArcSet.normalize([(0, math.pi / 2)]))
+            _normalize([(0, math.pi)]),
+            _normalize([(0, math.pi / 2)]))
         assert not held
         assert witness == pytest.approx(3 * math.pi / 4)
 
     def test_reflexive(self):
-        arcs = ArcSet.normalize([(-math.pi / 4, math.pi / 4),
-                                 (3 * math.pi / 4, 5 * math.pi / 4)])
+        arcs = _normalize([(-math.pi / 4, math.pi / 4),
+                           (3 * math.pi / 4, 5 * math.pi / 4)])
         held, _ = arcset_subset(arcs, arcs)
         assert held
 
     def test_wraparound_gap_midpoint(self):
         # Uncovered region straddles angle zero; the witness is its true
         # midpoint, not an artifact of the cut at zero.
-        lhs = ArcSet.normalize([(-math.pi / 4, math.pi / 4)])
-        rhs = ArcSet(())
+        lhs = _normalize([(-math.pi / 4, math.pi / 4)])
+        rhs = ()
         held, witness = arcset_subset(lhs, rhs)
         assert not held
         assert witness == pytest.approx(0.0, abs=1e-9)
@@ -662,29 +665,29 @@ class TestArcsetSubset:
         for _ in range(100):
             raw_a = [(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI)) for _ in range(2)]
             raw_b = [(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI)) for _ in range(2)]
-            a = ArcSet.normalize([(s, s + abs(e - s) % TWO_PI) for s, e in raw_a])
-            b = ArcSet.normalize([(s, s + abs(e - s) % TWO_PI) for s, e in raw_b])
+            a = _normalize([(s, s + abs(e - s) % TWO_PI) for s, e in raw_a])
+            b = _normalize([(s, s + abs(e - s) % TWO_PI) for s, e in raw_b])
             held, witness = arcset_subset(a, b)
             if not held:
-                assert a.contains(witness)
-                assert not b.contains(witness)
+                assert _contains(a, witness)
+                assert not _contains(b, witness)
 
 
-class TestArcSetAlgebra:
+class TestArcAlgebra:
     def test_union_idempotent(self):
-        arcs = ArcSet.normalize([(0.5, 1.5), (3.0, 4.0)])
-        assert arcs.union(arcs).arcs == arcs.arcs
+        arcs = _normalize([(0.5, 1.5), (3.0, 4.0)])
+        assert _normalize(arcs + arcs) == arcs
 
     def test_intersect_with_full(self):
-        arcs = ArcSet.normalize([(0.5, 1.5)])
-        result = arcs.intersect(ArcSet.full())
+        arcs = _normalize([(0.5, 1.5)])
+        result = _intersect(arcs, FULL_CIRCLE)
         assert arc_measure(result) == pytest.approx(1.0)
 
     def test_boundary_identification_at_zero(self):
-        left = ArcSet.normalize([(5.0, TWO_PI)])
-        right = ArcSet.normalize([(0.0, 1.0)])
-        meet = left.intersect(right)
-        assert meet.contains(0.0)
+        left = _normalize([(5.0, TWO_PI)])
+        right = _normalize([(0.0, 1.0)])
+        meet = _intersect(left, right)
+        assert _contains(meet, 0.0)
         assert arc_measure(meet) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -739,6 +742,13 @@ class TestInvariants:
             first.pop()
             assert sample_unit_directions(dim, 50, seed=4) == second
             assert len(second) == 50
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_sample_unit_directions_need_a_positive_dimension(self, dim):
+        # A draw of no coordinates has length zero and is redrawn, so such
+        # a sample once never returned.
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            sample_unit_directions(dim, 5)
 
 
 class TestFloatSums:

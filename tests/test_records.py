@@ -15,7 +15,7 @@ from exhausters.conditions import (
 )
 from exhausters.deriv import Leaf, Max, Min, Scale, SmoothAtom, Sum
 from exhausters.exhauster import Exhauster, find_direction
-from exhausters.geometry import ArcSet, FeasibilityResult, LinearConstraint, Polytope
+from exhausters.geometry import FeasibilityResult, LinearConstraint, Polytope
 from exhausters.report import AnalysisReport
 
 from helpers import C1, C3, F_UPPER, U_LOWER
@@ -28,7 +28,6 @@ RECORDS = [
     (C1, {"dim": 2, "vertices": ((1.0, 1.0), (-1.0, 1.0))}),
     (LinearConstraint((-0.0, 1.0), True), {"normal": (-0.0, 1.0), "strict": True}),
     (FeasibilityResult(True, (0.5, 0.5)), {"feasible": True, "witness": (0.5, 0.5)}),
-    (ArcSet(((0.0, 1.0),)), {"arcs": ((0.0, 1.0),)}),
     (SmoothAtom(2, ((2.0, (1, 0)),)), {"dim": 2, "terms": ((2.0, (1, 0)),)}),
     (Leaf((1.0, 2.0)), {"form": (1.0, 2.0)}),
     (Scale(-1.0, Leaf((1.0,))), {"coef": -1.0, "child": Leaf((1.0,))}),
