@@ -589,11 +589,10 @@ def necessary_condition_oracle(f_tree: MinMaxTree, u_tree: MinMaxTree,
                       if hu <= tol]
         hfs = _minmax_columns(f_tree, [g for g, _ in admissible])
         for sense in senses:
-            # A violation has s * hf > ORACLE_MARGIN. Only a block whose
-            # extreme derivative is one is scanned; a NaN compares false.
-            s = 1 if sense == "max" else -1
-            if sense in found or s * (max if s > 0 else min)(hfs, default=0.0) <= ORACLE_MARGIN:
+            if sense in found:
                 continue
+            # A violation has s * hf > ORACLE_MARGIN; a NaN compares false.
+            s = 1 if sense == "max" else -1
             k = next((k for k, hf in enumerate(hfs) if s * hf > ORACLE_MARGIN), None)
             if k is not None:
                 (g, hu), hf = admissible[k], hfs[k]

@@ -273,10 +273,11 @@ def eval_minmax(tree: MinMaxTree, g: Sequence[float]) -> float:
 def _minmax_columns(tree: MinMaxTree,
                     directions: Sequence[Sequence[float]]) -> list[float]:
     """``eval_minmax`` at every direction of the tree's dimension, as one
-    elementwise column per node. Max and min nodes fold their children
-    into one running column by ``_extreme_columns``'s rule, a plane leaf
-    with no column of its own. Leaf sums start at +0.0 where ``dot`` starts
-    at 0, the same bits for float terms, so every value is ``eval_minmax``'s."""
+    elementwise column per node. Max and min nodes fold each child's column
+    into one running column by ``_extreme_columns``, so a wide node holds
+    that column and one child's at a time. Leaf sums start at +0.0 where
+    ``dot`` starts at 0, the same bits for float terms, so every value is
+    ``eval_minmax``'s."""
     if isinstance(tree, Leaf):
         form = tree.form
         if len(form) == 2:
@@ -291,19 +292,9 @@ def _minmax_columns(tree: MinMaxTree,
     if isinstance(tree, Sum):
         return functools.reduce(lambda a, b: list(map(operator.add, a, b)),
                                 [_minmax_columns(c, directions) for c in children])
-    is_max = isinstance(tree, Max)
     column = _minmax_columns(children[0], directions)
     for child in children[1:]:
-        if not (isinstance(child, Leaf) and len(child.form) == 2):
-            column = _extreme_columns(tree, [column, _minmax_columns(child, directions)])
-            continue
-        a, b = child.form
-        if is_max:
-            column = [v if (v := 0.0 + a * x + b * y) > m else m
-                      for m, (x, y) in zip(column, directions)]
-        else:
-            column = [v if (v := 0.0 + a * x + b * y) < m else m
-                      for m, (x, y) in zip(column, directions)]
+        column = _extreme_columns(tree, [column, _minmax_columns(child, directions)])
     return column
 
 

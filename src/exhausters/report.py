@@ -213,8 +213,31 @@ def _to_px(point: Sequence[float]) -> tuple[float, float]:
     return (point[0] + EXTENT) * _SCALE, (EXTENT - point[1]) * _SCALE
 
 
+def _hull_corners(verts: Sequence[Vector]) -> list[Vector]:
+    """The corners of the hull of plane points, in the order given: no
+    interior point, repeat or point inside an edge. Andrew's monotone
+    chain: the lower and the upper chain keep a point only where they turn
+    left."""
+    unique = list(dict.fromkeys(verts))
+
+    def chain(points):
+        kept: list[Vector] = []
+        for x, y in points:
+            while len(kept) >= 2:
+                (ox, oy), (ax, ay) = kept[-2], kept[-1]
+                if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0:
+                    break
+                kept.pop()
+            kept.append((x, y))
+        return kept
+
+    ordered = sorted(unique)
+    corners = set(chain(ordered) + chain(reversed(ordered)))
+    return [v for v in unique if v in corners]
+
+
 def _polytope_svg(polytope: Polytope, color: str) -> str:
-    verts = polytope.vertices
+    verts = _hull_corners(polytope.vertices)
     if len(verts) == 1:
         x, y = _to_px(verts[0])
         return f'<circle cx="{x:.3f}" cy="{y:.3f}" r="5" fill="{color}"/>'
@@ -222,7 +245,7 @@ def _polytope_svg(polytope: Polytope, color: str) -> str:
         (x1, y1), (x2, y2) = _to_px(verts[0]), _to_px(verts[1])
         return (f'<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}" '
                 f'stroke="{color}" stroke-width="3"/>')
-    # Order by angle about the centroid so the outline is the hull boundary.
+    # Corners in angle order about their centroid trace the hull boundary.
     cx = plain_sum(v[0] for v in verts) / len(verts)
     cy = plain_sum(v[1] for v in verts) / len(verts)
     ordered = sorted(verts, key=lambda v: math.atan2(v[1] - cy, v[0] - cx))
@@ -232,10 +255,11 @@ def _polytope_svg(polytope: Polytope, color: str) -> str:
 
 
 def render_svg(polytopes: Sequence[Polytope]) -> str:
-    """Standalone SVG of plane polytopes on a fixed canvas: a point as a
-    dot, a segment as a line, anything larger as a filled polygon. Every
-    polytope becomes exactly one ``<g id="item-<i>">`` element; a polytope
-    outside the plane raises DimensionMismatchError."""
+    """Standalone SVG of the hulls of plane polytopes on a fixed canvas: a
+    point as a dot, a segment as a line, anything larger as a filled
+    polygon through its corners. Every polytope becomes exactly one
+    ``<g id="item-<i>">`` element; a polytope outside the plane raises
+    DimensionMismatchError."""
     groups = []
     for idx, polytope in enumerate(polytopes):
         if polytope.dim != 2:

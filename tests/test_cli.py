@@ -389,11 +389,81 @@ class TestAnalyze:
         groups = [e for e in root if e.tag.endswith("}g")]
         assert len(groups) == 8  # two sets in each of the four families
 
+    def test_svg_outline_skips_interior_vertices(self, tmp_path, capsys):
+        # f = max(x1, x2, -x1-x2) + max(-x1, -x2, x1+x2): the upper family's
+        # one set has nine vertices, three of them the origin, inside the
+        # hexagon of the other six. The outline once ran through the
+        # canvas centre three times.
+        def form(c1, c2):
+            return {"atom": {"terms": [{"c": c, "e": e} for c, e in
+                                       ((c1, [1, 0]), (c2, [0, 1])) if c]}}
+        problem = {"dim": 2, "point": [0, 0], "objective": {"op": "sum", "args": [
+            {"op": "max", "args": [form(1, 0), form(0, 1), form(-1, -1)]},
+            {"op": "max", "args": [form(-1, 0), form(0, -1), form(1, 1)]}]}}
+        path, target = tmp_path / "hexagon.json", tmp_path / "families.svg"
+        path.write_text(json.dumps(problem))
+        assert main(["analyze", str(path), "--svg", str(target)]) == 0
+        capsys.readouterr()
+        (poly,) = [e for e in ET.parse(target).getroot().iter() if e.tag.endswith("}polygon")]
+        assert poly.get("points") == ("0.000,600.000 200.000,800.000 600.000,600.000 "
+                                      "800.000,200.000 600.000,0.000 200.000,200.000")
+
     def test_text_format(self, problem_file, capsys):
         code = main(["analyze", problem_file, "--format", "text"])
         out = capsys.readouterr().out
         assert code == 0
         assert "MIN_UPPER_LOWER: HOLDS" in out
+
+
+THREE_D_ATOM = {"atom": {"terms": [{"c": 1, "e": [1, 0, 0]}]}}
+
+
+def _negative_exponent(problem):
+    problem["objective"]["args"][0]["args"][0]["atom"]["terms"][0]["e"] = [-1, 0]
+    return problem
+
+
+@pytest.mark.parametrize("edit, options, message", [
+    (lambda problem: [problem], [], "problem file must hold a JSON object"),
+    (lambda problem: {k: v for k, v in problem.items() if k != "point"}, [],
+     "problem is missing 'point'"),
+    (lambda problem: dict(problem, point=[0, 0, 0]), [], "point has length 3, expected 2"),
+    (lambda problem: dict(problem, objective=THREE_D_ATOM), [],
+     "objective dimension disagrees with problem dimension"),
+    (lambda problem: dict(problem, constraint=THREE_D_ATOM), [],
+     "constraint dimension disagrees with problem dimension"),
+    (lambda problem: dict(problem, sense="sideways"), [],
+     "sense must be min, max or both, got 'sideways'"),
+    (lambda problem: problem, ["--conditions", ","], "no condition ids given"),
+    (_negative_exponent, [], "malformed problem: exponents must be nonnegative"),
+], ids=["array", "no-point", "long-point", "objective-dim", "constraint-dim", "sense",
+        "no-ids", "negative-exponent"])
+def test_analyze_input_error_names_its_cause(tmp_path, capsys, edit, options, message):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(edit(problem_dict())))
+    assert main(["analyze", str(path), *options]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("shift, warning", [
+    (-1, "constraint is inactive at the point (value below zero): the point is "
+         "interior to the feasible set"),
+    (1, "constraint value is positive at the point: the point is infeasible")],
+    ids=["inactive", "infeasible"])
+def test_constraint_value_warnings(tmp_path, capsys, shift, warning):
+    # u + c has u's derivative, so every verdict is the reference's, and
+    # the warning leaves the exit code alone.
+    problem = problem_dict()
+    problem["constraint"] = {"op": "sum", "args": [
+        problem["constraint"], {"atom": {"terms": [{"c": shift, "e": [0, 0]}]}}]}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    assert main(["analyze", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["warnings"] == [warning]
+    assert main(["analyze", str(path), "--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("warning")] == [f"warning: {warning}"]
 
 
 class TestCheck:
@@ -540,6 +610,31 @@ class TestCheck:
                      "--conditions", "UNC_MIN_UPPER"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: malformed family in {path}: {message}\n"
+
+    def test_empty_condition_list_is_input_error(self, family_files, capsys):
+        f_path, _ = family_files
+        assert main(["check", "--f-exhauster", f_path, "--conditions", ""]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: check needs --conditions\n"
+
+    def test_families_of_two_dimensions_are_input_error(self, family_files, tmp_path,
+                                                        capsys):
+        f_path, _ = family_files
+        u_path = tmp_path / "u-3d.json"
+        u_path.write_text('{"kind": "lower", "dim": 3, "sets": [[[1, 0, 0]]]}')
+        assert main(["check", "--f-exhauster", f_path, "--u-exhauster", str(u_path),
+                     "--conditions", "MIN_UPPER_LOWER"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: objective family dimension 2 vs constraint 3\n"
+
+    def test_family_without_sets_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text('{"kind": "upper", "dim": 2, "sets": []}')
+        assert main(["check", "--f-exhauster", str(path),
+                     "--conditions", "UNC_MIN_UPPER"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"error: malformed family in {path}: "
+                                     "a family needs at least one set\n")
 
     def test_tolerance_not_offered(self, family_files, capsys):
         f_path, _ = family_files

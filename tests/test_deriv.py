@@ -217,8 +217,8 @@ class TestEvalMinMax:
                                     for _ in range(dim)) for _ in range(30)]
                 assert list(map(repr, _minmax_columns(tree, directions))) == \
                     [repr(eval_minmax(tree, g)) for g in directions]
-        # A plane max or min node folds its leaf children straight into its
-        # running column. Next to them sit subtrees whose columns hold inf
+        # A max or min node folds each child's column into its running
+        # column. Among its leaf children sit subtrees whose columns hold inf
         # and nan (inf - inf), so each fold must keep or pass over a NaN as
         # max and min do; the infinite directions give 0.0 * inf = nan.
         big = Leaf((1.7e308, 1.7e308))

@@ -13,11 +13,15 @@ status; a witness of the flipped problem, flipped back, refutes the
 original condition. So does permuting the coordinates, with every node's
 children shuffled, and so does scaling the constraint by a positive
 factor, which leaves the feasible set as it is. And a sampled oracle
-violation never meets an exact ``holds`` of its sense.
+violation never meets an exact ``holds`` of its sense. Without a
+constraint, the two unconstrained ids of a sense decide the same
+statement, f' >= 0 (or f' <= 0) in every direction, from the two
+families of f.
 """
 
 import random
 from collections import Counter
+from pathlib import Path
 
 from exhausters.cli import analyze_problem
 from exhausters.conditions import (
@@ -32,6 +36,8 @@ from exhausters.deriv import directional_derivative_tree, eval_minmax, expr_from
 from exhausters.exhauster import exhauster_from_tree
 
 from helpers import kinked_function
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_constrained_ids_of_a_sense_agree():
@@ -57,6 +63,31 @@ def test_constrained_ids_of_a_sense_agree():
             for status in statuses:
                 decided[status] += 1
     assert decided["holds"] >= 20 and decided["violated"] >= 100
+
+
+def test_unconstrained_ids_of_a_sense_agree(monkeypatch):
+    # The closed templates put the origin in the hull of every node's
+    # gradients, so both statuses occur; only the objective is read.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gen
+
+    decided = Counter()
+    for dim in (2, 3, 4, 5):
+        for seed in range(10):
+            for template in ("M3c+M2c", "m3c+m2c", "?2+?2"):
+                problem = gen.kinked(dim, (template, template), seed)
+                tree = directional_derivative_tree(expr_from_json(problem["objective"]),
+                                                   problem["point"])
+                families = {kind: reduce_exhauster(exhauster_from_tree(tree, kind.lower()))
+                            for kind in ("UPPER", "LOWER")}
+                for sense in ("MIN", "MAX"):
+                    # Each id on its own memo, as in the constrained relation.
+                    upper, lower = (evaluate_condition(f"UNC_{sense}_{kind}", families[kind],
+                                                       memo=RunMemo()).status
+                                    for kind in ("UPPER", "LOWER"))
+                    assert upper == lower, (dim, seed, template, sense)
+                    decided[upper] += 1
+    assert decided == {"holds": 82, "violated": 158}
 
 
 def _dual(cid):

@@ -120,6 +120,26 @@ class TestSvg:
         polys = [e for e in root.iter() if e.tag.endswith("}polygon")]
         assert len(polys) == 1
 
+    def test_outline_passes_through_the_hull_corners_alone(self):
+        # An interior vertex, a repeat and a mid-edge vertex each once
+        # dented the outline, which ran through every vertex.
+        square = Polytope.from_vertices([(1, 1), (0, 0), (-1, 1), (0, 1), (-1, -1),
+                                         (1, 1), (1, -1), (0.25, -0.5)])
+        root = ET.fromstring(render_svg([square]))
+        (poly,) = [e for e in root.iter() if e.tag.endswith("}polygon")]
+        assert poly.get("points") == \
+            "200.000,600.000 600.000,600.000 600.000,200.000 200.000,200.000"
+
+    def test_flat_hulls_draw_as_a_line_or_a_dot(self):
+        segment = Polytope.from_vertices([(0, 0.5), (0, -1), (0, 1), (0, 0), (0, 1)])
+        point = Polytope.from_vertices([(1, 1), (1, 1), (1.0, 1.0)])
+        root = ET.fromstring(render_svg([segment, point]))
+        line, dot = [e for g in root if g.tag.endswith("}g") for e in g]
+        assert line.tag.endswith("}line") and dot.tag.endswith("}circle")
+        assert [line.get(k) for k in ("x1", "y1", "x2", "y2")] == \
+            ["400.000", "600.000", "400.000", "200.000"]
+        assert (dot.get("cx"), dot.get("cy")) == ("600.000", "200.000")
+
 
 def written(obj):
     """``obj`` as the report's own JSON writer gives it, with no fallback to
